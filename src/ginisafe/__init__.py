@@ -77,6 +77,7 @@ from .quantum import (
     SINGLE,
     StateStats,
     UncertaintyDeficits,
+    apply_dual,
     basis_state,
     componentwise_parity,
     dft_unitary,

@@ -7,6 +7,7 @@ output.  Exit codes: 0 success, 1 validation error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -599,7 +600,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", default=None, help="path to a JSON payload file")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ginisafe",
         description="Gini-index analytics for random and quantum safes",

@@ -36,16 +36,7 @@ import numpy as np
 from .ensembles import make_rng, shard_rng
 from .errors import DimensionTooLargeError, GiniSafeError, ValidationError
 from .markov import function_table, tensor_to_matrix
-from .quantum import (
-    GLOBAL,
-    LOCAL,
-    SINGLE,
-    apply_local_fourier,
-    dual_state,
-    fourier_single,
-    global_fourier,
-    local_fourier,
-)
+from .quantum import GLOBAL, LOCAL, MAX_COMPONENTS, SINGLE, apply_dual, dual_state
 
 MODE_SINGLE = "single"
 MODE_LOCAL_TOTAL = "local_total"
@@ -53,8 +44,13 @@ MODE_GLOBAL_COMPONENT = "global_component"
 MODE_GLOBAL_TOTAL = "global_total"
 MODES = (MODE_SINGLE, MODE_LOCAL_TOTAL, MODE_GLOBAL_COMPONENT, MODE_GLOBAL_TOTAL)
 
-#: Dense F_G caps the global modes.
-MAX_GLOBAL_D = 4
+#: The Fourier transform behind each mode's dual (see :func:`quantum.apply_dual`).
+_TRANSFORM = {
+    MODE_SINGLE: SINGLE,
+    MODE_LOCAL_TOTAL: LOCAL,
+    MODE_GLOBAL_COMPONENT: GLOBAL,
+    MODE_GLOBAL_TOTAL: GLOBAL,
+}
 
 #: Simplex descent stops when the vertex spread falls below this step size.
 REFINE_STEP_TOL = 1e-6
@@ -65,10 +61,8 @@ def _check_mode(d: int, mode: str):
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
     if d < 2:
         raise ValidationError("d must be >= 2")
-    if mode in (MODE_GLOBAL_COMPONENT, MODE_GLOBAL_TOTAL) and d > MAX_GLOBAL_D:
-        raise DimensionTooLargeError(f"global modes support d <= {MAX_GLOBAL_D}")
-    if mode == MODE_LOCAL_TOTAL and d > 5:
-        raise DimensionTooLargeError("local_total supports d <= 5")
+    if mode != MODE_SINGLE and d > MAX_COMPONENTS:
+        raise DimensionTooLargeError(f"{mode} supports d <= {MAX_COMPONENTS}")
 
 
 def state_space_dim(d: int, mode: str) -> int:
@@ -92,18 +86,6 @@ def _gini_rows(p: np.ndarray) -> np.ndarray:
     return 1.0 - (2.0 / (k + 1)) * (p @ weights)
 
 
-def _dual_probabilities_pure(psi: np.ndarray, d: int, mode: str) -> np.ndarray:
-    if mode == MODE_SINGLE:
-        f = fourier_single(d)
-        return np.abs(f.conj().T @ psi) ** 2
-    if mode == MODE_LOCAL_TOTAL:
-        if d > 4:
-            return np.abs(apply_local_fourier(psi, d, dagger=True)) ** 2
-        return np.abs(local_fourier(d).conj().T @ psi) ** 2
-    f = global_fourier(d)
-    return np.abs(f.conj().T @ psi) ** 2
-
-
 def _mode_sum_from_probs(p: np.ndarray, p_dual: np.ndarray, d: int, mode: str) -> float:
     if mode == MODE_GLOBAL_COMPONENT:
         rows = _gini_rows(tensor_to_matrix(p)) + _gini_rows(tensor_to_matrix(p_dual))
@@ -124,12 +106,11 @@ def gini_sum(state, d: int, mode: str) -> float:
         if state.size != dim:
             raise ValidationError(f"state has dimension {state.size}, expected {dim}")
         p = np.abs(state) ** 2
-        p_dual = _dual_probabilities_pure(state, d, mode)
+        p_dual = np.abs(apply_dual(state, d, _TRANSFORM[mode])) ** 2
         return _mode_sum_from_probs(p, p_dual, d, mode)
     if state.shape != (dim, dim):
         raise ValidationError(f"density has shape {state.shape}, expected {(dim, dim)}")
-    quantum_mode = {MODE_SINGLE: SINGLE, MODE_LOCAL_TOTAL: LOCAL}.get(mode, GLOBAL)
-    dual = dual_state(state, quantum_mode)
+    dual = dual_state(state, _TRANSFORM[mode])
     p = np.clip(np.real(np.diag(state)), 0.0, None)
     p_dual = np.clip(np.real(np.diag(dual)), 0.0, None)
     return _mode_sum_from_probs(p / p.sum(), p_dual / p_dual.sum(), d, mode)
@@ -317,14 +298,7 @@ def deficit_sweep(d: int, mode: str, n: int, seed: int = 0) -> float:
     z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     p = np.abs(z) ** 2
-
-    if mode == MODE_SINGLE:
-        u = fourier_single(d)
-    elif mode == MODE_LOCAL_TOTAL:
-        u = local_fourier(d)
-    else:
-        u = global_fourier(d)
-    p_dual = np.abs(z @ u.conj()) ** 2  # rows are (U† psi)^T
+    p_dual = np.abs(apply_dual(z.T, d, _TRANSFORM[mode]).T) ** 2
 
     if mode in (MODE_SINGLE, MODE_LOCAL_TOTAL, MODE_GLOBAL_TOTAL):
         sums = _gini_rows(p) + _gini_rows(p_dual)

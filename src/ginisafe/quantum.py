@@ -26,6 +26,12 @@ Statistics of a state rho: measuring component i in the computational basis
 gives a row Markov matrix q(i, j); measuring all components jointly gives a
 Markov tensor over opening-sequence codes.  "Dual" statistics are the plain
 statistics of F† rho F for the chosen transform.
+
+Every dual goes through :func:`apply_dual`, which applies F† without forming
+a d**d x d**d matrix: an FFT for F_G, and d passes of the d x d single-qudit
+F† for F_L.  The dense builders (:func:`dft_unitary`,
+:func:`local_fourier`, :func:`global_fourier`) are the oracles it is tested
+against.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from .markov import (
 #: Largest number of qudit components supported (3125-dimensional space).
 MAX_COMPONENTS = 5
 
-#: Largest d for which F_L is materialized densely (256 x 256 at d = 4).
+#: Largest d for which the dense oracle F_L is materialized (256 x 256 at d = 4).
 MAX_DENSE_LOCAL = 4
 
 SINGLE = "single"
@@ -146,9 +152,8 @@ def kron_chain(ops) -> np.ndarray:
 def local_fourier(d: int) -> np.ndarray:
     """Dense local Fourier transform F_L = F^(tensor d) on the d**d space.
 
-    Materialized only for d <= 4; for d = 5 use :func:`local_sandwich` /
-    :func:`apply_local_fourier`, which apply the factored transform without
-    forming the 3125 x 3125 matrix.
+    A test oracle for :func:`apply_dual`, which applies F_L† without this
+    matrix; materialized only for d <= 4.
     """
     _check_components(d, limit=MAX_DENSE_LOCAL)
     f = fourier_single(d)
@@ -159,8 +164,9 @@ def global_fourier(d: int) -> np.ndarray:
     """Dense global Fourier transform F_G on the d**d space.
 
     The entry at (flat j, flat k) is omega_{d**d}(j k mod d**d)/sqrt(d**d);
-    F_G has no tensor factorization over the components.  d = 5 allocates a
-    3125 x 3125 complex matrix (~156 MB), a deliberate opt-in.
+    F_G has no tensor factorization over the components.  A test oracle for
+    :func:`apply_dual`, which applies F_G† as an FFT; d = 5 allocates a
+    3125 x 3125 complex matrix (~156 MB).
     """
     _check_components(d)
     return dft_unitary(d**d)
@@ -188,31 +194,52 @@ def componentwise_parity(d: int) -> np.ndarray:
     return p
 
 
-def apply_local_fourier(psi: np.ndarray, d: int, dagger: bool = False) -> np.ndarray:
-    """Apply F_L (or F_L†) to a state vector using the tensor factorization."""
-    _check_components(d)
-    f = fourier_single(d)
-    if dagger:
-        f = f.conj().T
-    t = np.asarray(psi, dtype=complex).reshape((d,) * d)
-    for axis in range(d):
-        t = np.moveaxis(np.tensordot(f, t, axes=([1], [axis])), 0, axis)
-    return t.reshape(d**d)
+@functools.lru_cache(maxsize=8)
+def _single_dagger(d: int) -> np.ndarray:
+    f_dagger = fourier_single(d).conj().T
+    f_dagger.setflags(write=False)
+    return f_dagger
 
 
-def local_sandwich(rho: np.ndarray, d: int, dagger: bool = True) -> np.ndarray:
-    """Compute F_L† rho F_L (default) or F_L rho F_L† without dense F_L."""
-    _check_components(d)
-    f = fourier_single(d)
-    left = f.conj().T if dagger else f
-    t = np.asarray(rho, dtype=complex).reshape((d,) * (2 * d))
-    for axis in range(d):
-        t = np.moveaxis(np.tensordot(left, t, axes=([1], [axis])), 0, axis)
-    right = left.conj()
-    for axis in range(d, 2 * d):
-        t = np.moveaxis(np.tensordot(right, t, axes=([1], [axis])), 0, axis)
-    dim = d**d
-    return t.reshape(dim, dim)
+def apply_dual(x, d: int, mode: str) -> np.ndarray:
+    """F† x along axis 0, for a vector, an (N, B) batch or an N x N matrix.
+
+    ``mode`` is ``"single"`` (the single-qudit F, N = d, any d >= 2),
+    ``"local"`` (F_L, N = d**d) or ``"global"`` (F_G, N = d**d).  Single
+    mode multiplies by the d x d matrix F†.  F_G is the DFT with omega =
+    exp(+2 pi i / N), so F_G† x = fft(x)/sqrt(N).  F_L† is d passes of the single-qudit F†
+    over the leading base-d digit of the row index, each followed by rotating
+    that digit to the least significant place; after d passes every digit is
+    transformed and back in place.  No d**d x d**d matrix is formed.
+    """
+    x = np.asarray(x, dtype=complex)
+    if mode == SINGLE:
+        if d < 2:
+            raise ValidationError("Fourier dimension must be >= 2")
+        n = d
+    elif mode in (LOCAL, GLOBAL):
+        _check_components(d)
+        n = d**d
+    else:
+        raise ValidationError(f"unknown transform mode {mode!r}")
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise DimensionMismatchError(
+            f"a {mode} transform of size {n} cannot act on shape {x.shape}"
+        )
+    if mode == GLOBAL:
+        return np.fft.fft(x, axis=0, norm="ortho")
+    f_dagger = _single_dagger(d)
+    if mode == SINGLE:
+        return f_dagger @ x
+    # two buffers reused across the passes keep the peak at three arrays
+    product = np.empty((d, n // d, x.size // n), dtype=complex)
+    rotated = np.empty((n // d, d, x.size // n), dtype=complex)
+    y = x.reshape(d, -1)
+    for _ in range(d):
+        np.matmul(f_dagger, y, out=product.reshape(d, -1))
+        rotated[...] = product.transpose(1, 0, 2)
+        y = rotated.reshape(d, -1)
+    return rotated.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -390,20 +417,6 @@ def state_stats(rho) -> StateStats:
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_unitary(mode: str, dim: int) -> np.ndarray:
-    if mode == SINGLE:
-        u = fourier_single(dim)
-    elif mode == LOCAL:
-        u = local_fourier(local_dimension(dim))
-    elif mode == GLOBAL:
-        u = global_fourier(local_dimension(dim))
-    else:
-        raise ValidationError(f"unknown transform mode {mode!r}")
-    u.setflags(write=False)
-    return u
-
-
 def dual_state(rho, mode: str) -> np.ndarray:
     """The Fourier-transformed state F† rho F for the chosen transform.
 
@@ -415,19 +428,11 @@ def dual_state(rho, mode: str) -> np.ndarray:
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValidationError("density matrix must be square")
     dim = rho.shape[0]
-    if mode == SINGLE:
-        f = _cached_unitary(SINGLE, dim)
-        return f.conj().T @ rho @ f
-    d = local_dimension(dim)  # raises for non d**d dims
-    if mode == LOCAL:
-        if d > MAX_DENSE_LOCAL:
-            return local_sandwich(rho, d, dagger=True)
-        f = _cached_unitary(LOCAL, dim)
-        return f.conj().T @ rho @ f
-    if mode == GLOBAL:
-        f = _cached_unitary(GLOBAL, dim)
-        return f.conj().T @ rho @ f
-    raise ValidationError(f"unknown transform mode {mode!r}")
+    d = dim if mode == SINGLE else local_dimension(dim)  # raises for non d**d dims
+    # F† rho F = (F† (F† rho)†)†: both factors apply F† from the left.  The
+    # C-order copy lets the local transform reshape its input without a copy.
+    half = np.conjugate(apply_dual(rho, d, mode).T, order="C")
+    return apply_dual(half, d, mode).conj().T
 
 
 def state_scalar_product(rho, sigma) -> float:

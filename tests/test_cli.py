@@ -51,6 +51,23 @@ class TestVectorCommands:
         assert abs(out["gini"] - 1 / 6) < 1e-3
         assert abs(out["gini"] - out["gini_mean_abs_diff"]) < 1e-12
 
+    def test_gini_on_six_qudit_sized_vector(self, capsys, tmp_path):
+        # n = 6**6 = 46656: a pairwise |x_r - x_s| array would need 16 GiB
+        x = np.random.default_rng(0).dirichlet(np.ones(6**6))
+        path = tmp_path / "vec.json"
+        path.write_text(json.dumps(x.tolist()))
+        out = run_json(capsys, "gini", "--input", str(path))
+        assert out["d"] == 6**6
+        assert abs(out["gini"] - out["gini_mean_abs_diff"]) < 1e-12
+
+    def test_repeated_calls_are_independent(self, capsys):
+        # the parser is built once per process; appended flags must not carry over
+        first = run_json(capsys, "gini", "--vector", "[0.2,0.8]")
+        second = run_json(capsys, "gini", "--vector", "[0.5,0.5]")
+        assert first["gini"] == pytest.approx(0.2, abs=1e-12)
+        assert second["gini"] == 0.0
+        assert run_json(capsys, "gini", "--vector", "[0.2,0.8]") == first
+
     def test_lorenz_output(self, capsys):
         out = run_json(capsys, "lorenz", "--vector", "[0.1666666667,0.5,0.3333333333]")
         np.testing.assert_allclose(out["lorenz"], [1 / 6, 1 / 2, 1.0], atol=1e-9)

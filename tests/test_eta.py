@@ -15,7 +15,18 @@ from ginisafe import (
     gini_sum_cap,
     pure_density,
 )
-from ginisafe.eta import MODES
+from ginisafe.eta import MODES, state_space_dim
+
+
+def scalar_sweep(d, mode, n, seed):
+    """Smallest per-state deficit over the states deficit_sweep draws."""
+    from ginisafe import make_rng
+
+    dim = state_space_dim(d, mode)
+    rng = make_rng(seed)
+    z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return min(deficit(psi, d, mode) for psi in z)
 
 
 class TestGiniSum:
@@ -62,7 +73,7 @@ class TestGiniSum:
         with pytest.raises(ValidationError):
             gini_sum(np.ones(2) / np.sqrt(2), 2, "sideways")
         with pytest.raises(DimensionTooLargeError):
-            gini_sum_cap(5, "global_total")
+            gini_sum_cap(6, "global_total")
 
 
 class TestEstimateEta:
@@ -114,7 +125,7 @@ class TestEstimateEta:
         with pytest.raises(ValidationError):
             estimate_eta(2, "single", budget=0)
         with pytest.raises(DimensionTooLargeError):
-            estimate_eta(5, "global_total", budget=10)
+            estimate_eta(6, "global_total", budget=10)
 
 
 class TestDeficitSweep:
@@ -128,17 +139,19 @@ class TestDeficitSweep:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_matches_scalar_deficits(self, mode):
-        # the vectorized sweep must reproduce the per-state scalar route
-        from ginisafe import make_rng
-        from ginisafe.eta import state_space_dim
-
+        # the batched sweep must reproduce the per-state scalar route; both
+        # use quantum.apply_dual, which test_quantum checks against dense F
         d, n, seed = 2, 40, 9
-        dim = state_space_dim(d, mode)
-        rng = make_rng(seed)
-        z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        per_state = min(deficit(psi, d, mode) for psi in z)
-        assert deficit_sweep(d, mode, n=n, seed=seed) == pytest.approx(per_state, abs=1e-12)
+        assert deficit_sweep(d, mode, n=n, seed=seed) == pytest.approx(
+            scalar_sweep(d, mode, n, seed), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("mode", ["local_total", "global_total"])
+    def test_five_qudits(self, mode):
+        # d = 5 runs on the 3125-dimensional space without a dense transform
+        assert deficit_sweep(5, mode, n=50, seed=4) == pytest.approx(
+            scalar_sweep(5, mode, 50, seed=4), abs=1e-12
+        )
 
     def test_deterministic(self):
         assert deficit_sweep(2, "single", 300, seed=5) == deficit_sweep(2, "single", 300, seed=5)

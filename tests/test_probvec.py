@@ -24,6 +24,12 @@ from ginisafe import (
 )
 
 
+def pairwise_gini(x):
+    """The defining pair sum sum_{r,s} |x(r) - x(s)| / (2 (d + 1)); O(d**2) memory."""
+    x = np.asarray(x, dtype=float)
+    return float(np.abs(x[:, None] - x[None, :]).sum()) / (2.0 * (x.size + 1))
+
+
 def prob_vectors(min_d=2, max_d=8):
     def build(d):
         return st.lists(
@@ -113,6 +119,12 @@ class TestGini:
     def test_sixths(self):
         assert gini_index([1 / 6, 1 / 2, 1 / 3]) == pytest.approx(1 / 6, abs=1e-15)
         assert gini_mean_abs_diff([1 / 6, 1 / 2, 1 / 3]) == pytest.approx(1 / 6, abs=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3, 27, 256, 2000])
+    def test_sorted_sum_matches_pair_sum(self, d):
+        rng = np.random.default_rng(d)
+        for x in (random_prob_vector(rng, d), rng.dirichlet(np.full(d, 0.1))):
+            assert abs(gini_mean_abs_diff(x) - pairwise_gini(x)) < 1e-12
 
     @given(prob_vectors())
     @settings(max_examples=300, deadline=None)

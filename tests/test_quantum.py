@@ -9,6 +9,7 @@ from ginisafe import (
     FunctionMap,
     IndexOutOfRangeError,
     ValidationError,
+    apply_dual,
     basis_state,
     componentwise_parity,
     dual_state,
@@ -31,7 +32,7 @@ from ginisafe import (
     uncertainty_deficits,
     validate_density_matrix,
 )
-from ginisafe.quantum import MAX_DENSE_LOCAL, elementary_projector, local_sandwich
+from ginisafe.quantum import MAX_DENSE_LOCAL, elementary_projector
 from ginisafe.reference import (
     TRIPARTITE_DUAL_GINI_VECTOR,
     TRIPARTITE_DUAL_MARKOV,
@@ -428,23 +429,76 @@ class TestDualState:
         rho = pure_density(random_complex_unit(rng, 27))
         fl = local_fourier(3)
         np.testing.assert_allclose(
-            local_sandwich(rho, 3, dagger=True), fl.conj().T @ rho @ fl, atol=1e-12
+            dual_state(rho, "local"), fl.conj().T @ rho @ fl, atol=1e-12
         )
 
     def test_factored_vector_apply_matches_dense(self):
-        from ginisafe.quantum import apply_local_fourier
-
         rng = np.random.default_rng(8)
         psi = random_complex_unit(rng, 27)
         fl = local_fourier(3)
+        np.testing.assert_allclose(apply_dual(psi, 3, "local"), fl.conj().T @ psi, atol=1e-12)
+        # F_L = conj(F_L†) entrywise, so the forward transform is a conjugated dual
         np.testing.assert_allclose(
-            apply_local_fourier(psi, 3, dagger=True), fl.conj().T @ psi, atol=1e-12
+            apply_dual(psi.conj(), 3, "local").conj(), fl @ psi, atol=1e-12
         )
-        np.testing.assert_allclose(apply_local_fourier(psi, 3), fl @ psi, atol=1e-12)
 
     def test_single_mode_requires_square(self):
         with pytest.raises(ValidationError):
             dual_state(np.ones((2, 3)), "single")
+
+
+def dense_transform(d, mode):
+    if mode == "single":
+        return fourier_single(d)
+    return local_fourier(d) if mode == "local" else global_fourier(d)
+
+
+def random_complex_matrix(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+class TestApplyDual:
+    @pytest.mark.parametrize("mode", ["single", "local", "global"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_dense_oracle(self, d, mode):
+        rng = np.random.default_rng(10 * d)
+        u = dense_transform(d, mode)
+        n = u.shape[0]
+        psi = random_complex_unit(rng, n)
+        np.testing.assert_allclose(apply_dual(psi, d, mode), u.conj().T @ psi, atol=1e-12)
+        batch = random_complex_matrix(rng, n, 7)
+        np.testing.assert_allclose(apply_dual(batch, d, mode), u.conj().T @ batch, atol=1e-12)
+        # a non-Hermitian matrix, so a wrong conjugation or transpose shows
+        sigma = random_complex_matrix(rng, n, n) / n
+        np.testing.assert_allclose(dual_state(sigma, mode), u.conj().T @ sigma @ u, atol=1e-12)
+
+    def test_five_qudit_duals_match_fft(self):
+        # rho = |a><b| has F† rho F = |F† a><F† b|, so the reference needs
+        # only the FFT of two vectors: fft for F_G, fftn over the digits for F_L
+        rng = np.random.default_rng(11)
+        d, n = 5, 5**5
+        a, b = random_complex_unit(rng, n), random_complex_unit(rng, n)
+        rho = np.outer(a, b.conj())
+
+        def local_ref(v):
+            return np.fft.fftn(v.reshape((d,) * d), norm="ortho").reshape(n)
+
+        def global_ref(v):
+            return np.fft.fft(v, norm="ortho")
+
+        for mode, ref in (("local", local_ref), ("global", global_ref)):
+            expected = np.outer(ref(a), ref(b).conj())
+            assert np.abs(dual_state(rho, mode) - expected).max() < 1e-12
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValidationError):
+            apply_dual(np.ones(4), 2, "sideways")
+        with pytest.raises(ValidationError):
+            apply_dual(np.ones(1), 1, "single")
+        with pytest.raises(DimensionMismatchError):
+            apply_dual(np.ones(5), 2, "local")
+        with pytest.raises(DimensionMismatchError):
+            apply_dual(np.ones((4, 4, 4)), 2, "global")
 
 
 class TestStateScalarProduct:
