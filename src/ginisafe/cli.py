@@ -8,8 +8,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
+import operator
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -37,8 +41,12 @@ def _payloads(args, attr: str, count: int) -> list:
     raw = getattr(args, attr, None) or []
     payloads = [_parse_json(text) for text in raw]
     if not payloads and getattr(args, "input", None):
-        with open(args.input, "r", encoding="utf-8") as fh:
-            loaded = _parse_json(fh.read())
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _UsageError(f"cannot read --input file {args.input!r}: {exc}") from None
+        loaded = _parse_json(text)
         if count > 1:
             # every valid payload is a sequence or object, never a bare number
             if (
@@ -83,14 +91,58 @@ def _as_tensor(payload):
         elif "tensor" in payload:
             payload = payload["tensor"]
         elif "terms" in payload and "d" in payload:
-            d = int(payload["d"])
-            dense = np.zeros(d**d)
-            for term in payload["terms"]:
-                dense[int(term["code"])] = float(term["weight"])
-            return dense
+            return _sparse_tensor(payload["d"], payload["terms"])
         else:
             raise ValidationError("object payload has no 'weights'/'tensor'/'terms' field")
     return payload
+
+
+def _as_index(value, what: str) -> int:
+    """A JSON integer (or integral float); bools and fractions name `what` in the error."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _sparse_tensor(d, terms) -> np.ndarray:
+    """Dense weights from ``{"d", "terms": [{"code", "weight"}, ...]}``.
+
+    `d` is checked against the enumeration cap before d**d is formed, and
+    every code against [0, d**d) and the earlier codes before anything is
+    written, so a bad payload allocates nothing.
+    """
+    d = _as_index(d, "sparse tensor 'd'")
+    if not 1 <= d <= markov.MAX_ENUMERATION_D:
+        raise ValidationError(
+            f"sparse tensor 'd' = {d} outside [1, {markov.MAX_ENUMERATION_D}]"
+        )
+    if not isinstance(terms, list):
+        raise ValidationError("sparse tensor 'terms' must be a list of {code, weight} objects")
+    size = d**d
+    codes, weights = {}, []
+    for i, term in enumerate(terms):
+        if not isinstance(term, dict):
+            raise ValidationError(f"terms[{i}] must be an object with 'code' and 'weight'")
+        for field in ("code", "weight"):
+            if field not in term:
+                raise ValidationError(f"terms[{i}] has no '{field}' field")
+        code = _as_index(term["code"], f"terms[{i}].code")
+        if not 0 <= code < size:
+            raise ValidationError(f"terms[{i}].code = {code} outside [0, {size}) for d = {d}")
+        if code in codes:
+            raise ValidationError(f"terms[{i}].code = {code} repeats terms[{codes[code]}].code")
+        codes[code] = i
+        try:
+            weights.append(float(term["weight"]))
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"terms[{i}].weight must be a number, got {term['weight']!r}"
+            ) from None
+    dense = np.zeros(size)
+    dense[list(codes)] = weights
+    return dense
 
 
 def _as_ensemble(payload) -> ensembles.EnsembleSpec:
@@ -105,9 +157,12 @@ def _as_ensemble(payload) -> ensembles.EnsembleSpec:
 
 
 def _complex_pairs(entries, n: int, what: str) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
-    if arr.shape != (n, 2):
-        raise ValidationError(f"{what} must be a list of {n} [re, im] pairs")
+    try:
+        arr = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError):  # ragged pairs or non-numbers
+        arr = None
+    if arr is None or arr.shape != (n, 2) or not np.isfinite(arr).all():
+        raise ValidationError(f"{what} must be a list of {n} [re, im] pairs of finite numbers")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -118,12 +173,12 @@ def _as_state(payload, repair: bool = False) -> np.ndarray:
     if not isinstance(payload, dict):
         raise ValidationError("state payload must be a JSON object")
     if "entries" in payload:
-        dim = int(payload["dim"])
+        dim = _as_index(payload.get("dim"), "state 'dim'")
         flat = _complex_pairs(payload["entries"], dim * dim, "density entries")
         rho = flat.reshape(dim, dim)
         return quantum.validate_density_matrix(rho, repair=repair)
     if "amplitudes" in payload:
-        dim = int(payload["dim"])
+        dim = _as_index(payload.get("dim"), "state 'dim'")
         psi = _complex_pairs(payload["amplitudes"], dim, "amplitudes")
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-6:
@@ -140,6 +195,7 @@ def _as_state(payload, repair: bool = False) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _pyify(obj):
+    """Plain Python values for `obj`: the CSV normaliser, and the writer's test oracle."""
     if isinstance(obj, dict):
         return {k: _pyify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -155,6 +211,131 @@ def _pyify(obj):
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
+
+
+# The JSON writer below renders a handler's dict, numpy values included, to
+# the bytes of ``json.dumps(_pyify(out), indent=2)`` without the copy and
+# without json's pure-Python indenting encoder.
+
+_BOOL_STR = {True: "true", False: "false"}
+
+
+def _float_str(x: float) -> str:
+    """A float as json spells it: NaN and the infinities by their JavaScript names."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_str(key) -> str:
+    """A dict key as json spells it: a str, or an int, float, bool or None in quotes."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _render(key, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _array_items(a: np.ndarray) -> list:
+    """The items `_pyify` makes of an array, complex entries as [re, im] pairs.
+
+    ``list()`` of a 0-d array's scalar raises TypeError, as `_pyify` does.
+    """
+    if a.ndim and a.dtype.kind == "c":
+        a = np.stack((a.real, a.imag), axis=-1)
+    return list(a.tolist())
+
+
+def _render(obj, pad: str) -> str:
+    """One value as ``json.dumps(_pyify(obj), indent=2)`` spells it at indent `pad`."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return _BOOL_STR[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_str(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        keys = map(_key_str, obj)
+        values = _render_items(list(obj.values()), inner)
+        return "{" + inner + ("," + inner).join(map("{}: {}".format, keys, values)) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        return _render_list(obj, pad)
+    if isinstance(obj, np.ndarray):
+        return _render_list(_array_items(obj), pad)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _render_list([float(obj.real), float(obj.imag)], pad)
+    if isinstance(obj, np.floating):
+        return _float_str(float(obj))
+    if isinstance(obj, np.integer):
+        return int.__repr__(int(obj))
+    if isinstance(obj, np.bool_):
+        return _BOOL_STR[bool(obj)]
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _render_list(items, pad: str) -> str:
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(_render_items(items, inner)) + pad + "]"
+
+
+def _render_items(values, pad: str) -> list:
+    """Render every value at indent `pad`, a whole column at a time where types agree.
+
+    Plain floats, ints and strings map in one pass.  Lists of one length are
+    flattened, rendered as one column and regrouped.  Dicts with the same str
+    keys are rendered one key column at a time and stitched by a template.
+    Anything else goes through `_render` one value at a time.
+    """
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        if math.isfinite(sum(values)):  # any NaN or infinity makes the sum non-finite
+            return list(map(float.__repr__, values))
+        return list(map(_float_str, values))
+    if kind is int:
+        return list(map(int.__repr__, values))
+    if kind is str:
+        return list(map(encode_basestring_ascii, values))
+    if kind is list or kind is tuple:
+        sizes = set(map(len, values))
+        if len(sizes) == 1:
+            size = sizes.pop()
+            if not size:
+                return ["[]"] * len(values)
+            inner = pad + "  "
+            flat = _render_items(list(itertools.chain.from_iterable(values)), inner)
+            wrap = ("[" + inner + "%s" + pad + "]").__mod__
+            return list(map(wrap, map(("," + inner).join, zip(*[iter(flat)] * size))))
+    if kind is dict:
+        shapes = set(map(tuple, values))
+        keys = shapes.pop() if len(shapes) == 1 else None
+        if keys is not None and all(type(k) is str for k in keys):
+            if not keys:
+                return ["{}"] * len(values)
+            inner = pad + "  "
+            columns = [_render_items(list(map(operator.itemgetter(k), values)), inner) for k in keys]
+            fields = (encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+            template = "{" + inner + ("," + inner).join(fields) + pad + "}"
+            return list(map(template.__mod__, zip(*columns)))
+    return [_render(v, pad) for v in values]
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(_pyify(obj), indent=2)`` in one pass, numpy values included."""
+    return _render(obj, "\n")
 
 
 def _fmt_csv_value(v) -> str:
@@ -177,12 +358,11 @@ def _flatten(obj, prefix: str = ""):
 
 
 def _emit(out: dict, args) -> None:
-    out = _pyify(out)
     if args.format == "json":
-        text = json.dumps(out, indent=2) + "\n"
+        text = _dumps(out) + "\n"
     else:
         lines = ["key,value"]
-        for key, value in _flatten(out):
+        for key, value in _flatten(_pyify(out)):
             lines.append(f"{key},{_fmt_csv_value(value)}")
         text = "\n".join(lines) + "\n"
     if args.out:
@@ -193,12 +373,12 @@ def _emit(out: dict, args) -> None:
 
 
 def _serialize_density(rho: np.ndarray) -> dict:
-    dim = rho.shape[0]
-    return {"dim": dim, "entries": [[v.real, v.imag] for v in rho.ravel()]}
+    """Row-major entries; the writer spells each complex entry as [re, im]."""
+    return {"dim": rho.shape[0], "entries": rho.ravel()}
 
 
 def _serialize_pure(psi: np.ndarray) -> dict:
-    return {"dim": psi.size, "amplitudes": [[v.real, v.imag] for v in psi]}
+    return {"dim": psi.size, "amplitudes": psi}
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +429,10 @@ def cmd_expand(args) -> dict:
     q = markov.validate_row_markov(_as_matrix(_payloads(args, "matrix", 1)[0]), args.tol)
     weights = markov.product_probabilities(q)
     d = q.shape[0]
+    images = markov.function_table(d).tolist()
     terms = [
-        {
-            "code": code,
-            "images": list(markov.FunctionMap.from_code(code, d).images),
-            "weight": w,
-        }
-        for code, w in enumerate(weights)
+        {"code": code, "images": images[code], "weight": w}
+        for code, w in enumerate(weights.tolist())
         if w >= args.floor
     ]
     return {
@@ -293,13 +470,10 @@ def cmd_correlations(args) -> dict:
     t = markov.validate_markov_tensor(_as_tensor(_payloads(args, "tensor", 1)[0]), args.tol)
     coeffs = markov.correlation_coefficients(t)
     d = markov.tensor_dimension(t.size)
+    images = markov.function_table(d).tolist()
     terms = [
-        {
-            "code": code,
-            "images": list(markov.FunctionMap.from_code(code, d).images),
-            "coefficient": c,
-        }
-        for code, c in enumerate(coeffs)
+        {"code": code, "images": images[code], "coefficient": c}
+        for code, c in enumerate(coeffs.tolist())
         if abs(c) >= args.floor
     ]
     return {

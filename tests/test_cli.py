@@ -1,10 +1,12 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ginisafe import cli
 from ginisafe.cli import main
 
 
@@ -147,6 +149,65 @@ class TestMarkovCommands:
         out = run_json(capsys, "correlations", "--tensor", sparse)
         assert abs(sum(out["coefficients"])) < 1e-12
         assert out["coefficients"][0] == pytest.approx(0.25, abs=1e-12)
+
+
+class TestSparseTensorAdmission:
+    def reject(self, capsys, d, terms, *needles):
+        payload = json.dumps({"d": d, "terms": terms})
+        code, out, err = run_cli(capsys, "correlations", "--tensor", payload)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        for needle in needles:
+            assert needle in err
+
+    def test_negative_code(self, capsys):
+        # numpy would wrap -1 to the last entry and answer for the wrong tensor
+        terms = [{"code": -1, "weight": 0.5}, {"code": 0, "weight": 0.5}]
+        self.reject(capsys, 2, terms, "terms[0].code", "-1")
+
+    def test_code_past_the_end(self, capsys):
+        terms = [{"code": 0, "weight": 0.5}, {"code": 9, "weight": 0.5}]
+        self.reject(capsys, 2, terms, "terms[1].code", "[0, 4)")
+
+    def test_duplicate_code(self, capsys):
+        # the later term would silently overwrite the earlier one
+        terms = [{"code": 0, "weight": 0.5}, {"code": 3, "weight": 0.5}, {"code": 0, "weight": 0.5}]
+        self.reject(capsys, 2, terms, "terms[2].code", "terms[0]")
+
+    @pytest.mark.parametrize("field", ["code", "weight"])
+    def test_missing_field(self, capsys, field):
+        term = {"code": 0, "weight": 1.0}
+        del term[field]
+        self.reject(capsys, 2, [term], "terms[0]", field)
+
+    def test_dimension_checked_before_allocation(self, capsys):
+        cli._build_parser()
+        tracemalloc.start()
+        try:
+            self.reject(capsys, 7, [{"code": 0, "weight": 1.0}], "'d' = 7", "[1, 6]")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # 7**7 float64 zeros would be 6.6 MB
+        # 40**40 entries exceed what numpy can even describe
+        self.reject(capsys, 40, [{"code": 0, "weight": 1.0}], "'d' = 40")
+
+
+class TestReaderErrors:
+    def test_missing_input_file(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        code, _, err = run_cli(capsys, "gini", "--input", str(path))
+        assert code == 2
+        assert err.startswith("usage error:")
+        assert "absent.json" in err
+
+    @pytest.mark.parametrize("pairs", ["[[1,0],[0]]", '[[1,0],["a",0]]', "[[1,0],[null,0]]"])
+    def test_bad_amplitude_pairs(self, capsys, pairs):
+        state = f'{{"dim": 2, "amplitudes": {pairs}}}'
+        code, _, err = run_cli(capsys, "quantum-stats", "--state", state)
+        assert code == 1
+        assert err.startswith("error: amplitudes must be a list of 2 [re, im] pairs")
 
 
 class TestSimulationCommands:
