@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import json
 import math
@@ -30,10 +31,21 @@ class _UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 def _parse_json(text: str):
+    """Decode a payload with the cyclic collector paused.
+
+    A decoded payload is a tree of lists, dicts and scalars with no cycles, so
+    the collector's passes over its fresh lists (65,536 pairs for a d = 4
+    density) would find nothing.  The caller's GC state is restored.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON payload: {exc}") from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _payloads(args, attr: str, count: int) -> list:
@@ -157,35 +169,71 @@ def _as_ensemble(payload) -> ensembles.EnsembleSpec:
 
 
 def _complex_pairs(entries, n: int, what: str) -> np.ndarray:
+    """`n` complex numbers from a list of `n` [re, im] pairs, converted in one pass.
+
+    Each item must be a list of two (a string such as "12" also has length
+    two); the values then convert as under ``np.asarray(..., dtype=float)``.
+    """
+    error = ValidationError(f"{what} must be a list of {n} [re, im] pairs of finite numbers")
+    if (
+        not isinstance(entries, list)
+        or len(entries) != n
+        or set(map(type, entries)) != {list}
+        or set(map(len, entries)) != {2}
+    ):
+        raise error
     try:
-        arr = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError):  # ragged pairs or non-numbers
-        arr = None
-    if arr is None or arr.shape != (n, 2) or not np.isfinite(arr).all():
-        raise ValidationError(f"{what} must be a list of {n} [re, im] pairs of finite numbers")
-    return arr[:, 0] + 1j * arr[:, 1]
+        arr = np.fromiter(itertools.chain.from_iterable(entries), float, 2 * n)
+    except (TypeError, ValueError, OverflowError):  # non-numbers, or ints beyond float
+        raise error from None
+    if not np.isfinite(arr).all():
+        raise error
+    return arr[0::2] + 1j * arr[1::2]
+
+
+#: Largest state dimension: d**d for d = quantum.MAX_COMPONENTS.
+_MAX_STATE_DIM = quantum.MAX_COMPONENTS**quantum.MAX_COMPONENTS
+
+
+def _state_dim(payload) -> int:
+    dim = _as_index(payload.get("dim"), "state 'dim'")
+    if not 1 <= dim <= _MAX_STATE_DIM:
+        raise ValidationError(
+            f"state 'dim' = {dim} outside [1, {_MAX_STATE_DIM}] "
+            f"(d**d for d <= {quantum.MAX_COMPONENTS})"
+        )
+    return dim
 
 
 def _as_state(payload, repair: bool = False) -> np.ndarray:
-    """Parse a density matrix, pure state, or labelled basis ket into a density."""
+    """Parse a density matrix, pure state, or labelled basis ket into a density.
+
+    The size (`dim`, or the number of `images`) is checked before any
+    dim x dim array is formed.
+    """
     if isinstance(payload, dict) and "state" in payload:
         payload = payload["state"]
     if not isinstance(payload, dict):
         raise ValidationError("state payload must be a JSON object")
     if "entries" in payload:
-        dim = _as_index(payload.get("dim"), "state 'dim'")
+        dim = _state_dim(payload)
         flat = _complex_pairs(payload["entries"], dim * dim, "density entries")
         rho = flat.reshape(dim, dim)
         return quantum.validate_density_matrix(rho, repair=repair)
     if "amplitudes" in payload:
-        dim = _as_index(payload.get("dim"), "state 'dim'")
+        dim = _state_dim(payload)
         psi = _complex_pairs(payload["amplitudes"], dim, "amplitudes")
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-6:
             raise ValidationError(f"amplitudes have norm {norm:.6g}, not 1")
         return quantum.pure_density(psi / norm)
     if "images" in payload:
-        f = markov.FunctionMap(tuple(payload["images"]))
+        images = payload["images"]
+        if not isinstance(images, list) or not 1 <= len(images) <= quantum.MAX_COMPONENTS:
+            raise ValidationError(
+                f"state 'images' must be a list of 1 to {quantum.MAX_COMPONENTS} integers"
+            )
+        f = markov.FunctionMap(tuple(_as_index(v, f"images[{i}]") for i, v in enumerate(images)))
         return quantum.pure_density(quantum.basis_state(f))
     raise ValidationError("state payload needs 'entries', 'amplitudes' or 'images'")
 

@@ -46,9 +46,14 @@ def validate_prob_vector(raw, tol: float = DEFAULT_TOL) -> np.ndarray:
         NegativeEntryError: some entry is below ``-tol``.
         NotNormalizedError: entries do not sum to 1 within ``tol`` (or an
             entry exceeds ``1 + tol``).
-        ValidationError: input is empty, not 1-D, or not finite.
+        ValidationError: input is empty, not 1-D, not numeric, or not finite.
     """
-    x = np.asarray(raw, dtype=float)
+    try:
+        x = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge ints
+        raise ValidationError(
+            "probability vector must be a non-empty 1-D sequence of numbers"
+        ) from None
     if x.ndim != 1 or x.size == 0:
         raise ValidationError("probability vector must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(x)):

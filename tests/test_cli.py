@@ -1,12 +1,15 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
+import gc
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ginisafe import cli
+from ginisafe import ValidationError, cli, quantum
 from ginisafe.cli import main
 
 
@@ -202,12 +205,238 @@ class TestReaderErrors:
         assert err.startswith("usage error:")
         assert "absent.json" in err
 
-    @pytest.mark.parametrize("pairs", ["[[1,0],[0]]", '[[1,0],["a",0]]', "[[1,0],[null,0]]"])
+    @pytest.mark.parametrize(
+        "pairs", ["[[1,0],[0]]", '[[1,0],["a",0]]', "[[1,0],[null,0]]", '[[1,0],"12"]', f"[[1,0],[{10**400},0]]"]
+    )
     def test_bad_amplitude_pairs(self, capsys, pairs):
         state = f'{{"dim": 2, "amplitudes": {pairs}}}'
         code, _, err = run_cli(capsys, "quantum-stats", "--state", state)
         assert code == 1
         assert err.startswith("error: amplitudes must be a list of 2 [re, im] pairs")
+
+    @pytest.mark.parametrize("vector", ['"abc"', '[0.5, "x"]', "[[0.5], [0.25, 0.25]]", f"[{10**400}]"])
+    def test_non_numeric_vector(self, capsys, vector):
+        code, _, err = run_cli(capsys, "gini", "--vector", vector)
+        assert code == 1
+        assert err == "error: probability vector must be a non-empty 1-D sequence of numbers\n"
+
+
+def pairs_oracle(entries, n):
+    """The ``np.asarray(..., dtype=float)`` reading of [re, im] pairs, or None if rejected."""
+    try:
+        arr = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.shape != (n, 2) or not np.isfinite(arr).all():
+        return None
+    return arr[:, 0] + 1j * arr[:, 1]
+
+
+json_scalars = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400)]),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["12", "1.5", " -2e3 ", "nan", "inf", "x", "", "1_0", "0x1"]),
+    st.text(max_size=3),
+)
+pair_items = st.one_of(
+    st.lists(json_scalars, min_size=2, max_size=2),
+    st.lists(json_scalars, max_size=3),
+    st.lists(st.lists(json_scalars, max_size=2), min_size=2, max_size=2),
+    json_scalars,
+    st.dictionaries(st.text(max_size=2), json_scalars, max_size=2),
+)
+
+
+@st.composite
+def pair_payloads(draw):
+    entries = draw(st.one_of(st.lists(pair_items, max_size=5), json_scalars))
+    sizes = [st.integers(0, 6)]
+    if isinstance(entries, (list, str)):
+        sizes.append(st.just(len(entries)))
+    return entries, draw(st.one_of(*sizes))
+
+
+class TestComplexPairs:
+    @settings(max_examples=500, deadline=None)
+    @given(pair_payloads())
+    @example(([[1, 2], "12"], 2))
+    @example(([[True, False], ["1.5", None]], 2))
+    @example(([[1.0, 2.0], [float("nan"), 0.0]], 2))
+    @example(([[1.0, -0.0], [-0.0, 2.0]], 2))
+    @example(([], 0))
+    @example(([[[1, 2], [3, 4]]], 1))
+    def test_matches_asarray_route(self, payload):
+        entries, n = payload
+        want = pairs_oracle(entries, n)
+        try:
+            got = cli._complex_pairs(entries, n, "entries")
+        except ValidationError as exc:
+            assert want is None, exc
+            assert str(exc) == f"entries must be a list of {n} [re, im] pairs of finite numbers"
+        else:
+            assert want is not None
+            assert got.tobytes() == want.tobytes()
+
+
+class TestParseJson:
+    @pytest.mark.parametrize("start", [True, False])
+    def test_restores_collector_state(self, start):
+        was = gc.isenabled()
+        try:
+            (gc.enable if start else gc.disable)()
+            assert cli._parse_json('{"entries": [[1, 0], [0, 1]]}') == {"entries": [[1, 0], [0, 1]]}
+            assert gc.isenabled() is start
+            with pytest.raises(ValidationError, match="invalid JSON payload"):
+                cli._parse_json('{"entries": [[1, 0],')
+            assert gc.isenabled() is start
+        finally:
+            (gc.enable if was else gc.disable)()
+
+
+class TestStateAdmission:
+    def reject(self, capsys, state, needle):
+        code, out, err = run_cli(capsys, "quantum-stats", "--state", json.dumps(state))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and needle in err, err
+
+    @pytest.fixture
+    def no_large_densities(self, monkeypatch):
+        """Fail instead of forming a density beyond the supported size."""
+        real = quantum.pure_density
+
+        def guarded(psi):
+            assert np.size(psi) <= quantum.MAX_COMPONENTS**quantum.MAX_COMPONENTS
+            return real(psi)
+
+        monkeypatch.setattr(quantum, "pure_density", guarded)
+
+    @pytest.mark.parametrize(
+        "images, needle",
+        [("ab", "'images' must be a list"), (["a", 1], "images[0] must be an integer"),
+         ([1.5, 0], "images[0]"), ([0, True], "images[1]"), ([], "'images' must be a list"),
+         ({"0": 1}, "'images' must be a list")],
+    )
+    def test_bad_images(self, capsys, images, needle):
+        self.reject(capsys, {"images": images}, needle)
+
+    def test_images_checked_before_allocation(self, capsys, no_large_densities):
+        cli._build_parser()
+        tracemalloc.start()
+        try:
+            # six images would be a 46656-dimensional ket and a 35 GB density
+            self.reject(capsys, {"images": [0] * 6}, "1 to 5 integers")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("form", ["amplitudes", "entries"])
+    @pytest.mark.parametrize("dim", [0, -4, 3126, 46656])
+    def test_dim_outside_supported_range(self, capsys, form, dim):
+        self.reject(capsys, {"dim": dim, form: []}, f"state 'dim' = {dim} outside [1, 3125]")
+
+    def test_dim_checked_before_allocation(self, no_large_densities):
+        # 46656 amplitudes of zero: the norm check would reject them too, but
+        # only after converting them; the cap rejects before reading them
+        state = {"dim": 6**6, "amplitudes": [[0.0, 0.0]] * 6**6}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="outside"):
+                cli._as_state(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+
+def mixed_density(d, seed):
+    """A rank-two density on the d**d space, as the array and its CLI payload."""
+    rng = np.random.default_rng(seed)
+    n = d**d
+    kets = []
+    for _ in range(2):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        kets.append(z / np.linalg.norm(z))
+    rho = 0.35 * np.outer(kets[0], kets[0].conj()) + 0.65 * np.outer(kets[1], kets[1].conj())
+    entries = np.column_stack((rho.real.ravel(), rho.imag.ravel())).tolist()
+    payload = json.dumps({"dim": n, "entries": entries})
+    return pairs_oracle(entries, n * n).reshape(n, n), payload
+
+
+def stats_fields(stats):
+    return {
+        "markov": stats.markov,
+        "tensor": stats.tensor,
+        "products": stats.products,
+        "correlations": stats.correlations,
+        "gini_vector": stats.gini_vector,
+        "total_gini": stats.total_gini,
+    }
+
+
+def library_quantum_stats(rho):
+    stats = quantum.state_stats(rho)
+    return {"command": "quantum-stats", "seed": 0, "d": stats.d, "dim": rho.shape[0],
+            **stats_fields(stats)}
+
+
+def library_deficits(rho):
+    deficits = quantum.uncertainty_deficits(rho)
+    return {
+        "command": "deficits",
+        "seed": 0,
+        "d": quantum.local_dimension(rho.shape[0]),
+        "local_components": deficits.local_components,
+        "local_total": deficits.local_total,
+        "global_components": deficits.global_components,
+        "global_total": deficits.global_total,
+    }
+
+
+def library_dual(mode):
+    def run(rho):
+        dual = quantum.dual_state(rho, mode)
+        return {"command": "dual", "seed": 0, "mode": mode,
+                "state": {"dim": rho.shape[0], "entries": dual.ravel()},
+                **stats_fields(quantum.state_stats(dual))}
+    return run
+
+
+class TestDifferentialQuantum:
+    """CLI stdout against ``cli._dumps`` of the library result on the same array."""
+
+    VERBS = {
+        "quantum-stats": (["quantum-stats"], library_quantum_stats),
+        "deficits": (["deficits"], library_deficits),
+        "dual-local": (["dual", "--mode", "local"], library_dual("local")),
+        "dual-global": (["dual", "--mode", "global"], library_dual("global")),
+    }
+
+    @pytest.mark.parametrize("route", ["inline", "input"])
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_cli_matches_library(self, capsys, tmp_path, verb, d, route):
+        rho, payload = mixed_density(d, seed=40 + d)
+        if route == "inline":
+            source = ["--state", payload]
+        else:
+            path = tmp_path / "rho.json"
+            path.write_text(payload, encoding="utf-8")
+            source = ["--input", str(path)]
+        head, library = self.VERBS[verb]
+        code, out, err = run_cli(capsys, *head, *source)
+        assert code == 0, err
+        want = cli._dumps(library(rho)) + "\n"
+        if out != want:  # name the first differing line; a diff of 5 MB texts takes minutes
+            got_lines, want_lines = out.splitlines(), want.splitlines()
+            i = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+                     min(len(got_lines), len(want_lines)))
+            got_line = got_lines[i] if i < len(got_lines) else "<end>"
+            want_line = want_lines[i] if i < len(want_lines) else "<end>"
+            pytest.fail(f"stdout line {i + 1} is {got_line!r}; the library gives {want_line!r}")
 
 
 class TestSimulationCommands:

@@ -71,6 +71,11 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate_prob_vector([[0.5, 0.5]])
 
+    @pytest.mark.parametrize("raw", ["abc", [0.5, "x"], [[0.5], [0.25, 0.25]], [10**400], {}])
+    def test_rejects_non_numeric(self, raw):
+        with pytest.raises(ValidationError, match="sequence of numbers"):
+            validate_prob_vector(raw)
+
 
 # ---------------------------------------------------------------------------
 # Lorenz values and ordering

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_complex_unit
 from ginisafe import (
@@ -616,6 +618,99 @@ class TestDensityValidation:
         eigvals = np.linalg.eigvalsh(repaired)
         assert eigvals.min() >= -1e-15
         assert np.trace(repaired).real == pytest.approx(1.0, abs=1e-12)
+
+
+def eigh_validate(rho, eig_floor=-1e-8, repair=False):
+    """The eigendecomposition-only validator: the oracle of the Cholesky route."""
+    rho = np.asarray(rho, dtype=complex)
+    herm = np.abs(rho - rho.conj().T).max()
+    if herm > 1e-10:
+        raise ValidationError(f"not Hermitian: max |rho - rho†| = {herm:.3g}")
+    tr = complex(np.trace(rho))
+    if abs(tr - 1.0) > 1e-10:
+        raise ValidationError(f"trace is {tr:.12g}, not 1 within {1e-10:g}")
+    eigvals, eigvecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+    if eigvals.min() < eig_floor:
+        raise ValidationError(
+            f"negative eigenvalue {eigvals.min():.3g} below floor {eig_floor:g}"
+        )
+    if repair:
+        clipped = np.clip(eigvals, 0.0, None)
+        clipped /= clipped.sum()
+        return (eigvecs * clipped) @ eigvecs.conj().T
+    return rho
+
+
+def outcome(validate, rho, **kwargs):
+    try:
+        return validate(rho, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def density_with_smallest(rng, n, smallest, zeros):
+    """A Hermitian unit-trace matrix whose smallest eigenvalue is `smallest`.
+
+    `zeros` further eigenvalues are exactly 0 (a rank-deficient state); the
+    rest are positive and fill the trace.
+    """
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u, _ = np.linalg.qr(z)
+    lam = rng.random(n) + 0.01
+    lam[0] = smallest
+    lam[1 : 1 + zeros] = 0.0
+    rest = lam[1 + zeros :]
+    rest *= (1.0 - smallest) / rest.sum()
+    rho = (u * lam) @ u.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+class TestCholeskyAdmission:
+    """The Cholesky certificate against the eigh oracle, at and around the floor."""
+
+    # no shrinking: an example at N = 256 costs tens of milliseconds
+    @settings(max_examples=120, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([4, 27, 256]),
+        floor=st.sampled_from([-1e-8, 0.0]),
+        offset=st.sampled_from([0.0, 1e-11, -1e-11, 1e-9, -1e-9, 3e-9, -3e-9]),
+        zeros=st.integers(0, 2),
+    )
+    def test_same_decisions_as_eigh(self, seed, n, floor, offset, zeros):
+        rho = density_with_smallest(np.random.default_rng(seed), n, floor + offset, zeros)
+        got = outcome(validate_density_matrix, rho, eig_floor=floor)
+        want = outcome(eigh_validate, rho, eig_floor=floor)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got is rho  # admitted unchanged
+        repaired = outcome(validate_density_matrix, rho, eig_floor=floor, repair=True)
+        oracle = outcome(eigh_validate, rho, eig_floor=floor, repair=True)
+        if isinstance(oracle, str):
+            assert repaired == oracle
+        else:
+            assert repaired.tobytes() == oracle.tobytes()
+
+    def test_valid_density_needs_no_eigendecomposition(self, monkeypatch):
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        rng = np.random.default_rng(21)
+        for n in (4, 27, 256):
+            a, b = random_complex_unit(rng, n), random_complex_unit(rng, n)
+            rank_two = 0.3 * pure_density(a) + 0.7 * pure_density(b)
+            assert validate_density_matrix(rank_two) is rank_two
+        assert calls == []
+        validate_density_matrix(rank_two, repair=True)
+        assert calls == ["eigh"]  # the counter sees the repair route
 
 
 class TestKronChain:
