@@ -650,7 +650,7 @@ def _check(name: str, computed, expected, tol: float) -> dict:
     }
 
 
-def _report_table1(args) -> dict:
+def _report_table1(args) -> tuple[dict, list]:
     a, b = args.a, args.b
     q = reference.demo_matrix(a, b)
     weights = markov.product_probabilities(q)
@@ -665,16 +665,7 @@ def _report_table1(args) -> dict:
     support = {row["code"] for row in reference.demo_table_rows(a, b)}
     off_support = [w for c, w in enumerate(weights) if c not in support]
     checks.append(_check("off_support_products", max(off_support), 0.0, 1e-12))
-    return {
-        "command": "report",
-        "which": "table1",
-        "seed": args.seed,
-        "a": a,
-        "b": b,
-        "rows": reference.demo_table_rows(a, b),
-        "checks": checks,
-        "all_pass": all(c["pass"] for c in checks),
-    }
+    return {"a": a, "b": b, "rows": reference.demo_table_rows(a, b)}, checks
 
 
 def _two_qubit_states(args):
@@ -692,7 +683,7 @@ def _two_qubit_states(args):
     return pair, triple
 
 
-def _report_table2(args) -> dict:
+def _report_table2(args) -> tuple[dict, list]:
     a2, c2, d2, e2 = args.a2, args.c2, args.d2, args.e2
     pair, triple = _two_qubit_states(args)
     stats_pair = quantum.state_stats(pair)
@@ -705,21 +696,11 @@ def _report_table2(args) -> dict:
             checks.append(_check(f"{prefix}_joint{label}", stats.tensor[code], row[f"{prefix}_joint"], 1e-12))
             checks.append(_check(f"{prefix}_product{label}", stats.products[code], row[f"{prefix}_product"], 1e-12))
             checks.append(_check(f"{prefix}_correlation{label}", stats.correlations[code], row[f"{prefix}_correlation"], 1e-12))
-    return {
-        "command": "report",
-        "which": "table2",
-        "seed": args.seed,
-        "a2": a2,
-        "c2": c2,
-        "d2": d2,
-        "e2": e2,
-        "rows": reference.two_qubit_table_rows(a2, c2, d2, e2),
-        "checks": checks,
-        "all_pass": all(c["pass"] for c in checks),
-    }
+    rows = reference.two_qubit_table_rows(a2, c2, d2, e2)
+    return {"a2": a2, "c2": c2, "d2": d2, "e2": e2, "rows": rows}, checks
 
 
-def _report_section84(args) -> dict:
+def _report_section84(args) -> tuple[dict, list]:
     a2, c2, d2, e2 = args.a2, args.c2, args.d2, args.e2
     pair, triple = _two_qubit_states(args)
     stats_pair = quantum.state_stats(pair)
@@ -752,20 +733,10 @@ def _report_section84(args) -> dict:
             1e-12,
         ),
     ]
-    return {
-        "command": "report",
-        "which": "section84",
-        "seed": args.seed,
-        "a2": a2,
-        "c2": c2,
-        "d2": d2,
-        "e2": e2,
-        "checks": checks,
-        "all_pass": all(c["pass"] for c in checks),
-    }
+    return {"a2": a2, "c2": c2, "d2": d2, "e2": e2}, checks
 
 
-def _report_section9(args) -> dict:
+def _report_section9(args) -> tuple[dict, list]:
     pure = quantum.pure_density(reference.tripartite_pure_state())
     mixed = reference.tripartite_mixed_state()
     stats_pure = quantum.state_stats(quantum.dual_state(pure, quantum.GLOBAL))
@@ -787,26 +758,31 @@ def _report_section9(args) -> dict:
         _check("mixed_dual_gini_vector", stats_mixed.gini_vector, np.zeros(3), 1e-12),
         _check("mixed_dual_total_gini", stats_mixed.total_gini, 0.0, 1e-12),
     ]
-    return {
-        "command": "report",
-        "which": "section9",
-        "seed": args.seed,
+    fields = {
         "dual_markov": stats_pure.markov,
         "dual_gini_vector": stats_pure.gini_vector,
         "dual_total_gini": stats_pure.total_gini,
-        "checks": checks,
-        "all_pass": all(c["pass"] for c in checks),
     }
+    return fields, checks
 
 
 def cmd_report(args) -> dict:
+    """Run one worked example; each handler returns its own fields and checks."""
     handler = {
         "table1": _report_table1,
         "table2": _report_table2,
         "section84": _report_section84,
         "section9": _report_section9,
     }[args.which]
-    return handler(args)
+    fields, checks = handler(args)
+    return {
+        "command": "report",
+        "which": args.which,
+        "seed": args.seed,
+        **fields,
+        "checks": checks,
+        "all_pass": all(c["pass"] for c in checks),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,16 @@ import numpy as np
 from .ensembles import make_rng, shard_rng
 from .errors import DimensionTooLargeError, GiniSafeError, ValidationError
 from .markov import function_table, tensor_to_matrix
-from .quantum import GLOBAL, LOCAL, MAX_COMPONENTS, SINGLE, apply_dual, dual_state
+from .probvec import gini_index
+from .quantum import (
+    GLOBAL,
+    LOCAL,
+    MAX_COMPONENTS,
+    SINGLE,
+    apply_dual,
+    dual_state,
+    random_pure_state,
+)
 
 MODE_SINGLE = "single"
 MODE_LOCAL_TOTAL = "local_total"
@@ -78,19 +87,11 @@ def gini_sum_cap(d: int, mode: str) -> float:
     return 2.0 * (D - 1) / (D + 1)
 
 
-def _gini_rows(p: np.ndarray) -> np.ndarray:
-    """Gini index of each row of a matrix of probability vectors."""
-    p = np.sort(p, axis=1)
-    k = p.shape[1]
-    weights = np.arange(k, 0, -1, dtype=float)
-    return 1.0 - (2.0 / (k + 1)) * (p @ weights)
-
-
 def _mode_sum_from_probs(p: np.ndarray, p_dual: np.ndarray, d: int, mode: str) -> float:
     if mode == MODE_GLOBAL_COMPONENT:
-        rows = _gini_rows(tensor_to_matrix(p)) + _gini_rows(tensor_to_matrix(p_dual))
+        rows = gini_index(tensor_to_matrix(p)) + gini_index(tensor_to_matrix(p_dual))
         return float(rows.max())
-    return float(_gini_rows(p[None, :])[0] + _gini_rows(p_dual[None, :])[0])
+    return gini_index(p) + gini_index(p_dual)
 
 
 def gini_sum(state, d: int, mode: str) -> float:
@@ -257,9 +258,7 @@ def estimate_eta(
                 yield psi / np.linalg.norm(psi)
         k = 0
         while True:
-            rng = shard_rng(seed, k)
-            z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            yield z / np.linalg.norm(z)
+            yield random_pure_state(dim, shard_rng(seed, k))
             k += 1
 
     for psi0 in starts():
@@ -301,13 +300,13 @@ def deficit_sweep(d: int, mode: str, n: int, seed: int = 0) -> float:
     p_dual = np.abs(apply_dual(z.T, d, _TRANSFORM[mode]).T) ** 2
 
     if mode in (MODE_SINGLE, MODE_LOCAL_TOTAL, MODE_GLOBAL_TOTAL):
-        sums = _gini_rows(p) + _gini_rows(p_dual)
+        sums = gini_index(p) + gini_index(p_dual)
     else:
         table = function_table(d)
         sums = np.full(n, -np.inf)
         for i in range(d):
             indicator = np.equal.outer(table[:, i], np.arange(d)).astype(float)
-            rows = _gini_rows(p @ indicator) + _gini_rows(p_dual @ indicator)
+            rows = gini_index(p @ indicator) + gini_index(p_dual @ indicator)
             sums = np.maximum(sums, rows)
     deficits = cap - sums
     smallest = float(deficits.min())

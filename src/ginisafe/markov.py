@@ -135,7 +135,10 @@ def tensor_dimension(size: int) -> int:
 
 def validate_row_markov(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate a row Markov matrix; each row is cleaned as a probability vector."""
-    q = np.asarray(matrix, dtype=float)
+    try:
+        q = np.asarray(matrix, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge ints
+        raise ValidationError("row Markov matrix must be a square array of numbers") from None
     if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] == 0:
         raise ValidationError("row Markov matrix must be square and non-empty")
     rows = []
@@ -149,7 +152,10 @@ def validate_row_markov(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def validate_markov_tensor(tensor, tol: float = DEFAULT_TOL, d: int | None = None) -> np.ndarray:
     """Validate a flat Markov tensor of d**d joint probabilities (code order)."""
-    t = np.asarray(tensor, dtype=float)
+    try:
+        t = np.asarray(tensor, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge ints
+        raise ValidationError("Markov tensor must be a flat 1-D array of numbers") from None
     if t.ndim != 1:
         raise ValidationError("Markov tensor must be a flat 1-D array")
     inferred = tensor_dimension(t.size)
@@ -262,8 +268,7 @@ def scalar_product_via_tensors(
 
 def local_gini_vector(q) -> np.ndarray:
     """Per-position Gini indices of the rows of a row Markov matrix."""
-    q = np.asarray(q, dtype=float)
-    return np.array([gini_index(row) for row in q])
+    return gini_index(q)
 
 
 def total_gini(t) -> float:
@@ -271,4 +276,4 @@ def total_gini(t) -> float:
 
     Sensitive to correlations between positions, unlike the Gini vector.
     """
-    return gini_index(np.asarray(t, dtype=float))
+    return gini_index(t)

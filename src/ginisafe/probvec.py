@@ -2,9 +2,10 @@
 
 Probability vectors are plain 1-D float arrays.  All orderings used here are
 ascending and stable: ties are broken by the original index, so every result
-is deterministic.  The Gini index is implemented twice through genuinely
-different routes (cumulative Lorenz values and mean absolute difference) so
-each serves as a cross-check of the other.
+is deterministic.  :func:`gini_index` is the one Gini kernel, for a single
+vector or for each row of a matrix; :func:`gini_mean_abs_diff` computes the
+same index through the mean absolute difference and is the oracle it is
+tested against.
 """
 
 from __future__ import annotations
@@ -92,15 +93,19 @@ def lorenz_values(x) -> np.ndarray:
     return np.cumsum(x[ordering_permutation(x)])
 
 
-def gini_index(x) -> float:
-    """Gini index of a probability vector, from its Lorenz values.
+def gini_index(x):
+    """Gini index of a probability vector, or of each row of a matrix of them.
 
-    Equals ``1 - (2 / (d + 1)) * sum_l L(l)``.  0 for the uniform vector,
-    (d - 1)/(d + 1) for a vector with all mass on one entry.
+    Equals ``1 - (2 / (d + 1)) * sum_l L(l)``, evaluated as the ascending sort
+    dotted with the descending weights d, ..., 1 (the sum of the Lorenz
+    values).  A 1-D input gives a float, a 2-D input one value per row.  0 for
+    the uniform vector, (d - 1)/(d + 1) for a vector with all mass on one entry.
     """
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    return 1.0 - (2.0 / (d + 1)) * float(lorenz_values(x).sum())
+    p = np.sort(np.asarray(x, dtype=float), axis=-1)
+    d = p.shape[-1]
+    weights = np.arange(d, 0, -1, dtype=float)
+    g = 1.0 - (2.0 / (d + 1)) * (p @ weights)
+    return float(g) if p.ndim == 1 else g
 
 
 def gini_mean_abs_diff(x) -> float:

@@ -56,7 +56,6 @@ from .markov import (
     tensor_to_matrix,
     total_gini,
     validate_markov_tensor,
-    validate_row_markov,
 )
 
 #: Largest number of qudit components supported (3125-dimensional space).
@@ -314,7 +313,7 @@ def validate_density_matrix(
     eig_floor: float = -1e-8,
     repair: bool = False,
 ) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, eigenvalues >= floor.
+    """Validate a density matrix: finite, Hermitian, unit trace, eigenvalues >= floor.
 
     Positivity is first certified without an eigendecomposition: if the
     Hermitian part H admits a Cholesky factorization of
@@ -333,6 +332,8 @@ def validate_density_matrix(
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValidationError("density matrix must be square")
+    if not np.all(np.isfinite(rho)):
+        raise ValidationError("density matrix contains non-finite entries")
     herm = np.abs(rho - rho.conj().T).max()
     if herm > tol_hermitian:
         raise ValidationError(f"not Hermitian: max |rho - rho†| = {herm:.3g}")
@@ -387,12 +388,11 @@ def reduced_density(rho, i: int) -> np.ndarray:
 class StateStats:
     """Classical sequence statistics of a multipartite state.
 
-    ``markov`` holds the per-component measurement probabilities (row i from
-    the reduced density of component i), ``tensor`` the joint probabilities
-    over opening-sequence codes (the diagonal of the state), ``products`` the
-    independent-positions weights built from ``markov``, and ``correlations``
-    their difference.  ``markov`` always equals the marginalization of
-    ``tensor``; the two are computed along different routes and checked.
+    ``tensor`` holds the joint probabilities over opening-sequence codes (the
+    diagonal of the state), ``markov`` the per-component measurement
+    probabilities (the marginals of ``tensor``; row i is the diagonal of the
+    reduced density of component i), ``products`` the independent-positions
+    weights built from ``markov``, and ``correlations`` their difference.
     """
 
     d: int
@@ -412,22 +412,17 @@ def _diagonal_tensor(rho: np.ndarray, d: int) -> np.ndarray:
 def state_stats(rho) -> StateStats:
     """Measurement statistics of a state on the d**d-dimensional space.
 
-    The Markov matrix row i is the diagonal of the reduced density of
-    component i; the Markov tensor is the diagonal of rho itself.  Joint
-    statistics are blind to off-diagonal elements of rho (only duals under
-    the global transform can see those).
+    The Markov tensor is the diagonal of rho; the Markov matrix holds its
+    marginals, whose row i is the diagonal of the reduced density of
+    component i.  Joint statistics are blind to off-diagonal elements of rho
+    (only duals under the global transform can see those).
     """
     rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValidationError("density matrix must be square")
     d = local_dimension(rho.shape[0])
-    rows = [np.real(np.diag(reduced_density(rho, i))) for i in range(d)]
-    markov = validate_row_markov(np.vstack(rows), tol=1e-8)
     tensor = _diagonal_tensor(rho, d)
-    mismatch = np.abs(markov - tensor_to_matrix(tensor)).max()
-    if mismatch > 1e-12:
-        raise ValidationError(
-            f"internal inconsistency: partial-trace marginals deviate from "
-            f"tensor marginals by {mismatch:.3g}"
-        )
+    markov = tensor_to_matrix(tensor)
     products = product_probabilities(markov)
     return StateStats(
         d=d,

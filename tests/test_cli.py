@@ -220,6 +220,23 @@ class TestReaderErrors:
         assert code == 1
         assert err == "error: probability vector must be a non-empty 1-D sequence of numbers\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "--matrix", '[[0.5,0.5],["a",0.5]]'],
+            ["expand", "--matrix", "[[0.5,0.5],[1.0]]"],
+            ["correlations", "--tensor", '[0.25,"x",0.25,0.25]'],
+            ["simulate", "--ensemble", '{"kind":"independent","matrix":"x"}'],
+            ["scalar-product", "--matrix", "[[1,0],[0,1]]", "--matrix", '[[1,0],["b",1]]'],
+        ],
+    )
+    def test_non_numeric_matrix_or_tensor(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 def pairs_oracle(entries, n):
     """The ``np.asarray(..., dtype=float)`` reading of [re, im] pairs, or None if rejected."""

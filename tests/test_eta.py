@@ -7,15 +7,19 @@ from conftest import random_complex_unit
 from ginisafe import (
     DimensionTooLargeError,
     ValidationError,
+    apply_dual,
     certain_vector,
     deficit,
     deficit_sweep,
     estimate_eta,
+    function_table,
+    gini_index,
     gini_sum,
     gini_sum_cap,
     pure_density,
+    tensor_to_matrix,
 )
-from ginisafe.eta import MODES, state_space_dim
+from ginisafe.eta import _TRANSFORM, MODES, state_space_dim
 
 
 def scalar_sweep(d, mode, n, seed):
@@ -155,6 +159,47 @@ class TestDeficitSweep:
 
     def test_deterministic(self):
         assert deficit_sweep(2, "single", 300, seed=5) == deficit_sweep(2, "single", 300, seed=5)
+
+
+def sorted_rows_oracle(p):
+    """The sorted-rows Gini formula that selected the eta certificates, kept verbatim."""
+    p = np.sort(p, axis=1)
+    k = p.shape[1]
+    weights = np.arange(k, 0, -1, dtype=float)
+    return 1.0 - (2.0 / (k + 1)) * (p @ weights)
+
+
+class TestGiniKernelBits:
+    # estimate_eta keeps a state when its Gini sum is larger, so the bits of
+    # the kernel on the shapes eta passes decide the best_state certificates
+
+    @pytest.mark.parametrize("d, mode", [(2, "single"), (5, "single"), (3, "global_total"), (5, "local_total")])
+    def test_vectors(self, d, mode):
+        rng = np.random.default_rng(d)
+        for _ in range(100):
+            psi = random_complex_unit(rng, state_space_dim(d, mode))
+            for p in (np.abs(psi) ** 2, np.abs(apply_dual(psi, d, _TRANSFORM[mode])) ** 2):
+                assert gini_index(p) == float(sorted_rows_oracle(p[None, :])[0])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_marginal_matrices(self, d):
+        rng = np.random.default_rng(10 + d)
+        for _ in range(50):
+            psi = random_complex_unit(rng, d**d)
+            for p in (np.abs(psi) ** 2, np.abs(apply_dual(psi, d, "global")) ** 2):
+                q = tensor_to_matrix(p)
+                np.testing.assert_array_equal(gini_index(q), sorted_rows_oracle(q))
+
+    @pytest.mark.parametrize("d, mode", [(3, "single"), (3, "global_component"), (4, "global_total")])
+    def test_batches(self, d, mode):
+        rng = np.random.default_rng(20 + d)
+        dim = state_space_dim(d, mode)
+        z = rng.standard_normal((300, dim)) + 1j * rng.standard_normal((300, dim))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        p = np.abs(apply_dual(z.T, d, _TRANSFORM[mode]).T) ** 2
+        if mode == "global_component":
+            p = p @ np.equal.outer(function_table(d)[:, 1], np.arange(d)).astype(float)
+        np.testing.assert_array_equal(gini_index(p), sorted_rows_oracle(p))
 
 
 class TestConvexity:

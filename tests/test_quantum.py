@@ -389,6 +389,38 @@ class TestStateStats:
 
             np.testing.assert_allclose(stats.markov, tensor_to_matrix(stats.tensor), atol=1e-12)
 
+    @given(
+        st.integers(2, 4),
+        st.sampled_from(["pure", "rank_two", "basis_ket"]),
+        st.sampled_from([None, "local", "global"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_markov_rows_are_reduced_density_diagonals(self, d, family, dual, seed):
+        # the partial trace is an independent route to the tensor marginals
+        rng = np.random.default_rng(seed)
+        n = d**d
+        if family == "pure":
+            rho = pure_density(random_complex_unit(rng, n))
+        elif family == "rank_two":
+            lam = rng.uniform(0.1, 0.9)
+            rho = lam * pure_density(random_complex_unit(rng, n)) + (1 - lam) * pure_density(
+                random_complex_unit(rng, n)
+            )
+        else:
+            rho = pure_density(basis_state(FunctionMap.from_code(int(rng.integers(n)), d)))
+        if dual is not None:
+            rho = dual_state(rho, dual)
+        stats = state_stats(rho)
+        for i in range(d):
+            np.testing.assert_allclose(
+                np.real(np.diag(reduced_density(rho, i))), stats.markov[i], rtol=0, atol=1e-12
+            )
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValidationError, match="square"):
+            state_stats(np.ones((27, 30)) / 27)
+
 
 class TestDualState:
     def test_maximally_mixed_invariant(self):
@@ -607,6 +639,18 @@ class TestDensityValidation:
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValidationError):
             validate_density_matrix(np.eye(4, dtype=complex))
+
+    @pytest.mark.parametrize("case", ["nan_off_diagonal", "all_nan", "inf_on_diagonal"])
+    def test_rejects_non_finite(self, case):
+        rho = np.eye(2, dtype=complex) / 2
+        if case == "nan_off_diagonal":
+            rho[0, 1] = np.nan
+        elif case == "all_nan":
+            rho[:] = np.nan
+        else:
+            rho[1, 1] = np.inf
+        with pytest.raises(ValidationError, match="non-finite"):
+            validate_density_matrix(rho)
 
     def test_repair_clips_and_renormalizes(self):
         rng = np.random.default_rng(12)
