@@ -41,7 +41,7 @@ def _parse_json(text: str):
     gc.disable()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, ints past 4300 digits, deep nesting
         raise ValidationError(f"invalid JSON payload: {exc}") from None
     finally:
         if enabled:
@@ -126,13 +126,9 @@ def _sparse_tensor(d, terms) -> np.ndarray:
     written, so a bad payload allocates nothing.
     """
     d = _as_index(d, "sparse tensor 'd'")
-    if not 1 <= d <= markov.MAX_ENUMERATION_D:
-        raise ValidationError(
-            f"sparse tensor 'd' = {d} outside [1, {markov.MAX_ENUMERATION_D}]"
-        )
+    size = markov.code_count(d)
     if not isinstance(terms, list):
         raise ValidationError("sparse tensor 'terms' must be a list of {code, weight} objects")
-    size = d**d
     codes, weights = {}, []
     for i, term in enumerate(terms):
         if not isinstance(term, dict):
@@ -191,20 +187,6 @@ def _complex_pairs(entries, n: int, what: str) -> np.ndarray:
     return arr[0::2] + 1j * arr[1::2]
 
 
-#: Largest state dimension: d**d for d = quantum.MAX_COMPONENTS.
-_MAX_STATE_DIM = quantum.MAX_COMPONENTS**quantum.MAX_COMPONENTS
-
-
-def _state_dim(payload) -> int:
-    dim = _as_index(payload.get("dim"), "state 'dim'")
-    if not 1 <= dim <= _MAX_STATE_DIM:
-        raise ValidationError(
-            f"state 'dim' = {dim} outside [1, {_MAX_STATE_DIM}] "
-            f"(d**d for d <= {quantum.MAX_COMPONENTS})"
-        )
-    return dim
-
-
 def _as_state(payload, repair: bool = False) -> np.ndarray:
     """Parse a density matrix, pure state, or labelled basis ket into a density.
 
@@ -216,12 +198,12 @@ def _as_state(payload, repair: bool = False) -> np.ndarray:
     if not isinstance(payload, dict):
         raise ValidationError("state payload must be a JSON object")
     if "entries" in payload:
-        dim = _state_dim(payload)
+        dim = quantum.check_state_dim(_as_index(payload.get("dim"), "state 'dim'"))
         flat = _complex_pairs(payload["entries"], dim * dim, "density entries")
         rho = flat.reshape(dim, dim)
         return quantum.validate_density_matrix(rho, repair=repair)
     if "amplitudes" in payload:
-        dim = _state_dim(payload)
+        dim = quantum.check_state_dim(_as_index(payload.get("dim"), "state 'dim'"))
         psi = _complex_pairs(payload["amplitudes"], dim, "amplitudes")
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-6:
@@ -892,6 +874,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if not 0.0 <= args.tol < math.inf:  # NaN fails both comparisons
+            raise _UsageError(f"--tol must be a finite number >= 0, got {args.tol!r}")
         out = args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

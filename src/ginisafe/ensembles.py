@@ -5,6 +5,8 @@ rows of a row Markov matrix) or CORRELATED (whole opening sequences sampled
 from a joint Markov tensor).  Sampling is reproducible: the generator is a
 seeded numpy PCG64, and categorical draws use inverse-CDF lookup over the
 canonical code order, so identical seeds give identical sample streams.
+Samples are codes in [0, d**d), so ensembles share the cap of code-indexed
+objects, ``markov.MAX_ENUMERATION_D``; a draw is capped at ``MAX_SAMPLES``.
 """
 
 from __future__ import annotations
@@ -16,11 +18,15 @@ import numpy as np
 from .errors import (
     CorrelatedSpecRejectedError,
     DimensionMismatchError,
+    DimensionTooLargeError,
     ValidationError,
 )
 from .markov import (
     FunctionMap,
+    code_count,
+    encode,
     product_probabilities,
+    tensor_dimension,
     validate_markov_tensor,
     validate_row_markov,
 )
@@ -34,10 +40,19 @@ RNG_ALGORITHM = "PCG64"
 #: Default sample count when the caller does not specify one.
 DEFAULT_SAMPLES = 100_000
 
+#: Largest sample count of one draw.
+MAX_SAMPLES = 10**7
+
+
+def _seed(seed: int) -> int:
+    if seed < 0:
+        raise ValidationError(f"seed {seed} is negative; seeds are integers >= 0")
+    return int(seed)
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded deterministic generator (PCG64) for all sampling in this module."""
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    return np.random.Generator(np.random.PCG64(_seed(seed)))
 
 
 def shard_rng(seed: int, shard: int) -> np.random.Generator:
@@ -46,7 +61,7 @@ def shard_rng(seed: int, shard: int) -> np.random.Generator:
     Sharded sampling uses one substream per worker; combining shard counts by
     addition reproduces a single-threaded run over the same substreams.
     """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), int(shard)))))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((_seed(seed), int(shard)))))
 
 
 @dataclass(frozen=True)
@@ -69,6 +84,7 @@ class EnsembleSpec:
         if self.kind == INDEPENDENT:
             if self.matrix is None:
                 raise ValidationError("independent ensemble requires a matrix")
+            code_count(self.matrix.shape[0])  # its samples are codes in [0, d**d)
         elif self.kind == CORRELATED:
             if self.tensor is None:
                 raise ValidationError("correlated ensemble requires a tensor")
@@ -79,8 +95,6 @@ class EnsembleSpec:
     def d(self) -> int:
         if self.kind == INDEPENDENT:
             return self.matrix.shape[0]
-        from .markov import tensor_dimension
-
         return tensor_dimension(self.tensor.size)
 
     def exact_tensor(self) -> np.ndarray:
@@ -102,16 +116,14 @@ def sample_codes(spec: EnsembleSpec, n: int, rng: np.random.Generator) -> np.nda
     INDEPENDENT specs draw one uniform per position (row-major order);
     CORRELATED specs draw one uniform per sequence against the tensor CDF.
     """
-    if n < 1:
-        raise ValidationError("sample count must be >= 1")
+    if not 1 <= n <= MAX_SAMPLES:
+        error = DimensionTooLargeError if n > MAX_SAMPLES else ValidationError
+        raise error(f"sample count {n} outside [1, {MAX_SAMPLES}]")
     d = spec.d
     if spec.kind == INDEPENDENT:
         cdfs = np.cumsum(spec.matrix, axis=1)
         u = rng.random((n, d))
-        codes = np.zeros(n, dtype=np.int64)
-        for i in range(d):
-            codes += _categorical(cdfs[i], u[:, i]) * d**i
-        return codes
+        return encode((_categorical(cdfs[i], u[:, i]) for i in range(d)), d)
     cdf = np.cumsum(spec.tensor)
     return _categorical(cdf, rng.random(n))
 
@@ -124,8 +136,7 @@ def sample_sequence(spec: EnsembleSpec, rng: np.random.Generator) -> FunctionMap
 
 def empirical_tensor(spec: EnsembleSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Empirical joint distribution over n sampled sequences (a Markov tensor)."""
-    d = spec.d
-    counts = np.bincount(sample_codes(spec, n, rng), minlength=d**d)
+    counts = np.bincount(sample_codes(spec, n, rng), minlength=code_count(spec.d))
     return counts / float(n)
 
 

@@ -25,6 +25,7 @@ Modes
 There is no separate locally-dual component mode: the reduced state of one
 component is again a single-qudit state, so that search coincides with
 ``single``.
+Searched states are under the one state cap of :func:`quantum.space_dimension`.
 """
 
 from __future__ import annotations
@@ -34,17 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import make_rng, shard_rng
-from .errors import DimensionTooLargeError, GiniSafeError, ValidationError
+from .errors import GiniSafeError, ValidationError
 from .markov import function_table, tensor_to_matrix
 from .probvec import gini_index
 from .quantum import (
     GLOBAL,
     LOCAL,
-    MAX_COMPONENTS,
     SINGLE,
     apply_dual,
     dual_state,
     random_pure_state,
+    space_dimension,
 )
 
 MODE_SINGLE = "single"
@@ -65,25 +66,17 @@ _TRANSFORM = {
 REFINE_STEP_TOL = 1e-6
 
 
-def _check_mode(d: int, mode: str):
+def state_space_dim(d: int, mode: str) -> int:
+    """Dimension of the pure-state space searched in this mode, under the state cap."""
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if d < 2:
-        raise ValidationError("d must be >= 2")
-    if mode != MODE_SINGLE and d > MAX_COMPONENTS:
-        raise DimensionTooLargeError(f"{mode} supports d <= {MAX_COMPONENTS}")
-
-
-def state_space_dim(d: int, mode: str) -> int:
-    """Dimension of the pure-state space searched in this mode."""
-    _check_mode(d, mode)
-    return d if mode == MODE_SINGLE else d**d
+    return space_dimension(d, _TRANSFORM[mode])
 
 
 def gini_sum_cap(d: int, mode: str) -> float:
     """The additive cap 2 (D - 1)/(D + 1) for the mode's Gini sum."""
-    _check_mode(d, mode)
-    D = d if mode in (MODE_SINGLE, MODE_GLOBAL_COMPONENT) else d**d
+    dim = state_space_dim(d, mode)
+    D = d if mode == MODE_GLOBAL_COMPONENT else dim
     return 2.0 * (D - 1) / (D + 1)
 
 
@@ -100,7 +93,6 @@ def gini_sum(state, d: int, mode: str) -> float:
     For ``global_component`` this is the maximum over components of the
     component Gini plus its global dual.
     """
-    _check_mode(d, mode)
     state = np.asarray(state, dtype=complex)
     dim = state_space_dim(d, mode)
     if state.ndim == 1:
@@ -222,10 +214,9 @@ def estimate_eta(
     ``best_sum`` is nondecreasing in the budget.  Exhausting the budget is
     not an error: the partial result carries the evaluation count.
     """
-    _check_mode(d, mode)
+    dim = state_space_dim(d, mode)
     if budget < 1:
         raise ValidationError("budget must be >= 1")
-    dim = state_space_dim(d, mode)
     cap = gini_sum_cap(d, mode)
 
     best_sum = -np.inf
@@ -288,10 +279,9 @@ def deficit_sweep(d: int, mode: str, n: int, seed: int = 0) -> float:
     The deficit is strictly positive for every state; a non-positive minimum
     indicates a numerical fault and raises.  Vectorized over the whole batch.
     """
-    _check_mode(d, mode)
+    dim = state_space_dim(d, mode)
     if n < 1:
         raise ValidationError("sample count must be >= 1")
-    dim = state_space_dim(d, mode)
     cap = gini_sum_cap(d, mode)
     rng = make_rng(seed)
     z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))

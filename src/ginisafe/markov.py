@@ -1,11 +1,14 @@
-"""Row Markov matrices and their expansions over permutations with repetitions.
+"""Row Markov matrices, their expansions over permutations with repetitions, and the codec.
 
 A map f: {0..d-1} -> {0..d-1} (a "permutation with repetitions", i.e. an
 opening sequence of a safe) is encoded canonically as an integer
 ``code = sum_i f(i) * d**i`` (little-endian base d).  All d**d-length arrays
-in this package (Markov tensors, correlation tensors) are indexed in this
-code order, and the same encoding doubles as the basis index map for the
-multipartite quantum module.
+in this package (Markov tensors, correlation tensors) and every sampled
+code are in this order, and the same encoding is the basis index map of the
+multipartite quantum module.  The codec here is the only code that knows the
+format: :func:`encode`, :func:`decode`, :func:`code_count` (d**d, with d
+checked first against ``MAX_ENUMERATION_D``, the one cap of code-indexed
+objects) and its inverse :func:`tensor_dimension`.
 
 A row Markov matrix q has rows that are probability vectors: q(i, j) is the
 probability that position i of the opening sequence holds the integer j.  It
@@ -25,13 +28,43 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    DimensionTooLargeError,
     NotProductFormError,
     ValidationError,
 )
 from .probvec import DEFAULT_TOL, gini_index, validate_prob_vector
 
-#: Largest d for which d**d-sized enumerations are permitted (6**6 = 46656).
+#: Largest d of a code-indexed object: at most 6**6 = 46656 codes.
 MAX_ENUMERATION_D = 6
+
+
+def code_count(d: int) -> int:
+    """The number of codes, d**d, once d is admitted against ``MAX_ENUMERATION_D``."""
+    if not 1 <= d <= MAX_ENUMERATION_D:
+        error = DimensionTooLargeError if d > MAX_ENUMERATION_D else ValidationError
+        raise error(f"'d' = {d} outside [1, {MAX_ENUMERATION_D}] for a code-indexed object")
+    return d**d
+
+
+def encode(digits, d: int):
+    """The code sum_i digits[i] * d**i; each digit is an int or a column of many codes' digits."""
+    return sum(digit * d**i for i, digit in enumerate(digits))
+
+
+def decode(code, d: int) -> list:
+    """The d little-endian base-d digits of a code, or digit columns of a code array."""
+    return [(code // d**i) % d for i in range(d)]
+
+
+def tensor_dimension(size: int) -> int:
+    """Invert size = d**d: the d of a flat code-indexed array, admitted by :func:`code_count`."""
+    d = 1
+    while d**d < size:
+        d += 1
+    if d**d != size:
+        raise ValidationError(f"array of length {size} is not d**d for any d")
+    code_count(d)
+    return d
 
 
 @dataclass(frozen=True)
@@ -61,15 +94,14 @@ class FunctionMap:
     @property
     def code(self) -> int:
         """Canonical integer code, sum_i f(i) * d**i."""
-        d = self.d
-        return sum(v * d**i for i, v in enumerate(self.images))
+        return encode(self.images, self.d)
 
     @classmethod
     def from_code(cls, code: int, d: int) -> "FunctionMap":
         """Decode a canonical integer code back into a map."""
-        if not 0 <= code < d**d:
+        if not 0 <= code < code_count(d):
             raise ValidationError(f"code {code} outside [0, {d}**{d})")
-        return cls(tuple((code // d**i) % d for i in range(d)))
+        return cls(tuple(decode(code, d)))
 
     def __call__(self, i: int) -> int:
         return self.images[i]
@@ -107,30 +139,15 @@ def function_table(d: int) -> np.ndarray:
 
     Row ``c`` holds the images of ``FunctionMap.from_code(c, d)``.
     """
-    if d < 1:
-        raise ValidationError("dimension must be positive")
-    if d > MAX_ENUMERATION_D:
-        raise ValidationError(
-            f"d = {d} would enumerate {d}**{d} maps; supported up to d = {MAX_ENUMERATION_D}"
-        )
-    codes = np.arange(d**d)
-    table = np.stack([(codes // d**i) % d for i in range(d)], axis=1)
+    table = np.stack(decode(np.arange(code_count(d)), d), axis=1)
     table.setflags(write=False)
     return table
 
 
 def all_function_maps(d: int):
     """Iterate over all d**d maps in code order."""
-    for code in range(d**d):
+    for code in range(code_count(d)):
         yield FunctionMap.from_code(code, d)
-
-
-def tensor_dimension(size: int) -> int:
-    """Invert size = d**d; the local dimension of a flat Markov tensor."""
-    for d in range(1, MAX_ENUMERATION_D + 1):
-        if d**d == size:
-            return d
-    raise ValidationError(f"array of length {size} is not d**d for any supported d")
 
 
 def validate_row_markov(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -4,9 +4,12 @@ A d-partite system of qudits lives on a d**d-dimensional space.  Basis
 ordering is fixed once for the whole package: the basis ket labelled by the
 tuple (j_0, ..., j_{d-1}) sits at flat index ``j_0 + j_1 d + ... +
 j_{d-1} d^{d-1}``; component 0 is the least significant digit.  This is the
-same little-endian encoding used for opening-sequence codes in
-:mod:`ginisafe.markov`, so one codec serves both the classical and the
-quantum side.
+same little-endian encoding used for opening-sequence codes, and the codec
+of :mod:`ginisafe.markov` serves both the classical and the quantum side.
+
+Every state (density, amplitude vector, dual, searched pure state) has one
+cap, dimension 5**5 = 3125 or ``MAX_COMPONENTS`` = 5 components, checked by
+:func:`check_state_dim` or :func:`space_dimension` before any d**d is formed.
 
 Two inequivalent Fourier transforms act on that space:
 
@@ -50,19 +53,21 @@ from .errors import (
 )
 from .markov import (
     FunctionMap,
+    code_count,
+    decode,
+    encode,
     function_table,
     local_gini_vector,
     product_probabilities,
+    scalar_product,
+    tensor_dimension,
     tensor_to_matrix,
     total_gini,
     validate_markov_tensor,
 )
 
-#: Largest number of qudit components supported (3125-dimensional space).
+#: Largest number of qudit components: every state has dimension at most 5**5 = 3125.
 MAX_COMPONENTS = 5
-
-#: Largest d for which the dense oracle F_L is materialized (256 x 256 at d = 4).
-MAX_DENSE_LOCAL = 4
 
 #: Distance above the eigenvalue floor at which a Cholesky factorization
 #: certifies a density without an eigendecomposition.
@@ -74,29 +79,34 @@ GLOBAL = "global"
 
 
 # ---------------------------------------------------------------------------
-# Index codec
+# State cap and index codec
 # ---------------------------------------------------------------------------
 
+def check_state_dim(dim: int) -> int:
+    """The state cap: admit a state dimension in [1, 5**5] and return it."""
+    limit = MAX_COMPONENTS**MAX_COMPONENTS
+    if not 1 <= dim <= limit:
+        error = DimensionTooLargeError if dim > limit else ValidationError
+        raise error(f"state 'dim' = {dim} outside [1, {limit}] (d**d for d <= {MAX_COMPONENTS})")
+    return dim
+
+
 def local_dimension(dim: int) -> int:
-    """Invert dim = d**d; the per-component dimension of a multipartite space."""
-    for d in range(1, MAX_COMPONENTS + 1):
-        if d**d == dim:
-            return d
-    raise ValidationError(f"dimension {dim} is not d**d for any d <= {MAX_COMPONENTS}")
+    """Invert dim = d**d under the state cap; the per-component dimension."""
+    return tensor_dimension(check_state_dim(dim))
 
 
 def tuple_to_index(components, d: int) -> int:
-    """Flat index of a component tuple: sum_i (j_i mod d) * d**i, mod d**d."""
+    """Flat index of a component tuple: the code of the digits j_i mod d."""
     comps = tuple(int(v) % d for v in components)
     if len(comps) != d:
         raise DimensionMismatchError(f"expected {d} components, got {len(comps)}")
-    return sum(v * d**i for i, v in enumerate(comps)) % d**d
+    return encode(comps, d)
 
 
 def index_to_tuple(index: int, d: int) -> tuple[int, ...]:
     """Component tuple of a flat index (little-endian base-d digits)."""
-    index = int(index) % d**d
-    return tuple((index // d**i) % d for i in range(d))
+    return tuple(decode(int(index) % code_count(d), d))
 
 
 def index_product(j_components, k_components, d: int) -> int:
@@ -105,7 +115,7 @@ def index_product(j_components, k_components, d: int) -> int:
     This is integer arithmetic on the encoded indices; it is *not* the
     componentwise product (the two rings are not isomorphic).
     """
-    return (tuple_to_index(j_components, d) * tuple_to_index(k_components, d)) % d**d
+    return (tuple_to_index(j_components, d) * tuple_to_index(k_components, d)) % code_count(d)
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +140,19 @@ def fourier_single(d: int) -> np.ndarray:
     return dft_unitary(d)
 
 
-def _check_components(d: int, limit: int = MAX_COMPONENTS):
+def space_dimension(d: int, mode: str) -> int:
+    """The state cap on a transform: N = d <= 3125 for ``"single"``, else N = d**d, d <= 5."""
+    if mode not in (SINGLE, LOCAL, GLOBAL):
+        raise ValidationError(f"unknown transform mode {mode!r}")
     if d < 2:
-        raise ValidationError("number of components d must be >= 2")
-    if d > limit:
+        raise ValidationError("Fourier dimension must be >= 2")
+    if mode == SINGLE:
+        return check_state_dim(d)
+    if d > MAX_COMPONENTS:
         raise DimensionTooLargeError(
-            f"d = {d} needs a {d**d}-dimensional space; supported up to d = {limit}"
+            f"d = {d} components exceed the state cap; supported up to d = {MAX_COMPONENTS}"
         )
+    return d**d
 
 
 def kron_chain(ops) -> np.ndarray:
@@ -156,9 +172,9 @@ def local_fourier(d: int) -> np.ndarray:
     """Dense local Fourier transform F_L = F^(tensor d) on the d**d space.
 
     A test oracle for :func:`apply_dual`, which applies F_L† without this
-    matrix; materialized only for d <= 4.
+    matrix; d = 5 allocates a 3125 x 3125 complex matrix (~156 MB).
     """
-    _check_components(d, limit=MAX_DENSE_LOCAL)
+    space_dimension(d, LOCAL)
     f = fourier_single(d)
     return kron_chain([f] * d)
 
@@ -171,8 +187,7 @@ def global_fourier(d: int) -> np.ndarray:
     :func:`apply_dual`, which applies F_G† as an FFT; d = 5 allocates a
     3125 x 3125 complex matrix (~156 MB).
     """
-    _check_components(d)
-    return dft_unitary(d**d)
+    return dft_unitary(space_dimension(d, GLOBAL))
 
 
 def parity_matrix(n: int) -> np.ndarray:
@@ -188,10 +203,8 @@ def componentwise_parity(d: int) -> np.ndarray:
 
     Equals F_L**2, and differs from the flat parity F_G**2 for every d >= 2.
     """
-    _check_components(d)
-    dim = d**d
-    table = function_table(d)
-    neg = ((d - table) % d * (d ** np.arange(d))).sum(axis=1)
+    dim = space_dimension(d, LOCAL)
+    neg = encode(((d - function_table(d)) % d).T, d)
     p = np.zeros((dim, dim))
     p[neg, np.arange(dim)] = 1.0
     return p
@@ -207,24 +220,17 @@ def _single_dagger(d: int) -> np.ndarray:
 def apply_dual(x, d: int, mode: str) -> np.ndarray:
     """F† x along axis 0, for a vector, an (N, B) batch or an N x N matrix.
 
-    ``mode`` is ``"single"`` (the single-qudit F, N = d, any d >= 2),
+    ``mode`` is ``"single"`` (the single-qudit F, N = d),
     ``"local"`` (F_L, N = d**d) or ``"global"`` (F_G, N = d**d).  Single
     mode multiplies by the d x d matrix F†.  F_G is the DFT with omega =
     exp(+2 pi i / N), so F_G† x = fft(x)/sqrt(N).  F_L† is d passes of the single-qudit F†
     over the leading base-d digit of the row index, each followed by rotating
     that digit to the least significant place; after d passes every digit is
-    transformed and back in place.  No d**d x d**d matrix is formed.
+    transformed and back in place.  :func:`space_dimension` admits N, and no
+    d**d x d**d matrix is formed.
     """
     x = np.asarray(x, dtype=complex)
-    if mode == SINGLE:
-        if d < 2:
-            raise ValidationError("Fourier dimension must be >= 2")
-        n = d
-    elif mode in (LOCAL, GLOBAL):
-        _check_components(d)
-        n = d**d
-    else:
-        raise ValidationError(f"unknown transform mode {mode!r}")
+    n = space_dimension(d, mode)
     if x.ndim not in (1, 2) or x.shape[0] != n:
         raise DimensionMismatchError(
             f"a {mode} transform of size {n} cannot act on shape {x.shape}"
@@ -265,7 +271,7 @@ def projector_local(i: int, j: int, d: int) -> np.ndarray:
     i of m equals j.  For each i the family sums to the identity over j, and
     all projectors of this family commute pairwise.
     """
-    _check_components(d)
+    space_dimension(d, LOCAL)
     if not 0 <= i < d:
         raise IndexOutOfRangeError(f"component {i} outside [0, {d})")
     if not 0 <= j < d:
@@ -280,9 +286,8 @@ def projector_function(f: FunctionMap) -> np.ndarray:
     Equals the product over positions i of ``projector_local(i, f(i), d)``;
     the d**d projectors of this family resolve the identity.
     """
-    d = f.d
-    _check_components(d)
-    p = np.zeros((d**d, d**d), dtype=complex)
+    dim = space_dimension(f.d, LOCAL)
+    p = np.zeros((dim, dim), dtype=complex)
     p[f.code, f.code] = 1.0
     return p
 
@@ -364,8 +369,7 @@ def validate_density_matrix(
 def reduced_density(rho, i: int) -> np.ndarray:
     """Reduced density matrix of component i (partial trace over the rest)."""
     rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    d = local_dimension(dim)
+    d = local_dimension(rho.shape[0])
     if not 0 <= i < d:
         raise IndexOutOfRangeError(f"component {i} outside [0, {d})")
     t = rho.reshape((d,) * (2 * d))
@@ -404,11 +408,6 @@ class StateStats:
     total_gini: float
 
 
-def _diagonal_tensor(rho: np.ndarray, d: int) -> np.ndarray:
-    diag = np.real(np.diag(rho))
-    return validate_markov_tensor(diag, tol=1e-8, d=d)
-
-
 def state_stats(rho) -> StateStats:
     """Measurement statistics of a state on the d**d-dimensional space.
 
@@ -421,7 +420,7 @@ def state_stats(rho) -> StateStats:
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValidationError("density matrix must be square")
     d = local_dimension(rho.shape[0])
-    tensor = _diagonal_tensor(rho, d)
+    tensor = validate_markov_tensor(np.real(np.diag(rho)), tol=1e-8)
     markov = tensor_to_matrix(tensor)
     products = product_probabilities(markov)
     return StateStats(
@@ -438,7 +437,7 @@ def state_stats(rho) -> StateStats:
 def dual_state(rho, mode: str) -> np.ndarray:
     """The Fourier-transformed state F† rho F for the chosen transform.
 
-    ``mode`` is one of ``"single"`` (single-qudit F, any dimension >= 2),
+    ``mode`` is one of ``"single"`` (single-qudit F, dimension 2 to 3125),
     ``"local"`` (F_L on a d**d space) or ``"global"`` (F_G on a d**d space).
     Plain statistics of the returned state are the dual statistics of rho.
     """
@@ -465,8 +464,6 @@ def state_scalar_product(rho, sigma) -> float:
         raise DimensionMismatchError(
             f"state dimensions {rho.shape[0]} and {sigma.shape[0]} differ"
         )
-    from .markov import scalar_product
-
     return scalar_product(state_stats(rho).markov, state_stats(sigma).markov)
 
 

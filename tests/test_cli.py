@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
+import functools
 import gc
 import json
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ginisafe import ValidationError, cli, quantum
+from ginisafe import ValidationError, cli, ensembles, eta, markov, probvec, quantum
 from ginisafe.cli import main
 
 
@@ -47,6 +48,13 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "majorize", "--vector", "[0.5,0.5]")
         assert code == 2
         assert "2" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys, tol):
+        # a NaN or infinite tolerance admits any vector and renormalises it
+        code, out, err = run_cli(capsys, "gini", "--vector", "[0.5,0.5]", f"--tol={tol}")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: --tol must be a finite number >= 0")
 
 
 class TestVectorCommands:
@@ -454,6 +462,95 @@ class TestDifferentialQuantum:
             got_line = got_lines[i] if i < len(got_lines) else "<end>"
             want_line = want_lines[i] if i < len(want_lines) else "<end>"
             pytest.fail(f"stdout line {i + 1} is {got_line!r}; the library gives {want_line!r}")
+
+
+def verb_inputs(d, seed):
+    """A probability vector, two row Markov matrices and a correlated tensor at d."""
+    rng = np.random.default_rng(seed)
+    q = rng.dirichlet(np.full(d, 0.7), size=d)
+    p = rng.dirichlet(np.full(d, 0.7), size=d)
+    t = rng.dirichlet(np.full(d**d, 0.3))
+    return rng.dirichlet(np.ones(2 * d + 1)), q, p, t
+
+
+def library_terms(values, d, name, keep):
+    images = markov.function_table(d).tolist()
+    return [{"code": code, "images": images[code], name: v}
+            for code, v in enumerate(values.tolist()) if keep(v)]
+
+
+@functools.lru_cache(maxsize=None)
+def library_results(d, seed):
+    """(argv, library result) for every verb outside the quantum ones, on inputs at d."""
+    x, q, p, t = verb_inputs(d, seed)
+    text = {name: json.dumps(a.tolist()) for name, a in (("x", x), ("q", q), ("p", p), ("t", t))}
+    y = probvec.validate_prob_vector(x[::-1] * 0.5 + 0.5 / x.size)
+    xv = probvec.validate_prob_vector(x)
+    qv, pv = markov.validate_row_markov(q), markov.validate_row_markov(p)
+    tv = markov.validate_markov_tensor(t)
+    ens_q = json.dumps({"kind": "independent", "matrix": q.tolist()})
+    ens_p = json.dumps({"kind": "independent", "matrix": p.tolist()})
+    spec_q, spec_p = ensembles.EnsembleSpec.independent(q), ensembles.EnsembleSpec.independent(p)
+    weights = markov.product_probabilities(qv)
+    coeffs = markov.correlation_coefficients(tv)
+    sums = markov.scalar_product_via_tensors(
+        *(markov.validate_markov_tensor(w) for w in (weights, markov.product_probabilities(pv)))
+    )
+    n = 3000
+    sampled = ensembles.empirical_tensor(spec_q, n, ensembles.make_rng(seed))
+    mc = ensembles.collision_probability_mc(spec_q, spec_p, n, ensembles.make_rng(seed))
+    est = eta.estimate_eta(d, "global_total" if d <= 4 else "single", 30, seed=seed)
+    lo, hi = probvec.average_bounds(xv)
+    head = {"seed": seed}
+    return {
+        "validate": (["validate", "--vector", text["x"]],
+                     {"command": "validate", **head, "d": xv.size, "vector": xv}),
+        "lorenz": (["lorenz", "--vector", text["x"]],
+                   {"command": "lorenz", **head, "d": xv.size, "lorenz": probvec.lorenz_values(xv),
+                    "ordering": probvec.ordering_permutation(xv)}),
+        "gini": (["gini", "--vector", text["x"]],
+                 {"command": "gini", **head, "d": xv.size, "gini": probvec.gini_index(xv),
+                  "gini_mean_abs_diff": probvec.gini_mean_abs_diff(xv), "average_bounds": [lo, hi]}),
+        "majorize": (["majorize", "--vector", text["x"], "--vector", json.dumps(y.tolist())],
+                     {"command": "majorize", **head, "relation": probvec.majorizes(xv, y).value}),
+        "expand": (["expand", "--matrix", text["q"], "--floor", "1e-3"],
+                   {"command": "expand", **head, "d": d, "weights": weights,
+                    "terms": library_terms(weights, d, "weight", lambda w: w >= 1e-3)}),
+        "scalar-product-direct": (
+            ["scalar-product", "--matrix", text["q"], "--matrix", text["p"]],
+            {"command": "scalar-product", **head, "method": "direct",
+             "value": markov.scalar_product(qv, pv)}),
+        "scalar-product-tensors": (
+            ["scalar-product", "--tensor", json.dumps(weights.tolist()),
+             "--tensor", json.dumps(markov.product_probabilities(pv).tolist())],
+            {"command": "scalar-product", **head, "method": "tensors", "value": sums}),
+        "correlations": (["correlations", "--tensor", text["t"], "--floor", "1e-4"],
+                         {"command": "correlations", **head, "d": d, "coefficients": coeffs,
+                          "terms": library_terms(coeffs, d, "coefficient", lambda c: abs(c) >= 1e-4)}),
+        "simulate": (["simulate", "--ensemble", ens_q, "--n", str(n)],
+                     {"command": "simulate", **head, "n": n, "d": d, "weights": sampled}),
+        "collision": (["collision", "--ensemble", ens_q, "--ensemble", ens_p, "--n", str(n)],
+                      {"command": "collision", **head, "value": mc.value, "stderr": mc.stderr, "n": mc.n}),
+        "eta": (["eta", "--d", str(d), "--mode", est.mode, "--budget", "30"],
+                {"command": "eta", **head, "d": d, "mode": est.mode, "budget": 30,
+                 "evaluations": est.evaluations, "best_sum": est.best_sum, "eta_upper": est.eta_upper,
+                 "best_state": {"dim": est.best_state.size, "amplitudes": est.best_state}}),
+    }
+
+
+class TestDifferentialVerbs:
+    """CLI stdout against ``cli._dumps`` of the library result, for the non-quantum verbs."""
+
+    VERBS = ["collision", "correlations", "eta", "expand", "gini", "lorenz", "majorize",
+             "scalar-product-direct", "scalar-product-tensors", "simulate", "validate"]
+
+    @pytest.mark.parametrize("d, seed", [(2, 0), (3, 7), (5, 11)])
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_cli_matches_library(self, capsys, verb, d, seed):
+        argv, result = library_results(d, seed)[verb]
+        code, out, err = run_cli(capsys, *argv, "--seed", str(seed))
+        assert code == 0, err
+        assert out == cli._dumps(result) + "\n"
 
 
 class TestSimulationCommands:

@@ -34,7 +34,7 @@ from ginisafe import (
     uncertainty_deficits,
     validate_density_matrix,
 )
-from ginisafe.quantum import MAX_DENSE_LOCAL, elementary_projector
+from ginisafe.quantum import MAX_COMPONENTS, elementary_projector
 from ginisafe.reference import (
     TRIPARTITE_DUAL_GINI_VECTOR,
     TRIPARTITE_DUAL_MARKOV,
@@ -146,7 +146,7 @@ class TestLocalFourier:
         from ginisafe.errors import DimensionTooLargeError
 
         with pytest.raises(DimensionTooLargeError):
-            local_fourier(MAX_DENSE_LOCAL + 1)
+            local_fourier(MAX_COMPONENTS + 1)
 
 
 class TestGlobalFourier:
