@@ -876,6 +876,8 @@ def main(argv=None) -> int:
     try:
         if not 0.0 <= args.tol < math.inf:  # NaN fails both comparisons
             raise _UsageError(f"--tol must be a finite number >= 0, got {args.tol!r}")
+        if not math.isfinite(getattr(args, "floor", 0.0)):  # a NaN floor drops every term
+            raise _UsageError(f"--floor must be a finite number, got {args.floor!r}")
         out = args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

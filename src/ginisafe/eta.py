@@ -9,6 +9,15 @@ The search therefore walks pure states only: multi-start random amplitudes
 followed by derivative-free simplex descent (the objective has sorting kinks,
 so gradients are off the table).
 
+The search loop does only the numerics: :func:`estimate_eta` checks ``d``,
+the mode and the dimension once and evaluates every candidate through one
+evaluator that binds the mode's dual transform (:func:`gini_sum` checks its
+input and then uses the same evaluator).  The simplex keeps its vertices in
+stable-sorted order incrementally instead of re-sorting every step.  Results
+(``best_sum``, ``evaluations``, the bytes of ``best_state``) are bitwise those
+of a descent that re-sorts with a stable argsort every step over the checked
+:func:`gini_sum`, which the tests keep as the oracle.
+
 A finite search can only lower-bound the supremum, so ``eta_upper``
 (``cap - best_sum``) is an upper bound on the true coefficient, with
 ``best_state`` as the certificate.  Positivity of the coefficient itself is
@@ -30,6 +39,8 @@ Searched states are under the one state cap of :func:`quantum.space_dimension`.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +53,7 @@ from .quantum import (
     GLOBAL,
     LOCAL,
     SINGLE,
+    _dual_transform,
     apply_dual,
     dual_state,
     random_pure_state,
@@ -80,11 +92,25 @@ def gini_sum_cap(d: int, mode: str) -> float:
     return 2.0 * (D - 1) / (D + 1)
 
 
-def _mode_sum_from_probs(p: np.ndarray, p_dual: np.ndarray, d: int, mode: str) -> float:
+def _mode_sum_from_probs(p: np.ndarray, p_dual: np.ndarray, mode: str) -> float:
     if mode == MODE_GLOBAL_COMPONENT:
         rows = gini_index(tensor_to_matrix(p)) + gini_index(tensor_to_matrix(p_dual))
         return float(rows.max())
     return gini_index(p) + gini_index(p_dual)
+
+
+def _pure_gini_sum(d: int, mode: str):
+    """The unchecked Gini sum of an amplitude vector, for an admitted (d, mode).
+
+    The dual transform is bound once.  :func:`gini_sum` calls this after its
+    checks, and :func:`estimate_eta` calls it for every evaluation.
+    """
+    dual = _dual_transform(d, _TRANSFORM[mode])
+
+    def evaluate(psi: np.ndarray) -> float:
+        return _mode_sum_from_probs(np.abs(psi) ** 2, np.abs(dual(psi)) ** 2, mode)
+
+    return evaluate
 
 
 def gini_sum(state, d: int, mode: str) -> float:
@@ -98,15 +124,13 @@ def gini_sum(state, d: int, mode: str) -> float:
     if state.ndim == 1:
         if state.size != dim:
             raise ValidationError(f"state has dimension {state.size}, expected {dim}")
-        p = np.abs(state) ** 2
-        p_dual = np.abs(apply_dual(state, d, _TRANSFORM[mode])) ** 2
-        return _mode_sum_from_probs(p, p_dual, d, mode)
+        return _pure_gini_sum(d, mode)(state)
     if state.shape != (dim, dim):
         raise ValidationError(f"density has shape {state.shape}, expected {(dim, dim)}")
     dual = dual_state(state, _TRANSFORM[mode])
     p = np.clip(np.real(np.diag(state)), 0.0, None)
     p_dual = np.clip(np.real(np.diag(dual)), 0.0, None)
-    return _mode_sum_from_probs(p / p.sum(), p_dual / p_dual.sum(), d, mode)
+    return _mode_sum_from_probs(p / p.sum(), p_dual / p_dual.sum(), mode)
 
 
 def deficit(state, d: int, mode: str) -> float:
@@ -137,8 +161,11 @@ class EtaEstimate:
 def _nelder_mead(fn, x0: np.ndarray, max_evals: int, step: float = 0.1):
     """Simplex descent on fn; stops at the eval budget or vertex spread < tol.
 
-    Deterministic: vertex ordering uses a stable sort, coefficients are the
-    standard reflection/expansion/contraction/shrink values.
+    Deterministic: vertices stay in the order of a stable sort of their
+    values, coefficients are the standard reflection/expansion/contraction/
+    shrink values.  The stable argsort runs after the initial simplex and
+    after a shrink; a single new vertex is inserted after every vertex of
+    equal value, which is where the stable argsort puts it.
     """
     n = x0.size
     used = 0
@@ -160,42 +187,61 @@ def _nelder_mead(fn, x0: np.ndarray, max_evals: int, step: float = 0.1):
         verts.append(v)
         fvals.append(call(v))
     verts = np.array(verts)
-    fvals = np.array(fvals)
+    verts, fvals = _stable_order(verts, fvals)
+
+    def replace_worst(x, f):
+        nonlocal verts, fvals
+        # the argsort puts NaN last; bisect puts a NaN f there too, but does
+        # not skip a NaN left among the first n values
+        if fvals[n - 1] != fvals[n - 1]:
+            verts[n], fvals[n] = x, f
+            verts, fvals = _stable_order(verts, fvals)
+            return
+        k = bisect.bisect_right(fvals, f, 0, n)
+        verts[k + 1 :] = verts[k:n]
+        verts[k] = x
+        fvals.insert(k, f)
+        del fvals[-1]
 
     while used < max_evals:
-        order = np.argsort(fvals, kind="stable")
-        verts, fvals = verts[order], fvals[order]
         spread = np.abs(verts[1:] - verts[0]).max()
         if spread < REFINE_STEP_TOL:
             break
-        centroid = verts[:-1].mean(axis=0)
-        reflected = centroid + (centroid - verts[-1])
+        centroid = np.add.reduce(verts[:n], axis=0) / n  # bitwise .mean(axis=0)
+        worst = verts[n]
+        reflected = centroid + (centroid - worst)
         f_r = call(reflected)
         if f_r < fvals[0] and used < max_evals:
-            expanded = centroid + 2.0 * (centroid - verts[-1])
+            expanded = centroid + 2.0 * (centroid - worst)
             f_e = call(expanded)
             if f_e < f_r:
-                verts[-1], fvals[-1] = expanded, f_e
+                replace_worst(expanded, f_e)
             else:
-                verts[-1], fvals[-1] = reflected, f_r
+                replace_worst(reflected, f_r)
             continue
-        if f_r < fvals[-2]:
-            verts[-1], fvals[-1] = reflected, f_r
+        if f_r < fvals[n - 1]:
+            replace_worst(reflected, f_r)
             continue
         if used >= max_evals:
             break
-        contracted = centroid + 0.5 * (verts[-1] - centroid)
+        contracted = centroid + 0.5 * (worst - centroid)
         f_c = call(contracted)
-        if f_c < fvals[-1]:
-            verts[-1], fvals[-1] = contracted, f_c
+        if f_c < fvals[n]:
+            replace_worst(contracted, f_c)
             continue
         # shrink toward the best vertex
-        for i in range(1, len(verts)):
+        for i in range(1, n + 1):
             if used >= max_evals:
                 break
             verts[i] = verts[0] + 0.5 * (verts[i] - verts[0])
             fvals[i] = call(verts[i])
+        verts, fvals = _stable_order(verts, fvals)
     return used
+
+
+def _stable_order(verts: np.ndarray, fvals: list):
+    order = np.argsort(fvals, kind="stable")
+    return verts[order], [fvals[i] for i in order]
 
 
 def estimate_eta(
@@ -218,6 +264,7 @@ def estimate_eta(
     if budget < 1:
         raise ValidationError("budget must be >= 1")
     cap = gini_sum_cap(d, mode)
+    evaluate = _pure_gini_sum(d, mode)
 
     best_sum = -np.inf
     best_state = None
@@ -225,14 +272,14 @@ def estimate_eta(
 
     def objective(z: np.ndarray) -> float:
         nonlocal best_sum, best_state, evaluations
-        psi = z[:dim] + 1j * z[dim:]
-        norm = np.linalg.norm(psi)
-        if norm < 1e-12:
-            evaluations += 1
-            return 1.0  # worse than any attainable -gini_sum
-        psi = psi / norm
-        s = gini_sum(psi, d, mode)
         evaluations += 1
+        psi = z[:dim] + 1j * z[dim:]
+        re, im = psi.real, psi.imag
+        norm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's own sum
+        if norm < 1e-12:
+            return 1.0  # worse than any attainable -gini_sum
+        psi /= norm
+        s = evaluate(psi)
         if s > best_sum:
             best_sum = s
             best_state = psi

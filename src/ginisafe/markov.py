@@ -242,10 +242,17 @@ def tensor_to_matrix(t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     d = tensor_dimension(t.size)
-    table = function_table(d)
-    return np.stack(
-        [np.bincount(table[:, i], weights=t, minlength=d) for i in range(d)]
-    )
+    # one bincount with each t[f] repeated d times: bin i*d + j still adds
+    # its weights in code order, so the bits are those of d bincounts
+    return np.bincount(_marginal_bins(d), weights=t.repeat(d), minlength=d * d).reshape(d, d)
+
+
+@functools.lru_cache(maxsize=None)
+def _marginal_bins(d: int) -> np.ndarray:
+    """Read-only bins i*d + f(i) of every code f (major) and position i (minor)."""
+    bins = (function_table(d) + d * np.arange(d)).ravel()
+    bins.setflags(write=False)
+    return bins
 
 
 def correlation_coefficients(t) -> np.ndarray:

@@ -11,6 +11,7 @@ tested against.
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -101,11 +102,19 @@ def gini_index(x):
     values).  A 1-D input gives a float, a 2-D input one value per row.  0 for
     the uniform vector, (d - 1)/(d + 1) for a vector with all mass on one entry.
     """
-    p = np.sort(np.asarray(x, dtype=float), axis=-1)
-    d = p.shape[-1]
-    weights = np.arange(d, 0, -1, dtype=float)
-    g = 1.0 - (2.0 / (d + 1)) * (p @ weights)
+    p = np.array(x, dtype=float)
+    p.sort()
+    weights, scale = _gini_weights(p.shape[-1])
+    g = 1.0 - scale * p.dot(weights)
     return float(g) if p.ndim == 1 else g
+
+
+@functools.lru_cache(maxsize=16)
+def _gini_weights(d: int) -> tuple[np.ndarray, float]:
+    """The read-only weights d, ..., 1 of :func:`gini_index` and its factor 2/(d + 1)."""
+    weights = np.arange(d, 0, -1, dtype=float)
+    weights.setflags(write=False)
+    return weights, 2.0 / (d + 1)
 
 
 def gini_mean_abs_diff(x) -> float:

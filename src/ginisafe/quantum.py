@@ -32,9 +32,10 @@ statistics of F† rho F for the chosen transform.
 
 Every dual goes through :func:`apply_dual`, which applies F† without forming
 a d**d x d**d matrix: an FFT for F_G, and d passes of the d x d single-qudit
-F† for F_L.  The dense builders (:func:`dft_unitary`,
-:func:`local_fourier`, :func:`global_fourier`) are the oracles it is tested
-against.
+F† for F_L.  A search that applies many duals at one (d, mode) binds the
+same transform once, unchecked, through ``_dual_transform``.  The dense
+builders (:func:`dft_unitary`, :func:`local_fourier`, :func:`global_fourier`)
+are the oracles it is tested against.
 """
 
 from __future__ import annotations
@@ -210,11 +211,52 @@ def componentwise_parity(d: int) -> np.ndarray:
     return p
 
 
-@functools.lru_cache(maxsize=8)
+#: The largest d whose F† (1 MB at d = 256) is cached alongside others.
+_SMALL_DAGGER_D = 256
+
+
 def _single_dagger(d: int) -> np.ndarray:
+    # single mode admits d up to 3125, a 156 MB matrix: small F† are kept for
+    # up to eight d at once, so callers alternating between d rebuild none,
+    # and a large one only until the next large d
+    return _small_dagger(d) if d <= _SMALL_DAGGER_D else _large_dagger(d)
+
+
+def _build_dagger(d: int) -> np.ndarray:
     f_dagger = fourier_single(d).conj().T
     f_dagger.setflags(write=False)
     return f_dagger
+
+
+_small_dagger = functools.lru_cache(maxsize=8)(_build_dagger)
+_large_dagger = functools.lru_cache(maxsize=1)(_build_dagger)
+
+
+def _local_passes(f_dagger: np.ndarray, d: int, x: np.ndarray) -> np.ndarray:
+    n = x.shape[0]
+    # two buffers reused across the passes keep the peak at three arrays
+    product = np.empty((d, n // d, x.size // n), dtype=complex)
+    rotated = np.empty((n // d, d, x.size // n), dtype=complex)
+    y = x.reshape(d, -1)
+    for _ in range(d):
+        np.matmul(f_dagger, y, out=product.reshape(d, -1))
+        rotated[...] = product.transpose(1, 0, 2)
+        y = rotated.reshape(d, -1)
+    return rotated.reshape(x.shape)
+
+
+def _dual_transform(d: int, mode: str):
+    """The unchecked map x -> F† x along axis 0 for an admitted (d, mode).
+
+    F† is bound once, so a caller that applies many transforms at one
+    (d, mode) pays for the lookup and the checks of :func:`apply_dual` once.
+    """
+    if mode == GLOBAL:
+        return functools.partial(np.fft.fft, axis=0, norm="ortho")
+    f_dagger = _single_dagger(d)
+    if mode == SINGLE:
+        return functools.partial(np.matmul, f_dagger)
+    return functools.partial(_local_passes, f_dagger, d)
 
 
 def apply_dual(x, d: int, mode: str) -> np.ndarray:
@@ -235,20 +277,7 @@ def apply_dual(x, d: int, mode: str) -> np.ndarray:
         raise DimensionMismatchError(
             f"a {mode} transform of size {n} cannot act on shape {x.shape}"
         )
-    if mode == GLOBAL:
-        return np.fft.fft(x, axis=0, norm="ortho")
-    f_dagger = _single_dagger(d)
-    if mode == SINGLE:
-        return f_dagger @ x
-    # two buffers reused across the passes keep the peak at three arrays
-    product = np.empty((d, n // d, x.size // n), dtype=complex)
-    rotated = np.empty((n // d, d, x.size // n), dtype=complex)
-    y = x.reshape(d, -1)
-    for _ in range(d):
-        np.matmul(f_dagger, y, out=product.reshape(d, -1))
-        rotated[...] = product.transpose(1, 0, 2)
-        y = rotated.reshape(d, -1)
-    return rotated.reshape(x.shape)
+    return _dual_transform(d, mode)(x)
 
 
 # ---------------------------------------------------------------------------

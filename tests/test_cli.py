@@ -56,6 +56,17 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("usage error: --tol must be a finite number >= 0")
 
+    @pytest.mark.parametrize("verb, payload", [
+        ("expand", ("--matrix", "[[1]]")),
+        ("correlations", ("--tensor", "[0.25,0.25,0.25,0.25]")),
+    ])
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-inf"])
+    def test_floor_must_be_finite(self, capsys, verb, payload, floor):
+        # every weight compares False against a NaN floor, which emptied "terms"
+        code, out, err = run_cli(capsys, verb, *payload, f"--floor={floor}")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: --floor must be a finite number")
+
 
 class TestVectorCommands:
     def test_gini_output(self, capsys):

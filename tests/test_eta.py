@@ -17,9 +17,11 @@ from ginisafe import (
     gini_sum,
     gini_sum_cap,
     pure_density,
+    random_pure_state,
+    shard_rng,
     tensor_to_matrix,
 )
-from ginisafe.eta import _TRANSFORM, MODES, state_space_dim
+from ginisafe.eta import _TRANSFORM, MODES, REFINE_STEP_TOL, _nelder_mead, state_space_dim
 
 
 def scalar_sweep(d, mode, n, seed):
@@ -130,6 +132,170 @@ class TestEstimateEta:
             estimate_eta(2, "single", budget=0)
         with pytest.raises(DimensionTooLargeError):
             estimate_eta(6, "global_total", budget=10)
+
+
+def argsort_nelder_mead(fn, x0, max_evals, step=0.1):
+    """The simplex descent that re-sorts every step with a stable argsort: the oracle."""
+    n = x0.size
+    used = 0
+
+    def call(x):
+        nonlocal used
+        used += 1
+        return fn(x)
+
+    if max_evals < 1:
+        return 0
+    verts = [x0.copy()]
+    fvals = [call(x0)]
+    for i in range(n):
+        if used >= max_evals:
+            return used
+        v = x0.copy()
+        v[i] += step
+        verts.append(v)
+        fvals.append(call(v))
+    verts = np.array(verts)
+    fvals = np.array(fvals)
+
+    while used < max_evals:
+        order = np.argsort(fvals, kind="stable")
+        verts, fvals = verts[order], fvals[order]
+        spread = np.abs(verts[1:] - verts[0]).max()
+        if spread < REFINE_STEP_TOL:
+            break
+        centroid = verts[:-1].mean(axis=0)
+        reflected = centroid + (centroid - verts[-1])
+        f_r = call(reflected)
+        if f_r < fvals[0] and used < max_evals:
+            expanded = centroid + 2.0 * (centroid - verts[-1])
+            f_e = call(expanded)
+            if f_e < f_r:
+                verts[-1], fvals[-1] = expanded, f_e
+            else:
+                verts[-1], fvals[-1] = reflected, f_r
+            continue
+        if f_r < fvals[-2]:
+            verts[-1], fvals[-1] = reflected, f_r
+            continue
+        if used >= max_evals:
+            break
+        contracted = centroid + 0.5 * (verts[-1] - centroid)
+        f_c = call(contracted)
+        if f_c < fvals[-1]:
+            verts[-1], fvals[-1] = contracted, f_c
+            continue
+        for i in range(1, len(verts)):
+            if used >= max_evals:
+                break
+            verts[i] = verts[0] + 0.5 * (verts[i] - verts[0])
+            fvals[i] = call(verts[i])
+    return used
+
+
+def oracle_search(d, mode, budget, seed=0, initial_states=None):
+    """(best_sum, evaluations, best_state) of the search through the checked
+    gini_sum and the argsort descent."""
+    dim = state_space_dim(d, mode)
+    best = {"sum": -np.inf, "state": None, "evaluations": 0}
+
+    def objective(z):
+        best["evaluations"] += 1
+        psi = z[:dim] + 1j * z[dim:]
+        norm = np.linalg.norm(psi)
+        if norm < 1e-12:
+            return 1.0
+        psi = psi / norm
+        s = gini_sum(psi, d, mode)
+        if s > best["sum"]:
+            best["sum"], best["state"] = s, psi
+        return -s
+
+    starts = [np.asarray(g, dtype=complex) for g in initial_states or []]
+    starts = [psi / np.linalg.norm(psi) for psi in starts]
+    k = 0
+    while best["evaluations"] < budget:
+        if starts:
+            psi0 = starts.pop(0)
+        else:
+            psi0 = random_pure_state(dim, shard_rng(seed, k))
+            k += 1
+        x0 = np.concatenate([psi0.real, psi0.imag])
+        argsort_nelder_mead(objective, x0, budget - best["evaluations"])
+    return best["sum"], best["evaluations"], best["state"]
+
+
+SEARCH_GRID = (
+    [(d, mode, {2: 500, 3: 400, 4: 600}[d]) for d in (2, 3, 4) for mode in MODES]
+    + [(5, mode, 300 if mode == "single" else 30) for mode in MODES]
+    + [(7, "single", 800), (64, "single", 800)]
+)
+
+
+class TestSearchBitIdentity:
+    # the lean objective and the incremental simplex ordering must give the
+    # bits of the checked gini_sum and the argsort descent, on any numpy
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("d, mode, budget", SEARCH_GRID)
+    def test_matches_oracle(self, d, mode, budget, seed):
+        est = estimate_eta(d, mode, budget, seed=seed)
+        best_sum, evaluations, best_state = oracle_search(d, mode, budget, seed=seed)
+        assert (est.best_sum, est.evaluations) == (best_sum, evaluations)
+        assert est.best_state.tobytes() == best_state.tobytes()
+
+    @pytest.mark.parametrize("d, mode", [(2, "single"), (3, "global_component"), (3, "local_total")])
+    def test_initial_states_match_oracle(self, d, mode):
+        rng = np.random.default_rng(d)
+        dim = state_space_dim(d, mode)
+        given = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(2)]
+        given.append(np.eye(dim)[0])  # a basis state: zeros in the simplex coordinates
+        est = estimate_eta(d, mode, 400, seed=3, initial_states=given)
+        best_sum, evaluations, best_state = oracle_search(d, mode, 400, seed=3, initial_states=given)
+        assert (est.best_sum, est.evaluations) == (best_sum, evaluations)
+        assert est.best_state.tobytes() == best_state.tobytes()
+
+    @pytest.mark.parametrize("n, budget", [(4, 500), (9, 800), (16, 1200)])
+    @pytest.mark.parametrize("with_nan", [False, True])
+    def test_ties_and_nan_follow_the_argsort_order(self, n, budget, with_nan):
+        # rounding to one decimal puts many vertices on equal values, so the
+        # insertion point of a new vertex and the shrink steps both matter;
+        # NaN values take the argsort fallback
+        def logged(calls):
+            def fn(x):
+                value = round(float(np.sin(3 * x).sum() + 0.2 * (x @ x)), 1)
+                if with_nan and int(20 * np.abs(x).sum()) % 7 == 0:
+                    value = float("nan")  # scattered shells of NaN
+                calls.append((x.tobytes(), repr(value)))  # repr: nan == nan
+                return value
+
+            return fn
+
+        x0 = np.random.default_rng(n).uniform(-0.5, 0.5, n)
+        got, want = [], []
+        used = _nelder_mead(logged(got), x0, budget)
+        assert used == argsort_nelder_mead(logged(want), x0, budget)
+        assert got == want
+        values = [v for _, v in want]
+        assert len(set(values)) < len(values) // 4  # the run really had ties
+        assert ("nan" in values) == with_nan
+
+    def test_nan_majority_takes_the_argsort(self):
+        # all but one initial vertex read NaN, so a better reflected point is
+        # placed among the remaining values ahead of the NaN ones
+        def logged(calls):
+            def fn(x):
+                value = float("nan") if x.max() > 0.07 else float(x @ [-1.0, -1.0, -1.0, 1.0])
+                calls.append((x.tobytes(), repr(value)))
+                return value
+
+            return fn
+
+        got, want = [], []
+        used = _nelder_mead(logged(got), np.zeros(4), 200)
+        assert used == argsort_nelder_mead(logged(want), np.zeros(4), 200)
+        assert got == want
+        assert [v for _, v in want[:5]] == ["0.0", "nan", "nan", "nan", "nan"]
 
 
 class TestDeficitSweep:

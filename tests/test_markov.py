@@ -16,6 +16,7 @@ from ginisafe import (
     all_function_maps,
     compose,
     correlation_coefficients,
+    function_table,
     function_to_matrix,
     local_gini_vector,
     product_probabilities,
@@ -345,6 +346,18 @@ class TestTensorToMatrix:
         weights = product_probabilities(q)
         assert abs(weights.sum() - 1.0) < 1e-12
         assert np.abs(tensor_to_matrix(weights) - q).max() < 1e-12
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_one_bincount_matches_per_component_oracle(self, d):
+        # the marginals eta ranks must keep their bits: one bincount per
+        # component, stacked, is the form tensor_to_matrix replaced
+        rng = np.random.default_rng(40 + d)
+        table = function_table(d)
+        for _ in range(5):
+            t = rng.random(d**d) ** 3
+            t[rng.random(d**d) < 0.3] = 0.0
+            oracle = np.stack([np.bincount(table[:, i], weights=t, minlength=d) for i in range(d)])
+            assert np.array_equal(tensor_to_matrix(t), oracle)
 
     def test_validate_markov_tensor(self):
         validate_markov_tensor(np.full(27, 1 / 27))

@@ -34,6 +34,7 @@ from ginisafe import (
     uncertainty_deficits,
     validate_density_matrix,
 )
+from ginisafe import quantum
 from ginisafe.quantum import MAX_COMPONENTS, elementary_projector
 from ginisafe.reference import (
     TRIPARTITE_DUAL_GINI_VECTOR,
@@ -533,6 +534,17 @@ class TestApplyDual:
             apply_dual(np.ones(5), 2, "local")
         with pytest.raises(DimensionMismatchError):
             apply_dual(np.ones((4, 4, 4)), 2, "global")
+
+    def test_single_mode_keeps_one_large_transform(self):
+        # single mode admits d up to 3125 (a 156 MB F†); a process that
+        # transforms at several large d must not keep one matrix per d,
+        # while alternating small d (1 MB at most) rebuild nothing
+        quantum._small_dagger.cache_clear()
+        for d in (2, 3, 64, 2, 257, 3, 300, 64):
+            psi = random_complex_unit(np.random.default_rng(d), d)
+            np.testing.assert_allclose(apply_dual(psi, d, "single"), fourier_single(d).conj().T @ psi, atol=1e-12)
+            assert quantum._large_dagger.cache_info().currsize <= 1
+        assert quantum._small_dagger.cache_info().misses == 3
 
 
 class TestStateScalarProduct:
