@@ -10,13 +10,14 @@ import argparse
 import functools
 import gc
 import itertools
-import json
 import math
 import operator
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+from orjson import loads as _orjson_decode
 
 from . import ensembles, eta, markov, probvec, quantum, reference
 from .errors import GiniSafeError, ValidationError
@@ -30,18 +31,44 @@ class _UsageError(Exception):
 # Payload parsing
 # ---------------------------------------------------------------------------
 
-def _parse_json(text: str):
-    """Decode a payload with the cyclic collector paused.
+# orjson builds nested values recursively on the C stack and, unlike json,
+# has no depth limit: 200,000 nested lists or 60,000 nested objects overflow
+# an 8 MB stack and kill the process.  No payload needs more than 5 levels.
+MAX_JSON_DEPTH = 512
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'"[]{}')))
+_ESCAPE = re.compile(rb"\\.", re.DOTALL)
 
-    A decoded payload is a tree of lists, dicts and scalars with no cycles, so
-    the collector's passes over its fresh lists (65,536 pairs for a d = 4
-    density) would find nothing.  The caller's GC state is restored.
+
+def _nests_too_deep(text: str) -> bool:
+    """True if brackets nest deeper than MAX_JSON_DEPTH outside strings (exact for valid JSON)."""
+    if len(text) <= 2 * MAX_JSON_DEPTH:  # every level takes an opening and a closing bracket
+        return False
+    data = text.encode("utf-8", "surrogatepass")
+    if b"\\" in data:
+        data = _ESCAPE.sub(b"", data)  # then every quote opens or closes a string
+    brackets = b"".join(data.translate(None, _NOT_STRUCTURE).split(b'"')[::2])
+    steps = (np.frombuffer(brackets, np.uint8) & 2).astype(np.intp) - 1  # [ { -> +1, ] } -> -1
+    return steps.cumsum().max(initial=0) > MAX_JSON_DEPTH
+
+
+def _parse_json(text: str):
+    """Decode a payload with orjson, the cyclic collector paused.
+
+    The grammar is RFC 8259: the literals NaN, Infinity and -Infinity, numbers
+    that overflow a double and lone surrogates are rejected, and integers
+    outside [-2**63, 2**64 - 1] read as the nearest float.  Nesting deeper
+    than MAX_JSON_DEPTH is rejected before decoding.  A decoded payload is a
+    tree of lists, dicts and scalars with no cycles, so the collector's passes
+    over its fresh lists (65,536 pairs for a d = 4 density) would find
+    nothing.  The caller's GC state is restored.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad syntax, ints past 4300 digits, deep nesting
+        if _nests_too_deep(text):
+            raise ValueError(f"nested deeper than {MAX_JSON_DEPTH} levels")
+        return _orjson_decode(text)
+    except ValueError as exc:  # the depth check or orjson.JSONDecodeError
         raise ValidationError(f"invalid JSON payload: {exc}") from None
     finally:
         if enabled:
@@ -396,8 +423,11 @@ def _emit(out: dict, args) -> None:
             lines.append(f"{key},{_fmt_csv_value(value)}")
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out file {args.out!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -878,7 +908,7 @@ def main(argv=None) -> int:
             raise _UsageError(f"--tol must be a finite number >= 0, got {args.tol!r}")
         if not math.isfinite(getattr(args, "floor", 0.0)):  # a NaN floor drops every term
             raise _UsageError(f"--floor must be a finite number, got {args.floor!r}")
-        out = args.handler(args)
+        _emit(args.handler(args), args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(f"run 'ginisafe {args.command} --help' for the grammar", file=sys.stderr)
@@ -886,7 +916,6 @@ def main(argv=None) -> int:
     except GiniSafeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(out, args)
     return 0
 
 

@@ -225,7 +225,7 @@ class TestReaderErrors:
         assert "absent.json" in err
 
     @pytest.mark.parametrize(
-        "pairs", ["[[1,0],[0]]", '[[1,0],["a",0]]', "[[1,0],[null,0]]", '[[1,0],"12"]', f"[[1,0],[{10**400},0]]"]
+        "pairs", ["[[1,0],[0]]", '[[1,0],["a",0]]', "[[1,0],[null,0]]", '[[1,0],"12"]']
     )
     def test_bad_amplitude_pairs(self, capsys, pairs):
         state = f'{{"dim": 2, "amplitudes": {pairs}}}'
@@ -233,11 +233,36 @@ class TestReaderErrors:
         assert code == 1
         assert err.startswith("error: amplitudes must be a list of 2 [re, im] pairs")
 
-    @pytest.mark.parametrize("vector", ['"abc"', '[0.5, "x"]', "[[0.5], [0.25, 0.25]]", f"[{10**400}]"])
+    @pytest.mark.parametrize("vector", ['"abc"', '[0.5, "x"]', "[[0.5], [0.25, 0.25]]"])
     def test_non_numeric_vector(self, capsys, vector):
         code, _, err = run_cli(capsys, "gini", "--vector", vector)
         assert code == 1
         assert err == "error: probability vector must be a non-empty 1-D sequence of numbers\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gini", "--vector", "[NaN]"],
+            ["gini", "--vector", "[Infinity]"],
+            ["gini", "--vector", "[-Infinity]"],
+            ["gini", "--vector", "[1e400]"],
+            ["gini", "--vector", f"[{10**399}]"],
+            ["gini", "--vector", f"[{10**400}]"],
+            ["quantum-stats", "--state", f'{{"dim": 2, "amplitudes": [[1,0],[{10**400},0]]}}'],
+        ],
+        ids=["nan", "infinity", "minus-infinity", "1e400", "400-digit-int", "401-digit-int",
+             "401-digit-int-amplitude"],
+    )
+    def test_numbers_outside_rfc8259_doubles(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid JSON payload") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("path", ["/nonexistent/dir/x.json", "."])
+    def test_unwritable_out_file(self, capsys, path):
+        code, out, err = run_cli(capsys, "validate", "--vector", "[1]", "--out", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: cannot write --out file {path!r}: ")
 
     @pytest.mark.parametrize(
         "argv",
@@ -317,7 +342,109 @@ class TestComplexPairs:
             assert got.tobytes() == want.tobytes()
 
 
+def same_json(got, want) -> bool:
+    """Equal decoded JSON, floats bit for bit.
+
+    The one allowed difference: an integer outside [-2**63, 2**64 - 1], which
+    the payload decoder reads as the nearest float.
+    """
+    if isinstance(want, float):
+        return isinstance(got, float) and got.hex() == want.hex()
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) and all(map(same_json, got, want))
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and list(got) == list(want)
+                and all(map(same_json, got.values(), want.values())))
+    if type(want) is int and not -(2**63) <= want < 2**64:
+        return isinstance(got, float) and got == float(want)
+    return type(got) is type(want) and got == want
+
+
+surrogate_free = st.characters(blacklist_categories=("Cs",))
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals and zeros
+        st.just(-0.0),
+        st.integers(-(2**63), 2**64 - 1),
+        st.text(st.one_of(st.sampled_from('[]{}"\\'), surrogate_free)),
+    ),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.dictionaries(st.text(surrogate_free, max_size=4), kids, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@st.composite
+def long_decimals(draw):
+    """A finite number spelled with 17 to 25 significant digits, subnormal to near the double maximum."""
+    digits = draw(st.sampled_from("123456789")) + draw(st.text("0123456789", min_size=16, max_size=24))
+    point = draw(st.integers(1, len(digits) - 1))
+    exponent = draw(st.integers(-350, 308 - point))
+    return f"{draw(st.sampled_from(['', '-']))}{digits[:point]}.{digits[point:]}e{exponent}"
+
+
+# pieces of JSON, of almost-JSON and of what json.loads accepts beyond RFC 8259
+json_pieces = st.sampled_from([
+    "[", "]", "{", "}", ",", ":", " ", "\t", "\n", "\r", "\x0b", '"', "\\", '"a"', '"\\u00e9"', '"\u00e9"',
+    '"\\ud83d\\ude00"', '"\\ud800"', '"\\udc00x"', '"\ud800"', '"\x01"', '"\\/\\b"', "true", "false",
+    "null", "NaN", "Infinity", "-Infinity", "0", "-0", "1", "-", "+", ".", "e", "E", "5", "2.5", "-0.0",
+    "1e400", "1e-400", "4.9e-324", "1.7976931348623157e308", "1.7976931348623159e308",
+    "18446744073709551615", "18446744073709551616", "-9223372036854775808", "-9223372036854775809",
+    "1" * 25, "\ufeff",
+])
+
+
 class TestParseJson:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values, st.lists(long_decimals(), max_size=60), st.booleans())
+    @example(None, ["2.2250738585072011e-308", "4.9406564584124654e-324", "2.4703282292062328e-324",
+                    "1.7976931348623158e308", "9007199254740993.0", "0.1000000000000000055511151231257827"], True)
+    @example({"entries": [[1.5, -0.0], [5e-324, 1.7976931348623157e308]]}, [], True)
+    def test_matches_json_loads(self, value, decimals, ascii_only):
+        text = "[" + json.dumps(value, ensure_ascii=ascii_only) + "".join("," + d for d in decimals) + "]"
+        assert same_json(cli._parse_json(text), json.loads(text))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(json_pieces, st.text('[]{},:"\\ -+.0123456789eEtrufalsn', max_size=3)),
+                    max_size=30).map("".join))
+    @example('{"a": 1, "a": [2, {"b": -0}]}')
+    @example("[18446744073709551616, -9223372036854775809]")
+    def test_accepts_only_what_json_loads_accepts(self, text):
+        try:
+            got = cli._parse_json(text)
+        except ValidationError as exc:
+            assert str(exc).startswith("invalid JSON payload: ")
+            return
+        assert same_json(got, json.loads(text))
+
+    @settings(max_examples=100, deadline=None)
+    @given(json_values, st.integers(-2, 1), st.booleans())
+    @example([], 0, True)
+    @example([], 1, True)
+    @example({"a": {"b": []}}, 1, True)
+    @example(["]" * 2000, []], 1, True)
+    @example(['\\"]' * 700, "}]" * 700, "\\", []], 1, True)
+    @example(["[" * 2000, '\\"', []], 0, False)
+    def test_depth_limit_is_exact(self, value, offset, ascii_only):
+        # brackets, quotes and backslashes inside strings do not nest
+        def depth(v):
+            kids = v.values() if isinstance(v, dict) else v if isinstance(v, list) else None
+            return 0 if kids is None else 1 + max(map(depth, kids), default=0)
+
+        wraps = cli.MAX_JSON_DEPTH - depth(value) + offset
+        text = "[" * wraps + json.dumps(value, ensure_ascii=ascii_only) + "]" * wraps
+        if offset > 0:
+            limit = cli.MAX_JSON_DEPTH
+            with pytest.raises(ValidationError, match=f"^invalid JSON payload: nested deeper than {limit} levels$"):
+                cli._parse_json(text)
+        else:
+            assert same_json(cli._parse_json(text), json.loads(text))
+
     @pytest.mark.parametrize("start", [True, False])
     def test_restores_collector_state(self, start):
         was = gc.isenabled()

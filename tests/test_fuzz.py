@@ -74,7 +74,8 @@ def ensemble(d):
 # The defects these pin: an unchecked `eta --d` building a d x d Fourier matrix,
 # d**d-sized tensors and int64 codes for ensembles past the code cap, an
 # unchecked `--n`, a NaN or infinite tolerance that admits any vector, negative
-# seeds, and JSON that json.loads refuses with a ValueError or RecursionError.
+# seeds, JSON that the payload decoder refuses (a number past the double range,
+# nesting past cli.MAX_JSON_DEPTH), and an --out path that cannot be written.
 PINNED = {
     "eta-huge-d": ["eta", "--d", "100000"],
     "eta-single-past-state-cap": ["eta", "--d", "4000", "--budget", "1"],
@@ -90,6 +91,10 @@ PINNED = {
     "simulate-negative-seed": ["simulate", "--ensemble", ensemble(2), "--n", "5", "--seed", "-1"],
     "gini-5000-digit-int": ["gini", "--vector", "[1" + "0" * 5000 + "]"],
     "gini-deep-nesting": ["gini", "--vector", "[" * 100_000 + "]" * 100_000],
+    "gini-stack-deep-lists": ["gini", "--vector", "[" * 300_000 + "]" * 300_000],
+    "simulate-stack-deep-objects": ["simulate", "--ensemble", '{"a":' * 100_000 + "1" + "}" * 100_000],
+    "validate-out-missing-dir": ["validate", "--vector", "[1]", "--out", "/nonexistent/dir/x.json"],
+    "validate-out-directory": ["validate", "--vector", "[1]", "--out", "."],
 }
 
 
