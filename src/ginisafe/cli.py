@@ -13,6 +13,7 @@ import itertools
 import math
 import operator
 import re
+import reprlib
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -107,19 +108,12 @@ def _payloads(args, attr: str, count: int) -> list:
     return payloads
 
 
-def _as_vector(payload):
+def _field(payload, name: str):
+    """The payload itself, or its `name` field when it is an object."""
     if isinstance(payload, dict):
-        payload = payload.get("vector")
+        payload = payload.get(name)
         if payload is None:
-            raise ValidationError("object payload has no 'vector' field")
-    return payload
-
-
-def _as_matrix(payload):
-    if isinstance(payload, dict):
-        payload = payload.get("matrix")
-        if payload is None:
-            raise ValidationError("object payload has no 'matrix' field")
+            raise ValidationError(f"object payload has no '{name}' field")
     return payload
 
 
@@ -136,13 +130,20 @@ def _as_tensor(payload):
     return payload
 
 
+# Error lines echo payload values through this repr: it keeps 6 items of a
+# list or dict, 30 characters of a string and two levels of nesting, so a
+# long value cannot blow up the one-line message.
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 2
+
+
 def _as_index(value, what: str) -> int:
     """A JSON integer (or integral float); bools and fractions name `what` in the error."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
+    raise ValidationError(f"{what} must be an integer, got {_ECHO.repr(value)}")
 
 
 def _sparse_tensor(d, terms) -> np.ndarray:
@@ -173,22 +174,25 @@ def _sparse_tensor(d, terms) -> np.ndarray:
             weights.append(float(term["weight"]))
         except (TypeError, ValueError):
             raise ValidationError(
-                f"terms[{i}].weight must be a number, got {term['weight']!r}"
+                f"terms[{i}].weight must be a number, got {_ECHO.repr(term['weight'])}"
             ) from None
     dense = np.zeros(size)
     dense[list(codes)] = weights
     return dense
 
 
-def _as_ensemble(payload) -> ensembles.EnsembleSpec:
+def _as_ensemble(payload, tol: float) -> ensembles.EnsembleSpec:
+    """An ensemble whose matrix or tensor is validated once, at `tol`."""
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ValidationError("ensemble payload must be an object with a 'kind' field")
     kind = payload["kind"]
     if kind == ensembles.INDEPENDENT:
-        return ensembles.EnsembleSpec.independent(_as_matrix(payload))
+        matrix = markov.validate_row_markov(_field(payload, "matrix"), tol)
+        return ensembles.EnsembleSpec(kind=ensembles.INDEPENDENT, matrix=matrix)
     if kind == ensembles.CORRELATED:
-        return ensembles.EnsembleSpec.correlated(_as_tensor(payload))
-    raise ValidationError(f"unknown ensemble kind {kind!r}")
+        tensor = markov.validate_markov_tensor(_as_tensor(payload), tol)
+        return ensembles.EnsembleSpec(kind=ensembles.CORRELATED, tensor=tensor)
+    raise ValidationError(f"unknown ensemble kind {_ECHO.repr(kind)}")
 
 
 def _complex_pairs(entries, n: int, what: str) -> np.ndarray:
@@ -444,16 +448,40 @@ def _serialize_pure(psi: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 # Handlers
 # ---------------------------------------------------------------------------
+# Each handler returns its own fields; ``sub`` in `_build_parser` puts the
+# verb name first.
+
+def _vectors(args, count: int) -> list:
+    """`count` probability vectors, validated at --tol."""
+    return [
+        probvec.validate_prob_vector(_field(p, "vector"), args.tol)
+        for p in _payloads(args, "vector", count)
+    ]
+
+
+def _state(args) -> np.ndarray:
+    """The density of the one --state payload."""
+    return _as_state(_payloads(args, "state", 1)[0], repair=args.repair)
+
+
+def _terms(values: np.ndarray, d: int, name: str, floor: float) -> list:
+    """The codes whose |value| reaches `floor`, with their images."""
+    images = markov.function_table(d).tolist()
+    return [
+        {"code": code, "images": images[code], name: v}
+        for code, v in enumerate(values.tolist())
+        if abs(v) >= floor
+    ]
+
 
 def cmd_validate(args) -> dict:
-    x = probvec.validate_prob_vector(_as_vector(_payloads(args, "vector", 1)[0]), args.tol)
-    return {"command": "validate", "seed": args.seed, "d": x.size, "vector": x}
+    (x,) = _vectors(args, 1)
+    return {"seed": args.seed, "d": x.size, "vector": x}
 
 
 def cmd_lorenz(args) -> dict:
-    x = probvec.validate_prob_vector(_as_vector(_payloads(args, "vector", 1)[0]), args.tol)
+    (x,) = _vectors(args, 1)
     return {
-        "command": "lorenz",
         "seed": args.seed,
         "d": x.size,
         "lorenz": probvec.lorenz_values(x),
@@ -462,10 +490,9 @@ def cmd_lorenz(args) -> dict:
 
 
 def cmd_gini(args) -> dict:
-    x = probvec.validate_prob_vector(_as_vector(_payloads(args, "vector", 1)[0]), args.tol)
+    (x,) = _vectors(args, 1)
     lo, hi = probvec.average_bounds(x)
     return {
-        "command": "gini",
         "seed": args.seed,
         "d": x.size,
         "gini": probvec.gini_index(x),
@@ -475,32 +502,19 @@ def cmd_gini(args) -> dict:
 
 
 def cmd_majorize(args) -> dict:
-    payloads = _payloads(args, "vector", 2)
-    x = probvec.validate_prob_vector(_as_vector(payloads[0]), args.tol)
-    y = probvec.validate_prob_vector(_as_vector(payloads[1]), args.tol)
-    return {
-        "command": "majorize",
-        "seed": args.seed,
-        "relation": probvec.majorizes(x, y).value,
-    }
+    x, y = _vectors(args, 2)
+    return {"seed": args.seed, "relation": probvec.majorizes(x, y).value}
 
 
 def cmd_expand(args) -> dict:
-    q = markov.validate_row_markov(_as_matrix(_payloads(args, "matrix", 1)[0]), args.tol)
+    q = markov.validate_row_markov(_field(_payloads(args, "matrix", 1)[0], "matrix"), args.tol)
     weights = markov.product_probabilities(q)
     d = q.shape[0]
-    images = markov.function_table(d).tolist()
-    terms = [
-        {"code": code, "images": images[code], "weight": w}
-        for code, w in enumerate(weights.tolist())
-        if w >= args.floor
-    ]
     return {
-        "command": "expand",
         "seed": args.seed,
         "d": d,
         "weights": weights,
-        "terms": terms,
+        "terms": _terms(weights, d, "weight", args.floor),
     }
 
 
@@ -518,59 +532,38 @@ def cmd_scalar_product(args) -> dict:
         )
         method = "tensors"
     else:
-        q, p = (_as_matrix(x) for x in _payloads(args, "matrix", 2))
+        q, p = (_field(x, "matrix") for x in _payloads(args, "matrix", 2))
         q = markov.validate_row_markov(q, args.tol)
         p = markov.validate_row_markov(p, args.tol)
         value = markov.scalar_product(q, p)
         method = "direct"
-    return {"command": "scalar-product", "seed": args.seed, "method": method, "value": value}
+    return {"seed": args.seed, "method": method, "value": value}
 
 
 def cmd_correlations(args) -> dict:
     t = markov.validate_markov_tensor(_as_tensor(_payloads(args, "tensor", 1)[0]), args.tol)
     coeffs = markov.correlation_coefficients(t)
     d = markov.tensor_dimension(t.size)
-    images = markov.function_table(d).tolist()
-    terms = [
-        {"code": code, "images": images[code], "coefficient": c}
-        for code, c in enumerate(coeffs.tolist())
-        if abs(c) >= args.floor
-    ]
     return {
-        "command": "correlations",
         "seed": args.seed,
         "d": d,
         "coefficients": coeffs,
-        "terms": terms,
+        "terms": _terms(coeffs, d, "coefficient", args.floor),
     }
 
 
 def cmd_simulate(args) -> dict:
-    spec = _as_ensemble(_payloads(args, "ensemble", 1)[0])
+    spec = _as_ensemble(_payloads(args, "ensemble", 1)[0], args.tol)
     rng = ensembles.make_rng(args.seed)
     weights = ensembles.empirical_tensor(spec, args.n, rng)
-    return {
-        "command": "simulate",
-        "seed": args.seed,
-        "n": args.n,
-        "d": spec.d,
-        "weights": weights,
-    }
+    return {"seed": args.seed, "n": args.n, "d": spec.d, "weights": weights}
 
 
 def cmd_collision(args) -> dict:
-    payloads = _payloads(args, "ensemble", 2)
-    a = _as_ensemble(payloads[0])
-    b = _as_ensemble(payloads[1])
+    a, b = (_as_ensemble(p, args.tol) for p in _payloads(args, "ensemble", 2))
     rng = ensembles.make_rng(args.seed)
     est = ensembles.collision_probability_mc(a, b, args.n, rng)
-    return {
-        "command": "collision",
-        "seed": args.seed,
-        "value": est.value,
-        "stderr": est.stderr,
-        "n": est.n,
-    }
+    return {"seed": args.seed, "value": est.value, "stderr": est.stderr, "n": est.n}
 
 
 def _stats_dict(stats: quantum.StateStats) -> dict:
@@ -585,26 +578,14 @@ def _stats_dict(stats: quantum.StateStats) -> dict:
 
 
 def cmd_quantum_stats(args) -> dict:
-    rho = _as_state(_payloads(args, "state", 1)[0], repair=args.repair)
+    rho = _state(args)
     stats = quantum.state_stats(rho)
-    return {
-        "command": "quantum-stats",
-        "seed": args.seed,
-        "d": stats.d,
-        "dim": rho.shape[0],
-        **_stats_dict(stats),
-    }
+    return {"seed": args.seed, "d": stats.d, "dim": rho.shape[0], **_stats_dict(stats)}
 
 
 def cmd_dual(args) -> dict:
-    rho = _as_state(_payloads(args, "state", 1)[0], repair=args.repair)
-    dual = quantum.dual_state(rho, args.mode)
-    out = {
-        "command": "dual",
-        "seed": args.seed,
-        "mode": args.mode,
-        "state": _serialize_density(dual),
-    }
+    dual = quantum.dual_state(_state(args), args.mode)
+    out = {"seed": args.seed, "mode": args.mode, "state": _serialize_density(dual)}
     if args.mode == quantum.SINGLE:
         probs = np.clip(np.real(np.diag(dual)), 0.0, None)
         probs = probs / probs.sum()
@@ -616,11 +597,10 @@ def cmd_dual(args) -> dict:
 
 
 def cmd_deficits(args) -> dict:
-    rho = _as_state(_payloads(args, "state", 1)[0], repair=args.repair)
+    rho = _state(args)
     d = quantum.local_dimension(rho.shape[0])
     deficits = quantum.uncertainty_deficits(rho)
     return {
-        "command": "deficits",
         "seed": args.seed,
         "d": d,
         "local_components": deficits.local_components,
@@ -633,7 +613,6 @@ def cmd_deficits(args) -> dict:
 def cmd_eta(args) -> dict:
     est = eta.estimate_eta(args.d, args.mode, args.budget, seed=args.seed)
     return {
-        "command": "eta",
         "seed": args.seed,
         "d": est.d,
         "mode": est.mode,
@@ -680,7 +659,8 @@ def _report_table1(args) -> tuple[dict, list]:
     return {"a": a, "b": b, "rows": reference.demo_table_rows(a, b)}, checks
 
 
-def _two_qubit_states(args):
+def _two_qubit_states(args) -> tuple[quantum.StateStats, quantum.StateStats]:
+    """Statistics of the pair and triple states of the two-qubit examples."""
     a2, c2, d2, e2 = args.a2, args.c2, args.d2, args.e2
     if not 0.0 < a2 < 0.5:
         raise ValidationError("--a2 must lie in (0, 1/2) so |a| < |b|")
@@ -692,19 +672,17 @@ def _two_qubit_states(args):
     triple = quantum.pure_density(
         reference.triple_state(np.sqrt(c2), np.sqrt(d2), np.sqrt(e2))
     )
-    return pair, triple
+    return quantum.state_stats(pair), quantum.state_stats(triple)
 
 
 def _report_table2(args) -> tuple[dict, list]:
     a2, c2, d2, e2 = args.a2, args.c2, args.d2, args.e2
     pair, triple = _two_qubit_states(args)
-    stats_pair = quantum.state_stats(pair)
-    stats_triple = quantum.state_stats(triple)
     checks = []
     for row in reference.two_qubit_table_rows(a2, c2, d2, e2):
         code = row["code"]
         label = tuple(row["images"])
-        for prefix, stats in (("pair", stats_pair), ("triple", stats_triple)):
+        for prefix, stats in (("pair", pair), ("triple", triple)):
             checks.append(_check(f"{prefix}_joint{label}", stats.tensor[code], row[f"{prefix}_joint"], 1e-12))
             checks.append(_check(f"{prefix}_product{label}", stats.products[code], row[f"{prefix}_product"], 1e-12))
             checks.append(_check(f"{prefix}_correlation{label}", stats.correlations[code], row[f"{prefix}_correlation"], 1e-12))
@@ -715,36 +693,23 @@ def _report_table2(args) -> tuple[dict, list]:
 def _report_section84(args) -> tuple[dict, list]:
     a2, c2, d2, e2 = args.a2, args.c2, args.d2, args.e2
     pair, triple = _two_qubit_states(args)
-    stats_pair = quantum.state_stats(pair)
-    stats_triple = quantum.state_stats(triple)
-    expected_pair = reference.pair_expected(a2)
-    expected_triple = reference.triple_expected(c2, d2, e2)
-    checks = [
-        _check("pair_markov", stats_pair.markov, expected_pair["markov"], 1e-12),
-        _check("triple_markov", stats_triple.markov, expected_triple["markov"], 1e-12),
-        _check("pair_gini_vector", stats_pair.gini_vector, expected_pair["gini_vector"], 1e-12),
-        _check("triple_gini_vector", stats_triple.gini_vector, expected_triple["gini_vector"], 1e-12),
-        _check("pair_total_gini", stats_pair.total_gini, expected_pair["total_gini"], 1e-12),
-        _check("triple_total_gini", stats_triple.total_gini, expected_triple["total_gini"], 1e-12),
-        _check(
-            "pair_self_overlap",
-            quantum.state_scalar_product(pair, pair),
-            expected_pair["self_overlap"],
-            1e-12,
-        ),
-        _check(
-            "triple_self_overlap",
-            quantum.state_scalar_product(triple, triple),
-            expected_triple["self_overlap"],
-            1e-12,
-        ),
-        _check(
-            "pair_triple_overlap",
-            quantum.state_scalar_product(pair, triple),
-            reference.pair_triple_overlap(a2, c2, d2, e2),
-            1e-12,
-        ),
+    want_pair = reference.pair_expected(a2)
+    want_triple = reference.triple_expected(c2, d2, e2)
+    # the overlaps are quantum.state_scalar_product of the two states
+    overlap = markov.scalar_product
+    rows = [
+        ("pair_markov", pair.markov, want_pair["markov"]),
+        ("triple_markov", triple.markov, want_triple["markov"]),
+        ("pair_gini_vector", pair.gini_vector, want_pair["gini_vector"]),
+        ("triple_gini_vector", triple.gini_vector, want_triple["gini_vector"]),
+        ("pair_total_gini", pair.total_gini, want_pair["total_gini"]),
+        ("triple_total_gini", triple.total_gini, want_triple["total_gini"]),
+        ("pair_self_overlap", overlap(pair.markov, pair.markov), want_pair["self_overlap"]),
+        ("triple_self_overlap", overlap(triple.markov, triple.markov), want_triple["self_overlap"]),
+        ("pair_triple_overlap", overlap(pair.markov, triple.markov),
+         reference.pair_triple_overlap(a2, c2, d2, e2)),
     ]
+    checks = [_check(name, computed, expected, 1e-12) for name, computed, expected in rows]
     return {"a2": a2, "c2": c2, "d2": d2, "e2": e2}, checks
 
 
@@ -788,7 +753,6 @@ def cmd_report(args) -> dict:
     }[args.which]
     fields, checks = handler(args)
     return {
-        "command": "report",
         "which": args.which,
         "seed": args.seed,
         **fields,
@@ -801,15 +765,6 @@ def cmd_report(args) -> dict:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="seed echoed in the output")
-    sub.add_argument("--tol", type=float, default=probvec.DEFAULT_TOL,
-                     help="validation tolerance")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument("--input", default=None, help="path to a JSON payload file")
-
-
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
@@ -819,10 +774,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name, handler, **kwargs):
+    def sub(name, handler, *, payloads=True, tol=True, **kwargs):
+        """Declare a verb: its handler's output opens with ``"command": name``.
+
+        Every verb takes --seed, --format and --out; --input only if it reads
+        payloads, --tol only if it validates probability data.
+        """
         p = subs.add_parser(name, **kwargs)
-        _add_common(p)
-        p.set_defaults(handler=handler)
+        p.add_argument("--seed", type=int, default=0, help="seed echoed in the output")
+        if tol:
+            p.add_argument("--tol", type=float, default=probvec.DEFAULT_TOL,
+                           help="validation tolerance")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        if payloads:
+            p.add_argument("--input", default=None, help="path to a JSON payload file")
+        p.set_defaults(handler=lambda args: {"command": name, **handler(args)})
         return p
 
     p = sub("validate", cmd_validate, help="validate a probability vector")
@@ -864,28 +831,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", action="append", help="pass twice")
     p.add_argument("--n", type=int, default=ensembles.DEFAULT_SAMPLES)
 
-    p = sub("quantum-stats", cmd_quantum_stats,
+    p = sub("quantum-stats", cmd_quantum_stats, tol=False,
             help="Markov matrix/tensor statistics of a multipartite state")
     p.add_argument("--state", action="append", help="inline state JSON")
     p.add_argument("--repair", action="store_true",
                    help="clip tiny negative eigenvalues and renormalize")
 
-    p = sub("dual", cmd_dual, help="Fourier-transformed state and its statistics")
+    p = sub("dual", cmd_dual, tol=False, help="Fourier-transformed state and its statistics")
     p.add_argument("--state", action="append")
     p.add_argument("--mode", choices=(quantum.SINGLE, quantum.LOCAL, quantum.GLOBAL),
                    default=quantum.GLOBAL)
     p.add_argument("--repair", action="store_true")
 
-    p = sub("deficits", cmd_deficits, help="Gini uncertainty deficits of a state")
+    p = sub("deficits", cmd_deficits, tol=False, help="Gini uncertainty deficits of a state")
     p.add_argument("--state", action="append")
     p.add_argument("--repair", action="store_true")
 
-    p = sub("eta", cmd_eta, help="search for an uncertainty-coefficient upper bound")
+    p = sub("eta", cmd_eta, payloads=False, tol=False,
+            help="search for an uncertainty-coefficient upper bound")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mode", choices=eta.MODES, default=eta.MODE_SINGLE)
     p.add_argument("--budget", type=int, default=1000, help="objective evaluation budget")
 
-    p = sub("report", cmd_report, help="reproduce the bundled worked examples")
+    p = sub("report", cmd_report, payloads=False, tol=False,
+            help="reproduce the bundled worked examples")
     p.add_argument("which", choices=("table1", "table2", "section84", "section9"))
     p.add_argument("--a", type=float, default=0.2, help="table1 parameter a")
     p.add_argument("--b", type=float, default=0.45, help="table1 parameter b")
@@ -904,8 +873,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if not 0.0 <= args.tol < math.inf:  # NaN fails both comparisons
-            raise _UsageError(f"--tol must be a finite number >= 0, got {args.tol!r}")
+        tol = getattr(args, "tol", 0.0)
+        if not 0.0 <= tol < math.inf:  # NaN fails both comparisons
+            raise _UsageError(f"--tol must be a finite number >= 0, got {tol!r}")
         if not math.isfinite(getattr(args, "floor", 0.0)):  # a NaN floor drops every term
             raise _UsageError(f"--floor must be a finite number, got {args.floor!r}")
         _emit(args.handler(args), args)

@@ -34,9 +34,6 @@ from .markov import (
 INDEPENDENT = "independent"
 CORRELATED = "correlated"
 
-#: Name of the deterministic generator fixed by this build.
-RNG_ALGORITHM = "PCG64"
-
 #: Default sample count when the caller does not specify one.
 DEFAULT_SAMPLES = 100_000
 
@@ -58,8 +55,8 @@ def make_rng(seed: int) -> np.random.Generator:
 def shard_rng(seed: int, shard: int) -> np.random.Generator:
     """Independent substream derived from (seed, shard-index).
 
-    Sharded sampling uses one substream per worker; combining shard counts by
-    addition reproduces a single-threaded run over the same substreams.
+    Each (seed, shard) pair seeds its own PCG64 stream through a
+    SeedSequence; the eta search draws start k from ``shard_rng(seed, k)``.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((_seed(seed), int(shard)))))
 

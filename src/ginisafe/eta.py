@@ -77,6 +77,9 @@ _TRANSFORM = {
 #: Simplex descent stops when the vertex spread falls below this step size.
 REFINE_STEP_TOL = 1e-6
 
+#: Offset of each initial simplex vertex from the start, one coordinate each.
+_SIMPLEX_STEP = 0.1
+
 
 def state_space_dim(d: int, mode: str) -> int:
     """Dimension of the pure-state space searched in this mode, under the state cap."""
@@ -158,7 +161,7 @@ class EtaEstimate:
     evaluations: int
 
 
-def _nelder_mead(fn, x0: np.ndarray, max_evals: int, step: float = 0.1):
+def _nelder_mead(fn, x0: np.ndarray, max_evals: int):
     """Simplex descent on fn; stops at the eval budget or vertex spread < tol.
 
     Deterministic: vertices stay in the order of a stable sort of their
@@ -183,7 +186,7 @@ def _nelder_mead(fn, x0: np.ndarray, max_evals: int, step: float = 0.1):
         if used >= max_evals:
             return used
         v = x0.copy()
-        v[i] += step
+        v[i] += _SIMPLEX_STEP
         verts.append(v)
         fvals.append(call(v))
     verts = np.array(verts)

@@ -167,7 +167,7 @@ def validate_row_markov(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.vstack(rows)
 
 
-def validate_markov_tensor(tensor, tol: float = DEFAULT_TOL, d: int | None = None) -> np.ndarray:
+def validate_markov_tensor(tensor, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate a flat Markov tensor of d**d joint probabilities (code order)."""
     try:
         t = np.asarray(tensor, dtype=float)
@@ -175,9 +175,7 @@ def validate_markov_tensor(tensor, tol: float = DEFAULT_TOL, d: int | None = Non
         raise ValidationError("Markov tensor must be a flat 1-D array of numbers") from None
     if t.ndim != 1:
         raise ValidationError("Markov tensor must be a flat 1-D array")
-    inferred = tensor_dimension(t.size)
-    if d is not None and d != inferred:
-        raise DimensionMismatchError(f"tensor length {t.size} does not match d = {d}")
+    tensor_dimension(t.size)  # raises unless the length is d**d under the code cap
     return validate_prob_vector(t, tol)
 
 

@@ -32,7 +32,8 @@ statistics of F† rho F for the chosen transform.
 
 Every dual goes through :func:`apply_dual`, which applies F† without forming
 a d**d x d**d matrix: an FFT for F_G, and d passes of the d x d single-qudit
-F† for F_L.  A search that applies many duals at one (d, mode) binds the
+F† for F_L.  The single-qudit transform multiplies by F† for d <= 256 and
+is an FFT above that.  A search that applies many duals at one (d, mode) binds the
 same transform once, unchecked, through ``_dual_transform``.  The dense
 builders (:func:`dft_unitary`, :func:`local_fourier`, :func:`global_fourier`)
 are the oracles it is tested against.
@@ -211,25 +212,17 @@ def componentwise_parity(d: int) -> np.ndarray:
     return p
 
 
-#: The largest d whose F† (1 MB at d = 256) is cached alongside others.
+#: The largest d at which single mode multiplies by F†; past it, an FFT is
+#: cheaper per vector and needs no d x d matrix (156 MB at d = 3125).
 _SMALL_DAGGER_D = 256
 
 
+@functools.lru_cache(maxsize=8)
 def _single_dagger(d: int) -> np.ndarray:
-    # single mode admits d up to 3125, a 156 MB matrix: small F† are kept for
-    # up to eight d at once, so callers alternating between d rebuild none,
-    # and a large one only until the next large d
-    return _small_dagger(d) if d <= _SMALL_DAGGER_D else _large_dagger(d)
-
-
-def _build_dagger(d: int) -> np.ndarray:
+    """The read-only single-qudit F† for d <= _SMALL_DAGGER_D, kept for eight d."""
     f_dagger = fourier_single(d).conj().T
     f_dagger.setflags(write=False)
     return f_dagger
-
-
-_small_dagger = functools.lru_cache(maxsize=8)(_build_dagger)
-_large_dagger = functools.lru_cache(maxsize=1)(_build_dagger)
 
 
 def _local_passes(f_dagger: np.ndarray, d: int, x: np.ndarray) -> np.ndarray:
@@ -251,7 +244,7 @@ def _dual_transform(d: int, mode: str):
     F† is bound once, so a caller that applies many transforms at one
     (d, mode) pays for the lookup and the checks of :func:`apply_dual` once.
     """
-    if mode == GLOBAL:
+    if mode == GLOBAL or d > _SMALL_DAGGER_D:  # local mode has d <= 5
         return functools.partial(np.fft.fft, axis=0, norm="ortho")
     f_dagger = _single_dagger(d)
     if mode == SINGLE:
@@ -264,8 +257,9 @@ def apply_dual(x, d: int, mode: str) -> np.ndarray:
 
     ``mode`` is ``"single"`` (the single-qudit F, N = d),
     ``"local"`` (F_L, N = d**d) or ``"global"`` (F_G, N = d**d).  Single
-    mode multiplies by the d x d matrix F†.  F_G is the DFT with omega =
-    exp(+2 pi i / N), so F_G† x = fft(x)/sqrt(N).  F_L† is d passes of the single-qudit F†
+    mode multiplies by the d x d matrix F† for d <= 256 and applies the FFT
+    above that.  F_G is the DFT with omega = exp(+2 pi i / N), so F_G† x =
+    fft(x)/sqrt(N), and likewise F† x = fft(x)/sqrt(d).  F_L† is d passes of the single-qudit F†
     over the leading base-d digit of the row index, each followed by rotating
     that digit to the least significant place; after d passes every digit is
     transformed and back in place.  :func:`space_dimension` admits N, and no

@@ -68,6 +68,56 @@ class TestExitCodes:
         assert err.startswith("usage error: --floor must be a finite number")
 
 
+class TestOptionContract:
+    """Each verb takes only the options it reads."""
+
+    STATE = json.dumps({"dim": 2, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]})
+
+    @pytest.mark.parametrize("argv", [
+        ["eta", "--d", "2", "--budget", "5", "--input", "payload.json"],
+        ["report", "table1", "--input", "payload.json"],
+        ["quantum-stats", "--state", STATE, "--tol", "1e-6"],
+        ["dual", "--state", STATE, "--tol", "1e-6"],
+        ["deficits", "--state", STATE, "--tol", "1e-6"],
+        ["eta", "--d", "2", "--budget", "5", "--tol", "1e-6"],
+        ["report", "table1", "--tol", "1e-6"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_unread_option_is_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
+
+    # row 0 sums to 1 + 1e-7: admitted at --tol 1e-6, rejected at the default 1e-9
+    LOOSE = json.dumps({"kind": "independent", "matrix": [[0.5, 0.5 + 1e-7], [0.5, 0.5]]})
+
+    @pytest.mark.parametrize("verb, count", [("simulate", 1), ("collision", 2)])
+    def test_ensembles_are_validated_at_tol(self, capsys, verb, count):
+        argv = [verb, *["--ensemble", self.LOOSE] * count, "--n", "10"]
+        code, _, err = run_cli(capsys, *argv, "--tol", "1e-6")
+        assert code == 0, err
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: row 0:") and "1e-09" in err
+
+
+class TestEchoedValues:
+    """Error lines echo a payload value shortened, whatever its size."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--ensemble", json.dumps({"kind": list(range(200_000))})],
+        ["correlations", "--tensor",
+         json.dumps({"d": 2, "terms": [{"code": list(range(100_000)), "weight": 1}]})],
+        ["correlations", "--tensor",
+         json.dumps({"d": 2, "terms": [{"code": 0, "weight": "x" * 100_000}]})],
+        ["quantum-stats", "--state", json.dumps({"dim": "4" * 100_000, "amplitudes": []})],
+    ], ids=["kind", "code", "weight", "dim"])
+    def test_error_line_is_short(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert len(err.encode()) < 200, err[:300]
+
+
 class TestVectorCommands:
     def test_gini_output(self, capsys):
         out = run_json(capsys, "gini", "--vector", "[0.1667,0.5,0.3333]")

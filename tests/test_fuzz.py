@@ -219,31 +219,32 @@ def options(choices):
     )
 
 
+# every verb takes COMMON; the verbs that validate probability data take TOL
 COMMON = {
-    "--tol": pick(["0", "1e-12", "1e-9", "0.5", "1e308"], ["nan", "inf", "-inf", "-1", "x"]),
     "--seed": pick(["0", "3", "99999999999999999999"], ["-1", "1.5"]),
     "--format": pick(["json", "csv"], ["xml"]),
 }
+TOL = {"--tol": pick(["0", "1e-12", "1e-9", "0.5", "1e308"], ["nan", "inf", "-inf", "-1", "x"])}
 FLOOR = {"--floor": pick(["0", "1e-9", "0.1"], ["nan", "-inf", "inf", "-1"])}
 SAMPLES = {"--n": pick(["1", "50", "2000"], ["-1", "0", "10000001", "100000000000", "1e11", "x"])}
 REPAIR = {"--repair": st.none()}
 
 VERBS = {
-    "validate": (payload_flags("--vector", vectors, 1), COMMON),
-    "lorenz": (payload_flags("--vector", vectors, 1), COMMON),
-    "gini": (payload_flags("--vector", vectors, 1), COMMON),
-    "majorize": (payload_flags("--vector", vectors, 2), COMMON),
-    "expand": (payload_flags("--matrix", matrices, 1), {**COMMON, **FLOOR}),
+    "validate": (payload_flags("--vector", vectors, 1), {**COMMON, **TOL}),
+    "lorenz": (payload_flags("--vector", vectors, 1), {**COMMON, **TOL}),
+    "gini": (payload_flags("--vector", vectors, 1), {**COMMON, **TOL}),
+    "majorize": (payload_flags("--vector", vectors, 2), {**COMMON, **TOL}),
+    "expand": (payload_flags("--matrix", matrices, 1), {**COMMON, **TOL, **FLOOR}),
     "scalar-product": (
         st.one_of(payload_flags("--matrix", matrices, 2), payload_flags("--tensor", tensors, 2)),
-        {**COMMON, "--verify-product-form": st.none(), "--tensors": st.none()},
+        {**COMMON, **TOL, "--verify-product-form": st.none(), "--tensors": st.none()},
     ),
-    "correlations": (payload_flags("--tensor", tensors, 1), {**COMMON, **FLOOR}),
-    "simulate": (payload_flags("--ensemble", ensembles, 1), {**COMMON, **SAMPLES}),
+    "correlations": (payload_flags("--tensor", tensors, 1), {**COMMON, **TOL, **FLOOR}),
+    "simulate": (payload_flags("--ensemble", ensembles, 1), {**COMMON, **TOL, **SAMPLES}),
     "collision": (
         st.one_of(payload_flags("--ensemble", ensembles, 2),
                   ensembles.map(lambda e: ["--ensemble", json.dumps(e)] * 2)),
-        {**COMMON, **SAMPLES},
+        {**COMMON, **TOL, **SAMPLES},
     ),
     "quantum-stats": (payload_flags("--state", states, 1), {**COMMON, **REPAIR}),
     "dual": (payload_flags("--state", states, 1),

@@ -363,8 +363,6 @@ class TestTensorToMatrix:
         validate_markov_tensor(np.full(27, 1 / 27))
         with pytest.raises(ValidationError):
             validate_markov_tensor(np.full(26, 1 / 26))
-        with pytest.raises(DimensionMismatchError):
-            validate_markov_tensor(np.full(27, 1 / 27), d=2)
 
 
 class TestCorrelations:

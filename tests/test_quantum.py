@@ -1,5 +1,7 @@
 """Tests for Fourier transforms, projectors, partial traces and state statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -535,16 +537,24 @@ class TestApplyDual:
         with pytest.raises(DimensionMismatchError):
             apply_dual(np.ones((4, 4, 4)), 2, "global")
 
-    def test_single_mode_keeps_one_large_transform(self):
-        # single mode admits d up to 3125 (a 156 MB F†); a process that
-        # transforms at several large d must not keep one matrix per d,
-        # while alternating small d (1 MB at most) rebuild nothing
-        quantum._small_dagger.cache_clear()
+    def test_single_mode_caches_no_large_transform(self):
+        # single mode admits d up to 3125 (a 156 MB F†): alternating small d
+        # (1 MB at most) rebuild nothing, and past d = 256 the transform is
+        # an FFT that builds no d x d matrix at all
+        quantum._single_dagger.cache_clear()
         for d in (2, 3, 64, 2, 257, 3, 300, 64):
             psi = random_complex_unit(np.random.default_rng(d), d)
             np.testing.assert_allclose(apply_dual(psi, d, "single"), fourier_single(d).conj().T @ psi, atol=1e-12)
-            assert quantum._large_dagger.cache_info().currsize <= 1
-        assert quantum._small_dagger.cache_info().misses == 3
+        assert quantum._single_dagger.cache_info().misses == 3
+        psi = random_complex_unit(np.random.default_rng(5), 3125)
+        tracemalloc.start()
+        try:
+            apply_dual(psi, 3125, "single")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert quantum._single_dagger.cache_info().misses == 3
 
 
 class TestStateScalarProduct:
