@@ -886,6 +886,10 @@ def main(argv=None) -> int:
     except GiniSafeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # the caps admitted an input this machine cannot hold
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory in '{args.command}'{detail}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -3,8 +3,21 @@
 An ensemble is either INDEPENDENT (positions sampled independently from the
 rows of a row Markov matrix) or CORRELATED (whole opening sequences sampled
 from a joint Markov tensor).  Sampling is reproducible: the generator is a
-seeded numpy PCG64, and categorical draws use inverse-CDF lookup over the
-canonical code order, so identical seeds give identical sample streams.
+seeded numpy PCG64, and categorical draws are inverse-CDF lookups, so
+identical seeds give identical sample streams.
+
+A draw of n sequences runs in chunks of ``_CHUNK`` sequences.  Each chunk
+takes ``rng.random((m, d))`` (INDEPENDENT) or ``rng.random(m)`` (CORRELATED);
+PCG64 gives consecutive chunks exactly the numbers, and leaves the generator
+in exactly the state, of one ``rng.random((n, d))`` or ``rng.random(n)``, so
+the chunk size never shows in the codes.  An INDEPENDENT chunk is transposed
+once so that each position's uniforms are contiguous, and the digit of
+position i is the threshold count ``sum_k [u_i >= t_ik]`` over row i's
+cumulative sums, which is ``searchsorted(t_i, u_i, side="right")`` without
+the search.  The CORRELATED CDF has up to d**d entries and keeps
+``searchsorted``.  A draw holds its n codes and a few chunk-sized buffers,
+never n * d uniforms.
+
 Samples are codes in [0, d**d), so ensembles share the cap of code-indexed
 objects, ``markov.MAX_ENUMERATION_D``; a draw is capped at ``MAX_SAMPLES``.
 """
@@ -39,6 +52,9 @@ DEFAULT_SAMPLES = 100_000
 
 #: Largest sample count of one draw.
 MAX_SAMPLES = 10**7
+
+#: Sequences per chunk of a draw: at d = 6 one chunk's uniforms take 786 kB.
+_CHUNK = 16_384
 
 
 def _seed(seed: int) -> int:
@@ -101,10 +117,20 @@ class EnsembleSpec:
         return np.array(self.tensor)
 
 
-def _categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF lookup; clips the (measure-zero) overflow at the top."""
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, cdf.size - 1)
+def _thresholds(p: np.ndarray) -> np.ndarray:
+    """Inverse-CDF thresholds of the distributions along the last axis of p.
+
+    These are the cumulative sums, with +inf from each distribution's last
+    positive entry on.  A uniform u in [0, 1) falls in category
+    ``sum_k [u >= t_k]``, which is ``searchsorted(t, u, side="right")``.  When
+    the rounded sums end below 1, a u at or above them goes to the last
+    category of positive probability, never to a trailing zero-probability one.
+    """
+    cdf = np.cumsum(p, axis=-1)
+    size = p.shape[-1]
+    last = size - 1 - np.argmax(p[..., ::-1] > 0, axis=-1)
+    cdf[np.arange(size) >= np.asarray(last)[..., None]] = np.inf
+    return cdf
 
 
 def sample_codes(spec: EnsembleSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -117,12 +143,23 @@ def sample_codes(spec: EnsembleSpec, n: int, rng: np.random.Generator) -> np.nda
         error = DimensionTooLargeError if n > MAX_SAMPLES else ValidationError
         raise error(f"sample count {n} outside [1, {MAX_SAMPLES}]")
     d = spec.d
+    codes = np.empty(n, dtype=np.intp)
+    chunks = (codes[start:start + _CHUNK] for start in range(0, n, _CHUNK))
     if spec.kind == INDEPENDENT:
-        cdfs = np.cumsum(spec.matrix, axis=1)
-        u = rng.random((n, d))
-        return encode((_categorical(cdfs[i], u[:, i]) for i in range(d)), d)
-    cdf = np.cumsum(spec.tensor)
-    return _categorical(cdf, rng.random(n))
+        # column k holds every row's k-th threshold; each row's last is +inf
+        columns = _thresholds(spec.matrix)[:, :-1].T[:, :, None]
+        for chunk in chunks:
+            u = rng.random((chunk.size, d)).T.copy()  # row i: position i's uniforms
+            digits = np.zeros(u.shape, dtype=np.uint8)
+            for column in columns:
+                digits += u >= column
+            # intp before the place values: a uint8 digit times 625 overflows
+            chunk[:] = encode(digits.astype(np.intp), d)
+    else:
+        cdf = _thresholds(spec.tensor)
+        for chunk in chunks:
+            chunk[:] = np.searchsorted(cdf, rng.random(chunk.size), side="right")
+    return codes
 
 
 def sample_sequence(spec: EnsembleSpec, rng: np.random.Generator) -> FunctionMap:

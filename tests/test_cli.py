@@ -68,6 +68,17 @@ class TestExitCodes:
         assert err.startswith("usage error: --floor must be a finite number")
 
 
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 80.0 MiB"])
+    def test_out_of_memory(self, capsys, monkeypatch, message):
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(ensembles, "empirical_tensor", exhausted)
+        code, out, err = run_cli(capsys, "simulate", "--ensemble", TestSimulationCommands.ENSEMBLE)
+        assert (code, out) == (1, "")
+        assert err == f"error: out of memory in 'simulate'{': ' + message if message else ''}\n"
+
+
 class TestOptionContract:
     """Each verb takes only the options it reads."""
 

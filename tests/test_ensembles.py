@@ -1,7 +1,12 @@
 """Tests for seeded ensemble sampling and Monte Carlo estimates."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_row_markov
 from ginisafe import (
@@ -11,6 +16,7 @@ from ginisafe import (
     FunctionMap,
     collision_probability_mc,
     empirical_tensor,
+    ensembles,
     function_to_matrix,
     make_rng,
     merge,
@@ -22,6 +28,7 @@ from ginisafe import (
     tensor_to_matrix,
     uniform_matrix,
 )
+from ginisafe.markov import encode
 from ginisafe.reference import demo_correlated_tensor, demo_matrix
 
 
@@ -97,6 +104,121 @@ class TestSampling:
         spec = EnsembleSpec.correlated(t)
         emp = empirical_tensor(spec, 200_000, make_rng(11))
         assert 0.5 * np.abs(emp - t).sum() < 0.01
+
+
+def searchsorted_codes(spec, n, rng):
+    """Oracle: the unchunked sampler, one ``rng.random`` block and a search per position.
+
+    A uniform at or above a CDF that rounds to below 1 is clipped to the last
+    category of positive probability.
+    """
+    if spec.kind == "independent":
+        q = spec.matrix
+        u = rng.random((n, q.shape[0]))
+        digits = (
+            np.minimum(np.searchsorted(np.cumsum(row), u[:, i], side="right"), np.flatnonzero(row)[-1])
+            for i, row in enumerate(q)
+        )
+        return encode(digits, q.shape[0])
+    t = spec.tensor
+    return np.minimum(np.searchsorted(np.cumsum(t), rng.random(n), side="right"), np.flatnonzero(t)[-1])
+
+
+@st.composite
+def distributions(draw, size):
+    """A probability vector of `size` entries: a point mass, or weights with zeros."""
+    if draw(st.booleans()):
+        p = np.zeros(size)
+        p[draw(st.integers(0, size - 1))] = 1.0
+        return p
+    p = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 1e-9, 0.1, 0.3, 0.5, 1.0, 7.0]),
+                               min_size=size, max_size=size)))
+    if p.sum() == 0:
+        p[draw(st.integers(0, size - 1))] = 1.0
+    return p / p.sum()
+
+
+@st.composite
+def specs(draw):
+    d = draw(st.integers(1, 6))
+    if d <= 4 and draw(st.booleans()):
+        return EnsembleSpec.correlated(draw(distributions(d**d)))
+    return EnsembleSpec.independent(np.array([draw(distributions(d)) for _ in range(d)]))
+
+
+class TestChunkedSampler:
+    """The chunked sampler against the unchunked searchsorted oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=specs(), chunk=st.sampled_from([1, 2, 3, ensembles._CHUNK]),
+           multiple=st.integers(1, 3), offset=st.integers(-1, 1), seed=st.integers(0, 2**32))
+    def test_matches_oracle_across_chunk_boundaries(self, spec, chunk, multiple, offset, seed):
+        n = max(1, multiple * chunk + offset)
+        rng, oracle_rng = make_rng(seed), make_rng(seed)
+        with mock.patch.object(ensembles, "_CHUNK", chunk):
+            codes = sample_codes(spec, n, rng)
+        want = searchsorted_codes(spec, n, oracle_rng)
+        assert codes.dtype == np.intp
+        np.testing.assert_array_equal(codes, want)
+        # collision draws b right after a: the generator must end where the oracle's does
+        assert rng.random() == oracle_rng.random()
+
+    def test_memory_holds_codes_and_a_few_chunks(self):
+        d, n = 6, 10**6
+        spec = EnsembleSpec.independent(random_row_markov(np.random.default_rng(2), d))
+        bound = n * np.dtype(np.intp).itemsize + 5 * ensembles._CHUNK * d * 8
+        for draw in (sample_codes, empirical_tensor):
+            draw(spec, 10, make_rng(0))
+            tracemalloc.start()
+            try:
+                draw(spec, n, make_rng(0))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (draw.__name__, peak)  # n * d uniforms alone are 48 MB
+
+
+class ConstantUniforms:
+    """A generator stub whose every uniform is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return np.full(size, self.u)
+
+
+TOP = 1.0 - 2.0**-53  # the largest uniform PCG64 draws
+
+
+class TestExactUniforms:
+    """Uniforms on a CDF value: the extremes that decide which side a threshold counts on."""
+
+    ROW = [0.277, 0.17, 0.457, 0.096, 0.0]
+    TENSOR = [0.33, 0.56, 0.11, 0.0]
+
+    def test_top_uniform_overflows_to_last_positive_category(self):
+        spec = EnsembleSpec.independent([self.ROW] * 5)
+        assert np.cumsum(spec.matrix[0])[-1] < 1.0  # so TOP is at or above every cumulative sum
+        codes = sample_codes(spec, 3, ConstantUniforms(TOP))
+        np.testing.assert_array_equal(codes, [encode([3] * 5, 5)] * 3)
+
+    def test_top_uniform_overflows_to_last_positive_code(self):
+        spec = EnsembleSpec.correlated(self.TENSOR)
+        assert np.cumsum(spec.tensor)[-1] < 1.0
+        np.testing.assert_array_equal(sample_codes(spec, 3, ConstantUniforms(TOP)), [2, 2, 2])
+
+    @pytest.mark.parametrize("u, digit", [(0.0, 1), (0.5, 2)])
+    def test_a_uniform_on_a_threshold_takes_the_next_category(self, u, digit):
+        # searchsorted(side="right"): a leading zero-probability category is never drawn
+        q = [[0.0, 0.5, 0.5]] * 3
+        codes = sample_codes(EnsembleSpec.independent(q), 2, ConstantUniforms(u))
+        np.testing.assert_array_equal(codes, [encode([digit] * 3, 3)] * 2)
+
+    def test_a_zero_uniform_skips_a_leading_zero_probability_code(self):
+        tensor = np.zeros(27)
+        tensor[1:] = 1 / 26
+        assert sample_codes(EnsembleSpec.correlated(tensor), 1, ConstantUniforms(0.0))[0] == 1
 
 
 class TestCollision:

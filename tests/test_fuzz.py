@@ -226,7 +226,8 @@ COMMON = {
 }
 TOL = {"--tol": pick(["0", "1e-12", "1e-9", "0.5", "1e308"], ["nan", "inf", "-inf", "-1", "x"])}
 FLOOR = {"--floor": pick(["0", "1e-9", "0.1"], ["nan", "-inf", "inf", "-1"])}
-SAMPLES = {"--n": pick(["1", "50", "2000"], ["-1", "0", "10000001", "100000000000", "1e11", "x"])}
+# 40000 draws span three chunks of the ensemble sampler
+SAMPLES = {"--n": pick(["1", "50", "2000", "40000"], ["-1", "0", "10000001", "100000000000", "1e11", "x"])}
 REPAIR = {"--repair": st.none()}
 
 VERBS = {
