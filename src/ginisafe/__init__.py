@@ -81,6 +81,8 @@ from .quantum import (
     basis_state,
     componentwise_parity,
     dft_unitary,
+    diagonal_probabilities,
+    dual_probabilities,
     dual_state,
     fourier_single,
     global_fourier,
@@ -97,6 +99,7 @@ from .quantum import (
     reduced_density,
     state_scalar_product,
     state_stats,
+    tensor_stats,
     tuple_to_index,
     uncertainty_deficits,
     validate_density_matrix,

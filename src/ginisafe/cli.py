@@ -7,6 +7,7 @@ output.  Exit codes: 0 success, 1 validation error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import itertools
@@ -40,11 +41,14 @@ _NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'"[]{}')))
 _ESCAPE = re.compile(rb"\\.", re.DOTALL)
 
 
-def _nests_too_deep(text: str) -> bool:
-    """True if brackets nest deeper than MAX_JSON_DEPTH outside strings (exact for valid JSON)."""
+def _nests_too_deep(text) -> bool:
+    """True if brackets nest deeper than MAX_JSON_DEPTH outside strings (exact for valid JSON).
+
+    `text` is a str, or the bytes of an ASCII file.
+    """
     if len(text) <= 2 * MAX_JSON_DEPTH:  # every level takes an opening and a closing bracket
         return False
-    data = text.encode("utf-8", "surrogatepass")
+    data = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
     if b"\\" in data:
         data = _ESCAPE.sub(b"", data)  # then every quote opens or closes a string
     brackets = b"".join(data.translate(None, _NOT_STRUCTURE).split(b'"')[::2])
@@ -52,28 +56,39 @@ def _nests_too_deep(text: str) -> bool:
     return steps.cumsum().max(initial=0) > MAX_JSON_DEPTH
 
 
-def _parse_json(text: str):
-    """Decode a payload with orjson, the cyclic collector paused.
+def _parse_json(text):
+    """Decode a payload, a str or ASCII bytes, with orjson.
 
     The grammar is RFC 8259: the literals NaN, Infinity and -Infinity, numbers
     that overflow a double and lone surrogates are rejected, and integers
     outside [-2**63, 2**64 - 1] read as the nearest float.  Nesting deeper
-    than MAX_JSON_DEPTH is rejected before decoding.  A decoded payload is a
-    tree of lists, dicts and scalars with no cycles, so the collector's passes
-    over its fresh lists (65,536 pairs for a d = 4 density) would find
-    nothing.  The caller's GC state is restored.
+    than MAX_JSON_DEPTH is rejected before decoding.  `main` runs every
+    handler with the cyclic collector paused (`_collector_paused`).
     """
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         if _nests_too_deep(text):
             raise ValueError(f"nested deeper than {MAX_JSON_DEPTH} levels")
         return _orjson_decode(text)
     except ValueError as exc:  # the depth check or orjson.JSONDecodeError
         raise ValidationError(f"invalid JSON payload: {exc}") from None
-    finally:
-        if enabled:
-            gc.enable()
+
+
+def _read_input(path: str):
+    """The --input file as a text-mode read gives it: bytes if ASCII, else the decoded str.
+
+    Only a non-ASCII file is decoded, so invalid UTF-8 still fails here with
+    the decoder's message.  CR and CRLF become LF, as in text mode, so error
+    positions in a payload count characters as before.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if not data.isascii():
+            data = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read --input file {path!r}: {exc}") from None
+    cr, lf = ("\r", "\n") if isinstance(data, str) else (b"\r", b"\n")
+    return data.replace(cr + lf, lf).replace(cr, lf) if cr in data else data
 
 
 def _payloads(args, attr: str, count: int) -> list:
@@ -81,12 +96,7 @@ def _payloads(args, attr: str, count: int) -> list:
     raw = getattr(args, attr, None) or []
     payloads = [_parse_json(text) for text in raw]
     if not payloads and getattr(args, "input", None):
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise _UsageError(f"cannot read --input file {args.input!r}: {exc}") from None
-        loaded = _parse_json(text)
+        loaded = _parse_json(_read_input(args.input))
         if count > 1:
             # every valid payload is a sequence or object, never a bare number
             if (
@@ -383,6 +393,16 @@ def _json_dumps(obj) -> bytes:
     return json.dumps(_pyify(obj), indent=2).encode()
 
 
+_CSV_QUOTED = re.compile(r'[,"\r\n]')
+
+
+def _csv_cell(text: str) -> str:
+    """An RFC 4180 cell: quoted, with its quotes doubled, if it holds a comma, a quote, CR or LF."""
+    if _CSV_QUOTED.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
 def _fmt_csv_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -409,7 +429,7 @@ def _emit(out: dict, args) -> None:
     else:
         lines = ["key,value"]
         for key, value in _flatten(_pyify(out)):
-            lines.append(f"{key},{_fmt_csv_value(value)}")
+            lines.append(f"{_csv_cell(key)},{_csv_cell(_fmt_csv_value(value))}")
         pieces = ["\n".join(lines).encode()]
     if args.out:
         try:
@@ -576,9 +596,7 @@ def cmd_dual(args) -> dict:
     dual = quantum.dual_state(_state(args), args.mode)
     out = {"seed": args.seed, "mode": args.mode, "state": _serialize_density(dual)}
     if args.mode == quantum.SINGLE:
-        probs = np.clip(np.real(np.diag(dual)), 0.0, None)
-        probs = probs / probs.sum()
-        out["probabilities"] = probs
+        out["probabilities"] = probs = quantum.diagonal_probabilities(dual)
         out["gini"] = probvec.gini_index(probs)
     else:
         out.update(_stats_dict(quantum.state_stats(dual)))
@@ -705,8 +723,8 @@ def _report_section84(args) -> tuple[dict, list]:
 def _report_section9(args) -> tuple[dict, list]:
     pure = quantum.pure_density(reference.tripartite_pure_state())
     mixed = reference.tripartite_mixed_state()
-    stats_pure = quantum.state_stats(quantum.dual_state(pure, quantum.GLOBAL))
-    stats_mixed = quantum.state_stats(quantum.dual_state(mixed, quantum.GLOBAL))
+    stats_pure = quantum.tensor_stats(quantum.dual_probabilities(pure, quantum.GLOBAL))
+    stats_mixed = quantum.tensor_stats(quantum.dual_probabilities(mixed, quantum.GLOBAL))
 
     def reported_check(name, computed, reported):
         base = _check(name, computed, reported, reference.DISPLAY_TOL)
@@ -753,6 +771,23 @@ def cmd_report(args) -> dict:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic collector, then restore the caller's state.
+
+    A verb's handler makes no reference cycles, so reference counting frees
+    all it allocates: a payload tree (65,536 pair lists for a d = 4 density)
+    is decoded, converted and freed before any collection could walk it.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
@@ -867,7 +902,9 @@ def main(argv=None) -> int:
             raise _UsageError(f"--tol must be a finite number >= 0, got {tol!r}")
         if not math.isfinite(getattr(args, "floor", 0.0)):  # a NaN floor drops every term
             raise _UsageError(f"--floor must be a finite number, got {args.floor!r}")
-        _emit(args.handler(args), args)
+        with _collector_paused():
+            out = args.handler(args)
+        _emit(out, args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(f"run 'ginisafe {args.command} --help' for the grammar", file=sys.stderr)

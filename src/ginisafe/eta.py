@@ -55,7 +55,8 @@ from .quantum import (
     SINGLE,
     _dual_transform,
     apply_dual,
-    dual_state,
+    diagonal_probabilities,
+    dual_probabilities,
     random_pure_state,
     space_dimension,
 )
@@ -120,7 +121,8 @@ def gini_sum(state, d: int, mode: str) -> float:
     """The mode's Gini sum for a pure amplitude vector or a density matrix.
 
     For ``global_component`` this is the maximum over components of the
-    component Gini plus its global dual.
+    component Gini plus its global dual.  A density's diagonal and its
+    dual's become probabilities as in :func:`quantum.diagonal_probabilities`.
     """
     state = np.asarray(state, dtype=complex)
     dim = state_space_dim(d, mode)
@@ -130,10 +132,8 @@ def gini_sum(state, d: int, mode: str) -> float:
         return _pure_gini_sum(d, mode)(state)
     if state.shape != (dim, dim):
         raise ValidationError(f"density has shape {state.shape}, expected {(dim, dim)}")
-    dual = dual_state(state, _TRANSFORM[mode])
-    p = np.clip(np.real(np.diag(state)), 0.0, None)
-    p_dual = np.clip(np.real(np.diag(dual)), 0.0, None)
-    return _mode_sum_from_probs(p / p.sum(), p_dual / p_dual.sum(), mode)
+    p_dual = dual_probabilities(state, _TRANSFORM[mode])
+    return _mode_sum_from_probs(diagonal_probabilities(state), p_dual, mode)
 
 
 def deficit(state, d: int, mode: str) -> float:

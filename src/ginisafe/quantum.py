@@ -37,6 +37,13 @@ is an FFT above that.  A search that applies many duals at one (d, mode) binds t
 same transform once, unchecked, through ``_dual_transform``.  The dense
 builders (:func:`dft_unitary`, :func:`local_fourier`, :func:`global_fourier`)
 are the oracles it is tested against.
+
+Dual statistics of a density need only the diagonal of F† rho F, and
+:func:`dual_probabilities` forms it from sums along rho's wrapped diagonals
+without the dual state; :func:`dual_state` serves the ``dual`` verb, which
+outputs the state, and is the oracle of the diagonal route.  Every diagonal,
+a state's or a dual's, becomes probabilities one way: validated at
+``PROBABILITY_TOL``, then clipped to [0, 1] and renormalized.
 """
 
 from __future__ import annotations
@@ -65,11 +72,16 @@ from .markov import (
     tensor_dimension,
     tensor_to_matrix,
     total_gini,
-    validate_markov_tensor,
 )
+from .probvec import validate_prob_vector
 
 #: Largest number of qudit components: every state has dimension at most 5**5 = 3125.
 MAX_COMPONENTS = 5
+
+#: A state's or a dual's diagonal must be a probability vector within this
+#: tolerance; :func:`probvec.validate_prob_vector` then clips it to [0, 1]
+#: and renormalizes it.
+PROBABILITY_TOL = 1e-8
 
 #: Distance above the eigenvalue floor at which a Cholesky factorization
 #: certifies a density without an eigendecomposition.
@@ -439,15 +451,17 @@ def state_stats(rho) -> StateStats:
     component i.  Joint statistics are blind to off-diagonal elements of rho
     (only duals under the global transform can see those).
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValidationError("density matrix must be square")
-    d = local_dimension(rho.shape[0])
-    tensor = validate_markov_tensor(np.real(np.diag(rho)), tol=1e-8)
+    rho = _square(rho)
+    local_dimension(rho.shape[0])
+    return tensor_stats(diagonal_probabilities(rho))
+
+
+def tensor_stats(tensor: np.ndarray) -> StateStats:
+    """The statistics of a validated Markov tensor, such as the output of :func:`dual_probabilities`."""
     markov = tensor_to_matrix(tensor)
     products = product_probabilities(markov)
     return StateStats(
-        d=d,
+        d=markov.shape[0],
         markov=markov,
         tensor=tensor,
         products=products,
@@ -457,6 +471,26 @@ def state_stats(rho) -> StateStats:
     )
 
 
+def diagonal_probabilities(rho) -> np.ndarray:
+    """The computational-basis probabilities of a density, validated at PROBABILITY_TOL."""
+    return validate_prob_vector(np.real(np.diag(rho)), PROBABILITY_TOL)
+
+
+def _square(rho) -> np.ndarray:
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValidationError("density matrix must be square")
+    return rho
+
+
+def _transform_size(rho: np.ndarray, mode: str) -> int:
+    """The d of a square density's transform: its dimension in single mode, else d with d**d = dim."""
+    dim = rho.shape[0]
+    d = dim if mode == SINGLE else local_dimension(dim)  # raises for non d**d dims
+    space_dimension(d, mode)
+    return d
+
+
 def dual_state(rho, mode: str) -> np.ndarray:
     """The Fourier-transformed state F† rho F for the chosen transform.
 
@@ -464,15 +498,77 @@ def dual_state(rho, mode: str) -> np.ndarray:
     ``"local"`` (F_L on a d**d space) or ``"global"`` (F_G on a d**d space).
     Plain statistics of the returned state are the dual statistics of rho.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValidationError("density matrix must be square")
-    dim = rho.shape[0]
-    d = dim if mode == SINGLE else local_dimension(dim)  # raises for non d**d dims
+    rho = _square(rho)
+    d = _transform_size(rho, mode)
     # F† rho F = (F† (F† rho)†)†: both factors apply F† from the left.  The
     # C-order copy lets the local transform reshape its input without a copy.
     half = np.conjugate(apply_dual(rho, d, mode).T, order="C")
     return apply_dual(half, d, mode).conj().T
+
+
+def dual_probabilities(rho, mode: str) -> np.ndarray:
+    """The diagonal of F† rho F as probabilities, without forming the dual state.
+
+    With omega = exp(2 pi i / N), (F_G† rho F_G)_mm = (1/N) sum_s c_s omega^(s m)
+    where c_s = sum_j rho[j, (j + s) mod N] sums rho along a wrapped
+    diagonal: one pass over rho, then an inverse FFT (single mode is the same
+    with N = d).  For F_L the offsets add digitwise mod d, and each digit
+    pair of rho contracts to one digit of the diagonal (``_local_diagonal``).
+    The diagonal is validated as :func:`diagonal_probabilities` validates
+    it; it matches the diagonal of :func:`dual_state` to rounding.
+    """
+    rho = _square(rho)
+    d = _transform_size(rho, mode)
+    if mode == LOCAL:
+        p = _local_diagonal(rho, d)
+    else:
+        p = np.fft.ifft(_wrapped_diagonal_sums(rho)).real
+    return validate_prob_vector(p, PROBABILITY_TOL)
+
+
+def _wrapped_diagonal_sums(rho: np.ndarray) -> np.ndarray:
+    """c_s = sum_j rho[j, (j + s) mod N] for s in [0, N), read through one strided view.
+
+    Row a of the (N - 1) x (N + 1) view of rho's first N**2 - 1 entries holds
+    rho[a, a + b] at column b while a + b < N (the upper part: diagonal b)
+    and rho[a + 1, a + b - N] after it (the lower part: diagonal b - N - 1).
+    So c_s is the upper part of column s plus the lower part of column
+    s + 1, plus rho[N-1, N-1] for s = 0, the one entry the view leaves out.
+    """
+    n = rho.shape[0]
+    flat = rho.reshape(-1)
+    view = flat[:-1].reshape(n - 1, n + 1)
+    upper = np.arange(n - 1)[:, None] < n - np.arange(n + 1)
+    sums = np.add.reduce(view, axis=0, where=upper)[:n]
+    sums += np.add.reduce(view, axis=0, where=~upper)[1:]
+    sums[0] += flat[-1]
+    return sums
+
+
+@functools.lru_cache(maxsize=MAX_COMPONENTS)
+def _pair_kernel(d: int) -> np.ndarray:
+    """K[m, j d + k] = omega_d((k - j) m)/d: a row and a column digit to one digit of the diagonal."""
+    j, k = divmod(np.arange(d * d), d)
+    kernel = np.exp(2j * np.pi * ((k - j) * np.arange(d)[:, None] % d) / d) / d
+    kernel.setflags(write=False)
+    return kernel
+
+
+def _local_diagonal(rho: np.ndarray, d: int) -> np.ndarray:
+    """The diagonal of F_L† rho F_L, one digit pair of rho at a time.
+
+    The entry m is (1/N) sum over j, k of rho[j, k] prod_i omega_d((k_i - j_i) m_i),
+    a product over digits.  One copy puts row digit i next to column digit i
+    (most significant pair first); each pass contracts the leading pair with
+    the d x d**2 kernel and rotates the new digit to the end, so after d
+    passes the digits are back in order.
+    """
+    pairs = [axis for i in range(d) for axis in (i, d + i)]
+    x = rho.reshape((d,) * (2 * d)).transpose(pairs)
+    kernel = _pair_kernel(d)
+    for _ in range(d):
+        x = (kernel @ x.reshape(d * d, -1)).T
+    return x.real.ravel()
 
 
 def state_scalar_product(rho, sigma) -> float:
@@ -506,18 +602,22 @@ class UncertaintyDeficits:
 
 
 def uncertainty_deficits(rho) -> UncertaintyDeficits:
-    """Compute the four Gini uncertainty deficits of a multipartite state."""
+    """Compute the four Gini uncertainty deficits of a multipartite state.
+
+    The duals enter through their diagonals alone (:func:`dual_probabilities`);
+    no dual state is formed.
+    """
     rho = np.asarray(rho, dtype=complex)
     d = local_dimension(rho.shape[0])
     dim = d**d
     cap_comp = 2.0 * (d - 1) / (d + 1)
     cap_total = 2.0 * (dim - 1) / (dim + 1)
     plain = state_stats(rho)
-    loc = state_stats(dual_state(rho, LOCAL))
-    glo = state_stats(dual_state(rho, GLOBAL))
+    loc = dual_probabilities(rho, LOCAL)
+    glo = dual_probabilities(rho, GLOBAL)
     return UncertaintyDeficits(
-        local_components=cap_comp - (plain.gini_vector + loc.gini_vector),
-        local_total=cap_total - (plain.total_gini + loc.total_gini),
-        global_components=cap_comp - (plain.gini_vector + glo.gini_vector),
-        global_total=cap_total - (plain.total_gini + glo.total_gini),
+        local_components=cap_comp - (plain.gini_vector + local_gini_vector(tensor_to_matrix(loc))),
+        local_total=cap_total - (plain.total_gini + total_gini(loc)),
+        global_components=cap_comp - (plain.gini_vector + local_gini_vector(tensor_to_matrix(glo))),
+        global_total=cap_total - (plain.total_gini + total_gini(glo)),
     )

@@ -520,6 +520,104 @@ class TestParseJson:
             (gc.enable if was else gc.disable)()
 
 
+class TestCollectorPause:
+    """`main` runs a verb's handler with the cyclic collector paused, then restores the caller's state."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("argv, exit_code, computes", [
+        (["gini", "--vector", "[0.5,0.5]"], 0, True),
+        (["gini", "--vector", "[0.5,-0.5]"], 1, False),
+        (["gini", "--vector", "[0.5,0.5]", "--out", "/nonexistent/dir/out"], 2, True),
+        (["gini", "--vector", "[0.5,0.5]", "--bogus"], 2, False),  # argparse exits before the pause
+    ], ids=["exit 0", "exit 1", "exit 2", "argparse exit 2"])
+    def test_restores_the_callers_state(self, capsys, monkeypatch, collector, argv, exit_code, computes):
+        seen = []
+        gini_index = probvec.gini_index
+
+        def recording(x):
+            seen.append(gc.isenabled())
+            return gini_index(x)
+
+        monkeypatch.setattr(probvec, "gini_index", recording)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == exit_code
+        assert gc.isenabled() is collector
+        assert set(seen) == ({False} if computes else set())
+
+    def test_restores_the_callers_state_out_of_memory(self, capsys, monkeypatch, collector):
+        seen = []
+
+        def exhausted(*args):
+            seen.append(gc.isenabled())
+            raise MemoryError
+
+        monkeypatch.setattr(ensembles, "empirical_tensor", exhausted)
+        code, _, err = run_cli(capsys, "simulate", "--ensemble", TestSimulationCommands.ENSEMBLE)
+        assert (code, err) == (1, "error: out of memory in 'simulate'\n")
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+
+class TestInputFile:
+    """--input is read as bytes and decoded only when not ASCII: results are those of a text-mode read."""
+
+    STATE = {"dim": 4, "amplitudes": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.8]]}
+
+    def read(self, capsys, tmp_path, data: bytes, verb="quantum-stats"):
+        path = tmp_path / "payload.json"
+        path.write_bytes(data)
+        return run_cli(capsys, verb, "--input", str(path))
+
+    def test_ascii_file_reaches_the_decoder_as_bytes(self, capsys, tmp_path, monkeypatch):
+        seen = []
+        decode = cli._orjson_decode
+        monkeypatch.setattr(cli, "_orjson_decode", lambda text: seen.append(type(text)) or decode(text))
+        assert self.read(capsys, tmp_path, json.dumps(self.STATE).encode())[0] == 0
+        assert seen == [bytes]
+
+    def test_invalid_utf8_is_a_usage_error(self, capsys, tmp_path):
+        data = json.dumps(self.STATE).encode()
+        code, out, err = self.read(capsys, tmp_path, data + b"\xff")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: cannot read --input file ")
+        assert f"can't decode byte 0xff in position {len(data)}: invalid start byte" in err
+
+    @pytest.mark.parametrize("verb", ["quantum-stats", "deficits"])
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_line_endings_match_inline(self, capsys, tmp_path, verb, newline):
+        text = json.dumps(self.STATE, indent=1)
+        inline = run_cli(capsys, verb, "--state", text)
+        assert inline[0] == 0
+        assert self.read(capsys, tmp_path, text.replace("\n", newline).encode(), verb) == inline
+
+    def test_non_ascii_key_matches_inline(self, capsys, tmp_path):
+        text = json.dumps({**self.STATE, "clé": "é"}, ensure_ascii=False, indent=1)
+        inline = run_cli(capsys, "quantum-stats", "--state", text)
+        assert inline[0] == 0
+        assert self.read(capsys, tmp_path, text.replace("\n", "\r\n").encode()) == inline
+
+    def test_byte_order_mark_fails_as_the_same_text(self, capsys, tmp_path):
+        # a UTF-8 read keeps U+FEFF, so the file fares as the same text inline
+        # (orjson 3.8.3 rejects it: exit 1, "byte order mark (BOM) is not supported")
+        text = "\ufeff" + json.dumps(self.STATE)
+        inline = run_cli(capsys, "quantum-stats", "--state", text)
+        assert self.read(capsys, tmp_path, text.encode()) == inline
+
+    @pytest.mark.parametrize("prefix", ["", "\u00e9"], ids=["ASCII", "non-ASCII"])
+    def test_error_positions_count_text_mode_characters(self, capsys, tmp_path, prefix):
+        # text mode turned CRLF into LF, so an error's position is that of the LF text
+        text = f'["{prefix}",\n' + "1,\n" * 5 + ",]"
+        inline = run_cli(capsys, "quantum-stats", "--state", text)
+        assert inline[0] == 1 and "line 7 column" in inline[2]
+        assert self.read(capsys, tmp_path, text.replace("\n", "\r\n").encode()) == inline
+
+
 class TestStateAdmission:
     def reject(self, capsys, state, needle):
         code, out, err = run_cli(capsys, "quantum-stats", "--state", json.dumps(state))

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_complex_unit
@@ -15,7 +15,9 @@ from ginisafe import (
     ValidationError,
     apply_dual,
     basis_state,
+    NegativeEntryError,
     componentwise_parity,
+    dual_probabilities,
     dual_state,
     fourier_single,
     function_to_matrix,
@@ -555,6 +557,72 @@ class TestApplyDual:
             tracemalloc.stop()
         assert peak < 2**20
         assert quantum._single_dagger.cache_info().misses == 3
+
+
+def random_density(rng, n, rank):
+    """A mixture of `rank` Haar-random pure states with random weights."""
+    weights = rng.dirichlet(np.ones(rank))
+    rho = np.zeros((n, n), dtype=complex)
+    for w in weights:
+        psi = random_complex_unit(rng, n)
+        rho += w * np.outer(psi, psi.conj())
+    return rho
+
+
+class TestDualProbabilities:
+    """The diagonal route against the diagonal of the dual state, its oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.integers(1, 3))
+    @example(5, 7, 2)  # about 3 s: the dense duals of a 3125-dimensional density
+    def test_local_and_global_match_the_dual_state(self, d, seed, rank):
+        rho = random_density(np.random.default_rng(seed), d**d, rank)
+        for mode in ("local", "global"):
+            want = np.real(np.diag(dual_state(rho, mode)))
+            assert np.abs(dual_probabilities(rho, mode) - want).max() <= 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.integers(2, 40), st.integers(250, 300)), st.integers(0, 2**32 - 1), st.integers(1, 3))
+    def test_single_matches_the_dual_state(self, d, seed, rank):
+        # d <= 256 multiplies by F† in the dual state, larger d is an FFT there
+        rho = random_density(np.random.default_rng(seed), d, rank)
+        want = np.real(np.diag(dual_state(rho, "single")))
+        assert np.abs(dual_probabilities(rho, "single") - want).max() <= 1e-15
+
+    def test_is_validated_like_the_plain_diagonal(self):
+        # F_G |f> has the dual |f><f|: entries within rounding of 0 and 1,
+        # clipped to [0, 1] and renormalized
+        f = FunctionMap((1, 2, 0))
+        psi = np.conj(apply_dual(basis_state(f), 3, "global"))  # F_G = conj(F_G†)
+        p = dual_probabilities(pure_density(psi), "global")
+        assert np.all((p >= 0.0) & (p <= 1.0)) and np.argmax(p) == f.code
+        assert p.sum() == pytest.approx(1.0, abs=1e-15)
+        # -|1><1| on a qubit has the dual diagonal (-1/2, -1/2)
+        with pytest.raises(NegativeEntryError):
+            dual_probabilities(-pure_density(np.array([0.0, 1.0])), "single")
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValidationError, match="square"):
+            dual_probabilities(np.ones((4, 2)) / 4, "global")
+        with pytest.raises(ValidationError):
+            dual_probabilities(np.eye(5) / 5, "local")
+        with pytest.raises(ValidationError, match="unknown transform mode"):
+            dual_probabilities(np.eye(4) / 4, "sideways")
+        with pytest.raises(ValidationError, match="Fourier dimension"):
+            dual_probabilities(np.eye(1), "single")
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_deficits_match_the_dual_state_route(self, d):
+        rho = random_density(np.random.default_rng(d), d**d, 2)
+        got = uncertainty_deficits(rho)
+        dim = d**d
+        plain = state_stats(rho)
+        for mode in ("local", "global"):
+            dual = state_stats(dual_state(rho, mode))
+            components = 2 * (d - 1) / (d + 1) - (plain.gini_vector + dual.gini_vector)
+            total = 2 * (dim - 1) / (dim + 1) - (plain.total_gini + dual.total_gini)
+            np.testing.assert_allclose(getattr(got, f"{mode}_components"), components, rtol=0, atol=1e-12)
+            assert getattr(got, f"{mode}_total") == pytest.approx(total, rel=0, abs=1e-12)
 
 
 class TestStateScalarProduct:

@@ -1,5 +1,8 @@
-"""The CLI's JSON writer against its oracle, ``json.dumps(_pyify(x), indent=2)``."""
+"""The CLI's JSON writer against its oracle, ``json.dumps(_pyify(x), indent=2)``, and its CSV writer."""
 
+import csv
+import gc
+import io
 import json
 
 import numpy as np
@@ -194,3 +197,34 @@ def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv, fmt):
     assert cli.main([*argv, "--format", fmt, "--out", str(path)]) == 0
     assert capsys.readouterr().out == ""
     assert path.read_bytes() == stdout.encode()
+
+
+@pytest.mark.parametrize("argv", EVERY_VERB, ids=argv_id)
+def test_csv_rows_are_key_value_pairs(capsys, argv):
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+    assert rows[0] == ["key", "value"]
+    assert {len(row) for row in rows} == {2}
+
+
+@pytest.mark.parametrize("text", ["plain", "", " spaced ", "a,b", 'say "hi"', "cr\rhere", "lf\nhere", '",\r\n'])
+def test_csv_cell_is_rfc4180(text):
+    cell = cli._csv_cell(text)
+    assert next(csv.reader(io.StringIO(f"{cell},x\n", newline=""))) == [text, "x"]
+    if not set(text) & set(',"\r\n'):
+        assert cell == text  # rows without those characters keep their bytes
+
+
+@pytest.mark.parametrize("argv", EVERY_VERB, ids=argv_id)
+def test_verbs_leave_no_cyclic_garbage(capsys, argv):
+    # main pauses the cyclic collector for a verb's handler: reference counting must free all it makes
+    cli._build_parser()  # built once per process before the pause; argparse's formatters hold cycles
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(list(argv)) == 0
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
