@@ -92,10 +92,13 @@ def _read_input(path: str):
 
 
 def _payloads(args, attr: str, count: int) -> list:
-    """Collect `count` payloads from repeated inline flags or --input."""
-    raw = getattr(args, attr, None) or []
-    payloads = [_parse_json(text) for text in raw]
-    if not payloads and getattr(args, "input", None):
+    """Collect `count` payloads from repeated inline flags or from --input, never both."""
+    raw = getattr(args, attr) or []
+    if not args.input:
+        payloads = [_parse_json(text) for text in raw]
+    elif raw:
+        raise _UsageError(f"--{attr} and --input were both given; pass the payloads one way")
+    else:
         loaded = _parse_json(_read_input(args.input))
         if count > 1:
             # every valid payload is a sequence or object, never a bare number
@@ -111,9 +114,8 @@ def _payloads(args, attr: str, count: int) -> list:
         else:
             payloads = [loaded]
     if len(payloads) != count:
-        flag = attr.replace("_", "-")
         raise _UsageError(
-            f"expected {count} --{flag} payload(s) (or --input), got {len(payloads)}"
+            f"expected {count} --{attr} payload(s) (or --input), got {len(payloads)}"
         )
     return payloads
 
@@ -265,37 +267,30 @@ def _as_state(payload, repair: bool = False) -> np.ndarray:
 # Output
 # ---------------------------------------------------------------------------
 
-def _pyify(obj):
-    """Plain Python values for `obj`: the CSV writer's and the json fallback's input."""
-    if isinstance(obj, dict):
-        return {k: _pyify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pyify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_pyify(v) for v in obj.tolist()]
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+# The types `_plain` converts; the CSV walk writes any other leaf as it is.
+_NUMPY_VALUES = (np.ndarray, complex, np.complexfloating, np.floating, np.integer, np.bool_)
 
 
 def _plain(obj):
-    """`_pyify` of one value orjson passes here: a numpy array or scalar, or a complex.
+    """The plain value every writer makes of a numpy array or scalar, or a complex.
 
-    float32 and float16 values widen through ``tolist()``; complex arrays become
-    [re, im] pairs.
+    Arrays become nested lists through ``tolist()``, which widens float32 and
+    float16; complex values become [re, im] pairs.  Scalars convert through
+    float, int and bool, so a longdouble becomes a float too.  A 0-d array
+    raises TypeError, as an unknown type does.
     """
     if isinstance(obj, np.ndarray) and obj.ndim:
         if obj.dtype.kind == "c":
             obj = np.stack((obj.real, obj.imag), axis=-1)
         return obj.tolist()
-    if isinstance(obj, (np.ndarray, complex, np.complexfloating, np.floating, np.integer, np.bool_)):
-        return _pyify(obj)  # a 0-d array raises TypeError there
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
@@ -372,7 +367,7 @@ def _line_slices(data: bytes):
 
 
 def _json_pieces(obj):
-    """The bytes of ``json.dumps(_pyify(obj), indent=2)`` in pieces, written by orjson where it can.
+    """The bytes of ``_json_dumps(obj)`` in pieces, written by orjson where it can.
 
     orjson's output is respelled one slice at a time, so a writer that takes
     the pieces as they come never holds a second copy of a large output.
@@ -384,13 +379,13 @@ def _json_pieces(obj):
 
 
 def _dumps(obj) -> bytes:
-    """The bytes of ``json.dumps(_pyify(obj), indent=2)``."""
+    """The bytes of ``_json_dumps(obj)``."""
     return b"".join(_json_pieces(obj))
 
 
 def _json_dumps(obj) -> bytes:
-    """The writer's fallback, json's own encoder."""
-    return json.dumps(_pyify(obj), indent=2).encode()
+    """The writer's fallback, json's own encoder, with `_plain` for the values it cannot encode."""
+    return json.dumps(obj, indent=2, default=_plain).encode()
 
 
 _CSV_QUOTED = re.compile(r'[,"\r\n]')
@@ -411,15 +406,21 @@ def _fmt_csv_value(v) -> str:
     return str(v)
 
 
-def _flatten(obj, prefix: str = ""):
+def _csv_rows(obj, key: str = ""):
+    """The ``key,value`` rows of `obj`: ``.name`` steps into a dict, ``[i]`` into a list or tuple.
+
+    An array, a numpy scalar or a complex is first made plain by `_plain`.
+    """
+    if isinstance(obj, _NUMPY_VALUES):
+        obj = _plain(obj)
     if isinstance(obj, dict):
         for k, v in obj.items():
-            yield from _flatten(v, f"{prefix}.{k}" if prefix else str(k))
-    elif isinstance(obj, list):
+            yield from _csv_rows(v, f"{key}.{k}" if key else str(k))
+    elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
-            yield from _flatten(v, f"{prefix}[{i}]")
+            yield from _csv_rows(v, f"{key}[{i}]")
     else:
-        yield prefix, obj
+        yield f"{_csv_cell(key)},{_csv_cell(_fmt_csv_value(obj))}"
 
 
 def _emit(out: dict, args) -> None:
@@ -427,10 +428,7 @@ def _emit(out: dict, args) -> None:
     if args.format == "json":
         pieces = _json_pieces(out)
     else:
-        lines = ["key,value"]
-        for key, value in _flatten(_pyify(out)):
-            lines.append(f"{_csv_cell(key)},{_csv_cell(_fmt_csv_value(value))}")
-        pieces = ["\n".join(lines).encode()]
+        pieces = ["\n".join(["key,value", *_csv_rows(out)]).encode()]
     if args.out:
         try:
             with open(args.out, "wb") as fh:

@@ -87,6 +87,10 @@ PROBABILITY_TOL = 1e-8
 #: certifies a density without an eigendecomposition.
 _CHOLESKY_MARGIN = 1e-10
 
+#: Largest max |rho - rho†| and |tr rho - 1| a density may show.
+_HERMITIAN_TOL = 1e-10
+_TRACE_TOL = 1e-10
+
 SINGLE = "single"
 LOCAL = "local"
 GLOBAL = "global"
@@ -346,14 +350,8 @@ def pure_density(psi) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def validate_density_matrix(
-    rho,
-    tol_hermitian: float = 1e-10,
-    tol_trace: float = 1e-10,
-    eig_floor: float = -1e-8,
-    repair: bool = False,
-) -> np.ndarray:
-    """Validate a density matrix: finite, Hermitian, unit trace, eigenvalues >= floor.
+def validate_density_matrix(rho, eig_floor: float = -1e-8, repair: bool = False) -> np.ndarray:
+    """Validate a density matrix: finite, Hermitian and of unit trace to 1e-10, eigenvalues >= floor.
 
     Positivity is first certified without an eigendecomposition: if the
     Hermitian part H admits a Cholesky factorization of
@@ -375,11 +373,11 @@ def validate_density_matrix(
     if not np.all(np.isfinite(rho)):
         raise ValidationError("density matrix contains non-finite entries")
     herm = np.abs(rho - rho.conj().T).max()
-    if herm > tol_hermitian:
+    if herm > _HERMITIAN_TOL:
         raise ValidationError(f"not Hermitian: max |rho - rho†| = {herm:.3g}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol_trace:
-        raise ValidationError(f"trace is {tr:.12g}, not 1 within {tol_trace:g}")
+    if abs(tr - 1.0) > _TRACE_TOL:
+        raise ValidationError(f"trace is {tr:.12g}, not 1 within {_TRACE_TOL:g}")
     hermitian_part = (rho + rho.conj().T) / 2.0
     if not repair:
         shifted = hermitian_part.copy()
@@ -604,20 +602,21 @@ class UncertaintyDeficits:
 def uncertainty_deficits(rho) -> UncertaintyDeficits:
     """Compute the four Gini uncertainty deficits of a multipartite state.
 
-    The duals enter through their diagonals alone (:func:`dual_probabilities`);
-    no dual state is formed.
+    Each deficit needs only diagonals: that of rho and those of its two duals
+    (:func:`dual_probabilities`).  No dual state and no product tensor is formed.
     """
     rho = np.asarray(rho, dtype=complex)
     d = local_dimension(rho.shape[0])
     dim = d**d
     cap_comp = 2.0 * (d - 1) / (d + 1)
     cap_total = 2.0 * (dim - 1) / (dim + 1)
-    plain = state_stats(rho)
+    p = diagonal_probabilities(_square(rho))
+    plain_components, plain_total = local_gini_vector(tensor_to_matrix(p)), total_gini(p)
     loc = dual_probabilities(rho, LOCAL)
     glo = dual_probabilities(rho, GLOBAL)
     return UncertaintyDeficits(
-        local_components=cap_comp - (plain.gini_vector + local_gini_vector(tensor_to_matrix(loc))),
-        local_total=cap_total - (plain.total_gini + total_gini(loc)),
-        global_components=cap_comp - (plain.gini_vector + local_gini_vector(tensor_to_matrix(glo))),
-        global_total=cap_total - (plain.total_gini + total_gini(glo)),
+        local_components=cap_comp - (plain_components + local_gini_vector(tensor_to_matrix(loc))),
+        local_total=cap_total - (plain_total + total_gini(loc)),
+        global_components=cap_comp - (plain_components + local_gini_vector(tensor_to_matrix(glo))),
+        global_total=cap_total - (plain_total + total_gini(glo)),
     )

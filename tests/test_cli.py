@@ -618,6 +618,33 @@ class TestInputFile:
         assert self.read(capsys, tmp_path, text.replace("\n", "\r\n").encode()) == inline
 
 
+INLINE_PAYLOADS = [
+    ("validate", "--vector", "[0.5,0.5]"),
+    ("lorenz", "--vector", "[0.5,0.5]"),
+    ("gini", "--vector", "[0.1,0.9]"),
+    ("majorize", "--vector", "[0.5,0.5]"),
+    ("expand", "--matrix", "[[1,0],[0,1]]"),
+    ("scalar-product", "--matrix", "[[1,0],[0,1]]"),
+    ("scalar-product", "--tensor", "[0.25,0.25,0.25,0.25]"),
+    ("correlations", "--tensor", "[0.25,0.25,0.25,0.25]"),
+    ("simulate", "--ensemble", '{"kind": "independent", "matrix": [[1,0],[0,1]]}'),
+    ("collision", "--ensemble", '{"kind": "independent", "matrix": [[1,0],[0,1]]}'),
+    ("quantum-stats", "--state", '{"d": 2, "images": [1, 0]}'),
+    ("dual", "--state", '{"d": 2, "images": [1, 0]}'),
+    ("deficits", "--state", '{"d": 2, "images": [1, 0]}'),
+]
+
+
+@pytest.mark.parametrize("verb, flag, payload", INLINE_PAYLOADS,
+                         ids=[f"{verb} {flag}" for verb, flag, _ in INLINE_PAYLOADS])
+def test_inline_payload_with_input_is_a_usage_error(capsys, tmp_path, verb, flag, payload):
+    path = tmp_path / "payload.json"
+    path.write_text(payload, encoding="utf-8")
+    code, out, err = run_cli(capsys, verb, flag, payload, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: {flag} and --input were both given"), err
+
+
 class TestStateAdmission:
     def reject(self, capsys, state, needle):
         code, out, err = run_cli(capsys, "quantum-stats", "--state", json.dumps(state))

@@ -703,6 +703,36 @@ class TestUncertaintyDeficits:
             assert deficits.local_total == pytest.approx(2 * (dim - 1) / (dim + 1), abs=1e-12)
             assert deficits.global_total == pytest.approx(2 * (dim - 1) / (dim + 1), abs=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_plain_part_is_that_of_state_stats_bit_for_bit(self, d):
+        rho = random_density(np.random.default_rng(20 + d), d**d, 2)
+        got = uncertainty_deficits(rho)
+        plain = state_stats(rho)
+        dim = d**d
+        for mode in ("local", "global"):
+            dual = quantum.tensor_stats(dual_probabilities(rho, mode))
+            components = 2.0 * (d - 1) / (d + 1) - (plain.gini_vector + dual.gini_vector)
+            total = 2.0 * (dim - 1) / (dim + 1) - (plain.total_gini + dual.total_gini)
+            assert np.array_equal(getattr(got, f"{mode}_components"), components)
+            assert getattr(got, f"{mode}_total") == total
+
+    def test_builds_no_statistics_it_does_not_report(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("uncertainty_deficits built a product tensor")
+
+        monkeypatch.setattr(quantum, "state_stats", unused)
+        monkeypatch.setattr(quantum, "product_probabilities", unused)
+        deficits = uncertainty_deficits(np.eye(27, dtype=complex) / 27)
+        assert deficits.local_total == pytest.approx(2 * 26 / 28, abs=1e-12)
+
+    def test_rejects_bad_densities_as_state_stats_does(self):
+        with pytest.raises(ValidationError, match="square"):
+            uncertainty_deficits(np.ones((4, 2)) / 4)
+        with pytest.raises(ValidationError):
+            uncertainty_deficits(np.eye(5) / 5)
+        with pytest.raises(NegativeEntryError):
+            uncertainty_deficits(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+
     def test_positive_on_random_pure_states(self):
         rng = np.random.default_rng(10)
         for d in (2, 3):

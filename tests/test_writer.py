@@ -1,4 +1,8 @@
-"""The CLI's JSON writer against its oracle, ``json.dumps(_pyify(x), indent=2)``, and its CSV writer."""
+"""The CLI's JSON and CSV writers against oracles built here, on plain values from `_pyify`.
+
+The JSON oracle is ``json.dumps(_pyify(x), indent=2)`` and the CSV oracle the
+rows of ``_flatten(_pyify(x))``; neither shares code with the writers.
+"""
 
 import csv
 import gc
@@ -15,8 +19,54 @@ from hypothesis.extra import numpy as hnp
 from ginisafe import cli
 
 
+def _pyify(obj):
+    """Plain Python values for `obj`: numpy arrays and tuples become lists, complex values [re, im]."""
+    if isinstance(obj, dict):
+        return {k: _pyify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_pyify(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_pyify(v) for v in obj.tolist()]  # a 0-d array's scalar is not iterable: TypeError
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
+def _flatten(obj, prefix: str = ""):
+    """(key, leaf) pairs of plain values: ``.name`` steps into a dict, ``[i]`` into a list."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _flatten(v, f"{prefix}.{k}" if prefix else str(k))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _flatten(v, f"{prefix}[{i}]")
+    else:
+        yield prefix, obj
+
+
 def oracle(obj) -> bytes:
-    return json.dumps(cli._pyify(obj), indent=2).encode()
+    return json.dumps(_pyify(obj), indent=2).encode()
+
+
+def _cell(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if set(text) & set(',"\r\n') else text
+
+
+def _csv_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def csv_oracle(obj) -> list:
+    """The CSV rows of `obj`, after the header: RFC 4180 cells, floats to 17 significant digits."""
+    return [f"{_cell(key)},{_cell(_csv_value(value))}" for key, value in _flatten(_pyify(obj))]
 
 
 def outcome(encode, obj):
@@ -98,8 +148,19 @@ LOOKALIKE_STRINGS = [" 0.00001", "1e16", "e-6", "null", "\x7f", "é"]
 @example([[1.0, 2.0], [3.0]])
 @example(np.array(1.0))
 @example([np.float32("nan"), np.float32("-inf"), np.float16(1e-7), np.int8(-3), np.bool_(False)])
+@example([np.longdouble(1) / 3, np.clongdouble(1 + 2j), np.uint64(2**64 - 1)])
 def test_writer_matches_oracle(obj):
     assert outcome(cli._dumps, obj) == outcome(oracle, obj)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values)
+@example({"entries": np.array([1 + 2j, -0.0 - 1j, complex("nan+infj")]), "flag": np.bool_(True)})
+@example({'a,"b"': ["x\ny", "cr\r", 1e16, 5e-324, -0.0, True, None]})
+@example({"": {"inner": (1, np.float32(0.1))}, None: {3: np.longdouble(1) / 3}})
+@example([np.array(1.0)])
+def test_csv_rows_match_oracle(obj):
+    assert outcome(lambda x: list(cli._csv_rows(x)), obj) == outcome(csv_oracle, obj)
 
 
 def test_the_installed_orjson_spells_the_probe_like_json():
@@ -197,6 +258,14 @@ def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv, fmt):
     assert cli.main([*argv, "--format", fmt, "--out", str(path)]) == 0
     assert capsys.readouterr().out == ""
     assert path.read_bytes() == stdout.encode()
+
+
+@pytest.mark.parametrize("argv", EVERY_VERB, ids=argv_id)
+def test_cli_csv_matches_oracle(capsys, argv):
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    stdout = capsys.readouterr().out
+    args = cli._build_parser().parse_args(list(argv))
+    assert stdout == "\n".join(["key,value", *csv_oracle(args.handler(args))]) + "\n"
 
 
 @pytest.mark.parametrize("argv", EVERY_VERB, ids=argv_id)
