@@ -10,8 +10,8 @@ followed by derivative-free simplex descent (the objective has sorting kinks,
 so gradients are off the table).
 
 The search loop does only the numerics: :func:`estimate_eta` checks ``d``,
-the mode and the dimension once and evaluates every candidate through one
-evaluator that binds the mode's dual transform (:func:`gini_sum` checks its
+the mode, the budget and the starts once and evaluates every candidate through
+one evaluator that binds the mode's dual transform (:func:`gini_sum` checks its
 input and then uses the same evaluator).  The simplex keeps its vertices in
 stable-sorted order incrementally instead of re-sorting every step.  Results
 (``best_sum``, ``evaluations``, the bytes of ``best_state``) are bitwise those
@@ -21,7 +21,7 @@ of a descent that re-sorts with a stable argsort every step over the checked
 A finite search can only lower-bound the supremum, so ``eta_upper``
 (``cap - best_sum``) is an upper bound on the true coefficient, with
 ``best_state`` as the certificate.  Positivity of the coefficient itself is
-probed separately by :func:`deficit_sweep`.
+probed by :func:`deficit_sweep`, which sums blocks of states by the same route.
 
 Modes
 -----
@@ -40,14 +40,16 @@ Searched states are under the one state cap of :func:`quantum.space_dimension`.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import make_rng, shard_rng
-from .errors import GiniSafeError, ValidationError
-from .markov import function_table, tensor_to_matrix
+from .ensembles import MAX_SAMPLES, make_rng, shard_rng
+from .errors import DimensionTooLargeError, GiniSafeError, ValidationError
+from .markov import tensor_to_matrix
 from .probvec import gini_index
 from .quantum import (
     GLOBAL,
@@ -81,6 +83,9 @@ REFINE_STEP_TOL = 1e-6
 #: Offset of each initial simplex vertex from the start, one coordinate each.
 _SIMPLEX_STEP = 0.1
 
+#: Amplitudes per block of a deficit sweep: 2**14 // dim states, 256 kB complex.
+_SWEEP_BLOCK = 2**14
+
 
 def state_space_dim(d: int, mode: str) -> int:
     """Dimension of the pure-state space searched in this mode, under the state cap."""
@@ -96,10 +101,18 @@ def gini_sum_cap(d: int, mode: str) -> float:
     return 2.0 * (D - 1) / (D + 1)
 
 
-def _mode_sum_from_probs(p: np.ndarray, p_dual: np.ndarray, mode: str) -> float:
+def _count(value, what: str) -> int:
+    """An integer >= 1; bools and fractions are rejected with `what` named."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValidationError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _mode_sum_from_probs(p: np.ndarray, p_dual: np.ndarray, mode: str):
+    """The mode's Gini sum of a probability vector and its dual's, or one per row of a batch."""
     if mode == MODE_GLOBAL_COMPONENT:
         rows = gini_index(tensor_to_matrix(p)) + gini_index(tensor_to_matrix(p_dual))
-        return float(rows.max())
+        return float(rows.max()) if p.ndim == 1 else rows.max(axis=-1)
     return gini_index(p) + gini_index(p_dual)
 
 
@@ -264,8 +277,17 @@ def estimate_eta(
     not an error: the partial result carries the evaluation count.
     """
     dim = state_space_dim(d, mode)
-    if budget < 1:
-        raise ValidationError("budget must be >= 1")
+    budget = _count(budget, "budget")
+    given = []
+    for k, psi in enumerate(() if initial_states is None else initial_states):
+        psi = np.asarray(psi, dtype=complex)
+        if psi.shape != (dim,):
+            raise ValidationError(f"initial state {k} has shape {psi.shape}, expected {(dim,)}")
+        with np.errstate(over="ignore"):  # finite entries may square past the float range
+            norm = np.linalg.norm(psi)
+        if not 0.0 < norm < np.inf:
+            raise ValidationError(f"initial state {k} has norm {norm}; it must be finite and nonzero")
+        given.append(psi / norm)
     cap = gini_sum_cap(d, mode)
     evaluate = _pure_gini_sum(d, mode)
 
@@ -288,21 +310,8 @@ def estimate_eta(
             best_state = psi
         return -s
 
-    def starts():
-        if initial_states is not None:
-            for given in initial_states:
-                psi = np.asarray(given, dtype=complex)
-                if psi.size != dim:
-                    raise ValidationError(
-                        f"initial state has dimension {psi.size}, expected {dim}"
-                    )
-                yield psi / np.linalg.norm(psi)
-        k = 0
-        while True:
-            yield random_pure_state(dim, shard_rng(seed, k))
-            k += 1
-
-    for psi0 in starts():
+    randoms = (random_pure_state(dim, shard_rng(seed, k)) for k in itertools.count())
+    for psi0 in itertools.chain(given, randoms):
         remaining = budget - evaluations
         if remaining < 1:
             break
@@ -327,28 +336,24 @@ def deficit_sweep(d: int, mode: str, n: int, seed: int = 0) -> float:
     """Minimum uncertainty deficit over n seeded Haar-random pure states.
 
     The deficit is strictly positive for every state; a non-positive minimum
-    indicates a numerical fault and raises.  Vectorized over the whole batch.
+    indicates a numerical fault and raises.  ``n * dim <= MAX_SAMPLES``.  After
+    one draw of all real parts, each block of states draws its imaginary parts
+    and takes the search's Gini sums; chunked draws are the numbers of one draw.
     """
     dim = state_space_dim(d, mode)
-    if n < 1:
-        raise ValidationError("sample count must be >= 1")
+    n = _count(n, "sample count")
+    if n * dim > MAX_SAMPLES:
+        raise DimensionTooLargeError(f"{n} states of dimension {dim} exceed {MAX_SAMPLES} amplitudes")
     cap = gini_sum_cap(d, mode)
     rng = make_rng(seed)
-    z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    p = np.abs(z) ** 2
-    p_dual = np.abs(apply_dual(z.T, d, _TRANSFORM[mode]).T) ** 2
-
-    if mode in (MODE_SINGLE, MODE_LOCAL_TOTAL, MODE_GLOBAL_TOTAL):
-        sums = gini_index(p) + gini_index(p_dual)
-    else:
-        table = function_table(d)
-        sums = np.full(n, -np.inf)
-        for i in range(d):
-            indicator = np.equal.outer(table[:, i], np.arange(d)).astype(float)
-            rows = gini_index(p @ indicator) + gini_index(p_dual @ indicator)
-            sums = np.maximum(sums, rows)
-    deficits = cap - sums
+    real = rng.standard_normal((n, dim))
+    deficits = np.empty(n)
+    block = _SWEEP_BLOCK // dim
+    for start in range(0, n, block):
+        z = real[start : start + block] + 1j * rng.standard_normal((min(block, n - start), dim))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        p_dual = np.abs(apply_dual(z.T, d, _TRANSFORM[mode]).T) ** 2
+        deficits[start : start + block] = cap - _mode_sum_from_probs(np.abs(z) ** 2, p_dual, mode)
     smallest = float(deficits.min())
     if smallest <= 0.0:
         raise GiniSafeError(

@@ -231,7 +231,7 @@ def product_probabilities(q) -> np.ndarray:
 
 
 def tensor_to_matrix(t) -> np.ndarray:
-    """Marginalize a Markov tensor into its row Markov matrix.
+    """Marginalize a Markov tensor into its row Markov matrix, or a (B, d**d) batch into (B, d, d).
 
     ``q(i, j) = sum over maps f with f(i) = j of t[f]``.  Together with
     :func:`product_probabilities` this realizes both directions of the
@@ -239,10 +239,16 @@ def tensor_to_matrix(t) -> np.ndarray:
     does not invert an arbitrary tensor back from its matrix.
     """
     t = np.asarray(t, dtype=float)
-    d = tensor_dimension(t.size)
-    # one bincount with each t[f] repeated d times: bin i*d + j still adds
-    # its weights in code order, so the bits are those of d bincounts
-    return np.bincount(_marginal_bins(d), weights=t.repeat(d), minlength=d * d).reshape(d, d)
+    if t.ndim not in (1, 2):
+        raise ValidationError(f"Markov tensor has shape {t.shape}, not (d**d,) or (B, d**d)")
+    d = tensor_dimension(t.shape[-1])
+    # one bincount with each t[f] repeated d times: bin b*d*d + i*d + f(i) adds its
+    # weights in code order, so every row has the bits of d bincounts of its own
+    bins = _marginal_bins(d)
+    if t.ndim == 2:
+        bins = (bins + d * d * np.arange(len(t))[:, None]).ravel()
+    q = np.bincount(bins, weights=t.repeat(d), minlength=d * d * (t.size // d**d))
+    return q.reshape(t.shape[:-1] + (d, d))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,11 +1,14 @@
 """Tests for the uncertainty-coefficient search and deficit sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_complex_unit
 from ginisafe import (
     DimensionTooLargeError,
+    GiniSafeError,
     ValidationError,
     apply_dual,
     certain_vector,
@@ -16,18 +19,25 @@ from ginisafe import (
     gini_index,
     gini_sum,
     gini_sum_cap,
+    make_rng,
     pure_density,
     random_pure_state,
     shard_rng,
     tensor_to_matrix,
 )
-from ginisafe.eta import _TRANSFORM, MODES, REFINE_STEP_TOL, _nelder_mead, state_space_dim
+from ginisafe.ensembles import MAX_SAMPLES
+from ginisafe.eta import (
+    _SWEEP_BLOCK,
+    _TRANSFORM,
+    MODES,
+    REFINE_STEP_TOL,
+    _nelder_mead,
+    state_space_dim,
+)
 
 
 def scalar_sweep(d, mode, n, seed):
     """Smallest per-state deficit over the states deficit_sweep draws."""
-    from ginisafe import make_rng
-
     dim = state_space_dim(d, mode)
     rng = make_rng(seed)
     z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
@@ -132,6 +142,35 @@ class TestEstimateEta:
             estimate_eta(2, "single", budget=0)
         with pytest.raises(DimensionTooLargeError):
             estimate_eta(6, "global_total", budget=10)
+
+    @pytest.mark.parametrize("budget", [2.5, 3.0, True, "5", None])
+    def test_rejects_a_budget_that_is_no_integer(self, budget):
+        # budget=2.5 ran 3 evaluations and budget=True one
+        with pytest.raises(ValidationError, match=r"budget must be an integer >= 1, got"):
+            estimate_eta(2, "single", budget=budget)
+
+    def test_accepts_a_numpy_integer_budget(self):
+        est = estimate_eta(2, "single", budget=np.int64(40), seed=1)
+        assert est.evaluations == 40
+        assert est.best_sum == estimate_eta(2, "single", budget=40, seed=1).best_sum
+
+    @pytest.mark.parametrize(
+        "bad, norm",
+        [([0, 0], "0.0"), ([np.nan, 1], "nan"), ([1, np.inf], "inf"), ([1e200, 1e200], "inf")],
+    )
+    def test_rejects_a_start_that_cannot_be_normalized(self, bad, norm):
+        # an all-zero start returned best_sum=-inf, eta_upper=inf and no state
+        good = certain_vector(2).astype(complex)
+        with pytest.raises(ValidationError, match=rf"initial state 1 has norm {norm}; it must be finite"):
+            estimate_eta(2, "single", 5, initial_states=[good, bad])
+
+    def test_checks_every_start_before_searching(self):
+        # a start past the budget is checked too, and its shape is named
+        good = certain_vector(2).astype(complex)
+        with pytest.raises(ValidationError, match=r"initial state 1 has shape \(3,\), expected \(2,\)"):
+            estimate_eta(2, "single", 1, initial_states=[good, [1, 0, 0]])
+        with pytest.raises(ValidationError, match=r"initial state 0 has shape \(2, 1\)"):
+            estimate_eta(2, "single", 1, initial_states=[[[1], [0]]])
 
 
 def argsort_nelder_mead(fn, x0, max_evals, step=0.1):
@@ -325,6 +364,92 @@ class TestDeficitSweep:
 
     def test_deterministic(self):
         assert deficit_sweep(2, "single", 300, seed=5) == deficit_sweep(2, "single", 300, seed=5)
+
+    @pytest.mark.parametrize("n", [0, -3, True, 2.5, 4.0, "10", None])
+    def test_rejects_a_count_that_is_no_positive_integer(self, n):
+        # n=True and n=2.5 ended in numpy TypeErrors
+        with pytest.raises(ValidationError, match=r"sample count must be an integer >= 1, got"):
+            deficit_sweep(2, "single", n)
+
+    @pytest.mark.parametrize("d, mode", [(2, "single"), (5, "global_total"), (5, "local_total")])
+    def test_admits_the_amplitude_count_before_drawing(self, d, mode):
+        dim = state_space_dim(d, mode)
+        tracemalloc.start()
+        try:
+            for n in (MAX_SAMPLES // dim + 1, 10**15):
+                with pytest.raises(DimensionTooLargeError, match=f"states of dimension {dim} exceed"):
+                    deficit_sweep(d, mode, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_numpy_integer_count(self):
+        assert deficit_sweep(3, "single", np.int32(70), seed=2) == deficit_sweep(3, "single", 70, seed=2)
+
+    def test_blocks_bound_the_peak(self):
+        # the whole-batch sweep peaked at 11.7 MB here; the real parts alone take 2 MB
+        deficit_sweep(4, "global_total", 10, seed=0)  # warm the transform and weight caches
+        tracemalloc.start()
+        try:
+            deficit_sweep(4, "global_total", 1000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+def batched_sweep_oracle(d, mode, n, seed):
+    """The whole-batch sweep that deficit_sweep replaced, kept verbatim as its oracle."""
+    dim = state_space_dim(d, mode)
+    if n < 1:
+        raise ValidationError("sample count must be >= 1")
+    cap = gini_sum_cap(d, mode)
+    rng = make_rng(seed)
+    z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    p = np.abs(z) ** 2
+    p_dual = np.abs(apply_dual(z.T, d, _TRANSFORM[mode]).T) ** 2
+
+    if mode in ("single", "local_total", "global_total"):
+        sums = gini_index(p) + gini_index(p_dual)
+    else:
+        table = function_table(d)
+        sums = np.full(n, -np.inf)
+        for i in range(d):
+            indicator = np.equal.outer(table[:, i], np.arange(d)).astype(float)
+            rows = gini_index(p @ indicator) + gini_index(p_dual @ indicator)
+            sums = np.maximum(sums, rows)
+    deficits = cap - sums
+    smallest = float(deficits.min())
+    if smallest <= 0.0:
+        raise GiniSafeError(
+            f"non-positive uncertainty deficit {smallest}; numerical fault"
+        )
+    return smallest
+
+
+def sweep_cases():
+    for d in (2, 3, 4, 5):
+        for mode in MODES:
+            block = _SWEEP_BLOCK // state_space_dim(d, mode)
+            for n in sorted({1, block - 1, block, block + 1, 1000} - {0}):
+                # the ranked marginals take another summation order than the
+                # oracle's p @ indicator, and at d = 5 the local passes' zgemm
+                # width follows the block
+                bitwise = mode in ("single", "global_total") or (mode == "local_total" and d <= 4)
+                yield d, mode, n, bitwise
+
+
+class TestSweepMatchesBatchedOracle:
+    @pytest.mark.parametrize("d, mode, n, bitwise", list(sweep_cases()))
+    def test_blocks_match_the_whole_batch(self, d, mode, n, bitwise):
+        for seed in (0, 1, 2):
+            got, want = deficit_sweep(d, mode, n, seed=seed), batched_sweep_oracle(d, mode, n, seed)
+            if bitwise:
+                assert got == want
+            else:
+                assert got == pytest.approx(want, abs=1e-12)
 
 
 def sorted_rows_oracle(p):

@@ -359,6 +359,24 @@ class TestTensorToMatrix:
             oracle = np.stack([np.bincount(table[:, i], weights=t, minlength=d) for i in range(d)])
             assert np.array_equal(tensor_to_matrix(t), oracle)
 
+    @given(st.integers(1, 6), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_rows_keep_the_bits_of_single_calls(self, d, batch, seed):
+        # the deficit sweep ranks batched marginals against the search's 1-D ones
+        rng = np.random.default_rng(seed)
+        t = rng.random((batch, d**d)) ** 3
+        t[rng.random(t.shape) < 0.3] = 0.0
+        q = tensor_to_matrix(t)
+        assert q.shape == (batch, d, d)
+        for row, want in zip(t, q):
+            assert tensor_to_matrix(row).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 64), (2, 2, 4), (), (4, 0)])
+    def test_rejects_what_is_no_tensor_or_batch(self, shape):
+        # a (4, 64) array holds 4**4 entries and was read as one d = 4 tensor
+        with pytest.raises(ValidationError):
+            tensor_to_matrix(np.full(shape, 1 / 256))
+
     def test_validate_markov_tensor(self):
         validate_markov_tensor(np.full(27, 1 / 27))
         with pytest.raises(ValidationError):
