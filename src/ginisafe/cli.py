@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import re
-import reprlib
 import sys
 
 import numpy as np
@@ -22,7 +21,8 @@ import orjson
 from orjson import loads as _orjson_decode
 
 from . import ensembles, eta, markov, probvec, quantum, reference
-from .errors import GiniSafeError, ValidationError
+from .errors import ECHO as _ECHO
+from .errors import GiniSafeError, ValidationError, admit_index
 
 
 class _UsageError(Exception):
@@ -142,20 +142,9 @@ def _as_tensor(payload):
     return payload
 
 
-# Error lines echo payload values through this repr: it keeps 6 items of a
-# list or dict, 30 characters of a string and two levels of nesting, so a
-# long value cannot blow up the one-line message.
-_ECHO = reprlib.Repr()
-_ECHO.maxlevel = 2
-
-
-def _as_index(value, what: str) -> int:
-    """A JSON integer (or integral float); bools and fractions name `what` in the error."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValidationError(f"{what} must be an integer, got {_ECHO.repr(value)}")
+def _json_int(value):
+    """The JSON boundary's one allowance before :func:`errors.admit_int`: 256.0 reads as 256."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def _sparse_tensor(d, terms) -> np.ndarray:
@@ -165,8 +154,7 @@ def _sparse_tensor(d, terms) -> np.ndarray:
     every code against [0, d**d) and the earlier codes before anything is
     written, so a bad payload allocates nothing.
     """
-    d = _as_index(d, "sparse tensor 'd'")
-    size = markov.code_count(d)
+    size = markov.code_count(_json_int(d))
     if not isinstance(terms, list):
         raise ValidationError("sparse tensor 'terms' must be a list of {code, weight} objects")
     codes, weights = {}, []
@@ -176,9 +164,7 @@ def _sparse_tensor(d, terms) -> np.ndarray:
         for field in ("code", "weight"):
             if field not in term:
                 raise ValidationError(f"terms[{i}] has no '{field}' field")
-        code = _as_index(term["code"], f"terms[{i}].code")
-        if not 0 <= code < size:
-            raise ValidationError(f"terms[{i}].code = {code} outside [0, {size}) for d = {d}")
+        code = admit_index(_json_int(term["code"]), f"terms[{i}].code", size)
         if code in codes:
             raise ValidationError(f"terms[{i}].code = {code} repeats terms[{codes[code]}].code")
         codes[code] = i
@@ -241,12 +227,12 @@ def _as_state(payload, repair: bool = False) -> np.ndarray:
     if not isinstance(payload, dict):
         raise ValidationError("state payload must be a JSON object")
     if "entries" in payload:
-        dim = quantum.check_state_dim(_as_index(payload.get("dim"), "state 'dim'"))
+        dim = quantum.check_state_dim(_json_int(payload.get("dim")))
         flat = _complex_pairs(payload["entries"], dim * dim, "density entries")
         rho = flat.reshape(dim, dim)
         return quantum.validate_density_matrix(rho, repair=repair)
     if "amplitudes" in payload:
-        dim = quantum.check_state_dim(_as_index(payload.get("dim"), "state 'dim'"))
+        dim = quantum.check_state_dim(_json_int(payload.get("dim")))
         psi = _complex_pairs(payload["amplitudes"], dim, "amplitudes")
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-6:
@@ -258,8 +244,8 @@ def _as_state(payload, repair: bool = False) -> np.ndarray:
             raise ValidationError(
                 f"state 'images' must be a list of 1 to {quantum.MAX_COMPONENTS} integers"
             )
-        f = markov.FunctionMap(tuple(_as_index(v, f"images[{i}]") for i, v in enumerate(images)))
-        return quantum.pure_density(quantum.basis_state(f))
+        images = [admit_index(_json_int(v), f"images[{i}]", len(images)) for i, v in enumerate(images)]
+        return quantum.pure_density(quantum.basis_state(markov.FunctionMap(tuple(images))))
     raise ValidationError("state payload needs 'entries', 'amplitudes' or 'images'")
 
 

@@ -31,8 +31,8 @@ import numpy as np
 from .errors import (
     CorrelatedSpecRejectedError,
     DimensionMismatchError,
-    DimensionTooLargeError,
     ValidationError,
+    admit_int,
 )
 from .markov import (
     FunctionMap,
@@ -57,24 +57,20 @@ MAX_SAMPLES = 10**7
 _CHUNK = 16_384
 
 
-def _seed(seed: int) -> int:
-    if seed < 0:
-        raise ValidationError(f"seed {seed} is negative; seeds are integers >= 0")
-    return int(seed)
-
-
 def make_rng(seed: int) -> np.random.Generator:
-    """Seeded deterministic generator (PCG64) for all sampling in this module."""
-    return np.random.Generator(np.random.PCG64(_seed(seed)))
+    """Seeded deterministic generator (PCG64) for all sampling; seeds are integers >= 0 (``admit_int``)."""
+    return np.random.Generator(np.random.PCG64(admit_int(seed, "seed", 0)))
 
 
 def shard_rng(seed: int, shard: int) -> np.random.Generator:
     """Independent substream derived from (seed, shard-index).
 
-    Each (seed, shard) pair seeds its own PCG64 stream through a
-    SeedSequence; the eta search draws start k from ``shard_rng(seed, k)``.
+    Each (seed, shard) pair, both integers >= 0 under :func:`errors.admit_int`,
+    seeds its own PCG64 stream through a SeedSequence; the eta search draws
+    start k from ``shard_rng(seed, k)``.
     """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((_seed(seed), int(shard)))))
+    entropy = (admit_int(seed, "seed", 0), admit_int(shard, "shard", 0))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 @dataclass(frozen=True)
@@ -139,9 +135,7 @@ def sample_codes(spec: EnsembleSpec, n: int, rng: np.random.Generator) -> np.nda
     INDEPENDENT specs draw one uniform per position (row-major order);
     CORRELATED specs draw one uniform per sequence against the tensor CDF.
     """
-    if not 1 <= n <= MAX_SAMPLES:
-        error = DimensionTooLargeError if n > MAX_SAMPLES else ValidationError
-        raise error(f"sample count {n} outside [1, {MAX_SAMPLES}]")
+    n = admit_int(n, "sample count", 1, MAX_SAMPLES)
     d = spec.d
     codes = np.empty(n, dtype=np.intp)
     chunks = (codes[start:start + _CHUNK] for start in range(0, n, _CHUNK))
@@ -204,8 +198,8 @@ def collision_probability_mc(
     codes_a = sample_codes(a, n, rng)
     codes_b = sample_codes(b, n, rng)
     p_hat = float(np.mean(codes_a == codes_b))
-    stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / n))
-    return McEstimate(value=p_hat, stderr=stderr, n=int(n))
+    stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / codes_a.size))
+    return McEstimate(value=p_hat, stderr=stderr, n=codes_a.size)
 
 
 def merge(a: EnsembleSpec, b: EnsembleSpec, lam: float) -> EnsembleSpec:

@@ -10,7 +10,7 @@ followed by derivative-free simplex descent (the objective has sorting kinks,
 so gradients are off the table).
 
 The search loop does only the numerics: :func:`estimate_eta` checks ``d``,
-the mode, the budget and the starts once and evaluates every candidate through
+the mode, the budget, the seed and the starts once and evaluates each candidate by
 one evaluator that binds the mode's dual transform (:func:`gini_sum` checks its
 input and then uses the same evaluator).  The simplex keeps its vertices in
 stable-sorted order incrementally instead of re-sorting every step.  Results
@@ -42,13 +42,12 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ensembles import MAX_SAMPLES, make_rng, shard_rng
-from .errors import DimensionTooLargeError, GiniSafeError, ValidationError
+from .errors import DimensionTooLargeError, GiniSafeError, ValidationError, admit_int
 from .markov import tensor_to_matrix
 from .probvec import gini_index
 from .quantum import (
@@ -56,6 +55,7 @@ from .quantum import (
     LOCAL,
     SINGLE,
     _dual_transform,
+    admit_transform_d,
     apply_dual,
     diagonal_probabilities,
     dual_probabilities,
@@ -87,25 +87,24 @@ _SIMPLEX_STEP = 0.1
 _SWEEP_BLOCK = 2**14
 
 
-def state_space_dim(d: int, mode: str) -> int:
-    """Dimension of the pure-state space searched in this mode, under the state cap."""
+def _admit_search(d: int, mode: str) -> tuple[int, int]:
+    """A search's d, by :func:`quantum.admit_transform_d` for its mode, and its state space's dimension."""
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
-    return space_dimension(d, _TRANSFORM[mode])
+    d = admit_transform_d(d, _TRANSFORM[mode])
+    return d, space_dimension(d, _TRANSFORM[mode])
+
+
+def state_space_dim(d: int, mode: str) -> int:
+    """Dimension of the pure-state space searched in this mode, under the state cap."""
+    return _admit_search(d, mode)[1]
 
 
 def gini_sum_cap(d: int, mode: str) -> float:
     """The additive cap 2 (D - 1)/(D + 1) for the mode's Gini sum."""
-    dim = state_space_dim(d, mode)
+    d, dim = _admit_search(d, mode)
     D = d if mode == MODE_GLOBAL_COMPONENT else dim
     return 2.0 * (D - 1) / (D + 1)
-
-
-def _count(value, what: str) -> int:
-    """An integer >= 1; bools and fractions are rejected with `what` named."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValidationError(f"{what} must be an integer >= 1, got {value!r}")
-    return int(value)
 
 
 def _mode_sum_from_probs(p: np.ndarray, p_dual: np.ndarray, mode: str):
@@ -138,7 +137,7 @@ def gini_sum(state, d: int, mode: str) -> float:
     dual's become probabilities as in :func:`quantum.diagonal_probabilities`.
     """
     state = np.asarray(state, dtype=complex)
-    dim = state_space_dim(d, mode)
+    d, dim = _admit_search(d, mode)
     if state.ndim == 1:
         if state.size != dim:
             raise ValidationError(f"state has dimension {state.size}, expected {dim}")
@@ -276,11 +275,15 @@ def estimate_eta(
     ``best_sum`` is nondecreasing in the budget.  Exhausting the budget is
     not an error: the partial result carries the evaluation count.
     """
-    dim = state_space_dim(d, mode)
-    budget = _count(budget, "budget")
+    d, dim = _admit_search(d, mode)
+    budget = admit_int(budget, "budget", 1)
+    seed = admit_int(seed, "seed", 0)
     given = []
     for k, psi in enumerate(() if initial_states is None else initial_states):
-        psi = np.asarray(psi, dtype=complex)
+        try:
+            psi = np.asarray(psi, dtype=complex)
+        except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge ints
+            raise ValidationError(f"initial state {k} must be a 1-D array of numbers") from None
         if psi.shape != (dim,):
             raise ValidationError(f"initial state {k} has shape {psi.shape}, expected {(dim,)}")
         with np.errstate(over="ignore"):  # finite entries may square past the float range
@@ -319,9 +322,7 @@ def estimate_eta(
         _nelder_mead(objective, x0, remaining)
 
     if best_sum > cap + 1e-9:
-        raise GiniSafeError(
-            f"gini sum {best_sum} exceeds the additive cap {cap}; numerical fault"
-        )
+        raise GiniSafeError(f"gini sum {best_sum} exceeds the additive cap {cap}; numerical fault")
     return EtaEstimate(
         d=d,
         mode=mode,
@@ -340,10 +341,10 @@ def deficit_sweep(d: int, mode: str, n: int, seed: int = 0) -> float:
     one draw of all real parts, each block of states draws its imaginary parts
     and takes the search's Gini sums; chunked draws are the numbers of one draw.
     """
-    dim = state_space_dim(d, mode)
-    n = _count(n, "sample count")
+    d, dim = _admit_search(d, mode)
+    n = admit_int(n, "sample count", 1)
     if n * dim > MAX_SAMPLES:
-        raise DimensionTooLargeError(f"{n} states of dimension {dim} exceed {MAX_SAMPLES} amplitudes")
+        raise DimensionTooLargeError(f"sample count {n}: states of dimension {dim} exceed {MAX_SAMPLES} amplitudes")
     cap = gini_sum_cap(d, mode)
     rng = make_rng(seed)
     real = rng.standard_normal((n, dim))
@@ -356,7 +357,5 @@ def deficit_sweep(d: int, mode: str, n: int, seed: int = 0) -> float:
         deficits[start : start + block] = cap - _mode_sum_from_probs(np.abs(z) ** 2, p_dual, mode)
     smallest = float(deficits.min())
     if smallest <= 0.0:
-        raise GiniSafeError(
-            f"non-positive uncertainty deficit {smallest}; numerical fault"
-        )
+        raise GiniSafeError(f"non-positive uncertainty deficit {smallest}; numerical fault")
     return smallest

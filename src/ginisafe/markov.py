@@ -28,9 +28,10 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    DimensionTooLargeError,
     NotProductFormError,
     ValidationError,
+    admit_index,
+    admit_int,
 )
 from .probvec import DEFAULT_TOL, gini_index, validate_prob_vector
 
@@ -38,11 +39,14 @@ from .probvec import DEFAULT_TOL, gini_index, validate_prob_vector
 MAX_ENUMERATION_D = 6
 
 
+def admit_code_d(d: int) -> int:
+    """The d of a code-indexed object, admitted by :func:`errors.admit_int` against ``MAX_ENUMERATION_D``."""
+    return admit_int(d, "code-indexed 'd'", 1, MAX_ENUMERATION_D)
+
+
 def code_count(d: int) -> int:
-    """The number of codes, d**d, once d is admitted against ``MAX_ENUMERATION_D``."""
-    if not 1 <= d <= MAX_ENUMERATION_D:
-        error = DimensionTooLargeError if d > MAX_ENUMERATION_D else ValidationError
-        raise error(f"'d' = {d} outside [1, {MAX_ENUMERATION_D}] for a code-indexed object")
+    """The number of codes, d**d, for d admitted by :func:`admit_code_d`."""
+    d = admit_code_d(d)
     return d**d
 
 
@@ -57,14 +61,14 @@ def decode(code, d: int) -> list:
 
 
 def tensor_dimension(size: int) -> int:
-    """Invert size = d**d: the d of a flat code-indexed array, admitted by :func:`code_count`."""
+    """Invert size = d**d: the d of a flat code-indexed array, admitted by :func:`admit_code_d`."""
+    size = admit_int(size, "array size", 1)
     d = 1
     while d**d < size:
         d += 1
     if d**d != size:
         raise ValidationError(f"array of length {size} is not d**d for any d")
-    code_count(d)
-    return d
+    return admit_code_d(d)
 
 
 @dataclass(frozen=True)
@@ -78,13 +82,10 @@ class FunctionMap:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        images = tuple(int(v) for v in self.images)
-        d = len(images)
+        d = len(self.images)
         if d == 0:
             raise ValidationError("function map must have at least one image")
-        for i, v in enumerate(images):
-            if not 0 <= v < d:
-                raise ValidationError(f"image f({i}) = {v} outside [0, {d})")
+        images = tuple(admit_index(v, f"image f({i})", d) for i, v in enumerate(self.images))
         object.__setattr__(self, "images", images)
 
     @property
@@ -99,9 +100,8 @@ class FunctionMap:
     @classmethod
     def from_code(cls, code: int, d: int) -> "FunctionMap":
         """Decode a canonical integer code back into a map."""
-        if not 0 <= code < code_count(d):
-            raise ValidationError(f"code {code} outside [0, {d}**{d})")
-        return cls(tuple(decode(code, d)))
+        d = admit_code_d(d)
+        return cls(tuple(decode(admit_index(code, "code", d**d), d)))
 
     def __call__(self, i: int) -> int:
         return self.images[i]
@@ -133,13 +133,17 @@ def function_to_matrix(f: FunctionMap) -> np.ndarray:
     return m
 
 
-@functools.lru_cache(maxsize=None)
 def function_table(d: int) -> np.ndarray:
     """All d**d image tuples as a read-only (d**d, d) array, in code order.
 
     Row ``c`` holds the images of ``FunctionMap.from_code(c, d)``.
     """
-    table = np.stack(decode(np.arange(code_count(d)), d), axis=1)
+    return _function_table(admit_code_d(d))  # admitted before the cache: 2.0 and True hash as 2 and 1
+
+
+@functools.lru_cache(maxsize=None)
+def _function_table(d: int) -> np.ndarray:
+    table = np.stack(decode(np.arange(d**d), d), axis=1)
     table.setflags(write=False)
     return table
 
@@ -181,8 +185,7 @@ def validate_markov_tensor(tensor, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def uniform_matrix(d: int) -> np.ndarray:
     """The rank-one doubly stochastic matrix with every entry 1/d."""
-    if d < 1:
-        raise ValidationError("dimension must be positive")
+    d = admit_int(d, "'d'", 1)
     return np.full((d, d), 1.0 / d)
 
 
@@ -191,9 +194,7 @@ def push_forward(x, q) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     q = np.asarray(q, dtype=float)
     if x.ndim != 1 or q.ndim != 2 or q.shape[0] != x.size or q.shape[1] != x.size:
-        raise DimensionMismatchError(
-            f"cannot push a {x.size}-vector through a {q.shape} matrix"
-        )
+        raise DimensionMismatchError(f"cannot push a {x.size}-vector through a {q.shape} matrix")
     return x @ q
 
 
@@ -241,10 +242,9 @@ def tensor_to_matrix(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.ndim not in (1, 2):
         raise ValidationError(f"Markov tensor has shape {t.shape}, not (d**d,) or (B, d**d)")
-    d = tensor_dimension(t.shape[-1])
     # one bincount with each t[f] repeated d times: bin b*d*d + i*d + f(i) adds its
     # weights in code order, so every row has the bits of d bincounts of its own
-    bins = _marginal_bins(d)
+    bins, d = _marginal_bins(t.shape[-1])
     if t.ndim == 2:
         bins = (bins + d * d * np.arange(len(t))[:, None]).ravel()
     q = np.bincount(bins, weights=t.repeat(d), minlength=d * d * (t.size // d**d))
@@ -252,11 +252,12 @@ def tensor_to_matrix(t) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _marginal_bins(d: int) -> np.ndarray:
-    """Read-only bins i*d + f(i) of every code f (major) and position i (minor)."""
+def _marginal_bins(size: int) -> tuple[np.ndarray, int]:
+    """Read-only bins i*d + f(i) of every code f and position i, and d; one admission per length."""
+    d = tensor_dimension(size)
     bins = (function_table(d) + d * np.arange(d)).ravel()
     bins.setflags(write=False)
-    return bins
+    return bins, d
 
 
 def correlation_coefficients(t) -> np.ndarray:
@@ -288,9 +289,7 @@ def scalar_product_via_tensors(
         for name, t in (("first", tq), ("second", tp)):
             worst = float(np.abs(correlation_coefficients(t)).max())
             if worst > tol:
-                raise NotProductFormError(
-                    f"{name} tensor carries correlations up to {worst:.3g} (> {tol:g})"
-                )
+                raise NotProductFormError(f"{name} tensor carries correlations up to {worst:.3g} (> {tol:g})")
     return float(tq @ tp)
 
 

@@ -20,6 +20,8 @@ from .errors import (
     NegativeEntryError,
     NotNormalizedError,
     ValidationError,
+    admit_index,
+    admit_int,
 )
 
 #: Default tolerance for validating file-sourced probabilities.
@@ -53,28 +55,20 @@ def validate_prob_vector(raw, tol: float = DEFAULT_TOL) -> np.ndarray:
     try:
         x = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge ints
-        raise ValidationError(
-            "probability vector must be a non-empty 1-D sequence of numbers"
-        ) from None
+        raise ValidationError("probability vector must be a non-empty 1-D sequence of numbers") from None
     if x.ndim != 1 or x.size == 0:
         raise ValidationError("probability vector must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(x)):
         raise ValidationError("probability vector contains non-finite entries")
     if np.any(x < -tol):
         i = int(np.argmin(x))
-        raise NegativeEntryError(
-            f"entry {i} = {x[i]:.6g} is negative beyond tolerance {tol:g}"
-        )
+        raise NegativeEntryError(f"entry {i} = {x[i]:.6g} is negative beyond tolerance {tol:g}")
     if np.any(x > 1.0 + tol):
         i = int(np.argmax(x))
-        raise NotNormalizedError(
-            f"entry {i} = {x[i]:.6g} exceeds 1 beyond tolerance {tol:g}"
-        )
+        raise NotNormalizedError(f"entry {i} = {x[i]:.6g} exceeds 1 beyond tolerance {tol:g}")
     total = float(x.sum())
     if abs(total - 1.0) > tol:
-        raise NotNormalizedError(
-            f"entries sum to {total:.12g}, not 1 within tolerance {tol:g}"
-        )
+        raise NotNormalizedError(f"entries sum to {total:.12g}, not 1 within tolerance {tol:g}")
     x = np.clip(x, 0.0, 1.0)
     return x / x.sum()
 
@@ -140,9 +134,7 @@ def majorizes(x, y, tol: float = MAJORIZATION_TOL) -> Majorization:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
-        raise DimensionMismatchError(
-            f"vectors have different dimensions {x.size} and {y.size}"
-        )
+        raise DimensionMismatchError(f"vectors have different dimensions {x.size} and {y.size}")
     lx = lorenz_values(x)
     ly = lorenz_values(y)
     x_over_y = bool(np.all(lx <= ly + tol))
@@ -172,17 +164,14 @@ def average_bounds(x) -> tuple[float, float]:
 
 def uniform_vector(d: int) -> np.ndarray:
     """The most uncertain probability vector (1/d, ..., 1/d)."""
-    if d < 1:
-        raise ValidationError("dimension must be positive")
+    d = admit_int(d, "'d'", 1)
     return np.full(d, 1.0 / d)
 
 
 def certain_vector(d: int, level: int = 0) -> np.ndarray:
     """A certain probability vector: all mass on one entry."""
-    if d < 1:
-        raise ValidationError("dimension must be positive")
-    if not 0 <= level < d:
-        raise ValidationError(f"level {level} outside [0, {d})")
+    d = admit_int(d, "'d'", 1)
+    level = admit_index(level, "level", d)
     x = np.zeros(d)
     x[level] = 1.0
     return x

@@ -56,12 +56,13 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    DimensionTooLargeError,
-    IndexOutOfRangeError,
     ValidationError,
+    admit_index,
+    admit_int,
 )
 from .markov import (
     FunctionMap,
+    admit_code_d,
     code_count,
     decode,
     encode,
@@ -102,11 +103,7 @@ GLOBAL = "global"
 
 def check_state_dim(dim: int) -> int:
     """The state cap: admit a state dimension in [1, 5**5] and return it."""
-    limit = MAX_COMPONENTS**MAX_COMPONENTS
-    if not 1 <= dim <= limit:
-        error = DimensionTooLargeError if dim > limit else ValidationError
-        raise error(f"state 'dim' = {dim} outside [1, {limit}] (d**d for d <= {MAX_COMPONENTS})")
-    return dim
+    return admit_int(dim, "state 'dim'", 1, MAX_COMPONENTS**MAX_COMPONENTS)
 
 
 def local_dimension(dim: int) -> int:
@@ -116,7 +113,8 @@ def local_dimension(dim: int) -> int:
 
 def tuple_to_index(components, d: int) -> int:
     """Flat index of a component tuple: the code of the digits j_i mod d."""
-    comps = tuple(int(v) % d for v in components)
+    d = admit_int(d, "'d'", 1)
+    comps = tuple(admit_int(v, f"component {i}", None) % d for i, v in enumerate(components))
     if len(comps) != d:
         raise DimensionMismatchError(f"expected {d} components, got {len(comps)}")
     return encode(comps, d)
@@ -124,7 +122,8 @@ def tuple_to_index(components, d: int) -> int:
 
 def index_to_tuple(index: int, d: int) -> tuple[int, ...]:
     """Component tuple of a flat index (little-endian base-d digits)."""
-    return tuple(decode(int(index) % code_count(d), d))
+    d = admit_code_d(d)
+    return tuple(decode(admit_int(index, "index", None) % d**d, d))
 
 
 def index_product(j_components, k_components, d: int) -> int:
@@ -146,8 +145,7 @@ def dft_unitary(n: int) -> np.ndarray:
     The exponent j*k is reduced mod n in integer arithmetic so that the
     fourth-power identity survives at large n.
     """
-    if n < 2:
-        raise ValidationError("Fourier dimension must be >= 2")
+    n = admit_int(n, "Fourier dimension", 2)
     k = np.arange(n, dtype=np.int64)
     phases = np.outer(k, k) % n
     return np.exp(2j * np.pi * phases / n) / np.sqrt(n)
@@ -158,19 +156,19 @@ def fourier_single(d: int) -> np.ndarray:
     return dft_unitary(d)
 
 
-def space_dimension(d: int, mode: str) -> int:
-    """The state cap on a transform: N = d <= 3125 for ``"single"``, else N = d**d, d <= 5."""
+def admit_transform_d(d: int, mode: str) -> int:
+    """The state cap on a transform's d, by :func:`errors.admit_int`: d <= 3125 for ``"single"``, else d <= 5."""
     if mode not in (SINGLE, LOCAL, GLOBAL):
         raise ValidationError(f"unknown transform mode {mode!r}")
-    if d < 2:
-        raise ValidationError("Fourier dimension must be >= 2")
     if mode == SINGLE:
-        return check_state_dim(d)
-    if d > MAX_COMPONENTS:
-        raise DimensionTooLargeError(
-            f"d = {d} components exceed the state cap; supported up to d = {MAX_COMPONENTS}"
-        )
-    return d**d
+        return admit_int(d, "Fourier dimension 'd'", 2, MAX_COMPONENTS**MAX_COMPONENTS)
+    return admit_int(d, f"{mode} transform's 'd'", 2, MAX_COMPONENTS)
+
+
+def space_dimension(d: int, mode: str) -> int:
+    """A transform's space dimension, d for ``"single"`` and d**d else, d admitted by :func:`admit_transform_d`."""
+    d = admit_transform_d(d, mode)
+    return d if mode == SINGLE else d**d
 
 
 def kron_chain(ops) -> np.ndarray:
@@ -192,9 +190,8 @@ def local_fourier(d: int) -> np.ndarray:
     A test oracle for :func:`apply_dual`, which applies F_L† without this
     matrix; d = 5 allocates a 3125 x 3125 complex matrix (~156 MB).
     """
-    space_dimension(d, LOCAL)
-    f = fourier_single(d)
-    return kron_chain([f] * d)
+    d = admit_transform_d(d, LOCAL)
+    return kron_chain([fourier_single(d)] * d)
 
 
 def global_fourier(d: int) -> np.ndarray:
@@ -210,6 +207,7 @@ def global_fourier(d: int) -> np.ndarray:
 
 def parity_matrix(n: int) -> np.ndarray:
     """Flat parity permutation on H_n: |j> -> |-j mod n>.  Equals DFT**2."""
+    n = admit_int(n, "'n'", 1)
     p = np.zeros((n, n))
     j = np.arange(n)
     p[(-j) % n, j] = 1.0
@@ -221,10 +219,10 @@ def componentwise_parity(d: int) -> np.ndarray:
 
     Equals F_L**2, and differs from the flat parity F_G**2 for every d >= 2.
     """
-    dim = space_dimension(d, LOCAL)
+    d = admit_transform_d(d, LOCAL)
     neg = encode(((d - function_table(d)) % d).T, d)
-    p = np.zeros((dim, dim))
-    p[neg, np.arange(dim)] = 1.0
+    p = np.zeros((d**d, d**d))
+    p[neg, np.arange(d**d)] = 1.0
     return p
 
 
@@ -278,15 +276,14 @@ def apply_dual(x, d: int, mode: str) -> np.ndarray:
     fft(x)/sqrt(N), and likewise F† x = fft(x)/sqrt(d).  F_L† is d passes of the single-qudit F†
     over the leading base-d digit of the row index, each followed by rotating
     that digit to the least significant place; after d passes every digit is
-    transformed and back in place.  :func:`space_dimension` admits N, and no
+    transformed and back in place.  :func:`admit_transform_d` admits d, and no
     d**d x d**d matrix is formed.
     """
     x = np.asarray(x, dtype=complex)
+    d = admit_transform_d(d, mode)
     n = space_dimension(d, mode)
     if x.ndim not in (1, 2) or x.shape[0] != n:
-        raise DimensionMismatchError(
-            f"a {mode} transform of size {n} cannot act on shape {x.shape}"
-        )
+        raise DimensionMismatchError(f"a {mode} transform of size {n} cannot act on shape {x.shape}")
     return _dual_transform(d, mode)(x)
 
 
@@ -296,8 +293,8 @@ def apply_dual(x, d: int, mode: str) -> np.ndarray:
 
 def elementary_projector(j: int, d: int) -> np.ndarray:
     """Rank-one projector |j><j| on a single qudit."""
-    if not 0 <= j < d:
-        raise IndexOutOfRangeError(f"level {j} outside [0, {d})")
+    d = admit_int(d, "'d'", 1)
+    j = admit_index(j, "level", d)
     p = np.zeros((d, d), dtype=complex)
     p[j, j] = 1.0
     return p
@@ -310,11 +307,8 @@ def projector_local(i: int, j: int, d: int) -> np.ndarray:
     i of m equals j.  For each i the family sums to the identity over j, and
     all projectors of this family commute pairwise.
     """
-    space_dimension(d, LOCAL)
-    if not 0 <= i < d:
-        raise IndexOutOfRangeError(f"component {i} outside [0, {d})")
-    if not 0 <= j < d:
-        raise IndexOutOfRangeError(f"level {j} outside [0, {d})")
+    d = admit_transform_d(d, LOCAL)
+    i, j = admit_index(i, "component", d), admit_index(j, "level", d)
     mask = (function_table(d)[:, i] == j).astype(complex)
     return np.diag(mask)
 
@@ -340,6 +334,7 @@ def basis_state(f: FunctionMap) -> np.ndarray:
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random pure state: normalized complex Gaussian amplitudes."""
+    dim = admit_int(dim, "state 'dim'", 1)
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z)
 
@@ -389,9 +384,7 @@ def validate_density_matrix(rho, eig_floor: float = -1e-8, repair: bool = False)
             pass  # not certified: eigh below decides
     eigvals, eigvecs = np.linalg.eigh(hermitian_part)
     if eigvals.min() < eig_floor:
-        raise ValidationError(
-            f"negative eigenvalue {eigvals.min():.3g} below floor {eig_floor:g}"
-        )
+        raise ValidationError(f"negative eigenvalue {eigvals.min():.3g} below floor {eig_floor:g}")
     if repair:
         clipped = np.clip(eigvals, 0.0, None)
         clipped /= clipped.sum()
@@ -403,8 +396,7 @@ def reduced_density(rho, i: int) -> np.ndarray:
     """Reduced density matrix of component i (partial trace over the rest)."""
     rho = np.asarray(rho, dtype=complex)
     d = local_dimension(rho.shape[0])
-    if not 0 <= i < d:
-        raise IndexOutOfRangeError(f"component {i} outside [0, {d})")
+    i = admit_index(i, "component", d)
     t = rho.reshape((d,) * (2 * d))
     # C-order reshape puts component i at axis d - 1 - i (rows) and
     # 2d - 1 - i (columns); all other row/column axis pairs are traced.
@@ -484,9 +476,7 @@ def _square(rho) -> np.ndarray:
 def _transform_size(rho: np.ndarray, mode: str) -> int:
     """The d of a square density's transform: its dimension in single mode, else d with d**d = dim."""
     dim = rho.shape[0]
-    d = dim if mode == SINGLE else local_dimension(dim)  # raises for non d**d dims
-    space_dimension(d, mode)
-    return d
+    return admit_transform_d(dim if mode == SINGLE else local_dimension(dim), mode)  # raises for non d**d dims
 
 
 def dual_state(rho, mode: str) -> np.ndarray:
@@ -578,9 +568,7 @@ def state_scalar_product(rho, sigma) -> float:
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
-        raise DimensionMismatchError(
-            f"state dimensions {rho.shape[0]} and {sigma.shape[0]} differ"
-        )
+        raise DimensionMismatchError(f"state dimensions {rho.shape[0]} and {sigma.shape[0]} differ")
     return scalar_product(state_stats(rho).markov, state_stats(sigma).markov)
 
 

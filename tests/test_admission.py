@@ -1,0 +1,324 @@
+"""One admission rule for every count, size, seed and index argument.
+
+Each public function that takes an integer argument goes through
+``errors.admit_int``: a Python int or a numpy integer is admitted, and a
+bool, a float (even an integral one), a string, None or any other value is a
+ValidationError that names the argument, as is a value outside the
+argument's range, before anything sized by the value is allocated.
+"""
+
+import dataclasses
+import inspect
+import tracemalloc
+from decimal import Decimal
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import ginisafe as gs
+from ginisafe import ensembles, markov, quantum
+from ginisafe.errors import (
+    DimensionTooLargeError,
+    IndexOutOfRangeError,
+    ValidationError,
+    admit_index,
+    admit_int,
+)
+
+SPEC = gs.EnsembleSpec.independent([[0.5, 0.5, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]])
+RHO = np.eye(4) / 4
+PSI = np.array([1.0, 0.0], dtype=complex)
+
+# a bad value may allocate no more than this before it is rejected
+ADMISSION_BYTES = 2**16
+
+
+@dataclasses.dataclass(frozen=True)
+class Slot:
+    """One integer argument of one public function.
+
+    `call` puts a value in the argument's place.  `lo` is the smallest
+    admitted value (None: every integer); `cap` the largest, or None; an
+    index slot admits [0, cap] and raises IndexOutOfRangeError outside it.
+    `valid` are values the call admits and answers.
+    """
+
+    name: str
+    call: object
+    what: str
+    lo: int | None
+    cap: int | None
+    valid: tuple
+    index: bool = False
+
+    def __repr__(self):
+        return self.name
+
+
+def _draws(rng):
+    return rng.random(3)
+
+
+SLOTS = [
+    Slot("make_rng.seed", lambda v: _draws(gs.make_rng(v)), "seed", 0, None, (0, 7, 2**40)),
+    Slot("shard_rng.seed", lambda v: _draws(gs.shard_rng(v, 1)), "seed", 0, None, (0, 3)),
+    Slot("shard_rng.shard", lambda v: _draws(gs.shard_rng(0, v)), "shard", 0, None, (0, 5)),
+    Slot("sample_codes.n", lambda v: gs.sample_codes(SPEC, v, gs.make_rng(0)),
+         "sample count", 1, ensembles.MAX_SAMPLES, (1, 40)),
+    Slot("empirical_tensor.n", lambda v: gs.empirical_tensor(SPEC, v, gs.make_rng(0)),
+         "sample count", 1, ensembles.MAX_SAMPLES, (1, 40)),
+    Slot("collision_probability_mc.n",
+         lambda v: gs.collision_probability_mc(SPEC, SPEC, v, gs.make_rng(0)),
+         "sample count", 1, ensembles.MAX_SAMPLES, (1, 40)),
+    Slot("estimate_eta.d", lambda v: gs.estimate_eta(v, "single", 5), "'d'", 2, 5**5, (2, 3)),
+    Slot("estimate_eta.budget", lambda v: gs.estimate_eta(2, "single", v), "budget", 1, None, (1, 9)),
+    Slot("estimate_eta.seed", lambda v: gs.estimate_eta(2, "single", 5, seed=v), "seed", 0, None, (0, 4)),
+    Slot("deficit_sweep.d", lambda v: gs.deficit_sweep(v, "single", 5), "'d'", 2, 5**5, (2, 3)),
+    Slot("deficit_sweep.n", lambda v: gs.deficit_sweep(2, "single", v), "sample count", 1,
+         ensembles.MAX_SAMPLES // 2, (1, 30)),
+    Slot("deficit_sweep.seed", lambda v: gs.deficit_sweep(2, "single", 5, seed=v), "seed", 0, None, (0, 4)),
+    Slot("gini_sum.d", lambda v: gs.gini_sum(PSI, v, "single"), "'d'", 2, 5**5, (2,)),
+    Slot("deficit.d", lambda v: gs.deficit(PSI, v, "single"), "'d'", 2, 5**5, (2,)),
+    Slot("gini_sum_cap.d", lambda v: gs.gini_sum_cap(v, "single"), "'d'", 2, 5**5, (2, 9)),
+    Slot("FunctionMap.images", lambda v: gs.FunctionMap((v, 0)), "image f(0)", 0, 1, (0, 1), True),
+    Slot("FunctionMap.from_code.code", lambda v: gs.FunctionMap.from_code(v, 2), "code", 0, 3, (0, 3), True),
+    Slot("FunctionMap.from_code.d", lambda v: gs.FunctionMap.from_code(0, v), "'d'", 1, 6, (1, 3)),
+    Slot("all_function_maps.d", lambda v: list(gs.all_function_maps(v)), "'d'", 1, 6, (1, 2)),
+    Slot("function_table.d", gs.function_table, "'d'", 1, 6, (1, 3)),
+    Slot("markov.code_count.d", markov.code_count, "'d'", 1, 6, (1, 4)),
+    Slot("markov.admit_code_d.d", markov.admit_code_d, "'d'", 1, 6, (1, 6)),
+    Slot("tensor_dimension.size", gs.tensor_dimension, "array size", 1, None, (1, 4, 27)),
+    Slot("uniform_matrix.d", gs.uniform_matrix, "'d'", 1, None, (1, 3)),
+    Slot("uniform_vector.d", gs.uniform_vector, "'d'", 1, None, (1, 3)),
+    Slot("certain_vector.d", lambda v: gs.certain_vector(v), "'d'", 1, None, (1, 3)),
+    Slot("certain_vector.level", lambda v: gs.certain_vector(3, v), "level", 0, 2, (0, 2), True),
+    Slot("dft_unitary.n", gs.dft_unitary, "Fourier dimension", 2, None, (2, 5)),
+    Slot("fourier_single.d", gs.fourier_single, "Fourier dimension", 2, None, (2, 3)),
+    Slot("global_fourier.d", gs.global_fourier, "'d'", 2, 5, (2, 3)),
+    Slot("local_fourier.d", gs.local_fourier, "'d'", 2, 5, (2, 3)),
+    Slot("componentwise_parity.d", gs.componentwise_parity, "'d'", 2, 5, (2, 3)),
+    Slot("apply_dual.d", lambda v: gs.apply_dual(np.ones(4), v, "global"), "'d'", 2, 5, (2,)),
+    Slot("parity_matrix.n", gs.parity_matrix, "'n'", 1, None, (1, 4)),
+    Slot("tuple_to_index.components", lambda v: gs.tuple_to_index((v, 1), 2), "component 0",
+         None, None, (-3, 0, 1, 6)),
+    Slot("tuple_to_index.d", lambda v: gs.tuple_to_index((0, 1), v), "'d'", 1, None, (2,)),
+    Slot("index_product.d", lambda v: gs.index_product((1, 1), (0, 1), v), "'d'", 1, None, (2,)),
+    Slot("index_to_tuple.index", lambda v: gs.index_to_tuple(v, 2), "index", None, None, (-1, 0, 3, 9)),
+    Slot("index_to_tuple.d", lambda v: gs.index_to_tuple(1, v), "'d'", 1, 6, (1, 3)),
+    Slot("local_dimension.dim", gs.local_dimension, "state 'dim'", 1, 5**5, (1, 4, 27)),
+    Slot("quantum.check_state_dim.dim", quantum.check_state_dim, "state 'dim'", 1, 5**5, (1, 7)),
+    Slot("quantum.space_dimension.d", lambda v: quantum.space_dimension(v, "local"), "'d'", 2, 5, (2, 4)),
+    Slot("quantum.admit_transform_d.d", lambda v: quantum.admit_transform_d(v, "single"), "'d'", 2, 5**5,
+         (2, 3125)),
+    Slot("random_pure_state.dim", lambda v: gs.random_pure_state(v, gs.make_rng(0)), "state 'dim'",
+         1, None, (1, 4)),
+    Slot("projector_local.i", lambda v: gs.projector_local(v, 0, 2), "component", 0, 1, (0, 1), True),
+    Slot("projector_local.j", lambda v: gs.projector_local(0, v, 2), "level", 0, 1, (0, 1), True),
+    Slot("projector_local.d", lambda v: gs.projector_local(0, 0, v), "'d'", 2, 5, (2, 3)),
+    Slot("reduced_density.i", lambda v: gs.reduced_density(RHO, v), "component", 0, 1, (0, 1), True),
+    Slot("quantum.elementary_projector.j", lambda v: quantum.elementary_projector(v, 2), "level",
+         0, 1, (0, 1), True),
+    Slot("quantum.elementary_projector.d", lambda v: quantum.elementary_projector(0, v), "'d'",
+         1, None, (1, 3)),
+]
+SLOT = {slot.name: slot for slot in SLOTS}
+
+# the parameter names of the public API that take an integer
+_INTEGER_PARAMETERS = {"d", "n", "dim", "seed", "shard", "budget", "size", "index", "i", "j", "level"}
+# integers inside a sequence argument: the digits of a component tuple, the images of a map
+_ELEMENT_SLOTS = {"tuple_to_index.components", "FunctionMap.images"}
+
+
+def test_every_integer_argument_of_the_public_api_has_a_slot():
+    results = (gs.EtaEstimate, gs.McEstimate, gs.StateStats)  # fields of returned values
+    wanted = set()
+    for name in dir(gs):
+        obj = getattr(gs, name)
+        if name.startswith("_") or not callable(obj) or obj in results:
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:
+            continue
+        wanted |= {f"{name}.{p}" for p in params if p in _INTEGER_PARAMETERS}
+    covered = {s.name for s in SLOTS}
+    assert wanted - covered == set()
+    assert _ELEMENT_SLOTS <= covered
+
+
+NOT_INTEGERS = st.one_of(
+    st.booleans(),
+    st.sampled_from([np.bool_(False), np.bool_(True)]),
+    st.floats(),
+    st.integers(-10, 10**6).map(float),  # integral floats, which only JSON may spell
+    st.floats(allow_nan=False).map(np.float64),
+    st.floats(width=32, allow_nan=False).map(np.float32),
+    st.integers(0, 9).map(np.longdouble),
+    st.fractions(),
+    st.integers(-5, 5).map(Decimal),
+    st.text(max_size=4),
+    st.none(),
+    st.complex_numbers(max_magnitude=10),
+    st.sampled_from([[2], (3,), np.array(2), np.array([2]), {"d": 2}]),
+)
+
+_NUMPY_INTEGERS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def _trip(self, *args):
+    raise AssertionError("the raw argument reached the computation; only its admitted int may")
+
+
+# A numpy integer whose arithmetic, comparisons and hash fail, so a call passes only if
+# nothing but the int that admit_int returns is used past the admission.  Numpy 1.x turns
+# np.uint64 combined with a Python int into float64, and a small dtype overflows in d**i;
+# this finds any such use under every numpy.
+_TRIPPED = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__floordiv__",
+            "__rfloordiv__", "__truediv__", "__rtruediv__", "__mod__", "__rmod__", "__pow__",
+            "__rpow__", "__neg__", "__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__", "__hash__"]
+_Tripwire = type("_Tripwire", (np.int64,), dict.fromkeys(_TRIPPED, _trip))
+
+
+def _maybe_numpy(value: int, kind):
+    """`value` as the numpy integer type `kind` when it fits, else as it is."""
+    if kind is None:
+        return value
+    info = np.iinfo(kind)
+    return kind(value) if info.min <= value <= info.max else value
+
+
+def _bad_values(slot: Slot):
+    """Values the slot must reject: non-integers, and integers outside its range."""
+    outside = []
+    if slot.lo is not None:
+        outside.append(st.integers(slot.lo - 2**70, slot.lo - 1))
+    if slot.cap is not None:
+        outside.append(st.integers(slot.cap + 1, slot.cap + 2**70))
+    if not outside:
+        return NOT_INTEGERS
+    integers = st.builds(_maybe_numpy, st.one_of(*outside), st.sampled_from((None,) + _NUMPY_INTEGERS))
+    return st.one_of(NOT_INTEGERS, integers)
+
+
+def _rejected(slot: Slot, value) -> ValidationError:
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as info:
+            slot.call(value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ADMISSION_BYTES, (slot, value, peak)
+    assert slot.what in str(info.value), (slot, value, str(info.value))
+    return info.value
+
+
+BAD_CASES = st.sampled_from(SLOTS).flatmap(lambda s: st.tuples(st.just(s), _bad_values(s)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=BAD_CASES)
+# silently wrong answers before the rule: a float or bool read as an int
+@example(case=(SLOT["make_rng.seed"], 2.5))
+@example(case=(SLOT["make_rng.seed"], True))
+@example(case=(SLOT["shard_rng.shard"], 1.5))
+@example(case=(SLOT["markov.code_count.d"], 2.5))
+@example(case=(SLOT["markov.code_count.d"], True))
+@example(case=(SLOT["quantum.check_state_dim.dim"], 2.5))
+@example(case=(SLOT["gini_sum_cap.d"], 2.5))
+@example(case=(SLOT["dft_unitary.n"], 2.5))
+@example(case=(SLOT["certain_vector.level"], True))
+@example(case=(SLOT["quantum.elementary_projector.j"], True))
+@example(case=(SLOT["FunctionMap.images"], 1.5))
+@example(case=(SLOT["FunctionMap.from_code.code"], True))
+# numpy or Python errors before the rule
+@example(case=(SLOT["sample_codes.n"], 2.5))
+@example(case=(SLOT["sample_codes.n"], True))
+@example(case=(SLOT["estimate_eta.d"], 2.5))
+@example(case=(SLOT["deficit_sweep.d"], 2.0))
+@example(case=(SLOT["random_pure_state.dim"], 2.5))
+@example(case=(SLOT["uniform_vector.d"], 2.5))
+@example(case=(SLOT["certain_vector.level"], 1.5))
+@example(case=(SLOT["reduced_density.i"], 0.5))
+# an int past Python's 4300-digit str() limit is shown by its sign and bit length
+@example(case=(SLOT["make_rng.seed"], -10**5000))
+@example(case=(SLOT["uniform_vector.d"], -10**5000))
+@example(case=(SLOT["certain_vector.level"], 10**5000))
+@example(case=(SLOT["quantum.check_state_dim.dim"], 10**5000))
+def test_a_bad_integer_argument_is_rejected_by_name_before_allocating(case):
+    slot, value = case
+    error = _rejected(slot, value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)):
+        if slot.index:
+            assert isinstance(error, IndexOutOfRangeError)
+        elif slot.cap is not None and value > slot.cap:
+            assert isinstance(error, DimensionTooLargeError)
+
+
+def _canonical(result):
+    """A comparable form of a result that tells dtypes and shapes apart."""
+    if isinstance(result, np.ndarray):
+        return ("array", result.dtype.str, result.shape, result.tobytes())
+    if dataclasses.is_dataclass(result):
+        return (type(result).__name__,) + tuple(
+            _canonical(getattr(result, f.name)) for f in dataclasses.fields(result)
+        )
+    if isinstance(result, (list, tuple)):
+        return tuple(map(_canonical, result))
+    if isinstance(result, np.generic):
+        result = result.item()
+    return (type(result).__name__, result)
+
+
+@pytest.mark.parametrize("slot", SLOTS, ids=repr)
+def test_a_numpy_integer_gives_the_result_of_the_equal_int(slot):
+    for value in slot.valid:
+        want = _canonical(slot.call(value))
+        for kind in _NUMPY_INTEGERS + (_Tripwire,):
+            numpy_value = _maybe_numpy(value, kind)
+            assert _canonical(slot.call(numpy_value)) == want, (value, kind)
+
+
+@pytest.mark.parametrize("kind", [np.int16, np.uint64])
+def test_a_numpy_d_decodes_as_its_int(kind):
+    # int16: 6**5 overflows the dtype; uint64: numpy 1.x makes its digits floats
+    assert gs.FunctionMap.from_code(46655, kind(6)).images == (5,) * 6
+    assert gs.index_to_tuple(46655, kind(6)) == (5,) * 6
+    assert np.array_equal(gs.function_table(kind(6)), gs.function_table(6))
+
+
+@pytest.mark.parametrize("value", [0, 3, np.int64(3), np.uint8(3), 2**80])
+def test_admit_int_returns_a_python_int(value):
+    admitted = admit_int(value, "count", 0)
+    assert type(admitted) is int and admitted == value
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: admit_int(1.0, "count", 1), ValidationError, "count must be an integer >= 1, got 1.0"),
+        (lambda: admit_int(0, "count", 1), ValidationError, "count must be an integer >= 1, got 0"),
+        (lambda: admit_int(np.bool_(True), "size", 1, 9), ValidationError,
+         "size must be an integer in [1, 9], got "),
+        (lambda: admit_int(0, "size", 1, 9), ValidationError, "size = 0 outside [1, 9]"),
+        (lambda: admit_int(10, "size", 1, 9), DimensionTooLargeError, "size = 10 outside [1, 9]"),
+        (lambda: admit_int("x" * 99, "n", None), ValidationError, "n must be an integer, got 'xxxxxxxxxxxx"),
+        (lambda: admit_index(-1, "level", 3), IndexOutOfRangeError, "level = -1 outside [0, 3)"),
+        (lambda: admit_index(3, "level", 3), IndexOutOfRangeError, "level = 3 outside [0, 3)"),
+        (lambda: admit_index(0.0, "level", 3), ValidationError, "level must be an integer, got 0.0"),
+        (lambda: admit_int(10, "size", None, 9), DimensionTooLargeError, "size = 10 outside [None, 9]"),
+        (lambda: admit_int(-10**5000, "seed", 0), ValidationError,
+         "seed must be an integer >= 0, got -<16610-bit integer>"),
+        (lambda: admit_int(10**5000, "size", 1, 9), DimensionTooLargeError, "size = <16610-bit integer> outside"),
+        (lambda: admit_index(10**5000, "level", 3), IndexOutOfRangeError, "level = <16610-bit integer> outside [0, 3)"),
+        (lambda: admit_int(-(2**4096) + 1, "seed", 0), ValidationError, "seed must be an integer >= 0, got -10443888814131525..."),
+    ],
+)
+def test_admission_messages(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
+    assert len(str(info.value)) < 120

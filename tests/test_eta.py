@@ -172,6 +172,13 @@ class TestEstimateEta:
         with pytest.raises(ValidationError, match=r"initial state 0 has shape \(2, 1\)"):
             estimate_eta(2, "single", 1, initial_states=[[[1], [0]]])
 
+    @pytest.mark.parametrize("bad", [[1, [0]], ["a", "b"], [1, {}], [10**400, 0]])
+    def test_rejects_a_start_that_is_no_array_of_numbers(self, bad):
+        # ragged and non-numeric starts ended in numpy's ValueError
+        good = certain_vector(2).astype(complex)
+        with pytest.raises(ValidationError, match=r"initial state 1 must be a 1-D array of numbers"):
+            estimate_eta(2, "single", 5, initial_states=[good, bad])
+
 
 def argsort_nelder_mead(fn, x0, max_evals, step=0.1):
     """The simplex descent that re-sorts every step with a stable argsort: the oracle."""
