@@ -588,12 +588,10 @@ def cmd_dual(args) -> dict:
 
 
 def cmd_deficits(args) -> dict:
-    rho = _state(args)
-    d = quantum.local_dimension(rho.shape[0])
-    deficits = quantum.uncertainty_deficits(rho)
+    deficits = quantum.uncertainty_deficits(_state(args))
     return {
         "seed": args.seed,
-        "d": d,
+        "d": deficits.local_components.size,
         "local_components": deficits.local_components,
         "local_total": deficits.local_total,
         "global_components": deficits.global_components,

@@ -32,7 +32,9 @@ from .errors import (
     CorrelatedSpecRejectedError,
     DimensionMismatchError,
     ValidationError,
+    admit_array,
     admit_int,
+    admit_square,
 )
 from .markov import (
     FunctionMap,
@@ -75,7 +77,7 @@ def shard_rng(seed: int, shard: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """A random-safe ensemble: independent rows or a correlated joint tensor."""
+    """A random-safe ensemble: a row Markov matrix or a Markov tensor, checked within ``DEFAULT_TOL`` and kept as given."""
 
     kind: str
     matrix: np.ndarray | None = None
@@ -91,12 +93,12 @@ class EnsembleSpec:
 
     def __post_init__(self):
         if self.kind == INDEPENDENT:
-            if self.matrix is None:
-                raise ValidationError("independent ensemble requires a matrix")
+            object.__setattr__(self, "matrix", admit_square(self.matrix, "ensemble matrix", float))
             code_count(self.matrix.shape[0])  # its samples are codes in [0, d**d)
+            validate_row_markov(self.matrix)
         elif self.kind == CORRELATED:
-            if self.tensor is None:
-                raise ValidationError("correlated ensemble requires a tensor")
+            object.__setattr__(self, "tensor", admit_array(self.tensor, "ensemble tensor", float, 1))
+            validate_markov_tensor(self.tensor)
         else:
             raise ValidationError(f"unknown ensemble kind {self.kind!r}")
 
@@ -185,7 +187,8 @@ def collision_probability_mc(
     For independent ensembles this converges to
     ``scalar_product(a.matrix, b.matrix)``.  The collision interpretation of
     the scalar product assumes independent positions, so correlated specs are
-    rejected.  Draw order is fixed: the full block for ``a``, then ``b``.
+    rejected.  Draw order is fixed: the full block for ``a``, then ``b`` in
+    chunks, each matched against ``a``'s codes, so only ``a``'s are held.
     """
     for name, spec in (("first", a), ("second", b)):
         if spec.kind != INDEPENDENT:
@@ -196,8 +199,9 @@ def collision_probability_mc(
     if a.d != b.d:
         raise DimensionMismatchError(f"ensembles have dimensions {a.d} and {b.d}")
     codes_a = sample_codes(a, n, rng)
-    codes_b = sample_codes(b, n, rng)
-    p_hat = float(np.mean(codes_a == codes_b))
+    chunks = np.split(codes_a, range(_CHUNK, codes_a.size, _CHUNK))
+    matches = sum(np.count_nonzero(sample_codes(b, chunk.size, rng) == chunk) for chunk in chunks)
+    p_hat = matches / codes_a.size
     stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / codes_a.size))
     return McEstimate(value=p_hat, stderr=stderr, n=codes_a.size)
 

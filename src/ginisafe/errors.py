@@ -1,11 +1,19 @@
-"""Exception hierarchy for ginisafe, and the one admission rule for integer arguments.
+"""Exception hierarchy for ginisafe, and the admission rules for integer and array arguments.
 
 Public functions raise these instead of bare ValueError so callers (and the
-CLI) can map failures to exit codes and name the violated invariant.
+CLI) can map failures to exit codes and name the violated invariant.  Every
+count, size, seed and index argument goes through :func:`admit_int`, and every
+array argument through :func:`admit_array`: it converts as ``np.asarray(value,
+dtype=dtype)`` and returns an ndarray of that dtype untouched, and it rejects
+a value with ``<what> must be a non-empty <n>-D array of <real|complex>
+numbers, got <value>``, or a non-square matrix (:func:`admit_square`) with
+``<what> must be square, got shape (r, c)``.
 """
 
 import numbers
 import reprlib
+
+import numpy as np
 
 # Error messages echo values through this repr: 6 items of a list or dict, 30
 # characters of a string, two levels of nesting, so a message stays one short line.
@@ -80,3 +88,37 @@ def admit_index(value, what: str, d: int) -> int:
 def _echo_int(value: int) -> str:
     """An int through ECHO, or past 4096 bits, where repr() may fail, by its sign and bit length."""
     return ECHO.repr(value) if value.bit_length() <= 4096 else f"{'-' * (value < 0)}<{value.bit_length()}-bit integer>"
+
+
+def admit_array(value, what: str, dtype, ndim) -> np.ndarray:
+    """The one rule for an array argument named `what`: a non-empty array of `ndim` (an int or a tuple) dimensions.
+
+    `dtype` is float or complex.  The value converts as ``np.asarray(value, dtype=dtype)`` converts it,
+    and an ndarray that already has the dtype is returned untouched.  A ragged, non-numeric or huge-int
+    value, a complex value for a real dtype, and an empty or wrong-ndim array are a ValidationError that
+    shows the value, or an ndarray's dtype and shape.
+    """
+    ndims = (ndim,) if type(ndim) is int else ndim
+    array = value
+    if type(value) is not np.ndarray or value.dtype != dtype:
+        try:
+            found = np.asarray(value)  # numpy's own dtype first: a cast to float would drop an imaginary part
+            if found.dtype.kind == "c" and dtype is not complex:
+                raise TypeError
+            # a number found is cast; objects and strings convert one by one, as the dtype asks
+            array = np.asarray(value if found.dtype.kind in "OSU" else found, dtype=dtype)
+        except (TypeError, ValueError, OverflowError):
+            array = None
+    if array is None or array.size == 0 or array.ndim not in ndims:
+        dims = " or ".join(f"{n}-D" for n in ndims)
+        kind = "complex" if dtype is complex else "real"
+        got = f"a {value.dtype} array of shape {value.shape}" if isinstance(value, np.ndarray) else ECHO.repr(value)
+        raise ValidationError(f"{what} must be a non-empty {dims} array of {kind} numbers, got {got}")
+    return array
+
+
+def admit_square(value, what: str, dtype) -> np.ndarray:
+    """A square matrix: a 2-D array by :func:`admit_array` with as many rows as columns."""
+    if (matrix := admit_array(value, what, dtype, 2)).shape[0] != matrix.shape[1]:
+        raise ValidationError(f"{what} must be square, got shape {matrix.shape}")
+    return matrix

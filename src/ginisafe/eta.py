@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import MAX_SAMPLES, make_rng, shard_rng
-from .errors import DimensionTooLargeError, GiniSafeError, ValidationError, admit_int
+from .errors import DimensionTooLargeError, GiniSafeError, ValidationError, admit_array, admit_int
 from .markov import tensor_to_matrix
 from .probvec import gini_index
 from .quantum import (
@@ -136,14 +136,12 @@ def gini_sum(state, d: int, mode: str) -> float:
     component Gini plus its global dual.  A density's diagonal and its
     dual's become probabilities as in :func:`quantum.diagonal_probabilities`.
     """
-    state = np.asarray(state, dtype=complex)
+    state = admit_array(state, "state", complex, (1, 2))
     d, dim = _admit_search(d, mode)
+    if state.shape != (dim,) * state.ndim:
+        raise ValidationError(f"state has shape {state.shape}, expected {(dim,) * state.ndim}")
     if state.ndim == 1:
-        if state.size != dim:
-            raise ValidationError(f"state has dimension {state.size}, expected {dim}")
         return _pure_gini_sum(d, mode)(state)
-    if state.shape != (dim, dim):
-        raise ValidationError(f"density has shape {state.shape}, expected {(dim, dim)}")
     p_dual = dual_probabilities(state, _TRANSFORM[mode])
     return _mode_sum_from_probs(diagonal_probabilities(state), p_dual, mode)
 
@@ -280,10 +278,7 @@ def estimate_eta(
     seed = admit_int(seed, "seed", 0)
     given = []
     for k, psi in enumerate(() if initial_states is None else initial_states):
-        try:
-            psi = np.asarray(psi, dtype=complex)
-        except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge ints
-            raise ValidationError(f"initial state {k} must be a 1-D array of numbers") from None
+        psi = admit_array(psi, f"initial state {k}", complex, 1)
         if psi.shape != (dim,):
             raise ValidationError(f"initial state {k} has shape {psi.shape}, expected {(dim,)}")
         with np.errstate(over="ignore"):  # finite entries may square past the float range

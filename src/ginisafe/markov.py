@@ -30,8 +30,10 @@ from .errors import (
     DimensionMismatchError,
     NotProductFormError,
     ValidationError,
+    admit_array,
     admit_index,
     admit_int,
+    admit_square,
 )
 from .probvec import DEFAULT_TOL, gini_index, validate_prob_vector
 
@@ -156,14 +158,8 @@ def all_function_maps(d: int):
 
 def validate_row_markov(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate a row Markov matrix; each row is cleaned as a probability vector."""
-    try:
-        q = np.asarray(matrix, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge ints
-        raise ValidationError("row Markov matrix must be a square array of numbers") from None
-    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] == 0:
-        raise ValidationError("row Markov matrix must be square and non-empty")
     rows = []
-    for i, row in enumerate(q):
+    for i, row in enumerate(admit_square(matrix, "row Markov matrix", float)):
         try:
             rows.append(validate_prob_vector(row, tol))
         except ValidationError as exc:
@@ -173,12 +169,7 @@ def validate_row_markov(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def validate_markov_tensor(tensor, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate a flat Markov tensor of d**d joint probabilities (code order)."""
-    try:
-        t = np.asarray(tensor, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge ints
-        raise ValidationError("Markov tensor must be a flat 1-D array of numbers") from None
-    if t.ndim != 1:
-        raise ValidationError("Markov tensor must be a flat 1-D array")
+    t = admit_array(tensor, "Markov tensor", float, 1)
     tensor_dimension(t.size)  # raises unless the length is d**d under the code cap
     return validate_prob_vector(t, tol)
 
@@ -191,9 +182,9 @@ def uniform_matrix(d: int) -> np.ndarray:
 
 def push_forward(x, q) -> np.ndarray:
     """The probability vector x @ q (row vector times row Markov matrix)."""
-    x = np.asarray(x, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if x.ndim != 1 or q.ndim != 2 or q.shape[0] != x.size or q.shape[1] != x.size:
+    x = admit_array(x, "probability vector", float, 1)
+    q = admit_square(q, "row Markov matrix", float)
+    if q.shape[0] != x.size:
         raise DimensionMismatchError(f"cannot push a {x.size}-vector through a {q.shape} matrix")
     return x @ q
 
@@ -205,8 +196,8 @@ def scalar_product(q, p) -> float:
     drawn from each of two independent ensembles shares a full opening
     sequence.  Symmetric, in [0, 1], and (M_f, M_g) = delta(f, g).
     """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
+    q = admit_square(q, "'q'", float)
+    p = admit_square(p, "'p'", float)
     if q.shape != p.shape:
         raise DimensionMismatchError(f"matrix shapes {q.shape} and {p.shape} differ")
     return float(np.prod((q * p).sum(axis=1)))
@@ -220,9 +211,7 @@ def product_probabilities(q) -> np.ndarray:
     ``sum_f prod_i q(i, f(i)) = prod_i sum_j q(i, j)`` holds for arbitrary
     square matrices, so no validation is applied here.
     """
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValidationError("expected a square matrix")
+    q = admit_square(q, "row Markov matrix", float)
     d = q.shape[0]
     table = function_table(d)
     weights = np.ones(d**d)
@@ -239,9 +228,7 @@ def tensor_to_matrix(t) -> np.ndarray:
     expansion ``q = sum_f t(f) M_f``; the expansion is not unique, so this
     does not invert an arbitrary tensor back from its matrix.
     """
-    t = np.asarray(t, dtype=float)
-    if t.ndim not in (1, 2):
-        raise ValidationError(f"Markov tensor has shape {t.shape}, not (d**d,) or (B, d**d)")
+    t = admit_array(t, "Markov tensor", float, (1, 2))
     # one bincount with each t[f] repeated d times: bin b*d*d + i*d + f(i) adds its
     # weights in code order, so every row has the bits of d bincounts of its own
     bins, d = _marginal_bins(t.shape[-1])
@@ -266,7 +253,7 @@ def correlation_coefficients(t) -> np.ndarray:
     ``q`` is the marginal matrix of ``t``; the coefficients lie in [-1, 1],
     sum to 0, and vanish identically when positions are independent.
     """
-    t = np.asarray(t, dtype=float)
+    t = admit_array(t, "Markov tensor", float, 1)
     return t - product_probabilities(tensor_to_matrix(t))
 
 
@@ -281,8 +268,8 @@ def scalar_product_via_tensors(
     matrix scalar product; pass ``verify_product_form=True`` to check the
     assumption (costs a d**d scan per tensor).
     """
-    tq = np.asarray(tq, dtype=float)
-    tp = np.asarray(tp, dtype=float)
+    tq = admit_array(tq, "'tq'", float, 1)
+    tp = admit_array(tp, "'tp'", float, 1)
     if tq.shape != tp.shape:
         raise DimensionMismatchError(f"tensor sizes {tq.size} and {tp.size} differ")
     if verify_product_form:
@@ -295,7 +282,7 @@ def scalar_product_via_tensors(
 
 def local_gini_vector(q) -> np.ndarray:
     """Per-position Gini indices of the rows of a row Markov matrix."""
-    return gini_index(q)
+    return gini_index(admit_square(q, "row Markov matrix", float))
 
 
 def total_gini(t) -> float:
@@ -303,4 +290,4 @@ def total_gini(t) -> float:
 
     Sensitive to correlations between positions, unlike the Gini vector.
     """
-    return gini_index(t)
+    return gini_index(admit_array(t, "Markov tensor", float, 1))

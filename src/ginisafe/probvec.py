@@ -20,6 +20,7 @@ from .errors import (
     NegativeEntryError,
     NotNormalizedError,
     ValidationError,
+    admit_array,
     admit_index,
     admit_int,
 )
@@ -50,14 +51,9 @@ def validate_prob_vector(raw, tol: float = DEFAULT_TOL) -> np.ndarray:
         NegativeEntryError: some entry is below ``-tol``.
         NotNormalizedError: entries do not sum to 1 within ``tol`` (or an
             entry exceeds ``1 + tol``).
-        ValidationError: input is empty, not 1-D, not numeric, or not finite.
+        ValidationError: input is no array :func:`errors.admit_array` admits, or not finite.
     """
-    try:
-        x = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge ints
-        raise ValidationError("probability vector must be a non-empty 1-D sequence of numbers") from None
-    if x.ndim != 1 or x.size == 0:
-        raise ValidationError("probability vector must be a non-empty 1-D sequence")
+    x = admit_array(raw, "probability vector", float, 1)
     if not np.all(np.isfinite(x)):
         raise ValidationError("probability vector contains non-finite entries")
     if np.any(x < -tol):
@@ -75,7 +71,7 @@ def validate_prob_vector(raw, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def ordering_permutation(x) -> np.ndarray:
     """Indices that sort ``x`` ascending, ties broken by ascending index."""
-    return np.argsort(np.asarray(x, dtype=float), kind="stable")
+    return np.argsort(admit_array(x, "probability vector", float, 1), kind="stable")
 
 
 def lorenz_values(x) -> np.ndarray:
@@ -84,19 +80,19 @@ def lorenz_values(x) -> np.ndarray:
     The result is nondecreasing, bounded by (l + 1)/d componentwise, and its
     last value is 1 for a normalized input.
     """
-    x = np.asarray(x, dtype=float)
+    x = admit_array(x, "probability vector", float, 1)
     return np.cumsum(x[ordering_permutation(x)])
 
 
 def gini_index(x):
-    """Gini index of a probability vector, or of each row of a matrix of them.
+    """Gini index of a probability vector, or of each row of a matrix or a batch of matrices.
 
     Equals ``1 - (2 / (d + 1)) * sum_l L(l)``, evaluated as the ascending sort
     dotted with the descending weights d, ..., 1 (the sum of the Lorenz
-    values).  A 1-D input gives a float, a 2-D input one value per row.  0 for
+    values).  A 1-D input gives a float, a 2-D or 3-D input one value per row.  0 for
     the uniform vector, (d - 1)/(d + 1) for a vector with all mass on one entry.
     """
-    p = np.array(x, dtype=float)
+    p = admit_array(x, "probability vector", float, (1, 2, 3)).copy()
     p.sort()
     weights, scale = _gini_weights(p.shape[-1])
     g = 1.0 - scale * p.dot(weights)
@@ -119,7 +115,7 @@ def gini_mean_abs_diff(x) -> float:
     sum equals ``2 sum_k (2k - d + 1) x_(k)``.  It is an independent route to
     :func:`gini_index` and must agree with it to near machine precision.
     """
-    x = np.sort(np.asarray(x, dtype=float))
+    x = np.sort(admit_array(x, "probability vector", float, 1))
     d = x.size
     weights = 2.0 * np.arange(d) - (d - 1)
     return float(weights @ x) / (d + 1)
@@ -131,8 +127,8 @@ def majorizes(x, y, tol: float = MAJORIZATION_TOL) -> Majorization:
     ``x`` majorizes ``y`` ("x is more sparse") when every Lorenz value of
     ``x`` is <= the corresponding value of ``y`` (within ``tol``).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = admit_array(x, "'x'", float, 1)
+    y = admit_array(y, "'y'", float, 1)
     if x.shape != y.shape:
         raise DimensionMismatchError(f"vectors have different dimensions {x.size} and {y.size}")
     lx = lorenz_values(x)
@@ -155,7 +151,7 @@ def average_bounds(x) -> tuple[float, float]:
     depends on how the labels are assigned; for every permutation it lies in
     ``(d-1)/2 -+ ((d+1)/2) * gini_index(x)``.
     """
-    x = np.asarray(x, dtype=float)
+    x = admit_array(x, "probability vector", float, 1)
     d = x.size
     center = (d - 1) / 2.0
     half = ((d + 1) / 2.0) * gini_index(x)

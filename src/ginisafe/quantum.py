@@ -57,8 +57,10 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     ValidationError,
+    admit_array,
     admit_index,
     admit_int,
+    admit_square,
 )
 from .markov import (
     FunctionMap,
@@ -84,8 +86,9 @@ MAX_COMPONENTS = 5
 #: and renormalizes it.
 PROBABILITY_TOL = 1e-8
 
-#: Distance above the eigenvalue floor at which a Cholesky factorization
-#: certifies a density without an eigendecomposition.
+#: The smallest eigenvalue a density may have, and the distance above it at
+#: which a Cholesky factorization certifies a density without an eigendecomposition.
+_EIG_FLOOR = -1e-8
 _CHOLESKY_MARGIN = 1e-10
 
 #: Largest max |rho - rho†| and |tr rho - 1| a density may show.
@@ -177,7 +180,7 @@ def kron_chain(ops) -> np.ndarray:
     ``ops[i]`` acts on component i.  Component 0 is the least significant
     digit of the flat index, so the kron chain runs over ops in reverse.
     """
-    ops = list(ops)
+    ops = admit_array(ops, "operators 'ops'", complex, 3)
     out = ops[-1]
     for op in reversed(ops[:-1]):
         out = np.kron(out, op)
@@ -279,10 +282,10 @@ def apply_dual(x, d: int, mode: str) -> np.ndarray:
     transformed and back in place.  :func:`admit_transform_d` admits d, and no
     d**d x d**d matrix is formed.
     """
-    x = np.asarray(x, dtype=complex)
+    x = admit_array(x, "'x'", complex, (1, 2))
     d = admit_transform_d(d, mode)
     n = space_dimension(d, mode)
-    if x.ndim not in (1, 2) or x.shape[0] != n:
+    if x.shape[0] != n:
         raise DimensionMismatchError(f"a {mode} transform of size {n} cannot act on shape {x.shape}")
     return _dual_transform(d, mode)(x)
 
@@ -341,16 +344,16 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def pure_density(psi) -> np.ndarray:
     """Density matrix |psi><psi| of a normalized amplitude vector."""
-    psi = np.asarray(psi, dtype=complex)
+    psi = admit_array(psi, "amplitude vector", complex, 1)
     return np.outer(psi, psi.conj())
 
 
-def validate_density_matrix(rho, eig_floor: float = -1e-8, repair: bool = False) -> np.ndarray:
-    """Validate a density matrix: finite, Hermitian and of unit trace to 1e-10, eigenvalues >= floor.
+def validate_density_matrix(rho, repair: bool = False) -> np.ndarray:
+    """Validate a density matrix: finite, Hermitian and of unit trace to 1e-10, eigenvalues >= -1e-8.
 
     Positivity is first certified without an eigendecomposition: if the
     Hermitian part H admits a Cholesky factorization of
-    ``H - (eig_floor + margin) I``, every eigenvalue of H lies above the floor
+    ``H - (_EIG_FLOOR + margin) I``, every eigenvalue of H lies above the floor
     and the matrix is returned unchanged.  The margin, 1e-10, is far above
     the rounding of either route, of order N eps |H| <= 7e-13 for a density
     at N = 3125.  When the factorization fails, ``np.linalg.eigh`` decides
@@ -362,9 +365,7 @@ def validate_density_matrix(rho, eig_floor: float = -1e-8, repair: bool = False)
     after file round-trips); otherwise the validated matrix is returned
     unchanged.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValidationError("density matrix must be square")
+    rho = admit_square(rho, "density matrix", complex)
     if not np.all(np.isfinite(rho)):
         raise ValidationError("density matrix contains non-finite entries")
     herm = np.abs(rho - rho.conj().T).max()
@@ -376,15 +377,15 @@ def validate_density_matrix(rho, eig_floor: float = -1e-8, repair: bool = False)
     hermitian_part = (rho + rho.conj().T) / 2.0
     if not repair:
         shifted = hermitian_part.copy()
-        shifted.flat[:: rho.shape[0] + 1] -= eig_floor + _CHOLESKY_MARGIN
+        shifted.flat[:: rho.shape[0] + 1] -= _EIG_FLOOR + _CHOLESKY_MARGIN
         try:
             np.linalg.cholesky(shifted)
             return rho
         except np.linalg.LinAlgError:
             pass  # not certified: eigh below decides
     eigvals, eigvecs = np.linalg.eigh(hermitian_part)
-    if eigvals.min() < eig_floor:
-        raise ValidationError(f"negative eigenvalue {eigvals.min():.3g} below floor {eig_floor:g}")
+    if eigvals.min() < _EIG_FLOOR:
+        raise ValidationError(f"negative eigenvalue {eigvals.min():.3g} below floor {_EIG_FLOOR:g}")
     if repair:
         clipped = np.clip(eigvals, 0.0, None)
         clipped /= clipped.sum()
@@ -394,8 +395,7 @@ def validate_density_matrix(rho, eig_floor: float = -1e-8, repair: bool = False)
 
 def reduced_density(rho, i: int) -> np.ndarray:
     """Reduced density matrix of component i (partial trace over the rest)."""
-    rho = np.asarray(rho, dtype=complex)
-    d = local_dimension(rho.shape[0])
+    rho, d = _admit_density(rho)
     i = admit_index(i, "component", d)
     t = rho.reshape((d,) * (2 * d))
     # C-order reshape puts component i at axis d - 1 - i (rows) and
@@ -441,13 +441,12 @@ def state_stats(rho) -> StateStats:
     component i.  Joint statistics are blind to off-diagonal elements of rho
     (only duals under the global transform can see those).
     """
-    rho = _square(rho)
-    local_dimension(rho.shape[0])
-    return tensor_stats(diagonal_probabilities(rho))
+    return tensor_stats(diagonal_probabilities(_admit_density(rho)[0]))
 
 
 def tensor_stats(tensor: np.ndarray) -> StateStats:
     """The statistics of a validated Markov tensor, such as the output of :func:`dual_probabilities`."""
+    tensor = admit_array(tensor, "Markov tensor", float, 1)
     markov = tensor_to_matrix(tensor)
     products = product_probabilities(markov)
     return StateStats(
@@ -463,20 +462,15 @@ def tensor_stats(tensor: np.ndarray) -> StateStats:
 
 def diagonal_probabilities(rho) -> np.ndarray:
     """The computational-basis probabilities of a density, validated at PROBABILITY_TOL."""
+    rho = admit_square(rho, "density matrix", complex)
     return validate_prob_vector(np.real(np.diag(rho)), PROBABILITY_TOL)
 
 
-def _square(rho) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValidationError("density matrix must be square")
-    return rho
-
-
-def _transform_size(rho: np.ndarray, mode: str) -> int:
-    """The d of a square density's transform: its dimension in single mode, else d with d**d = dim."""
-    dim = rho.shape[0]
-    return admit_transform_d(dim if mode == SINGLE else local_dimension(dim), mode)  # raises for non d**d dims
+def _admit_density(rho, mode: str | None = None) -> tuple[np.ndarray, int]:
+    """A density by :func:`errors.admit_square` and its d: that of the `mode`'s transform, or d**d = dim for no mode."""
+    rho = admit_square(rho, "density matrix", complex)
+    d = rho.shape[0] if mode == SINGLE else local_dimension(rho.shape[0])  # raises for non d**d dims
+    return rho, d if mode is None else admit_transform_d(d, mode)
 
 
 def dual_state(rho, mode: str) -> np.ndarray:
@@ -486,8 +480,7 @@ def dual_state(rho, mode: str) -> np.ndarray:
     ``"local"`` (F_L on a d**d space) or ``"global"`` (F_G on a d**d space).
     Plain statistics of the returned state are the dual statistics of rho.
     """
-    rho = _square(rho)
-    d = _transform_size(rho, mode)
+    rho, d = _admit_density(rho, mode)
     # F† rho F = (F† (F† rho)†)†: both factors apply F† from the left.  The
     # C-order copy lets the local transform reshape its input without a copy.
     half = np.conjugate(apply_dual(rho, d, mode).T, order="C")
@@ -505,8 +498,11 @@ def dual_probabilities(rho, mode: str) -> np.ndarray:
     The diagonal is validated as :func:`diagonal_probabilities` validates
     it; it matches the diagonal of :func:`dual_state` to rounding.
     """
-    rho = _square(rho)
-    d = _transform_size(rho, mode)
+    return _dual_probabilities(*_admit_density(rho, mode), mode)
+
+
+def _dual_probabilities(rho: np.ndarray, d: int, mode: str) -> np.ndarray:
+    """:func:`dual_probabilities` of a density admitted with its d by :func:`_admit_density`."""
     if mode == LOCAL:
         p = _local_diagonal(rho, d)
     else:
@@ -565,11 +561,11 @@ def state_scalar_product(rho, sigma) -> float:
     The probability that componentwise measurements on one system from each
     ensemble agree everywhere.  Basis kets give (q_f, q_g) = delta(f, g).
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
+    rho = admit_square(rho, "'rho'", complex)
+    sigma = admit_square(sigma, "'sigma'", complex)
     if rho.shape != sigma.shape:
         raise DimensionMismatchError(f"state dimensions {rho.shape[0]} and {sigma.shape[0]} differ")
-    return scalar_product(state_stats(rho).markov, state_stats(sigma).markov)
+    return scalar_product(*(tensor_to_matrix(diagonal_probabilities(s)) for s in (rho, sigma)))
 
 
 @dataclass(frozen=True)
@@ -593,15 +589,14 @@ def uncertainty_deficits(rho) -> UncertaintyDeficits:
     Each deficit needs only diagonals: that of rho and those of its two duals
     (:func:`dual_probabilities`).  No dual state and no product tensor is formed.
     """
-    rho = np.asarray(rho, dtype=complex)
-    d = local_dimension(rho.shape[0])
+    rho, d = _admit_density(rho, LOCAL)  # the d of the global transform too
     dim = d**d
     cap_comp = 2.0 * (d - 1) / (d + 1)
     cap_total = 2.0 * (dim - 1) / (dim + 1)
-    p = diagonal_probabilities(_square(rho))
+    p = validate_prob_vector(np.real(np.diag(rho)), PROBABILITY_TOL)  # diagonal_probabilities without a second admission
     plain_components, plain_total = local_gini_vector(tensor_to_matrix(p)), total_gini(p)
-    loc = dual_probabilities(rho, LOCAL)
-    glo = dual_probabilities(rho, GLOBAL)
+    loc = _dual_probabilities(rho, d, LOCAL)
+    glo = _dual_probabilities(rho, d, GLOBAL)
     return UncertaintyDeficits(
         local_components=cap_comp - (plain_components + local_gini_vector(tensor_to_matrix(loc))),
         local_total=cap_total - (plain_total + total_gini(loc)),

@@ -1,10 +1,13 @@
-"""One admission rule for every count, size, seed and index argument.
+"""One admission rule for every count, size, seed and index argument, and one for every array.
 
 Each public function that takes an integer argument goes through
 ``errors.admit_int``: a Python int or a numpy integer is admitted, and a
 bool, a float (even an integral one), a string, None or any other value is a
 ValidationError that names the argument, as is a value outside the
-argument's range, before anything sized by the value is allocated.
+argument's range, before anything sized by the value is allocated.  Each
+array argument goes through ``errors.admit_array``: a value that is no
+non-empty array of numbers of the argument's dimensions, or a complex one
+where a real array is expected, is a ValidationError that names it.
 """
 
 import dataclasses
@@ -23,8 +26,10 @@ from ginisafe.errors import (
     DimensionTooLargeError,
     IndexOutOfRangeError,
     ValidationError,
+    admit_array,
     admit_index,
     admit_int,
+    admit_square,
 )
 
 SPEC = gs.EnsembleSpec.independent([[0.5, 0.5, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]])
@@ -322,3 +327,245 @@ def test_admission_messages(call, error, message):
     assert type(info.value) is error
     assert str(info.value).startswith(message)
     assert len(str(info.value)) < 120
+
+
+# ---------------------------------------------------------------------------
+# Array arguments: errors.admit_array
+# ---------------------------------------------------------------------------
+
+P = np.array([0.5, 0.5])
+Q = np.array([[0.5, 0.5], [0.25, 0.75]])
+T = np.full(4, 0.25)
+
+
+@dataclasses.dataclass(frozen=True)
+class ArraySlot:
+    """One array argument of one public function.
+
+    `call` puts a value in the argument's place and `what` names it in the
+    error; `dtype` and `ndim` are what the rule admits there.
+    """
+
+    name: str
+    call: object
+    what: str
+    dtype: type
+    ndim: tuple
+
+    def __repr__(self):
+        return self.name
+
+
+ARRAY_SLOTS = [
+    ArraySlot("validate_prob_vector.raw", gs.validate_prob_vector, "probability vector", float, (1,)),
+    ArraySlot("ordering_permutation.x", gs.ordering_permutation, "probability vector", float, (1,)),
+    ArraySlot("lorenz_values.x", gs.lorenz_values, "probability vector", float, (1,)),
+    ArraySlot("gini_index.x", gs.gini_index, "probability vector", float, (1, 2, 3)),
+    ArraySlot("gini_mean_abs_diff.x", gs.gini_mean_abs_diff, "probability vector", float, (1,)),
+    ArraySlot("majorizes.x", lambda v: gs.majorizes(v, P), "'x'", float, (1,)),
+    ArraySlot("majorizes.y", lambda v: gs.majorizes(P, v), "'y'", float, (1,)),
+    ArraySlot("average_bounds.x", gs.average_bounds, "probability vector", float, (1,)),
+    ArraySlot("validate_row_markov.matrix", gs.validate_row_markov, "row Markov matrix", float, (2,)),
+    ArraySlot("validate_markov_tensor.tensor", gs.validate_markov_tensor, "Markov tensor", float, (1,)),
+    ArraySlot("push_forward.x", lambda v: gs.push_forward(v, Q), "probability vector", float, (1,)),
+    ArraySlot("push_forward.q", lambda v: gs.push_forward(P, v), "row Markov matrix", float, (2,)),
+    ArraySlot("scalar_product.q", lambda v: gs.scalar_product(v, Q), "'q'", float, (2,)),
+    ArraySlot("scalar_product.p", lambda v: gs.scalar_product(Q, v), "'p'", float, (2,)),
+    ArraySlot("product_probabilities.q", gs.product_probabilities, "row Markov matrix", float, (2,)),
+    ArraySlot("tensor_to_matrix.t", gs.tensor_to_matrix, "Markov tensor", float, (1, 2)),
+    ArraySlot("correlation_coefficients.t", gs.correlation_coefficients, "Markov tensor", float, (1,)),
+    ArraySlot("scalar_product_via_tensors.tq", lambda v: gs.scalar_product_via_tensors(v, T), "'tq'", float, (1,)),
+    ArraySlot("scalar_product_via_tensors.tp", lambda v: gs.scalar_product_via_tensors(T, v), "'tp'", float, (1,)),
+    ArraySlot("local_gini_vector.q", gs.local_gini_vector, "row Markov matrix", float, (2,)),
+    ArraySlot("total_gini.t", gs.total_gini, "Markov tensor", float, (1,)),
+    ArraySlot("EnsembleSpec.matrix", lambda v: gs.EnsembleSpec(kind="independent", matrix=v),
+              "ensemble matrix", float, (2,)),
+    ArraySlot("EnsembleSpec.tensor", lambda v: gs.EnsembleSpec(kind="correlated", tensor=v),
+              "ensemble tensor", float, (1,)),
+    ArraySlot("EnsembleSpec.independent.matrix", gs.EnsembleSpec.independent, "row Markov matrix", float, (2,)),
+    ArraySlot("EnsembleSpec.correlated.tensor", gs.EnsembleSpec.correlated, "Markov tensor", float, (1,)),
+    ArraySlot("kron_chain.ops", gs.kron_chain, "operators 'ops'", complex, (3,)),
+    ArraySlot("apply_dual.x", lambda v: gs.apply_dual(v, 2, "single"), "'x'", complex, (1, 2)),
+    ArraySlot("pure_density.psi", gs.pure_density, "amplitude vector", complex, (1,)),
+    ArraySlot("validate_density_matrix.rho", gs.validate_density_matrix, "density matrix", complex, (2,)),
+    ArraySlot("reduced_density.rho", lambda v: gs.reduced_density(v, 0), "density matrix", complex, (2,)),
+    ArraySlot("state_stats.rho", gs.state_stats, "density matrix", complex, (2,)),
+    ArraySlot("tensor_stats.tensor", gs.tensor_stats, "Markov tensor", float, (1,)),
+    ArraySlot("diagonal_probabilities.rho", gs.diagonal_probabilities, "density matrix", complex, (2,)),
+    ArraySlot("dual_probabilities.rho", lambda v: gs.dual_probabilities(v, "global"), "density matrix",
+              complex, (2,)),
+    ArraySlot("dual_state.rho", lambda v: gs.dual_state(v, "local"), "density matrix", complex, (2,)),
+    ArraySlot("state_scalar_product.rho", lambda v: gs.state_scalar_product(v, RHO), "'rho'", complex, (2,)),
+    ArraySlot("state_scalar_product.sigma", lambda v: gs.state_scalar_product(RHO, v), "'sigma'", complex, (2,)),
+    ArraySlot("uncertainty_deficits.rho", gs.uncertainty_deficits, "density matrix", complex, (2,)),
+    ArraySlot("gini_sum.state", lambda v: gs.gini_sum(v, 2, "single"), "state", complex, (1, 2)),
+    ArraySlot("deficit.state", lambda v: gs.deficit(v, 2, "local_total"), "state", complex, (1, 2)),
+    ArraySlot("estimate_eta.initial_states", lambda v: gs.estimate_eta(2, "single", 5, initial_states=[PSI, v]),
+              "initial state 1", complex, (1,)),
+]
+ARRAY_SLOT = {slot.name: slot for slot in ARRAY_SLOTS}
+
+# the parameter names of the public API that take an array
+_ARRAY_PARAMETERS = {"x", "y", "q", "p", "t", "tq", "tp", "raw", "matrix", "tensor", "rho", "sigma", "psi",
+                     "state", "ops", "initial_states"}
+# arrays inside a sequence argument: the starts of a search
+_ARRAY_ELEMENT_SLOTS = {"estimate_eta.initial_states"}
+
+
+def _public_signatures():
+    """(name, parameters) of every public callable of ginisafe and of the public classmethods of its classes."""
+    results = (gs.EtaEstimate, gs.McEstimate, gs.StateStats, gs.UncertaintyDeficits)  # returned values
+    for name in dir(gs):
+        obj = getattr(gs, name)
+        if name.startswith("_") or not callable(obj) or obj in results:
+            continue
+        try:
+            yield name, inspect.signature(obj).parameters
+        except ValueError:
+            continue
+        for method, member in vars(obj).items() if inspect.isclass(obj) else ():
+            if not method.startswith("_") and isinstance(member, classmethod):
+                yield f"{name}.{method}", inspect.signature(getattr(obj, method)).parameters
+
+
+def test_every_array_argument_of_the_public_api_has_a_slot():
+    wanted = {f"{name}.{p}" for name, params in _public_signatures() for p in params if p in _ARRAY_PARAMETERS}
+    covered = {s.name for s in ARRAY_SLOTS}
+    assert wanted - covered == set()
+    assert _ARRAY_ELEMENT_SLOTS <= covered
+    assert "EnsembleSpec.independent.matrix" in wanted  # the classmethods are searched too
+
+
+_SMALL_FLOATS = st.floats(0, 1)
+_RAGGED = st.one_of(
+    st.sampled_from([[1, [0]], [[1], [1, 2]], [[1, [0]], [0, 0]], [[[1, 0]], [[1]]]]),
+    st.tuples(st.lists(_SMALL_FLOATS, min_size=1, max_size=3), st.lists(_SMALL_FLOATS, min_size=1, max_size=3))
+    .filter(lambda rows: len(rows[0]) != len(rows[1]))
+    .map(list),
+    st.lists(_SMALL_FLOATS, min_size=1, max_size=3).map(lambda row: [row, row[0]]),
+)
+_HUGE = st.integers(2**1024, 2**1100) | st.integers(-(2**1100), -(2**1024))
+
+
+def _arrays(ndims, dtype=float, empty=False):
+    """Arrays of one of `ndims` dimensions, of sides 1 to 3, or with one side 0 when `empty`."""
+    def build(ndim, sides, zero_at, value):
+        shape = list(sides[:ndim])
+        if empty:
+            shape[zero_at % ndim] = 0
+        return np.full(shape, value, dtype=dtype)
+
+    value = st.just(0.5 + 0.5j) if dtype is complex else st.just(0.25)
+    sides = st.lists(st.integers(1, 3), min_size=4, max_size=4)
+    return st.builds(build, st.sampled_from(ndims), sides, st.integers(0, 3), value)
+
+
+def _bad_arrays(slot: ArraySlot):
+    """Values the slot must reject: no array of numbers, an empty or wrong-ndim array, or a complex real."""
+    wrong = tuple(n for n in range(5) if n not in slot.ndim)
+    bad = [
+        _RAGGED,
+        st.text(max_size=4),
+        st.none(),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+        _HUGE,
+        _HUGE.map(lambda h: [h, 0]),
+        st.sampled_from([np.array(0.5), np.float64(0.5), np.complex128(1j), 0.5, 1]),
+        _arrays(slot.ndim, empty=True),
+        st.sampled_from([[], [[]], (), np.zeros((0, 0))]),
+        _arrays(wrong),
+    ]
+    if slot.dtype is float:
+        bad += [_arrays(slot.ndim, complex), _arrays(slot.ndim, complex).map(lambda a: a.tolist())]
+    return st.one_of(*bad)
+
+
+BAD_ARRAY_CASES = st.sampled_from(ARRAY_SLOTS).flatmap(lambda s: st.tuples(st.just(s), _bad_arrays(s)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=BAD_ARRAY_CASES)
+# numpy's bare ValueError before the rule
+@example(case=(ARRAY_SLOT["state_stats.rho"], [[1, [0]], [0, 0]]))
+@example(case=(ARRAY_SLOT["apply_dual.x"], [1, [0]]))
+@example(case=(ARRAY_SLOT["gini_sum.state"], [1, [0]]))
+@example(case=(ARRAY_SLOT["gini_index.x"], [[1], [1, 2]]))
+@example(case=(ARRAY_SLOT["lorenz_values.x"], "ab"))
+@example(case=(ARRAY_SLOT["product_probabilities.q"], [["a"]]))
+@example(case=(ARRAY_SLOT["validate_density_matrix.rho"], [[1, [0]], [0, 0]]))
+@example(case=(ARRAY_SLOT["reduced_density.rho"], [["a"]]))
+# silently wrong answers: an empty vector, a matrix read as a vector, a dropped imaginary part
+@example(case=(ARRAY_SLOT["gini_index.x"], []))
+@example(case=(ARRAY_SLOT["gini_mean_abs_diff.x"], []))
+@example(case=(ARRAY_SLOT["average_bounds.x"], np.eye(2)))
+@example(case=(ARRAY_SLOT["validate_prob_vector.raw"], np.array([0.5 + 0.3j, 0.5])))
+@example(case=(ARRAY_SLOT["scalar_product.q"], np.eye(2) * (1 + 1j)))
+@example(case=(ARRAY_SLOT["gini_index.x"], [np.complex128(1j), 1.0]))
+def test_a_bad_array_argument_is_rejected_by_name_before_allocating(case):
+    slot, value = case
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as info:
+            slot.call(value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ADMISSION_BYTES, (slot, value, peak)
+    assert str(info.value).startswith(f"{slot.what} must be "), (slot, value, str(info.value))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # a non-square matrix ended in a reshape error; a flat tensor in an AttributeError
+        (lambda: gs.reduced_density(np.eye(4)[:, :3], 0), "density matrix must be square, got shape (4, 3)"),
+        (lambda: gs.validate_row_markov(np.ones((2, 3)) / 3), "row Markov matrix must be square"),
+        (lambda: gs.EnsembleSpec(kind="independent", matrix=[[2.0, -1.0], [0.0, 1.0]]), "row 0: entry 1 = -1"),
+        (lambda: gs.kron_chain([]), "operators 'ops' must be a non-empty 3-D array of complex numbers, got []"),
+        (lambda: admit_array(np.eye(2), "'a'", float, (1, 3)),
+         "'a' must be a non-empty 1-D or 3-D array of real numbers, got a float64 array of shape (2, 2)"),
+        (lambda: admit_array([1j], "'a'", float, 1), "'a' must be a non-empty 1-D array of real numbers, got [1j]"),
+        (lambda: admit_array(None, "'a'", complex, 2), "'a' must be a non-empty 2-D array of complex numbers, got None"),
+        (lambda: admit_square(np.ones((1, 2)), "'m'", float), "'m' must be square, got shape (1, 2)"),
+    ],
+)
+def test_array_admission_messages(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_admit_array_returns_an_array_of_its_dtype_untouched(dtype):
+    array = np.linspace(0, 1, 6, dtype=dtype).reshape(2, 3)
+    assert admit_array(array, "a", dtype, 2) is array
+    transposed = array.T
+    assert admit_array(transposed, "a", dtype, 2) is transposed  # nor is a view copied
+    swapped = array.astype(array.dtype.newbyteorder())
+    for value in (swapped, array.tolist(), array.astype(np.complex64 if dtype is complex else np.float32)):
+        admitted = admit_array(value, "a", dtype, 2)
+        want = np.asarray(value, dtype=dtype)
+        assert admitted.dtype == want.dtype and admitted.tobytes() == want.tobytes()
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.floats(-1e6, 1e6).map(str),
+    st.floats(width=32, allow_nan=False).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-128, 127).map(np.int8),
+)
+_ROWS = st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(_NUMBERS, min_size=n, max_size=n), min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.one_of(st.lists(_NUMBERS, min_size=1, max_size=6), _ROWS), dtype=st.sampled_from([float, complex]))
+def test_the_rule_converts_as_asarray_does(value, dtype):
+    # numpy's dtype is found first and then cast, which must give asarray's bits
+    want = np.asarray(value, dtype=dtype)
+    got = admit_array(value, "v", dtype, want.ndim)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+

@@ -298,7 +298,8 @@ class TestReaderErrors:
     def test_non_numeric_vector(self, capsys, vector):
         code, _, err = run_cli(capsys, "gini", "--vector", vector)
         assert code == 1
-        assert err == "error: probability vector must be a non-empty 1-D sequence of numbers\n"
+        echo = repr(json.loads(vector))  # the payload as the message shows it
+        assert err == f"error: probability vector must be a non-empty 1-D array of real numbers, got {echo}\n"
 
     @pytest.mark.parametrize(
         "argv",

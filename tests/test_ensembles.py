@@ -14,6 +14,7 @@ from ginisafe import (
     DimensionMismatchError,
     EnsembleSpec,
     FunctionMap,
+    ValidationError,
     collision_probability_mc,
     empirical_tensor,
     ensembles,
@@ -27,6 +28,7 @@ from ginisafe import (
     shard_rng,
     tensor_to_matrix,
     uniform_matrix,
+    validate_row_markov,
 )
 from ginisafe.markov import encode
 from ginisafe.reference import demo_correlated_tensor, demo_matrix
@@ -36,6 +38,37 @@ class TestSpecs:
     def test_independent_requires_matrix(self):
         with pytest.raises(Exception):
             EnsembleSpec(kind="independent")
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            # sample_codes drew [2 2 2 2 2] from this matrix
+            ("independent", "matrix", np.array([[2.0, -1.0], [0.0, 1.0]])),
+            ("independent", "matrix", np.array([[0.5, 0.4], [0.5, 0.5]])),
+            ("correlated", "tensor", np.array([0.5, 0.5, 0.5, -0.5])),
+            ("correlated", "tensor", np.full(5, 0.2)),
+        ],
+    )
+    def test_a_direct_spec_must_hold_markov_data(self, kind, field, value):
+        with pytest.raises(ValidationError):
+            EnsembleSpec(kind=kind, **{field: value})
+
+    def test_a_direct_spec_keeps_the_bits_it_was_given(self):
+        # within DEFAULT_TOL but not exactly normalized: stored as given, not renormalized
+        matrix = np.array([[0.5, 0.5 + 1e-12], [0.25, 0.75]])
+        assert EnsembleSpec(kind="independent", matrix=matrix).matrix is matrix
+        tensor = [0.25, 0.25, 0.25, 0.25 - 1e-12]
+        spec = EnsembleSpec(kind="correlated", tensor=tensor)
+        assert spec.tensor.tobytes() == np.asarray(tensor).tobytes()
+        assert spec.d == 2  # a list tensor raised AttributeError here
+
+    def test_validated_specs_check_clean(self):
+        # the CLI validates at --tol and renormalizes exactly, so the spec's own check passes
+        rng = np.random.default_rng(5)
+        for d in (2, 3, 6):
+            q = random_row_markov(rng, d) * (1 + 1e-7)
+            spec = EnsembleSpec(kind="independent", matrix=validate_row_markov(q, tol=1e-6))
+            assert spec.d == d
 
     def test_exact_tensor_independent(self):
         q = demo_matrix(0.3, 0.6)
@@ -264,6 +297,33 @@ class TestCollision:
         assert est.stderr == pytest.approx(
             np.sqrt(est.value * (1 - est.value) / est.n), abs=1e-15
         )
+
+    @pytest.mark.parametrize("n", [1, 16383, 16384, 16385, 100_003])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_chunked_b_is_bitwise_the_two_array_estimate(self, n, seed):
+        a = EnsembleSpec.independent(demo_matrix(0.3, 0.6))
+        b = EnsembleSpec.independent(uniform_matrix(3))
+        rng = make_rng(seed)
+        codes_a = sample_codes(a, n, rng)
+        codes_b = sample_codes(b, n, rng)
+        p_hat = float(np.mean(codes_a == codes_b))
+        want = (p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / n)), n)
+        rng = make_rng(seed)
+        est = collision_probability_mc(a, b, n, rng)
+        assert (est.value, est.stderr, est.n) == want
+        assert rng.random() == make_rng(seed).random(2 * 3 * n + 1)[-1]  # the generator ends where one draw does
+
+    def test_holds_the_codes_of_one_ensemble(self):
+        spec = EnsembleSpec.independent(demo_matrix(0.3, 0.6))
+        n = 10**6
+        tracemalloc.start()
+        try:
+            collision_probability_mc(spec, spec, n, make_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a's codes and a few chunk-sized buffers; the codes of both took 17 MiB
+        assert peak < n * np.dtype(np.intp).itemsize + 4 * 2**20, peak
 
     def test_estimates_bit_identical_under_same_seed(self):
         spec = EnsembleSpec.independent(demo_matrix(0.25, 0.5))

@@ -165,18 +165,19 @@ class TestEstimateEta:
             estimate_eta(2, "single", 5, initial_states=[good, bad])
 
     def test_checks_every_start_before_searching(self):
-        # a start past the budget is checked too, and its shape is named
+        # a start past the budget is checked too, and it is shown
         good = certain_vector(2).astype(complex)
         with pytest.raises(ValidationError, match=r"initial state 1 has shape \(3,\), expected \(2,\)"):
             estimate_eta(2, "single", 1, initial_states=[good, [1, 0, 0]])
-        with pytest.raises(ValidationError, match=r"initial state 0 has shape \(2, 1\)"):
+        start_is_1d = r"initial state 0 must be a non-empty 1-D array of complex numbers, got \[\[1\], \[0\]\]"
+        with pytest.raises(ValidationError, match=start_is_1d):
             estimate_eta(2, "single", 1, initial_states=[[[1], [0]]])
 
     @pytest.mark.parametrize("bad", [[1, [0]], ["a", "b"], [1, {}], [10**400, 0]])
     def test_rejects_a_start_that_is_no_array_of_numbers(self, bad):
         # ragged and non-numeric starts ended in numpy's ValueError
         good = certain_vector(2).astype(complex)
-        with pytest.raises(ValidationError, match=r"initial state 1 must be a 1-D array of numbers"):
+        with pytest.raises(ValidationError, match=r"initial state 1 must be a non-empty 1-D array of complex numbers"):
             estimate_eta(2, "single", 5, initial_states=[good, bad])
 
 

@@ -366,6 +366,10 @@ class TestTensorToMatrix:
         rng = np.random.default_rng(seed)
         t = rng.random((batch, d**d)) ** 3
         t[rng.random(t.shape) < 0.3] = 0.0
+        if batch == 0:  # an empty array is no tensor batch (errors.admit_array)
+            with pytest.raises(ValidationError, match=r"got a float64 array of shape \(0, "):
+                tensor_to_matrix(t)
+            return
         q = tensor_to_matrix(t)
         assert q.shape == (batch, d, d)
         for row, want in zip(t, q):

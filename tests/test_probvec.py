@@ -73,7 +73,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("raw", ["abc", [0.5, "x"], [[0.5], [0.25, 0.25]], [10**400], {}])
     def test_rejects_non_numeric(self, raw):
-        with pytest.raises(ValidationError, match="sequence of numbers"):
+        with pytest.raises(ValidationError, match="probability vector must be a non-empty 1-D array of real numbers"):
             validate_prob_vector(raw)
 
 

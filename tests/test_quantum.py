@@ -32,6 +32,7 @@ from ginisafe import (
     projector_local,
     pure_density,
     reduced_density,
+    scalar_product,
     state_scalar_product,
     state_stats,
     tuple_to_index,
@@ -39,6 +40,7 @@ from ginisafe import (
     validate_density_matrix,
 )
 from ginisafe import quantum
+from ginisafe.errors import admit_square
 from ginisafe.quantum import MAX_COMPONENTS, elementary_projector
 from ginisafe.reference import (
     TRIPARTITE_DUAL_GINI_VECTOR,
@@ -536,7 +538,7 @@ class TestApplyDual:
             apply_dual(np.ones(1), 1, "single")
         with pytest.raises(DimensionMismatchError):
             apply_dual(np.ones(5), 2, "local")
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match="'x' must be a non-empty 1-D or 2-D array"):
             apply_dual(np.ones((4, 4, 4)), 2, "global")
 
     def test_single_mode_caches_no_large_transform(self):
@@ -626,6 +628,18 @@ class TestDualProbabilities:
 
 
 class TestStateScalarProduct:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_is_the_scalar_product_of_the_state_stats_matrices_bit_for_bit(self, d, monkeypatch):
+        rng = np.random.default_rng(40 + d)
+        rho, sigma = random_density(rng, d**d, 2), random_density(rng, d**d, 3)
+        want = scalar_product(state_stats(rho).markov, state_stats(sigma).markov)
+
+        def unused(*args):
+            raise AssertionError("state_scalar_product built a product tensor")
+
+        monkeypatch.setattr(quantum, "product_probabilities", unused)
+        assert state_scalar_product(rho, sigma) == want
+
     def test_basis_states_orthonormal(self):
         for d in (2, 3):
             for f_code in range(min(d**d, 6)):
@@ -724,6 +738,17 @@ class TestUncertaintyDeficits:
         monkeypatch.setattr(quantum, "product_probabilities", unused)
         deficits = uncertainty_deficits(np.eye(27, dtype=complex) / 27)
         assert deficits.local_total == pytest.approx(2 * 26 / 28, abs=1e-12)
+
+    def test_admits_the_density_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return admit_square(*args)
+
+        monkeypatch.setattr(quantum, "admit_square", counting)
+        uncertainty_deficits(random_density(np.random.default_rng(8), 27, 2))
+        assert calls == ["density matrix"]
 
     def test_rejects_bad_densities_as_state_stats_does(self):
         with pytest.raises(ValidationError, match="square"):
@@ -843,13 +868,15 @@ class TestCholeskyAdmission:
     )
     def test_same_decisions_as_eigh(self, seed, n, floor, offset, zeros):
         rho = density_with_smallest(np.random.default_rng(seed), n, floor + offset, zeros)
-        got = outcome(validate_density_matrix, rho, eig_floor=floor)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quantum, "_EIG_FLOOR", floor)
+            got = outcome(validate_density_matrix, rho)
+            repaired = outcome(validate_density_matrix, rho, repair=True)
         want = outcome(eigh_validate, rho, eig_floor=floor)
         if isinstance(want, str):
             assert got == want
         else:
             assert got is rho  # admitted unchanged
-        repaired = outcome(validate_density_matrix, rho, eig_floor=floor, repair=True)
         oracle = outcome(eigh_validate, rho, eig_floor=floor, repair=True)
         if isinstance(oracle, str):
             assert repaired == oracle
