@@ -6,17 +6,22 @@ from a joint Markov tensor).  Sampling is reproducible: the generator is a
 seeded numpy PCG64, and categorical draws are inverse-CDF lookups, so
 identical seeds give identical sample streams.
 
-A draw of n sequences runs in chunks of ``_CHUNK`` sequences.  Each chunk
-takes ``rng.random((m, d))`` (INDEPENDENT) or ``rng.random(m)`` (CORRELATED);
-PCG64 gives consecutive chunks exactly the numbers, and leaves the generator
-in exactly the state, of one ``rng.random((n, d))`` or ``rng.random(n)``, so
-the chunk size never shows in the codes.  An INDEPENDENT chunk is transposed
-once so that each position's uniforms are contiguous, and the digit of
-position i is the threshold count ``sum_k [u_i >= t_ik]`` over row i's
-cumulative sums, which is ``searchsorted(t_i, u_i, side="right")`` without
-the search.  The CORRELATED CDF has up to d**d entries and keeps
-``searchsorted``.  A draw holds its n codes and a few chunk-sized buffers,
-never n * d uniforms.
+Every draw goes through one stream, ``_code_chunks``, which yields the codes
+of n sequences in chunks of ``_CHUNK``.  Each chunk takes
+``rng.random((m, d))`` (INDEPENDENT) or ``rng.random(m)`` (CORRELATED); PCG64
+gives consecutive chunks exactly the numbers, and leaves the generator in
+exactly the state, of one ``rng.random((n, d))`` or ``rng.random(n)``, so the
+chunk size never shows in the codes.  An INDEPENDENT chunk is transposed once
+so that each position's uniforms are contiguous, and the digit of position i
+is the uint8 threshold count ``sum_k [u_i >= t_ik]`` over row i's cumulative
+sums, which is ``searchsorted(t_i, u_i, side="right")`` without the search.
+Its codes are then built by Horner's rule, in place, in a uint16 buffer:
+d**d <= 6**6 < 2**16, so a code takes 2 bytes.  The CORRELATED CDF has up to
+d**d entries and keeps ``searchsorted``.  The stream reuses its chunk-sized
+buffers and holds no n-sized array: :func:`sample_codes` copies it into its
+intp array, :func:`empirical_tensor` adds one ``bincount`` per chunk, and
+:func:`collision_probability_mc` keeps the first ensemble's codes as uint16
+(2 bytes per sample) and compares each chunk of the second as it is drawn.
 
 Samples are codes in [0, d**d), so ensembles share the cap of code-indexed
 objects, ``markov.MAX_ENUMERATION_D``; a draw is capped at ``MAX_SAMPLES``.
@@ -39,7 +44,6 @@ from .errors import (
 from .markov import (
     FunctionMap,
     code_count,
-    encode,
     product_probabilities,
     tensor_dimension,
     validate_markov_tensor,
@@ -131,30 +135,56 @@ def _thresholds(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def _code_chunks(spec: EnsembleSpec, n: int, rng: np.random.Generator):
+    """The stream of every draw: ``(window, codes)`` for n admitted sequences, chunk by chunk.
+
+    ``codes`` holds the uint16 codes of the draws in ``window``, a slice of
+    range(n).  It is a view of one buffer that the next chunk overwrites.
+    """
+    d, size = spec.d, min(n, _CHUNK)
+    buffer = np.empty(size, dtype=np.uint16)
+    windows = (slice(start, min(start + size, n)) for start in range(0, n, size))
+    if spec.kind == INDEPENDENT:
+        # column k holds every row's k-th threshold; each row's last is +inf
+        columns = _thresholds(spec.matrix)[:, :-1].T[:, :, None]
+        # the chunk's uniforms by position, their threshold tests and digits, and its codes
+        buffers = (np.empty((d, size)), np.empty((d, size), dtype=bool),
+                   np.empty((d, size), dtype=np.uint8), buffer)
+        for window in windows:
+            u, above, digits, codes = (b[..., :window.stop - window.start] for b in buffers)
+            np.copyto(u, rng.random((codes.size, d)).T)  # row i: position i's uniforms
+            digits.fill(0)
+            for column in columns:
+                digits += np.greater_equal(u, column, out=above)
+            # Horner's rule from the last position down: sum_i digits[i] * d**i < d**d < 2**16
+            codes[:] = digits[-1]
+            for digit in digits[:-1][::-1]:
+                codes *= d
+                codes += digit
+            yield window, codes
+    else:
+        cdf = _thresholds(spec.tensor)
+        for window in windows:
+            codes = buffer[:window.stop - window.start]
+            codes[:] = np.searchsorted(cdf, rng.random(codes.size), side="right")
+            yield window, codes
+
+
+def _admit_samples(n) -> int:
+    """A draw's sample count: an integer in [1, MAX_SAMPLES] by :func:`errors.admit_int`."""
+    return admit_int(n, "sample count", 1, MAX_SAMPLES)
+
+
 def sample_codes(spec: EnsembleSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n opening sequences, returned as canonical integer codes.
+    """Draw n opening sequences, returned as canonical integer codes (intp).
 
     INDEPENDENT specs draw one uniform per position (row-major order);
     CORRELATED specs draw one uniform per sequence against the tensor CDF.
     """
-    n = admit_int(n, "sample count", 1, MAX_SAMPLES)
-    d = spec.d
+    n = _admit_samples(n)
     codes = np.empty(n, dtype=np.intp)
-    chunks = (codes[start:start + _CHUNK] for start in range(0, n, _CHUNK))
-    if spec.kind == INDEPENDENT:
-        # column k holds every row's k-th threshold; each row's last is +inf
-        columns = _thresholds(spec.matrix)[:, :-1].T[:, :, None]
-        for chunk in chunks:
-            u = rng.random((chunk.size, d)).T.copy()  # row i: position i's uniforms
-            digits = np.zeros(u.shape, dtype=np.uint8)
-            for column in columns:
-                digits += u >= column
-            # intp before the place values: a uint8 digit times 625 overflows
-            chunk[:] = encode(digits.astype(np.intp), d)
-    else:
-        cdf = _thresholds(spec.tensor)
-        for chunk in chunks:
-            chunk[:] = np.searchsorted(cdf, rng.random(chunk.size), side="right")
+    for window, chunk in _code_chunks(spec, n, rng):
+        codes[window] = chunk
     return codes
 
 
@@ -165,8 +195,11 @@ def sample_sequence(spec: EnsembleSpec, rng: np.random.Generator) -> FunctionMap
 
 
 def empirical_tensor(spec: EnsembleSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Empirical joint distribution over n sampled sequences (a Markov tensor)."""
-    counts = np.bincount(sample_codes(spec, n, rng), minlength=code_count(spec.d))
+    """Empirical joint distribution over n sampled sequences (a Markov tensor), counted chunk by chunk."""
+    n = _admit_samples(n)
+    counts = np.zeros(code_count(spec.d), dtype=np.intp)
+    for _, chunk in _code_chunks(spec, n, rng):
+        counts += np.bincount(chunk, minlength=counts.size)
     return counts / float(n)
 
 
@@ -188,7 +221,7 @@ def collision_probability_mc(
     ``scalar_product(a.matrix, b.matrix)``.  The collision interpretation of
     the scalar product assumes independent positions, so correlated specs are
     rejected.  Draw order is fixed: the full block for ``a``, then ``b`` in
-    chunks, each matched against ``a``'s codes, so only ``a``'s are held.
+    chunks, each matched against ``a``'s codes, so only ``a``'s are held, as uint16.
     """
     for name, spec in (("first", a), ("second", b)):
         if spec.kind != INDEPENDENT:
@@ -198,12 +231,14 @@ def collision_probability_mc(
             )
     if a.d != b.d:
         raise DimensionMismatchError(f"ensembles have dimensions {a.d} and {b.d}")
-    codes_a = sample_codes(a, n, rng)
-    chunks = np.split(codes_a, range(_CHUNK, codes_a.size, _CHUNK))
-    matches = sum(np.count_nonzero(sample_codes(b, chunk.size, rng) == chunk) for chunk in chunks)
-    p_hat = matches / codes_a.size
-    stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / codes_a.size))
-    return McEstimate(value=p_hat, stderr=stderr, n=codes_a.size)
+    n = _admit_samples(n)
+    codes_a = np.empty(n, dtype=np.uint16)
+    for window, chunk in _code_chunks(a, n, rng):
+        codes_a[window] = chunk
+    matches = sum(np.count_nonzero(chunk == codes_a[window]) for window, chunk in _code_chunks(b, n, rng))
+    p_hat = matches / n
+    stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / n))
+    return McEstimate(value=p_hat, stderr=stderr, n=n)
 
 
 def merge(a: EnsembleSpec, b: EnsembleSpec, lam: float) -> EnsembleSpec:

@@ -12,8 +12,14 @@ numbers, got <value>``, or a non-square matrix (:func:`admit_square`) with
 
 import numbers
 import reprlib
+import warnings
 
 import numpy as np
+
+try:
+    from numpy.exceptions import ComplexWarning
+except ImportError:  # numpy < 1.25
+    from numpy import ComplexWarning
 
 # Error messages echo values through this repr: 6 items of a list or dict, 30
 # characters of a string, two levels of nesting, so a message stays one short line.
@@ -105,9 +111,15 @@ def admit_array(value, what: str, dtype, ndim) -> np.ndarray:
             found = np.asarray(value)  # numpy's own dtype first: a cast to float would drop an imaginary part
             if found.dtype.kind == "c" and dtype is not complex:
                 raise TypeError
-            # a number found is cast; objects and strings convert one by one, as the dtype asks
-            array = np.asarray(value if found.dtype.kind in "OSU" else found, dtype=dtype)
-        except (TypeError, ValueError, OverflowError):
+            if found.dtype.kind in "OSU":
+                # objects and strings convert one by one, as the dtype asks; a numpy complex
+                # scalar among them would lose its imaginary part with only a ComplexWarning
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", ComplexWarning)
+                    array = np.asarray(value, dtype=dtype)
+            else:
+                array = np.asarray(found, dtype=dtype)  # a number found is cast
+        except (TypeError, ValueError, OverflowError, ComplexWarning):
             array = None
     if array is None or array.size == 0 or array.ndim not in ndims:
         dims = " or ".join(f"{n}-D" for n in ndims)

@@ -35,7 +35,7 @@ from .errors import (
     admit_int,
     admit_square,
 )
-from .probvec import DEFAULT_TOL, gini_index, validate_prob_vector
+from .probvec import DEFAULT_TOL, _failing, _failure, _renormalized, gini_index, validate_prob_vector
 
 #: Largest d of a code-indexed object: at most 6**6 = 46656 codes.
 MAX_ENUMERATION_D = 6
@@ -157,14 +157,19 @@ def all_function_maps(d: int):
 
 
 def validate_row_markov(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate a row Markov matrix; each row is cleaned as a probability vector."""
-    rows = []
-    for i, row in enumerate(admit_square(matrix, "row Markov matrix", float)):
-        try:
-            rows.append(validate_prob_vector(row, tol))
-        except ValidationError as exc:
-            raise type(exc)(f"row {i}: {exc}") from None
-    return np.vstack(rows)
+    """Validate a row Markov matrix: each row is checked, clipped and renormalized as a probability vector.
+
+    All rows are checked at once by the rule of :func:`probvec.validate_prob_vector`;
+    the first that fails raises that rule's error, prefixed ``row i: ``.
+    """
+    # C order, so that each row sums in the order of a 1-D row: an F-order sum along axis 1 rounds differently
+    q = np.ascontiguousarray(admit_square(matrix, "row Markov matrix", float))
+    failing = np.flatnonzero(_failing(q, tol))
+    if failing.size:
+        i = int(failing[0])
+        exc = _failure(q[i], tol)
+        raise type(exc)(f"row {i}: {exc}")
+    return _renormalized(q)
 
 
 def validate_markov_tensor(tensor, tol: float = DEFAULT_TOL) -> np.ndarray:

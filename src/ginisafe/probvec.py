@@ -54,19 +54,40 @@ def validate_prob_vector(raw, tol: float = DEFAULT_TOL) -> np.ndarray:
         ValidationError: input is no array :func:`errors.admit_array` admits, or not finite.
     """
     x = admit_array(raw, "probability vector", float, 1)
+    if _failing(x, tol):
+        raise _failure(x, tol)
+    return _renormalized(x)
+
+
+def _failing(x: np.ndarray, tol: float):
+    """Which vectors along the last axis of ``x`` break the tolerance rule of :func:`validate_prob_vector`.
+
+    A vector fails if it has a non-finite entry, an entry below ``-tol`` or
+    above ``1 + tol``, or a sum off 1 by more than ``tol``.  All vectors are
+    tested at once; a 1-D ``x`` gives one numpy bool.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # a sum that warns is flagged by the entry tests
+        bad = ~np.isfinite(x).all(axis=-1) | (x < -tol).any(axis=-1) | (x > 1.0 + tol).any(axis=-1)
+        return bad | (np.abs(x.sum(axis=-1) - 1.0) > tol)
+
+
+def _failure(x: np.ndarray, tol: float) -> ValidationError:
+    """The error of a 1-D vector that :func:`_failing` flags: its first failed test, in the order listed there."""
     if not np.all(np.isfinite(x)):
-        raise ValidationError("probability vector contains non-finite entries")
+        return ValidationError("probability vector contains non-finite entries")
     if np.any(x < -tol):
         i = int(np.argmin(x))
-        raise NegativeEntryError(f"entry {i} = {x[i]:.6g} is negative beyond tolerance {tol:g}")
+        return NegativeEntryError(f"entry {i} = {x[i]:.6g} is negative beyond tolerance {tol:g}")
     if np.any(x > 1.0 + tol):
         i = int(np.argmax(x))
-        raise NotNormalizedError(f"entry {i} = {x[i]:.6g} exceeds 1 beyond tolerance {tol:g}")
-    total = float(x.sum())
-    if abs(total - 1.0) > tol:
-        raise NotNormalizedError(f"entries sum to {total:.12g}, not 1 within tolerance {tol:g}")
+        return NotNormalizedError(f"entry {i} = {x[i]:.6g} exceeds 1 beyond tolerance {tol:g}")
+    return NotNormalizedError(f"entries sum to {float(x.sum()):.12g}, not 1 within tolerance {tol:g}")
+
+
+def _renormalized(x: np.ndarray) -> np.ndarray:
+    """Each vector along the last axis of ``x``, clipped to [0, 1] and divided by its sum."""
     x = np.clip(x, 0.0, 1.0)
-    return x / x.sum()
+    return x / x.sum(axis=-1, keepdims=True)
 
 
 def ordering_permutation(x) -> np.ndarray:

@@ -460,6 +460,14 @@ def _arrays(ndims, dtype=float, empty=False):
     return st.builds(build, st.sampled_from(ndims), sides, st.integers(0, 3), value)
 
 
+def _numpy_scalars(array):
+    """An object array holding the entries of `array` as numpy scalars, which ``tolist()`` would make Python's."""
+    held = np.empty(array.shape, dtype=object)
+    for index, entry in np.ndenumerate(array):
+        held[index] = entry
+    return held
+
+
 def _bad_arrays(slot: ArraySlot):
     """Values the slot must reject: no array of numbers, an empty or wrong-ndim array, or a complex real."""
     wrong = tuple(n for n in range(5) if n not in slot.ndim)
@@ -476,7 +484,8 @@ def _bad_arrays(slot: ArraySlot):
         _arrays(wrong),
     ]
     if slot.dtype is float:
-        bad += [_arrays(slot.ndim, complex), _arrays(slot.ndim, complex).map(lambda a: a.tolist())]
+        bad += [_arrays(slot.ndim, complex), _arrays(slot.ndim, complex).map(lambda a: a.tolist()),
+                _arrays(slot.ndim, complex).map(_numpy_scalars)]
     return st.one_of(*bad)
 
 
@@ -501,6 +510,10 @@ BAD_ARRAY_CASES = st.sampled_from(ARRAY_SLOTS).flatmap(lambda s: st.tuples(st.ju
 @example(case=(ARRAY_SLOT["validate_prob_vector.raw"], np.array([0.5 + 0.3j, 0.5])))
 @example(case=(ARRAY_SLOT["scalar_product.q"], np.eye(2) * (1 + 1j)))
 @example(case=(ARRAY_SLOT["gini_index.x"], [np.complex128(1j), 1.0]))
+# numpy complex scalars in an object array: cut to their real parts with only a ComplexWarning
+@example(case=(ARRAY_SLOT["gini_index.x"], np.array([np.complex128(1j), 0.5], dtype=object)))
+@example(case=(ARRAY_SLOT["validate_prob_vector.raw"], np.array([np.complex128(0.5 + 0.3j), 0.5], dtype=object)))
+@example(case=(ARRAY_SLOT["gini_index.x"], [np.complex128(1j), "0.5"]))  # a string makes numpy find str, not complex
 def test_a_bad_array_argument_is_rejected_by_name_before_allocating(case):
     slot, value = case
     tracemalloc.start()
@@ -559,6 +572,14 @@ _NUMBERS = st.one_of(
     st.integers(-128, 127).map(np.int8),
 )
 _ROWS = st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(_NUMBERS, min_size=n, max_size=n), min_size=1, max_size=3))
+
+
+def test_an_object_array_of_real_numbers_converts_as_asarray_does():
+    value = np.array([np.float64(0.25), 0.5, np.int64(3), np.float32(0.1), True, "0.5"], dtype=object)
+    want = np.asarray(value, dtype=float)
+    got = admit_array(value, "v", float, 1)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert admit_array(_numpy_scalars(np.array([0.5 + 1j])), "v", complex, 1).tobytes() == np.array([0.5 + 1j]).tobytes()
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_row_markov
@@ -30,7 +30,7 @@ from ginisafe import (
     uniform_matrix,
     validate_row_markov,
 )
-from ginisafe.markov import encode
+from ginisafe.markov import MAX_ENUMERATION_D, code_count, encode
 from ginisafe.reference import demo_correlated_tensor, demo_matrix
 
 
@@ -179,28 +179,66 @@ def specs(draw):
     return EnsembleSpec.independent(np.array([draw(distributions(d)) for _ in range(d)]))
 
 
+@st.composite
+def independent_pairs(draw):
+    """Two INDEPENDENT specs of one d, as a collision takes them."""
+    d = draw(st.integers(1, 6))
+    return tuple(EnsembleSpec.independent(np.array([draw(distributions(d)) for _ in range(d)])) for _ in range(2))
+
+
+CHUNKS = st.sampled_from([1, 2, 3, ensembles._CHUNK])
+D1 = EnsembleSpec.independent([[1.0]])  # no thresholds, one digit: Horner's rule has no step
+
+
 class TestChunkedSampler:
     """The chunked sampler against the unchunked searchsorted oracle."""
 
     @settings(max_examples=150, deadline=None)
-    @given(spec=specs(), chunk=st.sampled_from([1, 2, 3, ensembles._CHUNK]),
-           multiple=st.integers(1, 3), offset=st.integers(-1, 1), seed=st.integers(0, 2**32))
+    @given(spec=specs(), chunk=CHUNKS, multiple=st.integers(1, 3), offset=st.integers(-1, 1),
+           seed=st.integers(0, 2**32))
+    @example(spec=D1, chunk=2, multiple=2, offset=1, seed=0)
     def test_matches_oracle_across_chunk_boundaries(self, spec, chunk, multiple, offset, seed):
         n = max(1, multiple * chunk + offset)
         rng, oracle_rng = make_rng(seed), make_rng(seed)
         with mock.patch.object(ensembles, "_CHUNK", chunk):
             codes = sample_codes(spec, n, rng)
+            tensor = empirical_tensor(spec, n, rng)
         want = searchsorted_codes(spec, n, oracle_rng)
         assert codes.dtype == np.intp
         np.testing.assert_array_equal(codes, want)
+        want = np.bincount(searchsorted_codes(spec, n, oracle_rng), minlength=code_count(spec.d)) / n
+        assert tensor.dtype == want.dtype and tensor.tobytes() == want.tobytes()
         # collision draws b right after a: the generator must end where the oracle's does
         assert rng.random() == oracle_rng.random()
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=independent_pairs(), chunk=CHUNKS, multiple=st.integers(1, 3), offset=st.integers(-1, 1),
+           seed=st.integers(0, 2**32))
+    @example(pair=(D1, D1), chunk=2, multiple=2, offset=1, seed=0)
+    def test_collision_is_the_oracle_estimate(self, pair, chunk, multiple, offset, seed):
+        a, b = pair
+        n = max(1, multiple * chunk + offset)
+        rng, oracle_rng = make_rng(seed), make_rng(seed)
+        with mock.patch.object(ensembles, "_CHUNK", chunk):
+            est = collision_probability_mc(a, b, n, rng)
+        codes_a = searchsorted_codes(a, n, oracle_rng)  # a's whole block, then b's
+        p_hat = np.count_nonzero(codes_a == searchsorted_codes(b, n, oracle_rng)) / n
+        assert (est.value, est.stderr, est.n) == (p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / n)), n)
+        assert rng.random() == oracle_rng.random()
+
+    def test_every_code_fits_the_stream_buffer(self):
+        # the stream builds codes in uint16: a larger cap must widen it, not wrap codes
+        assert code_count(MAX_ENUMERATION_D) <= np.iinfo(np.uint16).max + 1
 
     def test_memory_holds_codes_and_a_few_chunks(self):
         d, n = 6, 10**6
         spec = EnsembleSpec.independent(random_row_markov(np.random.default_rng(2), d))
-        bound = n * np.dtype(np.intp).itemsize + 5 * ensembles._CHUNK * d * 8
-        for draw in (sample_codes, empirical_tensor):
+        chunks = 5 * ensembles._CHUNK * d * 8  # a few chunks of uniforms
+        draws = [
+            (sample_codes, n * np.dtype(np.intp).itemsize + chunks),  # its n intp codes
+            (empirical_tensor, chunks),  # counted chunk by chunk: no n-sized array
+        ]
+        for draw, bound in draws:
             draw(spec, 10, make_rng(0))
             tracemalloc.start()
             try:
@@ -208,7 +246,7 @@ class TestChunkedSampler:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < bound, (draw.__name__, peak)  # n * d uniforms alone are 48 MB
+            assert peak < bound, (draw.__name__, peak, bound)  # n * d uniforms alone are 48 MB
 
 
 class ConstantUniforms:
@@ -322,8 +360,8 @@ class TestCollision:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a's codes and a few chunk-sized buffers; the codes of both took 17 MiB
-        assert peak < n * np.dtype(np.intp).itemsize + 4 * 2**20, peak
+        # a's codes at 2 bytes each and a few chunks of uniforms; the intp codes of both took 17 MiB
+        assert peak < 2 * n + 5 * ensembles._CHUNK * 3 * 8, peak
 
     def test_estimates_bit_identical_under_same_seed(self):
         spec = EnsembleSpec.independent(demo_matrix(0.25, 0.5))

@@ -11,6 +11,8 @@ from conftest import random_prob_vector, random_row_markov
 from ginisafe import (
     DimensionMismatchError,
     FunctionMap,
+    NegativeEntryError,
+    NotNormalizedError,
     NotProductFormError,
     ValidationError,
     all_function_maps,
@@ -48,6 +50,45 @@ def brute_force_collision_probability(q, p):
                 joint *= q[i, f[i]] * p[i, g[i]]
             total += joint
     return total
+
+
+def sequential_prob_vector(x, tol):
+    """Oracle: the probability-vector rule one test at a time, stopping at the first that fails."""
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("probability vector contains non-finite entries")
+    if np.any(x < -tol):
+        i = int(np.argmin(x))
+        raise NegativeEntryError(f"entry {i} = {x[i]:.6g} is negative beyond tolerance {tol:g}")
+    if np.any(x > 1.0 + tol):
+        i = int(np.argmax(x))
+        raise NotNormalizedError(f"entry {i} = {x[i]:.6g} exceeds 1 beyond tolerance {tol:g}")
+    total = float(x.sum())
+    if abs(total - 1.0) > tol:
+        raise NotNormalizedError(f"entries sum to {total:.12g}, not 1 within tolerance {tol:g}")
+    x = np.clip(x, 0.0, 1.0)
+    return x / x.sum()
+
+
+def per_row_markov(q, tol):
+    """Oracle: every row through the sequential rule, the first failing one named by its index."""
+    rows = []
+    for i, row in enumerate(np.asarray(q, dtype=float)):
+        try:
+            rows.append(sequential_prob_vector(row, tol))
+        except ValidationError as exc:
+            raise type(exc)(f"row {i}: {exc}") from None
+    return np.vstack(rows)
+
+
+def outcome(validate, q, tol):
+    try:
+        result = validate(q, tol)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return result.shape, result.tobytes()
+
+
+EDGES = [np.nan, np.inf, -np.inf, 0.0, 1.0, 1e-9, -1e-9, 1e-3, -1e-3, 1.0 + 1e-9, 1e308, -1e308]
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +183,22 @@ class TestRowMarkov:
     def test_validate_names_bad_row(self):
         with pytest.raises(ValidationError, match="row 1"):
             validate_row_markov([[0.5, 0.5], [0.7, 0.7]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(1, 12), seed=st.integers(0, 2**32), rounded=st.booleans(),
+           edits=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), st.sampled_from(EDGES)), max_size=2),
+           tol=st.sampled_from([0.0, 1e-9, 1e-6]))
+    def test_one_pass_is_the_sequential_rule(self, d, seed, rounded, edits, tol):
+        # same bytes, or the same error class and text; an F-order row sum rounds differently from d = 8
+        q = np.random.default_rng(seed).dirichlet(np.full(d, 0.5), size=d)
+        if rounded:
+            q = q.astype(np.float32).astype(float)
+        for i, j, value in edits:
+            q[i % d, j % d] = value
+        for layout in (q, np.asfortranarray(q), np.repeat(q, 2, axis=1)[:, ::2], q[::-1, ::-1].copy()[::-1, ::-1]):
+            assert outcome(validate_row_markov, layout, tol) == outcome(per_row_markov, layout, tol)
+        for row in q:
+            assert outcome(validate_prob_vector, row, tol) == outcome(sequential_prob_vector, row, tol)
 
     def test_product_is_row_markov(self):
         rng = np.random.default_rng(1)
