@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
+import argparse
 import functools
 import gc
 import json
@@ -644,6 +645,109 @@ def test_inline_payload_with_input_is_a_usage_error(capsys, tmp_path, verb, flag
     code, out, err = run_cli(capsys, verb, flag, payload, "--input", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"usage error: {flag} and --input were both given"), err
+
+
+class TestPayloadReader:
+    """Each payload verb reads the same objects inline and from --input, and takes only its options."""
+
+    VECTOR = "[0.1,0.5,0.4]"
+    DEMO = "[[0.2,0.8,0],[0,0.2,0.8],[0,0.55,0.45]]"
+    TENSOR = json.dumps({"d": 2, "terms": [{"code": 0, "weight": 0.5}, {"code": 3, "weight": 0.5}]})
+    ENSEMBLE = json.dumps({"kind": "independent", "matrix": [[0.5, 0.5], [0.1, 0.9]]})
+    STATE = json.dumps({"dim": 4, "amplitudes": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.8]]})
+
+    # (verb and options, payload flag, payloads); two payloads go into --input as one list
+    ROUTES = {
+        "validate": (["validate"], "--vector", [json.dumps({"vector": [0.3, 0.7]})]),
+        "lorenz": (["lorenz"], "--vector", [VECTOR]),
+        "gini": (["gini"], "--vector", [VECTOR]),
+        "majorize": (["majorize"], "--vector", ["[0.5,0.4,0.1]", json.dumps({"vector": [0.6, 0.2, 0.2]})]),
+        "expand": (["expand", "--floor", "1e-9"], "--matrix", [DEMO]),
+        "correlations": (["correlations"], "--tensor", [TENSOR]),
+        "simulate": (["simulate", "--n", "500", "--seed", "3"], "--ensemble", [ENSEMBLE]),
+        "collision": (["collision", "--n", "500", "--seed", "3"], "--ensemble", [ENSEMBLE, ENSEMBLE]),
+        "quantum-stats": (["quantum-stats"], "--state", [STATE]),
+        "dual-single": (["dual", "--mode", "single"], "--state", ['{"d": 2, "images": [1, 0]}']),
+        "dual-local": (["dual", "--mode", "local"], "--state", [STATE]),
+        "dual-global": (["dual", "--mode", "global"], "--state", [STATE]),
+        "deficits": (["deficits"], "--state", [json.dumps({"state": json.loads(STATE)})]),
+        "scalar-product-matrices": (["scalar-product"], "--matrix", [DEMO, json.dumps({"matrix": json.loads(DEMO)})]),
+        "scalar-product-tensors": (["scalar-product", "--tensors"], "--tensor",
+                                   ["[0.25,0.25,0.25,0.25]", TENSOR]),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_input_file_reads_as_inline(self, capsys, tmp_path, route):
+        head, flag, payloads = self.ROUTES[route]
+        inline = run_cli(capsys, *head, *(arg for p in payloads for arg in (flag, p)))
+        assert inline[0] == 0, inline[2]
+        path = tmp_path / "payload.json"
+        path.write_text(payloads[0] if len(payloads) == 1 else f"[{', '.join(payloads)}]", encoding="utf-8")
+        assert run_cli(capsys, *head, "--input", str(path)) == inline
+
+    # per verb, every option: its first option string, action, type, default and choices
+    OPTIONS = {
+        "validate": {"--seed store int 0", "--tol store float 1e-09", "--format store 'json' json,csv",
+                     "--out store None", "--input store None", "--vector append None"},
+        "lorenz": {"--seed store int 0", "--tol store float 1e-09", "--format store 'json' json,csv",
+                   "--out store None", "--input store None", "--vector append None"},
+        "gini": {"--seed store int 0", "--tol store float 1e-09", "--format store 'json' json,csv",
+                 "--out store None", "--input store None", "--vector append None"},
+        "majorize": {"--seed store int 0", "--tol store float 1e-09", "--format store 'json' json,csv",
+                     "--out store None", "--input store None", "--vector append None"},
+        "expand": {"--seed store int 0", "--tol store float 1e-09", "--format store 'json' json,csv",
+                   "--out store None", "--input store None", "--matrix append None",
+                   "--floor store float 0.0"},
+        "scalar-product": {"--seed store int 0", "--tol store float 1e-09", "--format store 'json' json,csv",
+                           "--out store None", "--input store None", "--matrix append None",
+                           "--tensor append None", "--tensors storetrue False",
+                           "--verify-product-form storetrue False"},
+        "correlations": {"--seed store int 0", "--tol store float 1e-09", "--format store 'json' json,csv",
+                         "--out store None", "--input store None", "--tensor append None",
+                         "--floor store float 0.0"},
+        "simulate": {"--seed store int 0", "--tol store float 1e-09", "--format store 'json' json,csv",
+                     "--out store None", "--input store None", "--ensemble append None",
+                     "--n store int 100000"},
+        "collision": {"--seed store int 0", "--tol store float 1e-09", "--format store 'json' json,csv",
+                      "--out store None", "--input store None", "--ensemble append None",
+                      "--n store int 100000"},
+        "quantum-stats": {"--seed store int 0", "--format store 'json' json,csv", "--out store None",
+                          "--input store None", "--state append None", "--repair storetrue False"},
+        "dual": {"--seed store int 0", "--format store 'json' json,csv", "--out store None",
+                 "--input store None", "--state append None", "--repair storetrue False",
+                 "--mode store 'global' single,local,global"},
+        "deficits": {"--seed store int 0", "--format store 'json' json,csv", "--out store None",
+                     "--input store None", "--state append None", "--repair storetrue False"},
+        "eta": {"--seed store int 0", "--format store 'json' json,csv", "--out store None",
+                "--d store int None required",
+                "--mode store 'single' single,local_total,global_component,global_total",
+                "--budget store int 1000"},
+        "report": {"--seed store int 0", "--format store 'json' json,csv", "--out store None",
+                   "which store None table1,table2,section84,section9 required",
+                   "--a store float 0.2", "--b store float 0.45", "--a2 store float 0.3",
+                   "--c2 store float 0.5", "--d2 store float 0.3", "--e2 store float 0.2"},
+    }
+
+    @staticmethod
+    def describe(action) -> str:
+        words = [
+            (action.option_strings or [action.dest])[0],
+            type(action).__name__.strip("_").removesuffix("Action").lower(),
+            *([action.type.__name__] if action.type else []),
+            repr(action.default),
+            *([",".join(action.choices)] if action.choices else []),
+            *(["required"] if action.required else []),
+        ]
+        return " ".join(words)
+
+    def test_each_verb_takes_exactly_its_options(self):
+        parser = cli._build_parser()
+        (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            verb: {self.describe(a) for a in sub._actions if a.dest != "help"}
+            for verb, sub in verbs.choices.items()
+        }
+        assert got == self.OPTIONS
 
 
 class TestStateAdmission:

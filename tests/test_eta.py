@@ -24,6 +24,7 @@ from ginisafe import (
     random_pure_state,
     shard_rng,
     tensor_to_matrix,
+    uncertainty_deficits,
 )
 from ginisafe.ensembles import MAX_SAMPLES
 from ginisafe.eta import (
@@ -513,3 +514,19 @@ class TestConvexity:
             mixed = lam * rho1 + (1 - lam) * rho2
             endpoint_best = max(gini_sum(rho1, 2, mode), gini_sum(rho2, 2, mode))
             assert gini_sum(mixed, 2, mode) <= endpoint_best + 1e-10
+
+
+class TestDeficitsAgreeWithQuantum:
+    """`quantum.uncertainty_deficits` and `eta.deficit` are two routes to the same relation."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_totals_and_component_minimum_are_bit_identical(self, d, rank):
+        rng = np.random.default_rng(100 * d + rank)
+        for _ in range(10):
+            weights = rng.dirichlet(np.ones(rank))
+            rho = sum(w * pure_density(random_complex_unit(rng, d**d)) for w in weights)
+            deficits = uncertainty_deficits(rho)
+            assert deficits.local_total == deficit(rho, d, "local_total")
+            assert deficits.global_total == deficit(rho, d, "global_total")
+            assert deficits.global_components.min() == deficit(rho, d, "global_component")
