@@ -91,35 +91,6 @@ def _read_input(path: str):
     return data.replace(cr + lf, lf).replace(cr, lf) if cr in data else data
 
 
-def _payloads(args, attr: str, count: int) -> list:
-    """Collect `count` payloads from repeated inline flags or from --input, never both."""
-    raw = getattr(args, attr) or []
-    if not args.input:
-        payloads = [_parse_json(text) for text in raw]
-    elif raw:
-        raise _UsageError(f"--{attr} and --input were both given; pass the payloads one way")
-    else:
-        loaded = _parse_json(_read_input(args.input))
-        if count > 1:
-            # every valid payload is a sequence or object, never a bare number
-            if (
-                not isinstance(loaded, list)
-                or len(loaded) != count
-                or any(isinstance(v, (int, float)) for v in loaded)
-            ):
-                raise _UsageError(
-                    f"--input file must hold a list of {count} payloads for this command"
-                )
-            payloads = loaded
-        else:
-            payloads = [loaded]
-    if len(payloads) != count:
-        raise _UsageError(
-            f"expected {count} --{attr} payload(s) (or --input), got {len(payloads)}"
-        )
-    return payloads
-
-
 def _field(payload, name: str):
     """The payload itself, or its `name` field when it is an object."""
     if isinstance(payload, dict):
@@ -247,6 +218,45 @@ def _as_state(payload, repair: bool = False) -> np.ndarray:
         images = [admit_index(_json_int(v), f"images[{i}]", len(images)) for i, v in enumerate(images)]
         return quantum.pure_density(quantum.basis_state(markov.FunctionMap(tuple(images))))
     raise ValidationError("state payload needs 'entries', 'amplitudes' or 'images'")
+
+
+# One admission rule per payload kind: a decoded payload and the parsed
+# options in, the object a handler takes out.  Each lambda looks its functions
+# up when called, so rebinding a module attribute (as a tracer does) holds.
+_ADMIT = {
+    "vector": lambda payload, args: probvec.validate_prob_vector(_field(payload, "vector"), args.tol),
+    "matrix": lambda payload, args: markov.validate_row_markov(_field(payload, "matrix"), args.tol),
+    "tensor": lambda payload, args: markov.validate_markov_tensor(_as_tensor(payload), args.tol),
+    "ensemble": lambda payload, args: _as_ensemble(payload, args.tol),
+    "state": lambda payload, args: _as_state(payload, repair=args.repair),
+}
+
+
+def _read(args, kind: str, count: int) -> list:
+    """The `count` objects of `kind` from repeated --<kind> flags or from --input, never both.
+
+    Every payload is decoded before the first is admitted by `_ADMIT`.
+    """
+    raw = getattr(args, kind) or []
+    if not args.input:
+        payloads = [_parse_json(text) for text in raw]
+    elif raw:
+        raise _UsageError(f"--{kind} and --input were both given; pass the payloads one way")
+    elif count == 1:
+        payloads = [_parse_json(_read_input(args.input))]
+    else:
+        payloads = _parse_json(_read_input(args.input))
+        # every valid payload is a sequence or object, never a bare number
+        if (
+            not isinstance(payloads, list)
+            or len(payloads) != count
+            or any(isinstance(v, (int, float)) for v in payloads)
+        ):
+            raise _UsageError(f"--input file must hold a list of {count} payloads for this command")
+    if len(payloads) != count:
+        raise _UsageError(f"expected {count} --{kind} payload(s) (or --input), got {len(payloads)}")
+    admit = _ADMIT[kind]
+    return [admit(payload, args) for payload in payloads]
 
 
 # ---------------------------------------------------------------------------
@@ -440,21 +450,8 @@ def _serialize_pure(psi: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 # Handlers
 # ---------------------------------------------------------------------------
-# Each handler returns its own fields; ``sub`` in `_build_parser` puts the
-# verb name first.
-
-def _vectors(args, count: int) -> list:
-    """`count` probability vectors, validated at --tol."""
-    return [
-        probvec.validate_prob_vector(_field(p, "vector"), args.tol)
-        for p in _payloads(args, "vector", count)
-    ]
-
-
-def _state(args) -> np.ndarray:
-    """The density of the one --state payload."""
-    return _as_state(_payloads(args, "state", 1)[0], repair=args.repair)
-
+# Each handler takes `args` and the objects `_read` admitted for its verb,
+# and returns its own fields; ``sub`` in `_build_parser` puts the verb name first.
 
 def _terms(values: np.ndarray, d: int, name: str, floor: float) -> list:
     """The codes whose |value| reaches `floor`, with their images."""
@@ -467,13 +464,11 @@ def _terms(values: np.ndarray, d: int, name: str, floor: float) -> list:
     ]
 
 
-def cmd_validate(args) -> dict:
-    (x,) = _vectors(args, 1)
+def cmd_validate(args, x) -> dict:
     return {"seed": args.seed, "d": x.size, "vector": x}
 
 
-def cmd_lorenz(args) -> dict:
-    (x,) = _vectors(args, 1)
+def cmd_lorenz(args, x) -> dict:
     return {
         "seed": args.seed,
         "d": x.size,
@@ -482,8 +477,7 @@ def cmd_lorenz(args) -> dict:
     }
 
 
-def cmd_gini(args) -> dict:
-    (x,) = _vectors(args, 1)
+def cmd_gini(args, x) -> dict:
     lo, hi = probvec.average_bounds(x)
     return {
         "seed": args.seed,
@@ -494,13 +488,11 @@ def cmd_gini(args) -> dict:
     }
 
 
-def cmd_majorize(args) -> dict:
-    x, y = _vectors(args, 2)
+def cmd_majorize(args, x, y) -> dict:
     return {"seed": args.seed, "relation": probvec.majorizes(x, y).value}
 
 
-def cmd_expand(args) -> dict:
-    q = markov.validate_row_markov(_field(_payloads(args, "matrix", 1)[0], "matrix"), args.tol)
+def cmd_expand(args, q) -> dict:
     weights = markov.product_probabilities(q)
     d = q.shape[0]
     return {
@@ -512,29 +504,20 @@ def cmd_expand(args) -> dict:
 
 
 def cmd_scalar_product(args) -> dict:
-    n_mat = len(args.matrix or [])
-    n_ten = len(args.tensor or [])
-    if n_mat and n_ten:
+    """Two matrices, or two tensors when --tensor is given (or --tensors with --input)."""
+    if args.matrix and args.tensor:
         raise _UsageError("pass two --matrix or two --tensor payloads, not both kinds")
-    if n_ten or (not n_mat and args.input and args.tensors):
-        tq, tp = (_as_tensor(p) for p in _payloads(args, "tensor", 2))
-        tq = markov.validate_markov_tensor(tq, args.tol)
-        tp = markov.validate_markov_tensor(tp, args.tol)
+    if args.tensor or (not args.matrix and args.input and args.tensors):
+        tq, tp = _read(args, "tensor", 2)
         value = markov.scalar_product_via_tensors(
             tq, tp, verify_product_form=args.verify_product_form, tol=args.tol
         )
-        method = "tensors"
-    else:
-        q, p = (_field(x, "matrix") for x in _payloads(args, "matrix", 2))
-        q = markov.validate_row_markov(q, args.tol)
-        p = markov.validate_row_markov(p, args.tol)
-        value = markov.scalar_product(q, p)
-        method = "direct"
-    return {"seed": args.seed, "method": method, "value": value}
+        return {"seed": args.seed, "method": "tensors", "value": value}
+    q, p = _read(args, "matrix", 2)
+    return {"seed": args.seed, "method": "direct", "value": markov.scalar_product(q, p)}
 
 
-def cmd_correlations(args) -> dict:
-    t = markov.validate_markov_tensor(_as_tensor(_payloads(args, "tensor", 1)[0]), args.tol)
+def cmd_correlations(args, t) -> dict:
     coeffs = markov.correlation_coefficients(t)
     d = markov.tensor_dimension(t.size)
     return {
@@ -545,15 +528,13 @@ def cmd_correlations(args) -> dict:
     }
 
 
-def cmd_simulate(args) -> dict:
-    spec = _as_ensemble(_payloads(args, "ensemble", 1)[0], args.tol)
+def cmd_simulate(args, spec) -> dict:
     rng = ensembles.make_rng(args.seed)
     weights = ensembles.empirical_tensor(spec, args.n, rng)
     return {"seed": args.seed, "n": args.n, "d": spec.d, "weights": weights}
 
 
-def cmd_collision(args) -> dict:
-    a, b = (_as_ensemble(p, args.tol) for p in _payloads(args, "ensemble", 2))
+def cmd_collision(args, a, b) -> dict:
     rng = ensembles.make_rng(args.seed)
     est = ensembles.collision_probability_mc(a, b, args.n, rng)
     return {"seed": args.seed, "value": est.value, "stderr": est.stderr, "n": est.n}
@@ -570,14 +551,13 @@ def _stats_dict(stats: quantum.StateStats) -> dict:
     }
 
 
-def cmd_quantum_stats(args) -> dict:
-    rho = _state(args)
+def cmd_quantum_stats(args, rho) -> dict:
     stats = quantum.state_stats(rho)
     return {"seed": args.seed, "d": stats.d, "dim": rho.shape[0], **_stats_dict(stats)}
 
 
-def cmd_dual(args) -> dict:
-    dual = quantum.dual_state(_state(args), args.mode)
+def cmd_dual(args, rho) -> dict:
+    dual = quantum.dual_state(rho, args.mode)
     out = {"seed": args.seed, "mode": args.mode, "state": _serialize_density(dual)}
     if args.mode == quantum.SINGLE:
         out["probabilities"] = probs = quantum.diagonal_probabilities(dual)
@@ -587,8 +567,8 @@ def cmd_dual(args) -> dict:
     return out
 
 
-def cmd_deficits(args) -> dict:
-    deficits = quantum.uncertainty_deficits(_state(args))
+def cmd_deficits(args, rho) -> dict:
+    deficits = quantum.uncertainty_deficits(rho)
     return {
         "seed": args.seed,
         "d": deficits.local_components.size,
@@ -636,16 +616,17 @@ def _report_table1(args) -> tuple[dict, list]:
     weights = markov.product_probabilities(q)
     tensor = reference.demo_correlated_tensor(a, b)
     coeffs = markov.correlation_coefficients(tensor)
+    rows = reference.demo_table_rows(a, b)
     checks = []
-    for row in reference.demo_table_rows(a, b):
+    for row in rows:
         code = row["code"]
         checks.append(_check(f"product{tuple(row['images'])}", weights[code], row["product_probability"], 1e-12))
         checks.append(_check(f"joint{tuple(row['images'])}", tensor[code], row["joint_probability"], 1e-12))
         checks.append(_check(f"correlation{tuple(row['images'])}", coeffs[code], row["correlation"], 1e-12))
-    support = {row["code"] for row in reference.demo_table_rows(a, b)}
+    support = {row["code"] for row in rows}
     off_support = [w for c, w in enumerate(weights) if c not in support]
     checks.append(_check("off_support_products", max(off_support), 0.0, 1e-12))
-    return {"a": a, "b": b, "rows": reference.demo_table_rows(a, b)}, checks
+    return {"a": a, "b": b, "rows": rows}, checks
 
 
 def _two_qubit_states(args) -> tuple[quantum.StateStats, quantum.StateStats]:
@@ -667,15 +648,15 @@ def _two_qubit_states(args) -> tuple[quantum.StateStats, quantum.StateStats]:
 def _report_table2(args) -> tuple[dict, list]:
     a2, c2, d2, e2 = args.a2, args.c2, args.d2, args.e2
     pair, triple = _two_qubit_states(args)
+    rows = reference.two_qubit_table_rows(a2, c2, d2, e2)
     checks = []
-    for row in reference.two_qubit_table_rows(a2, c2, d2, e2):
+    for row in rows:
         code = row["code"]
         label = tuple(row["images"])
         for prefix, stats in (("pair", pair), ("triple", triple)):
             checks.append(_check(f"{prefix}_joint{label}", stats.tensor[code], row[f"{prefix}_joint"], 1e-12))
             checks.append(_check(f"{prefix}_product{label}", stats.products[code], row[f"{prefix}_product"], 1e-12))
             checks.append(_check(f"{prefix}_correlation{label}", stats.correlations[code], row[f"{prefix}_correlation"], 1e-12))
-    rows = reference.two_qubit_table_rows(a2, c2, d2, e2)
     return {"a2": a2, "c2": c2, "d2": d2, "e2": e2, "rows": rows}, checks
 
 
@@ -780,87 +761,87 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name, handler, *, payloads=True, tol=True, **kwargs):
+    def sub(name, handler, reads=(), count=1, **kwargs):
         """Declare a verb: its handler's output opens with ``"command": name``.
 
-        Every verb takes --seed, --format and --out; --input only if it reads
-        payloads, --tol only if it validates probability data.
+        Every verb takes --seed, --format and --out.  A verb that reads
+        payloads names their kind in `reads` (``vector``, ``matrix``,
+        ``tensor``, ``ensemble`` or ``state``) and how many it takes in
+        `count`.  It then takes the repeated --<kind> flag and --input, plus
+        --repair for a state and --tol for every other kind, and its handler
+        is called with `args` and the `count` objects `_read` admits.  A verb
+        that reads one of several kinds names them in a tuple, takes each
+        flag, and its handler reads the chosen kind itself through `_read`.
         """
+        kinds = (reads,) if isinstance(reads, str) else reads
         p = subs.add_parser(name, **kwargs)
         p.add_argument("--seed", type=int, default=0, help="seed echoed in the output")
-        if tol:
+        if kinds and "state" not in kinds:
             p.add_argument("--tol", type=float, default=probvec.DEFAULT_TOL,
                            help="validation tolerance")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        if payloads:
+        if kinds:
             p.add_argument("--input", default=None, help="path to a JSON payload file")
-        p.set_defaults(handler=lambda args: {"command": name, **handler(args)})
+        for kind in kinds:
+            times = f", given {count} times" if count > 1 else ""
+            p.add_argument(f"--{kind}", action="append", help=f"inline JSON {kind}{times}")
+        if "state" in kinds:
+            p.add_argument("--repair", action="store_true",
+                           help="clip tiny negative eigenvalues and renormalize")
+
+        def run(args):
+            objects = _read(args, reads, count) if isinstance(reads, str) else ()
+            return {"command": name, **handler(args, *objects)}
+
+        p.set_defaults(handler=run)
         return p
 
-    p = sub("validate", cmd_validate, help="validate a probability vector")
-    p.add_argument("--vector", action="append", help="inline JSON vector")
+    sub("validate", cmd_validate, "vector", help="validate a probability vector")
+    sub("lorenz", cmd_lorenz, "vector", help="Lorenz values and ordering permutation")
+    sub("gini", cmd_gini, "vector", help="Gini index (both formulas) and average bounds")
+    sub("majorize", cmd_majorize, "vector", 2,
+        help="compare two vectors x then y in the majorization preorder")
 
-    p = sub("lorenz", cmd_lorenz, help="Lorenz values and ordering permutation")
-    p.add_argument("--vector", action="append")
-
-    p = sub("gini", cmd_gini, help="Gini index (both formulas) and average bounds")
-    p.add_argument("--vector", action="append")
-
-    p = sub("majorize", cmd_majorize, help="compare two vectors in the majorization preorder")
-    p.add_argument("--vector", action="append", help="pass twice: x then y")
-
-    p = sub("expand", cmd_expand, help="independent expansion weights of a row Markov matrix")
-    p.add_argument("--matrix", action="append")
+    p = sub("expand", cmd_expand, "matrix",
+            help="independent expansion weights of a row Markov matrix")
     p.add_argument("--floor", type=float, default=0.0, help="omit terms with weight below this")
 
-    p = sub("scalar-product", cmd_scalar_product,
+    p = sub("scalar-product", cmd_scalar_product, ("matrix", "tensor"), 2,
             help="scalar product of two matrices, or of two product tensors")
-    p.add_argument("--matrix", action="append")
-    p.add_argument("--tensor", action="append")
     p.add_argument("--tensors", action="store_true",
                    help="treat --input payloads as tensors instead of matrices")
     p.add_argument("--verify-product-form", action="store_true",
                    help="reject tensors whose correlations exceed --tol")
 
-    p = sub("correlations", cmd_correlations, help="correlation coefficients of a Markov tensor")
-    p.add_argument("--tensor", action="append")
+    p = sub("correlations", cmd_correlations, "tensor",
+            help="correlation coefficients of a Markov tensor")
     p.add_argument("--floor", type=float, default=0.0,
                    help="omit terms with |coefficient| below this")
 
-    p = sub("simulate", cmd_simulate, help="empirical joint tensor of a sampled ensemble")
-    p.add_argument("--ensemble", action="append", help="inline ensemble JSON")
+    p = sub("simulate", cmd_simulate, "ensemble",
+            help="empirical joint tensor of a sampled ensemble")
     p.add_argument("--n", type=int, default=ensembles.DEFAULT_SAMPLES)
 
-    p = sub("collision", cmd_collision,
+    p = sub("collision", cmd_collision, "ensemble", 2,
             help="Monte Carlo collision probability of two independent ensembles")
-    p.add_argument("--ensemble", action="append", help="pass twice")
     p.add_argument("--n", type=int, default=ensembles.DEFAULT_SAMPLES)
 
-    p = sub("quantum-stats", cmd_quantum_stats, tol=False,
-            help="Markov matrix/tensor statistics of a multipartite state")
-    p.add_argument("--state", action="append", help="inline state JSON")
-    p.add_argument("--repair", action="store_true",
-                   help="clip tiny negative eigenvalues and renormalize")
+    sub("quantum-stats", cmd_quantum_stats, "state",
+        help="Markov matrix/tensor statistics of a multipartite state")
 
-    p = sub("dual", cmd_dual, tol=False, help="Fourier-transformed state and its statistics")
-    p.add_argument("--state", action="append")
+    p = sub("dual", cmd_dual, "state", help="Fourier-transformed state and its statistics")
     p.add_argument("--mode", choices=(quantum.SINGLE, quantum.LOCAL, quantum.GLOBAL),
                    default=quantum.GLOBAL)
-    p.add_argument("--repair", action="store_true")
 
-    p = sub("deficits", cmd_deficits, tol=False, help="Gini uncertainty deficits of a state")
-    p.add_argument("--state", action="append")
-    p.add_argument("--repair", action="store_true")
+    sub("deficits", cmd_deficits, "state", help="Gini uncertainty deficits of a state")
 
-    p = sub("eta", cmd_eta, payloads=False, tol=False,
-            help="search for an uncertainty-coefficient upper bound")
+    p = sub("eta", cmd_eta, help="search for an uncertainty-coefficient upper bound")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mode", choices=eta.MODES, default=eta.MODE_SINGLE)
     p.add_argument("--budget", type=int, default=1000, help="objective evaluation budget")
 
-    p = sub("report", cmd_report, payloads=False, tol=False,
-            help="reproduce the bundled worked examples")
+    p = sub("report", cmd_report, help="reproduce the bundled worked examples")
     p.add_argument("which", choices=("table1", "table2", "section84", "section9"))
     p.add_argument("--a", type=float, default=0.2, help="table1 parameter a")
     p.add_argument("--b", type=float, default=0.45, help="table1 parameter b")

@@ -26,19 +26,6 @@ from .quantum import basis_state, pure_density
 # Banded 3x3 demo matrix and its two expansions
 # ---------------------------------------------------------------------------
 
-#: The 8 maps with nonzero product weight for the banded matrix (0 < a, b < 1).
-DEMO_SUPPORT = (
-    (0, 1, 1),
-    (0, 1, 2),
-    (1, 1, 1),
-    (1, 1, 2),
-    (0, 2, 1),
-    (0, 2, 2),
-    (1, 2, 1),
-    (1, 2, 2),
-)
-
-
 def demo_matrix(a: float, b: float) -> np.ndarray:
     """Banded row Markov matrix [[a, 1-a, 0], [0, a, 1-a], [0, 1-b, b]]."""
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
@@ -81,8 +68,7 @@ def demo_table_rows(a: float, b: float) -> list[dict]:
     }
     joints = {(0, 1, 2): a, (1, 2, 2): b - a, (1, 2, 1): 1 - b}
     rows = []
-    for images in DEMO_SUPPORT:
-        product = products[images]
+    for images, product in products.items():
         joint = joints.get(images, 0.0)
         rows.append(
             {
