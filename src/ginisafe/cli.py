@@ -1,18 +1,20 @@
 """Command-line front end: JSON in, JSON or CSV out, one verb per concept.
 
-Every output echoes the seed, and identical argv produce byte-identical
-output.  Exit codes: 0 success, 1 validation error, 2 usage error.
+Every output opens with the verb and the seed, and identical argv produce
+byte-identical output.  Exit codes: 0 success, 1 validation error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import gc
 import itertools
 import json
 import math
+import os
 import re
 import sys
 
@@ -22,7 +24,7 @@ from orjson import loads as _orjson_decode
 
 from . import ensembles, eta, markov, probvec, quantum, reference
 from .errors import ECHO as _ECHO
-from .errors import GiniSafeError, ValidationError, admit_index
+from .errors import GiniSafeError, ValidationError, admit_index, admit_int
 
 
 class _UsageError(Exception):
@@ -190,8 +192,8 @@ def _complex_pairs(entries, n: int, what: str) -> np.ndarray:
 def _as_state(payload, repair: bool = False) -> np.ndarray:
     """Parse a density matrix, pure state, or labelled basis ket into a density.
 
-    The size (`dim`, or the number of `images`) is checked before any
-    dim x dim array is formed.
+    The size (`dim`, or the number of `images`, which a given `d` must equal)
+    is checked before any dim x dim array is formed.
     """
     if isinstance(payload, dict) and "state" in payload:
         payload = payload["state"]
@@ -215,6 +217,9 @@ def _as_state(payload, repair: bool = False) -> np.ndarray:
             raise ValidationError(
                 f"state 'images' must be a list of 1 to {quantum.MAX_COMPONENTS} integers"
             )
+        d = admit_int(_json_int(payload.get("d", len(images))), "state 'd'", 1)
+        if d != len(images):
+            raise ValidationError(f"state 'd' = {d} does not match the {len(images)} 'images'")
         images = [admit_index(_json_int(v), f"images[{i}]", len(images)) for i, v in enumerate(images)]
         return quantum.pure_density(quantum.basis_state(markov.FunctionMap(tuple(images))))
     raise ValidationError("state payload needs 'entries', 'amplitudes' or 'images'")
@@ -447,11 +452,17 @@ def _serialize_pure(psi: np.ndarray) -> dict:
     return {"dim": psi.size, "amplitudes": psi}
 
 
+def _fields(record, omit: str = "") -> dict:
+    """A library result's fields, but `omit`, in the order its dataclass declares them."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.name != omit}
+
+
 # ---------------------------------------------------------------------------
 # Handlers
 # ---------------------------------------------------------------------------
 # Each handler takes `args` and the objects `_read` admitted for its verb,
-# and returns its own fields; ``sub`` in `_build_parser` puts the verb name first.
+# and returns its own fields; ``sub`` in `_build_parser` puts the verb name
+# and the seed first.
 
 def _terms(values: np.ndarray, d: int, name: str, floor: float) -> list:
     """The codes whose |value| reaches `floor`, with their images."""
@@ -465,12 +476,11 @@ def _terms(values: np.ndarray, d: int, name: str, floor: float) -> list:
 
 
 def cmd_validate(args, x) -> dict:
-    return {"seed": args.seed, "d": x.size, "vector": x}
+    return {"d": x.size, "vector": x}
 
 
 def cmd_lorenz(args, x) -> dict:
     return {
-        "seed": args.seed,
         "d": x.size,
         "lorenz": probvec.lorenz_values(x),
         "ordering": probvec.ordering_permutation(x),
@@ -480,7 +490,6 @@ def cmd_lorenz(args, x) -> dict:
 def cmd_gini(args, x) -> dict:
     lo, hi = probvec.average_bounds(x)
     return {
-        "seed": args.seed,
         "d": x.size,
         "gini": probvec.gini_index(x),
         "gini_mean_abs_diff": probvec.gini_mean_abs_diff(x),
@@ -489,14 +498,13 @@ def cmd_gini(args, x) -> dict:
 
 
 def cmd_majorize(args, x, y) -> dict:
-    return {"seed": args.seed, "relation": probvec.majorizes(x, y).value}
+    return {"relation": probvec.majorizes(x, y).value}
 
 
 def cmd_expand(args, q) -> dict:
     weights = markov.product_probabilities(q)
     d = q.shape[0]
     return {
-        "seed": args.seed,
         "d": d,
         "weights": weights,
         "terms": _terms(weights, d, "weight", args.floor),
@@ -512,16 +520,17 @@ def cmd_scalar_product(args) -> dict:
         value = markov.scalar_product_via_tensors(
             tq, tp, verify_product_form=args.verify_product_form, tol=args.tol
         )
-        return {"seed": args.seed, "method": "tensors", "value": value}
+        return {"method": "tensors", "value": value}
+    if args.tensors or args.verify_product_form:
+        raise _UsageError("--tensors and --verify-product-form apply to tensors, not to --matrix payloads")
     q, p = _read(args, "matrix", 2)
-    return {"seed": args.seed, "method": "direct", "value": markov.scalar_product(q, p)}
+    return {"method": "direct", "value": markov.scalar_product(q, p)}
 
 
 def cmd_correlations(args, t) -> dict:
     coeffs = markov.correlation_coefficients(t)
     d = markov.tensor_dimension(t.size)
     return {
-        "seed": args.seed,
         "d": d,
         "coefficients": coeffs,
         "terms": _terms(coeffs, d, "coefficient", args.floor),
@@ -531,58 +540,38 @@ def cmd_correlations(args, t) -> dict:
 def cmd_simulate(args, spec) -> dict:
     rng = ensembles.make_rng(args.seed)
     weights = ensembles.empirical_tensor(spec, args.n, rng)
-    return {"seed": args.seed, "n": args.n, "d": spec.d, "weights": weights}
+    return {"n": args.n, "d": spec.d, "weights": weights}
 
 
 def cmd_collision(args, a, b) -> dict:
     rng = ensembles.make_rng(args.seed)
-    est = ensembles.collision_probability_mc(a, b, args.n, rng)
-    return {"seed": args.seed, "value": est.value, "stderr": est.stderr, "n": est.n}
-
-
-def _stats_dict(stats: quantum.StateStats) -> dict:
-    return {
-        "markov": stats.markov,
-        "tensor": stats.tensor,
-        "products": stats.products,
-        "correlations": stats.correlations,
-        "gini_vector": stats.gini_vector,
-        "total_gini": stats.total_gini,
-    }
+    return _fields(ensembles.collision_probability_mc(a, b, args.n, rng))
 
 
 def cmd_quantum_stats(args, rho) -> dict:
     stats = quantum.state_stats(rho)
-    return {"seed": args.seed, "d": stats.d, "dim": rho.shape[0], **_stats_dict(stats)}
+    return {"d": stats.d, "dim": rho.shape[0], **_fields(stats, omit="d")}
 
 
 def cmd_dual(args, rho) -> dict:
     dual = quantum.dual_state(rho, args.mode)
-    out = {"seed": args.seed, "mode": args.mode, "state": _serialize_density(dual)}
+    out = {"mode": args.mode, "state": _serialize_density(dual)}
     if args.mode == quantum.SINGLE:
         out["probabilities"] = probs = quantum.diagonal_probabilities(dual)
         out["gini"] = probvec.gini_index(probs)
     else:
-        out.update(_stats_dict(quantum.state_stats(dual)))
+        out.update(_fields(quantum.state_stats(dual), omit="d"))
     return out
 
 
 def cmd_deficits(args, rho) -> dict:
     deficits = quantum.uncertainty_deficits(rho)
-    return {
-        "seed": args.seed,
-        "d": deficits.local_components.size,
-        "local_components": deficits.local_components,
-        "local_total": deficits.local_total,
-        "global_components": deficits.global_components,
-        "global_total": deficits.global_total,
-    }
+    return {"d": deficits.local_components.size, **_fields(deficits)}
 
 
 def cmd_eta(args) -> dict:
     est = eta.estimate_eta(args.d, args.mode, args.budget, seed=args.seed)
     return {
-        "seed": args.seed,
         "d": est.d,
         "mode": est.mode,
         "budget": args.budget,
@@ -724,7 +713,6 @@ def cmd_report(args) -> dict:
     fields, checks = handler(args)
     return {
         "which": args.which,
-        "seed": args.seed,
         **fields,
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks),
@@ -762,7 +750,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     def sub(name, handler, reads=(), count=1, **kwargs):
-        """Declare a verb: its handler's output opens with ``"command": name``.
+        """Declare a verb: its output opens with ``"command": name`` and ``"seed"``.
 
         Every verb takes --seed, --format and --out.  A verb that reads
         payloads names their kind in `reads` (``vector``, ``matrix``,
@@ -792,7 +780,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
         def run(args):
             objects = _read(args, reads, count) if isinstance(reads, str) else ()
-            return {"command": name, **handler(args, *objects)}
+            return {"command": name, "seed": args.seed, **handler(args, *objects)}
 
         p.set_defaults(handler=run)
         return p
@@ -868,6 +856,13 @@ def main(argv=None) -> int:
         with _collector_paused():
             out = args.handler(args)
         _emit(out, args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader of stdout went away
+        # the interpreter flushes stdout again at exit; send what is left to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(f"run 'ginisafe {args.command} --help' for the grammar", file=sys.stderr)

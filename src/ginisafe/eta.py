@@ -174,6 +174,8 @@ class EtaEstimate:
 def _nelder_mead(fn, x0: np.ndarray, max_evals: int):
     """Simplex descent on fn; stops at the eval budget or vertex spread < tol.
 
+    Returns the number of calls of fn, which the search counts as spent.
+
     Deterministic: vertices stay in the order of a stable sort of their
     values, coefficients are the standard reflection/expansion/contraction/
     shrink values.  The stable argsort runs after the initial simplex and
@@ -294,8 +296,7 @@ def estimate_eta(
     evaluations = 0
 
     def objective(z: np.ndarray) -> float:
-        nonlocal best_sum, best_state, evaluations
-        evaluations += 1
+        nonlocal best_sum, best_state
         psi = z[:dim] + 1j * z[dim:]
         re, im = psi.real, psi.imag
         norm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's own sum
@@ -314,7 +315,7 @@ def estimate_eta(
         if remaining < 1:
             break
         x0 = np.concatenate([psi0.real, psi0.imag])
-        _nelder_mead(objective, x0, remaining)
+        evaluations += _nelder_mead(objective, x0, remaining)
 
     if best_sum > cap + 1e-9:
         raise GiniSafeError(f"gini sum {best_sum} exceeds the additive cap {cap}; numerical fault")

@@ -4,7 +4,11 @@ import argparse
 import functools
 import gc
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from hypothesis import strategies as st
 
 from ginisafe import ValidationError, cli, ensembles, eta, markov, probvec, quantum
 from ginisafe.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +74,22 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("usage error: --floor must be a finite number")
 
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--matrix", json.dumps([[0.2] * 5] * 5)],  # 560 KB, more than a pipe holds
+        ["validate", "--vector", "[0.3,0.7]"],  # a few bytes, which stdout may hold until a flush
+    ], ids=["large", "small"])
+    def test_a_closed_stdout_exits_1_silently(self, argv):
+        read, write = os.pipe()
+        os.close(read)  # no reader: every write to stdout fails
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ginisafe.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+                env=env, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr.decode()) == (1, "")
 
     @pytest.mark.parametrize("message", ["", "Unable to allocate 80.0 MiB"])
     def test_out_of_memory(self, capsys, monkeypatch, message):
@@ -225,6 +247,19 @@ class TestMarkovCommands:
             capsys, "scalar-product", "--matrix", self.DEMO, "--matrix", self.DEMO
         )
         assert out["value"] == pytest.approx(direct["value"], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "inline, flags",
+        [(True, ["--tensors"]), (True, ["--verify-product-form"]), (True, ["--tensors", "--verify-product-form"]),
+         (False, ["--verify-product-form"])],
+    )
+    def test_scalar_product_rejects_tensor_flags_for_matrices(self, capsys, tmp_path, inline, flags):
+        path = tmp_path / "pair.json"
+        path.write_text(f"[{self.DEMO}, {self.DEMO}]")
+        payloads = ["--matrix", self.DEMO, "--matrix", self.DEMO] if inline else ["--input", str(path)]
+        code, out, err = run_cli(capsys, "scalar-product", *payloads, *flags)
+        assert (code, out) == (2, "")
+        assert "--tensors" in err and "--verify-product-form" in err, err
 
     def test_sparse_tensor_input(self, capsys):
         sparse = json.dumps(
@@ -775,6 +810,15 @@ class TestStateAdmission:
     )
     def test_bad_images(self, capsys, images, needle):
         self.reject(capsys, {"images": images}, needle)
+
+    @pytest.mark.parametrize("d", [7, 1, 3, 0, "2", True, None, 2.5])
+    def test_a_ket_d_must_count_its_images(self, capsys, d):
+        self.reject(capsys, {"d": d, "images": [1, 0]}, "state 'd'")
+
+    def test_a_ket_d_is_optional(self, capsys):
+        assert run_cli(capsys, "quantum-stats", "--state", '{"d": 2, "images": [1, 0]}') == run_cli(
+            capsys, "quantum-stats", "--state", '{"images": [1, 0]}'
+        )
 
     def test_images_checked_before_allocation(self, capsys, no_large_densities):
         cli._build_parser()

@@ -133,6 +133,21 @@ class TestEstimateEta:
         est = estimate_eta(2, "global_total", budget=37, seed=0)
         assert est.evaluations <= 37
 
+    def test_counts_the_evaluations_each_descent_reports(self, monkeypatch):
+        # a descent that spends its whole share in one call: the search takes
+        # the descent's count, so one start uses up the budget
+        starts = []
+
+        def one_call(fn, x0, max_evals):
+            starts.append(max_evals)
+            fn(x0)
+            return max_evals
+
+        monkeypatch.setattr("ginisafe.eta._nelder_mead", one_call)
+        est = estimate_eta(2, "single", budget=50, seed=0)
+        assert starts == [50]
+        assert est.evaluations == 50
+
     def test_cap_never_exceeded(self):
         for mode in MODES:
             est = estimate_eta(2, mode, budget=150, seed=5)

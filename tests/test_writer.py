@@ -5,6 +5,7 @@ rows of ``_flatten(_pyify(x))``; neither shares code with the writers.
 """
 
 import csv
+import dataclasses
 import gc
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ginisafe import cli
+from ginisafe import cli, ensembles, quantum
 
 
 def _pyify(obj):
@@ -297,3 +298,54 @@ def test_verbs_leave_no_cyclic_garbage(capsys, argv):
     finally:
         if was:
             gc.enable()
+
+
+@pytest.mark.parametrize("argv", EVERY_VERB, ids=argv_id)
+def test_every_output_opens_with_command_and_seed(capsys, argv):
+    seed = cli._build_parser().parse_args(list(argv)).seed
+    assert cli.main(list(argv)) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out)[:2] == ["command", "seed"]
+    assert (out["command"], out["seed"]) == (argv[0], seed)
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+    assert rows[1:3] == [["command", argv[0]], ["seed", str(seed)]]
+
+
+def _state(text):
+    return quantum.pure_density(np.array([complex(*z) for z in json.loads(text)["amplitudes"]]))
+
+
+def _density(text):
+    return np.array([complex(*z) for z in json.loads(text)["entries"]]).reshape(4, 4)
+
+
+def _collision(text, n, seed):
+    spec = ensembles.EnsembleSpec.independent(json.loads(text)["matrix"])
+    return ensembles.collision_probability_mc(spec, spec, n, ensembles.make_rng(seed))
+
+
+# (argv, the keys before the record's fields, a field the verb leaves out, the record)
+RECORD_VERBS = [
+    (("quantum-stats", "--state", SMALL_STATE), ["d", "dim"], None,
+     lambda: quantum.state_stats(_state(SMALL_STATE))),
+    (("dual", "--state", SMALL_STATE, "--mode", "local"), ["mode", "state"], "d",
+     lambda: quantum.state_stats(quantum.dual_state(_state(SMALL_STATE), "local"))),
+    (("dual", "--state", DENSITY, "--mode", "global"), ["mode", "state"], "d",
+     lambda: quantum.state_stats(quantum.dual_state(_density(DENSITY), "global"))),
+    (("deficits", "--state", SMALL_STATE), ["d"], None,
+     lambda: quantum.uncertainty_deficits(_state(SMALL_STATE))),
+    (("collision", "--ensemble", ENSEMBLE, "--ensemble", ENSEMBLE, "--n", "500", "--seed", "3"), [], None,
+     lambda: _collision(ENSEMBLE, 500, 3)),
+]
+
+
+@pytest.mark.parametrize("argv, extras, omitted, record", RECORD_VERBS, ids=[argv_id(case[0]) for case in RECORD_VERBS])
+def test_result_verbs_print_the_record_fields_in_declared_order(capsys, argv, extras, omitted, record):
+    assert cli.main(list(argv)) == 0
+    out = json.loads(capsys.readouterr().out)
+    result = record()
+    names = [f.name for f in dataclasses.fields(result) if f.name not in extras and f.name != omitted]
+    assert list(out)[2:] == extras + names
+    fields = {name: getattr(result, name) for name in names}
+    assert {name: out[name] for name in names} == json.loads(oracle(fields))
