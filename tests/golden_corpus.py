@@ -1,0 +1,112 @@
+"""The golden corpus: what the CLI prints today for a fixed set of argv.
+
+``tests/golden/outputs.json`` holds, for every argv of ``ARGV``, the exit
+code, the stderr, the sha256 of the JSON and of the CSV stdout and the parsed
+JSON output, together with the numpy and orjson versions it was recorded
+with.  ``tests/test_golden.py`` checks the CLI against it.  A change that
+moves an output on purpose rewrites the file with
+
+    PYTHONPATH=src python tests/golden_corpus.py
+
+and names the argv that moved.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import orjson
+
+from ginisafe import cli
+from test_writer import EVERY_VERB
+
+PATH = Path(__file__).resolve().parent / "golden" / "outputs.json"
+
+# A d = 5 row Markov matrix: 3125 weights from 1e-5 to 2.4e-3, many of them in
+# [1e-5, 1e-4), where orjson's spelling is respelled, in an output past one slice.
+_D5 = json.dumps([[0.1, 0.2, 0.3, 0.15, 0.25], [0.25, 0.1, 0.2, 0.3, 0.15], [0.15, 0.25, 0.1, 0.2, 0.3],
+                  [0.3, 0.15, 0.25, 0.1, 0.2], [0.2, 0.3, 0.15, 0.25, 0.1]])
+
+# Payloads the readers reject with exit 1, from tests/test_cli.py.  Payloads
+# that orjson itself rejects are left out: their stderr carries orjson's own
+# message, which may change between releases.
+INVALID_PAYLOADS = [
+    ("validate", "--vector", "[0.5,0.6]"),
+    ("gini", "--vector", '"abc"'),
+    ("gini", "--vector", '[0.5, "x"]'),
+    ("gini", "--vector", "[[0.5], [0.25, 0.25]]"),
+    ("gini", "--vector", '["0.5","0.5"]'),
+    ("expand", "--matrix", '[[0.5,0.5],["a",0.5]]'),
+    ("expand", "--matrix", "[[0.5,0.5],[1.0]]"),
+    ("expand", "--matrix", '[["1"]]'),
+    ("correlations", "--tensor", '[0.25,"x",0.25,0.25]'),
+    ("correlations", "--tensor", '{"d":2,"terms":[{"code":-1,"weight":0.5},{"code":0,"weight":0.5}]}'),
+    ("correlations", "--tensor", '{"d":2,"terms":[{"code":0,"weight":0.5},{"code":9,"weight":0.5}]}'),
+    ("correlations", "--tensor", '{"d":2,"terms":[{"code":0,"weight":0.5},{"code":3,"weight":0.5},'
+                                 '{"code":0,"weight":0.5}]}'),
+    ("correlations", "--tensor", '{"d":2,"terms":[{"weight":1.0}]}'),
+    ("correlations", "--tensor", '{"d":2,"terms":[{"code":0}]}'),
+    ("correlations", "--tensor", '{"d":7,"terms":[{"code":0,"weight":1.0}]}'),
+    ("correlations", "--tensor", '{"d":1,"terms":[{"code":0,"weight":"1"}]}'),
+    ("simulate", "--ensemble", '{"kind":"independent","matrix":"x"}'),
+    ("simulate", "--ensemble", '{"kind":"independent","matrix":[[0.5,0.5000001],[0.5,0.5]]}', "--n", "10"),
+    ("scalar-product", "--matrix", "[[1,0],[0,1]]", "--matrix", '[[1,0],["b",1]]'),
+    ("quantum-stats", "--state", '{"dim": 2, "amplitudes": [[1,0],[0]]}'),
+    ("quantum-stats", "--state", '{"dim": 2, "amplitudes": [[1,0],["a",0]]}'),
+    ("quantum-stats", "--state", '{"dim": 2, "amplitudes": [[1,0],[null,0]]}'),
+    ("quantum-stats", "--state", '{"dim": 2, "amplitudes": [[1,0],"12"]}'),
+    ("quantum-stats", "--state", '{"dim":1,"entries":[["1","0"]]}'),
+]
+
+ARGV = [list(argv) for argv in EVERY_VERB] + [["expand", "--matrix", _D5, "--floor", "0.001"]] + [
+    list(argv) for argv in INVALID_PAYLOADS
+]
+
+
+def versions() -> dict:
+    return {"numpy": np.__version__, "orjson": orjson.__version__}
+
+
+def run(argv) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of ``cli.main(argv)``, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def record(argv) -> dict:
+    code, stdout, stderr = run(argv)
+    csv_code, csv_stdout, csv_stderr = run([*argv, "--format", "csv"])
+    assert (csv_code, csv_stderr) == (code, stderr), argv
+    return {
+        "argv": list(argv),
+        "exit": code,
+        "stderr": stderr,
+        "json_sha256": sha256(stdout),
+        "csv_sha256": sha256(csv_stdout),
+        "json": json.loads(stdout) if stdout else None,
+    }
+
+
+def load() -> dict:
+    return json.loads(PATH.read_text())
+
+
+def main() -> None:
+    corpus = {**versions(), "outputs": [record(argv) for argv in ARGV]}
+    PATH.parent.mkdir(exist_ok=True)
+    PATH.write_text(json.dumps(corpus, indent=1) + "\n")
+    print(f"wrote {len(ARGV)} outputs to {PATH}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
