@@ -14,9 +14,7 @@ from .ensembles import (
     collision_probability_mc,
     empirical_tensor,
     make_rng,
-    merge,
     sample_codes,
-    sample_sequence,
     shard_rng,
 )
 from .errors import (
@@ -41,11 +39,8 @@ from .eta import (
 )
 from .markov import (
     FunctionMap,
-    all_function_maps,
-    compose,
     correlation_coefficients,
     function_table,
-    function_to_matrix,
     local_gini_vector,
     product_probabilities,
     push_forward,
@@ -54,7 +49,6 @@ from .markov import (
     tensor_dimension,
     tensor_to_matrix,
     total_gini,
-    uniform_matrix,
     validate_markov_tensor,
     validate_row_markov,
 )
@@ -62,7 +56,6 @@ from .probvec import (
     DEFAULT_TOL,
     Majorization,
     average_bounds,
-    certain_vector,
     gini_index,
     gini_mean_abs_diff,
     lorenz_values,
@@ -79,21 +72,14 @@ from .quantum import (
     UncertaintyDeficits,
     apply_dual,
     basis_state,
-    componentwise_parity,
     dft_unitary,
     diagonal_probabilities,
     dual_probabilities,
     dual_state,
     fourier_single,
-    global_fourier,
     index_product,
     index_to_tuple,
-    kron_chain,
     local_dimension,
-    local_fourier,
-    parity_matrix,
-    projector_function,
-    projector_local,
     pure_density,
     random_pure_state,
     reduced_density,

@@ -42,7 +42,6 @@ from .errors import (
     admit_square,
 )
 from .markov import (
-    FunctionMap,
     code_count,
     product_probabilities,
     tensor_dimension,
@@ -188,12 +187,6 @@ def sample_codes(spec: EnsembleSpec, n: int, rng: np.random.Generator) -> np.nda
     return codes
 
 
-def sample_sequence(spec: EnsembleSpec, rng: np.random.Generator) -> FunctionMap:
-    """Draw a single opening sequence from the ensemble."""
-    code = int(sample_codes(spec, 1, rng)[0])
-    return FunctionMap.from_code(code, spec.d)
-
-
 def empirical_tensor(spec: EnsembleSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Empirical joint distribution over n sampled sequences (a Markov tensor), counted chunk by chunk."""
     n = _admit_samples(n)
@@ -239,23 +232,3 @@ def collision_probability_mc(
     p_hat = matches / n
     stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / n))
     return McEstimate(value=p_hat, stderr=stderr, n=n)
-
-
-def merge(a: EnsembleSpec, b: EnsembleSpec, lam: float) -> EnsembleSpec:
-    """Merge two ensembles: a fraction ``lam`` of safes from ``a``, rest from ``b``.
-
-    Merging mixes the joint sequence distributions.  A mixture of two product
-    distributions is generally not a product distribution, so merging two
-    INDEPENDENT specs yields a CORRELATED spec (except at lam = 0 or 1, where
-    the untouched input is returned).
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"mixing weight {lam} outside [0, 1]")
-    if a.d != b.d:
-        raise DimensionMismatchError(f"ensembles have dimensions {a.d} and {b.d}")
-    if lam == 1.0:
-        return a
-    if lam == 0.0:
-        return b
-    mixed = lam * a.exact_tensor() + (1.0 - lam) * b.exact_tensor()
-    return EnsembleSpec.correlated(mixed)

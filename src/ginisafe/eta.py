@@ -95,11 +95,6 @@ def _admit_search(d: int, mode: str) -> tuple[int, int]:
     return d, space_dimension(d, _TRANSFORM[mode])
 
 
-def state_space_dim(d: int, mode: str) -> int:
-    """Dimension of the pure-state space searched in this mode, under the state cap."""
-    return _admit_search(d, mode)[1]
-
-
 def gini_sum_cap(d: int, mode: str) -> float:
     """The additive cap 2 (D - 1)/(D + 1) for the mode's Gini sum."""
     d, dim = _admit_search(d, mode)

@@ -112,29 +112,6 @@ class FunctionMap:
         return len(set(self.images)) == self.d
 
 
-def compose(f: FunctionMap, g: FunctionMap) -> FunctionMap:
-    """The composition f o g, i.e. i -> f[g(i)].
-
-    Satisfies ``function_to_matrix(g) @ function_to_matrix(f) ==
-    function_to_matrix(compose(f, g))``.
-    """
-    if f.d != g.d:
-        raise DimensionMismatchError(f"maps have dimensions {f.d} and {g.d}")
-    return FunctionMap(tuple(f.images[v] for v in g.images))
-
-
-def function_to_matrix(f: FunctionMap) -> np.ndarray:
-    """The 0/1 matrix M_f with M_f(i, j) = 1 iff f(i) = j.
-
-    Each row has exactly one 1; columns may hold several.  M_f is a
-    permutation matrix exactly when f is bijective.
-    """
-    d = f.d
-    m = np.zeros((d, d))
-    m[np.arange(d), f.images] = 1.0
-    return m
-
-
 def function_table(d: int) -> np.ndarray:
     """All d**d image tuples as a read-only (d**d, d) array, in code order.
 
@@ -148,12 +125,6 @@ def _function_table(d: int) -> np.ndarray:
     table = np.stack(decode(np.arange(d**d), d), axis=1)
     table.setflags(write=False)
     return table
-
-
-def all_function_maps(d: int):
-    """Iterate over all d**d maps in code order."""
-    for code in range(code_count(d)):
-        yield FunctionMap.from_code(code, d)
 
 
 def validate_row_markov(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -177,12 +148,6 @@ def validate_markov_tensor(tensor, tol: float = DEFAULT_TOL) -> np.ndarray:
     t = admit_array(tensor, "Markov tensor", float, 1)
     tensor_dimension(t.size)  # raises unless the length is d**d under the code cap
     return validate_prob_vector(t, tol)
-
-
-def uniform_matrix(d: int) -> np.ndarray:
-    """The rank-one doubly stochastic matrix with every entry 1/d."""
-    d = admit_int(d, "'d'", 1)
-    return np.full((d, d), 1.0 / d)
 
 
 def push_forward(x, q) -> np.ndarray:

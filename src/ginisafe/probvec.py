@@ -21,7 +21,6 @@ from .errors import (
     NotNormalizedError,
     ValidationError,
     admit_array,
-    admit_index,
     admit_int,
 )
 
@@ -183,12 +182,3 @@ def uniform_vector(d: int) -> np.ndarray:
     """The most uncertain probability vector (1/d, ..., 1/d)."""
     d = admit_int(d, "'d'", 1)
     return np.full(d, 1.0 / d)
-
-
-def certain_vector(d: int, level: int = 0) -> np.ndarray:
-    """A certain probability vector: all mass on one entry."""
-    d = admit_int(d, "'d'", 1)
-    level = admit_index(level, "level", d)
-    x = np.zeros(d)
-    x[level] = 1.0
-    return x

@@ -34,9 +34,8 @@ Every dual goes through :func:`apply_dual`, which applies F† without forming
 a d**d x d**d matrix: an FFT for F_G, and d passes of the d x d single-qudit
 F† for F_L.  The single-qudit transform multiplies by F† for d <= 256 and
 is an FFT above that.  A search that applies many duals at one (d, mode) binds the
-same transform once, unchecked, through ``_dual_transform``.  The dense
-builders (:func:`dft_unitary`, :func:`local_fourier`, :func:`global_fourier`)
-are the oracles it is tested against.
+same transform once, unchecked, through ``_dual_transform``.  No dense
+F_L or F_G is built here: the tests build them as their oracles.
 
 Dual statistics of a density need only the diagonal of F† rho F, and
 :func:`dual_probabilities` forms it from sums along rho's wrapped diagonals
@@ -68,7 +67,6 @@ from .markov import (
     code_count,
     decode,
     encode,
-    function_table,
     local_gini_vector,
     product_probabilities,
     scalar_product,
@@ -139,7 +137,7 @@ def index_product(j_components, k_components, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fourier transforms and parity permutations
+# Fourier transforms
 # ---------------------------------------------------------------------------
 
 def dft_unitary(n: int) -> np.ndarray:
@@ -172,61 +170,6 @@ def space_dimension(d: int, mode: str) -> int:
     """A transform's space dimension, d for ``"single"`` and d**d else, d admitted by :func:`admit_transform_d`."""
     d = admit_transform_d(d, mode)
     return d if mode == SINGLE else d**d
-
-
-def kron_chain(ops) -> np.ndarray:
-    """Tensor product of per-component operators under the package basis order.
-
-    ``ops[i]`` acts on component i.  Component 0 is the least significant
-    digit of the flat index, so the kron chain runs over ops in reverse.
-    """
-    ops = admit_array(ops, "operators 'ops'", complex, 3)
-    out = ops[-1]
-    for op in reversed(ops[:-1]):
-        out = np.kron(out, op)
-    return out
-
-
-def local_fourier(d: int) -> np.ndarray:
-    """Dense local Fourier transform F_L = F^(tensor d) on the d**d space.
-
-    A test oracle for :func:`apply_dual`, which applies F_L† without this
-    matrix; d = 5 allocates a 3125 x 3125 complex matrix (~156 MB).
-    """
-    d = admit_transform_d(d, LOCAL)
-    return kron_chain([fourier_single(d)] * d)
-
-
-def global_fourier(d: int) -> np.ndarray:
-    """Dense global Fourier transform F_G on the d**d space.
-
-    The entry at (flat j, flat k) is omega_{d**d}(j k mod d**d)/sqrt(d**d);
-    F_G has no tensor factorization over the components.  A test oracle for
-    :func:`apply_dual`, which applies F_G† as an FFT; d = 5 allocates a
-    3125 x 3125 complex matrix (~156 MB).
-    """
-    return dft_unitary(space_dimension(d, GLOBAL))
-
-
-def parity_matrix(n: int) -> np.ndarray:
-    """Flat parity permutation on H_n: |j> -> |-j mod n>.  Equals DFT**2."""
-    n = admit_int(n, "'n'", 1)
-    p = np.zeros((n, n))
-    j = np.arange(n)
-    p[(-j) % n, j] = 1.0
-    return p
-
-
-def componentwise_parity(d: int) -> np.ndarray:
-    """Componentwise parity on the d**d space: each j_i -> -j_i mod d.
-
-    Equals F_L**2, and differs from the flat parity F_G**2 for every d >= 2.
-    """
-    d = admit_transform_d(d, LOCAL)
-    neg = encode(((d - function_table(d)) % d).T, d)
-    p = np.zeros((d**d, d**d))
-    p[neg, np.arange(d**d)] = 1.0
-    return p
 
 
 #: The largest d at which single mode multiplies by F†; past it, an FFT is
@@ -291,42 +234,8 @@ def apply_dual(x, d: int, mode: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# States and projectors
+# States
 # ---------------------------------------------------------------------------
-
-def elementary_projector(j: int, d: int) -> np.ndarray:
-    """Rank-one projector |j><j| on a single qudit."""
-    d = admit_int(d, "'d'", 1)
-    j = admit_index(j, "level", d)
-    p = np.zeros((d, d), dtype=complex)
-    p[j, j] = 1.0
-    return p
-
-
-def projector_local(i: int, j: int, d: int) -> np.ndarray:
-    """Projector onto level j of component i, identity elsewhere.
-
-    Diagonal in the computational basis: the flat index m is kept when digit
-    i of m equals j.  For each i the family sums to the identity over j, and
-    all projectors of this family commute pairwise.
-    """
-    d = admit_transform_d(d, LOCAL)
-    i, j = admit_index(i, "component", d), admit_index(j, "level", d)
-    mask = (function_table(d)[:, i] == j).astype(complex)
-    return np.diag(mask)
-
-
-def projector_function(f: FunctionMap) -> np.ndarray:
-    """Rank-one projector onto the basis ket labelled by the map f.
-
-    Equals the product over positions i of ``projector_local(i, f(i), d)``;
-    the d**d projectors of this family resolve the identity.
-    """
-    dim = space_dimension(f.d, LOCAL)
-    p = np.zeros((dim, dim), dtype=complex)
-    p[f.code, f.code] = 1.0
-    return p
-
 
 def basis_state(f: FunctionMap) -> np.ndarray:
     """The computational basis ket |f(0), ..., f(d-1)> as an amplitude vector."""

@@ -17,6 +17,7 @@ import pytest
 import ginisafe as gs
 from ginisafe import quantum, reference
 from ginisafe.eta import MODES
+from oracles import componentwise_parity, parity_matrix
 
 
 def announce(num: int, label: str, ok: bool) -> None:
@@ -264,18 +265,23 @@ def test_criterion_09_globally_dual_pure_at_display_precision():
     )
 
 
+def transform(d: int, mode: str) -> np.ndarray:
+    """The matrix F of a transform, read off the layer every verb runs: F = (F† 1)†."""
+    return gs.apply_dual(np.eye(quantum.space_dimension(d, mode)), d, mode).conj().T
+
+
 def test_criterion_10_fourier_structure():
     ok = True
     for d in (2, 3):
         dim = d**d
-        for u, n in ((gs.fourier_single(d), d), (gs.local_fourier(d), dim),
-                     (gs.global_fourier(d), dim)):
+        for mode, n in (("single", d), ("local", dim), ("global", dim)):
+            u = transform(d, mode)
             ok &= np.abs(u @ u.conj().T - np.eye(n)).max() <= 1e-10
             ok &= np.abs(np.linalg.matrix_power(u, 4) - np.eye(n)).max() <= 1e-10
-        fl, fg = gs.local_fourier(d), gs.global_fourier(d)
+        fl, fg = transform(d, "local"), transform(d, "global")
         ok &= np.abs(np.abs(fg) ** 2 - 1.0 / dim).max() <= 1e-10
-        ok &= np.abs(fl @ fl - gs.componentwise_parity(d)).max() <= 1e-10
-        ok &= np.abs(fg @ fg - gs.parity_matrix(dim)).max() <= 1e-10
+        ok &= np.abs(fl @ fl - componentwise_parity(d)).max() <= 1e-10
+        ok &= np.abs(fg @ fg - parity_matrix(dim)).max() <= 1e-10
     ok &= gs.tuple_to_index((2, 1, 2), 3) == 23
     ok &= gs.tuple_to_index((1, 1, 0), 3) == 4
     ok &= gs.index_product((2, 1, 2), (1, 1, 0), 3) == 11
@@ -292,7 +298,7 @@ def test_criterion_10_fourier_structure():
 def test_criterion_10_parity_identity_as_stated():
     ok = True
     for d in (2, 3):
-        fl, fg = gs.local_fourier(d), gs.global_fourier(d)
+        fl, fg = transform(d, "local"), transform(d, "global")
         ok &= np.abs(fg @ fg - fl @ fl).max() <= 1e-10
     announce(10, "squared global transform equals squared local transform", ok)
 

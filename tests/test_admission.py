@@ -90,22 +90,14 @@ SLOTS = [
     Slot("FunctionMap.images", lambda v: gs.FunctionMap((v, 0)), "image f(0)", 0, 1, (0, 1), True),
     Slot("FunctionMap.from_code.code", lambda v: gs.FunctionMap.from_code(v, 2), "code", 0, 3, (0, 3), True),
     Slot("FunctionMap.from_code.d", lambda v: gs.FunctionMap.from_code(0, v), "'d'", 1, 6, (1, 3)),
-    Slot("all_function_maps.d", lambda v: list(gs.all_function_maps(v)), "'d'", 1, 6, (1, 2)),
     Slot("function_table.d", gs.function_table, "'d'", 1, 6, (1, 3)),
     Slot("markov.code_count.d", markov.code_count, "'d'", 1, 6, (1, 4)),
     Slot("markov.admit_code_d.d", markov.admit_code_d, "'d'", 1, 6, (1, 6)),
     Slot("tensor_dimension.size", gs.tensor_dimension, "array size", 1, None, (1, 4, 27)),
-    Slot("uniform_matrix.d", gs.uniform_matrix, "'d'", 1, None, (1, 3)),
     Slot("uniform_vector.d", gs.uniform_vector, "'d'", 1, None, (1, 3)),
-    Slot("certain_vector.d", lambda v: gs.certain_vector(v), "'d'", 1, None, (1, 3)),
-    Slot("certain_vector.level", lambda v: gs.certain_vector(3, v), "level", 0, 2, (0, 2), True),
     Slot("dft_unitary.n", gs.dft_unitary, "Fourier dimension", 2, None, (2, 5)),
     Slot("fourier_single.d", gs.fourier_single, "Fourier dimension", 2, None, (2, 3)),
-    Slot("global_fourier.d", gs.global_fourier, "'d'", 2, 5, (2, 3)),
-    Slot("local_fourier.d", gs.local_fourier, "'d'", 2, 5, (2, 3)),
-    Slot("componentwise_parity.d", gs.componentwise_parity, "'d'", 2, 5, (2, 3)),
     Slot("apply_dual.d", lambda v: gs.apply_dual(np.ones(4), v, "global"), "'d'", 2, 5, (2,)),
-    Slot("parity_matrix.n", gs.parity_matrix, "'n'", 1, None, (1, 4)),
     Slot("tuple_to_index.components", lambda v: gs.tuple_to_index((v, 1), 2), "component 0",
          None, None, (-3, 0, 1, 6)),
     Slot("tuple_to_index.d", lambda v: gs.tuple_to_index((0, 1), v), "'d'", 1, None, (2,)),
@@ -119,19 +111,12 @@ SLOTS = [
          (2, 3125)),
     Slot("random_pure_state.dim", lambda v: gs.random_pure_state(v, gs.make_rng(0)), "state 'dim'",
          1, None, (1, 4)),
-    Slot("projector_local.i", lambda v: gs.projector_local(v, 0, 2), "component", 0, 1, (0, 1), True),
-    Slot("projector_local.j", lambda v: gs.projector_local(0, v, 2), "level", 0, 1, (0, 1), True),
-    Slot("projector_local.d", lambda v: gs.projector_local(0, 0, v), "'d'", 2, 5, (2, 3)),
     Slot("reduced_density.i", lambda v: gs.reduced_density(RHO, v), "component", 0, 1, (0, 1), True),
-    Slot("quantum.elementary_projector.j", lambda v: quantum.elementary_projector(v, 2), "level",
-         0, 1, (0, 1), True),
-    Slot("quantum.elementary_projector.d", lambda v: quantum.elementary_projector(0, v), "'d'",
-         1, None, (1, 3)),
 ]
 SLOT = {slot.name: slot for slot in SLOTS}
 
 # the parameter names of the public API that take an integer
-_INTEGER_PARAMETERS = {"d", "n", "dim", "seed", "shard", "budget", "size", "index", "i", "j", "level"}
+_INTEGER_PARAMETERS = {"d", "n", "dim", "seed", "shard", "budget", "size", "index", "i"}
 # integers inside a sequence argument: the digits of a component tuple, the images of a map
 _ELEMENT_SLOTS = {"tuple_to_index.components", "FunctionMap.images"}
 
@@ -234,8 +219,8 @@ BAD_CASES = st.sampled_from(SLOTS).flatmap(lambda s: st.tuples(st.just(s), _bad_
 @example(case=(SLOT["quantum.check_state_dim.dim"], 2.5))
 @example(case=(SLOT["gini_sum_cap.d"], 2.5))
 @example(case=(SLOT["dft_unitary.n"], 2.5))
-@example(case=(SLOT["certain_vector.level"], True))
-@example(case=(SLOT["quantum.elementary_projector.j"], True))
+@example(case=(SLOT["reduced_density.i"], True))
+@example(case=(SLOT["FunctionMap.images"], True))
 @example(case=(SLOT["FunctionMap.images"], 1.5))
 @example(case=(SLOT["FunctionMap.from_code.code"], True))
 # numpy or Python errors before the rule
@@ -245,12 +230,12 @@ BAD_CASES = st.sampled_from(SLOTS).flatmap(lambda s: st.tuples(st.just(s), _bad_
 @example(case=(SLOT["deficit_sweep.d"], 2.0))
 @example(case=(SLOT["random_pure_state.dim"], 2.5))
 @example(case=(SLOT["uniform_vector.d"], 2.5))
-@example(case=(SLOT["certain_vector.level"], 1.5))
+@example(case=(SLOT["FunctionMap.from_code.code"], 1.5))
 @example(case=(SLOT["reduced_density.i"], 0.5))
 # an int past Python's 4300-digit str() limit is shown by its sign and bit length
 @example(case=(SLOT["make_rng.seed"], -10**5000))
 @example(case=(SLOT["uniform_vector.d"], -10**5000))
-@example(case=(SLOT["certain_vector.level"], 10**5000))
+@example(case=(SLOT["reduced_density.i"], 10**5000))
 @example(case=(SLOT["quantum.check_state_dim.dim"], 10**5000))
 def test_a_bad_integer_argument_is_rejected_by_name_before_allocating(case):
     slot, value = case
@@ -384,7 +369,6 @@ ARRAY_SLOTS = [
               "ensemble tensor", float, (1,)),
     ArraySlot("EnsembleSpec.independent.matrix", gs.EnsembleSpec.independent, "row Markov matrix", float, (2,)),
     ArraySlot("EnsembleSpec.correlated.tensor", gs.EnsembleSpec.correlated, "Markov tensor", float, (1,)),
-    ArraySlot("kron_chain.ops", gs.kron_chain, "operators 'ops'", complex, (3,)),
     ArraySlot("apply_dual.x", lambda v: gs.apply_dual(v, 2, "single"), "'x'", complex, (1, 2)),
     ArraySlot("pure_density.psi", gs.pure_density, "amplitude vector", complex, (1,)),
     ArraySlot("validate_density_matrix.rho", gs.validate_density_matrix, "density matrix", complex, (2,)),
@@ -407,7 +391,7 @@ ARRAY_SLOT = {slot.name: slot for slot in ARRAY_SLOTS}
 
 # the parameter names of the public API that take an array
 _ARRAY_PARAMETERS = {"x", "y", "q", "p", "t", "tq", "tp", "raw", "matrix", "tensor", "rho", "sigma", "psi",
-                     "state", "ops", "initial_states"}
+                     "state", "initial_states"}
 # arrays inside a sequence argument: the starts of a search
 _ARRAY_ELEMENT_SLOTS = {"estimate_eta.initial_states"}
 
@@ -534,7 +518,6 @@ def test_a_bad_array_argument_is_rejected_by_name_before_allocating(case):
         (lambda: gs.reduced_density(np.eye(4)[:, :3], 0), "density matrix must be square, got shape (4, 3)"),
         (lambda: gs.validate_row_markov(np.ones((2, 3)) / 3), "row Markov matrix must be square"),
         (lambda: gs.EnsembleSpec(kind="independent", matrix=[[2.0, -1.0], [0.0, 1.0]]), "row 0: entry 1 = -1"),
-        (lambda: gs.kron_chain([]), "operators 'ops' must be a non-empty 3-D array of complex numbers, got []"),
         (lambda: admit_array(np.eye(2), "'a'", float, (1, 3)),
          "'a' must be a non-empty 1-D or 3-D array of real numbers, got a float64 array of shape (2, 2)"),
         (lambda: admit_array([1j], "'a'", float, 1), "'a' must be a non-empty 1-D array of real numbers, got [1j]"),

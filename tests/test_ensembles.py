@@ -11,27 +11,22 @@ from hypothesis import strategies as st
 from conftest import random_row_markov
 from ginisafe import (
     CorrelatedSpecRejectedError,
-    DimensionMismatchError,
     EnsembleSpec,
     FunctionMap,
     ValidationError,
     collision_probability_mc,
     empirical_tensor,
     ensembles,
-    function_to_matrix,
     make_rng,
-    merge,
     product_probabilities,
     sample_codes,
-    sample_sequence,
     scalar_product,
     shard_rng,
-    tensor_to_matrix,
-    uniform_matrix,
     validate_row_markov,
 )
 from ginisafe.markov import MAX_ENUMERATION_D, code_count, encode
 from ginisafe.reference import demo_correlated_tensor, demo_matrix
+from oracles import function_to_matrix
 
 
 class TestSpecs:
@@ -76,7 +71,7 @@ class TestSpecs:
         np.testing.assert_allclose(spec.exact_tensor(), product_probabilities(q), atol=1e-15)
 
     def test_d_property(self):
-        assert EnsembleSpec.independent(uniform_matrix(3)).d == 3
+        assert EnsembleSpec.independent(np.full((3, 3), 1 / 3)).d == 3
         assert EnsembleSpec.correlated(np.full(27, 1 / 27)).d == 3
 
 
@@ -86,7 +81,7 @@ class TestSampling:
         spec = EnsembleSpec.independent(function_to_matrix(f))
         rng = make_rng(0)
         for _ in range(10):
-            assert sample_sequence(spec, rng) == f
+            assert FunctionMap.from_code(int(sample_codes(spec, 1, rng)[0]), 3) == f
 
     def test_degenerate_correlated(self):
         g = FunctionMap((2, 0, 2))
@@ -95,16 +90,16 @@ class TestSampling:
         spec = EnsembleSpec.correlated(t)
         rng = make_rng(1)
         for _ in range(10):
-            assert sample_sequence(spec, rng) == g
+            assert FunctionMap.from_code(int(sample_codes(spec, 1, rng)[0]), 3) == g
 
     def test_single_draw_point_mass(self):
-        spec = EnsembleSpec.independent(uniform_matrix(2))
+        spec = EnsembleSpec.independent(np.full((2, 2), 1 / 2))
         t = empirical_tensor(spec, 1, make_rng(3))
         assert t.sum() == 1.0
         assert (t > 0).sum() == 1
 
     def test_uniform_frequencies(self):
-        spec = EnsembleSpec.independent(uniform_matrix(2))
+        spec = EnsembleSpec.independent(np.full((2, 2), 1 / 2))
         n = 100_000
         t = empirical_tensor(spec, n, make_rng(0))
         stderr = np.sqrt(0.25 * 0.75 / n)
@@ -301,7 +296,7 @@ class TestCollision:
         assert est.n == 1000
 
     def test_rejects_correlated(self):
-        ind = EnsembleSpec.independent(uniform_matrix(3))
+        ind = EnsembleSpec.independent(np.full((3, 3), 1 / 3))
         corr = EnsembleSpec.correlated(np.full(27, 1 / 27))
         with pytest.raises(CorrelatedSpecRejectedError):
             collision_probability_mc(ind, corr, 100, make_rng(0))
@@ -323,14 +318,14 @@ class TestCollision:
         q = demo_matrix(0.35, 0.55)
         est = collision_probability_mc(
             EnsembleSpec.independent(q),
-            EnsembleSpec.independent(uniform_matrix(3)),
+            EnsembleSpec.independent(np.full((3, 3), 1 / 3)),
             400_000,
             make_rng(9),
         )
         assert est.value == pytest.approx(1 / 27, abs=4 * est.stderr)
 
     def test_stderr_formula(self):
-        spec = EnsembleSpec.independent(uniform_matrix(2))
+        spec = EnsembleSpec.independent(np.full((2, 2), 1 / 2))
         est = collision_probability_mc(spec, spec, 10_000, make_rng(1))
         assert est.stderr == pytest.approx(
             np.sqrt(est.value * (1 - est.value) / est.n), abs=1e-15
@@ -340,7 +335,7 @@ class TestCollision:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_chunked_b_is_bitwise_the_two_array_estimate(self, n, seed):
         a = EnsembleSpec.independent(demo_matrix(0.3, 0.6))
-        b = EnsembleSpec.independent(uniform_matrix(3))
+        b = EnsembleSpec.independent(np.full((3, 3), 1 / 3))
         rng = make_rng(seed)
         codes_a = sample_codes(a, n, rng)
         codes_b = sample_codes(b, n, rng)
@@ -385,68 +380,3 @@ class TestSharding:
         backward = sum(shard_counts(s) for s in reversed(shards))
         np.testing.assert_array_equal(forward, backward)
         np.testing.assert_array_equal(forward, sum(shard_counts(s) for s in shards))
-
-
-class TestMerge:
-    def test_identity_limits(self):
-        a = EnsembleSpec.independent(demo_matrix(0.2, 0.5))
-        b = EnsembleSpec.independent(uniform_matrix(3))
-        assert merge(a, b, 1.0) is a
-        assert merge(a, b, 0.0) is b
-
-    def test_two_point_merge(self):
-        f = FunctionMap((0, 1))
-        g = FunctionMap((1, 0))
-        a = EnsembleSpec.independent(function_to_matrix(f))
-        b = EnsembleSpec.independent(function_to_matrix(g))
-        merged = merge(a, b, 0.5)
-        assert merged.kind == "correlated"
-        expected = np.zeros(4)
-        expected[f.code] = 0.5
-        expected[g.code] = 0.5
-        np.testing.assert_allclose(merged.tensor, expected, atol=1e-15)
-        np.testing.assert_allclose(
-            tensor_to_matrix(merged.tensor),
-            (function_to_matrix(f) + function_to_matrix(g)) / 2,
-            atol=1e-15,
-        )
-
-    def test_merged_products_dominate(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            d = int(rng.integers(2, 4))
-            q1 = random_row_markov(rng, d)
-            q2 = random_row_markov(rng, d)
-            lam = float(rng.uniform(0.05, 0.95))
-            merged = merge(
-                EnsembleSpec.independent(q1), EnsembleSpec.independent(q2), lam
-            )
-            mixed_matrix = tensor_to_matrix(merged.tensor)
-            np.testing.assert_allclose(mixed_matrix, lam * q1 + (1 - lam) * q2, atol=1e-12)
-            products_of_mixture = product_probabilities(mixed_matrix)
-            bound = lam**d * product_probabilities(q1) + (1 - lam) ** d * product_probabilities(q2)
-            assert np.all(products_of_mixture >= bound - 1e-12)
-
-    def test_correlated_merge_mixes_tensors(self):
-        t1 = demo_correlated_tensor(0.1, 0.4)
-        t2 = np.full(27, 1 / 27)
-        merged = merge(EnsembleSpec.correlated(t1), EnsembleSpec.correlated(t2), 0.25)
-        np.testing.assert_allclose(merged.tensor, 0.25 * t1 + 0.75 * t2, atol=1e-15)
-
-    def test_mixed_kind_merge(self):
-        ind = EnsembleSpec.independent(demo_matrix(0.2, 0.5))
-        corr = EnsembleSpec.correlated(demo_correlated_tensor(0.2, 0.5))
-        merged = merge(ind, corr, 0.5)
-        np.testing.assert_allclose(
-            merged.tensor,
-            0.5 * ind.exact_tensor() + 0.5 * corr.exact_tensor(),
-            atol=1e-15,
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            merge(
-                EnsembleSpec.independent(uniform_matrix(2)),
-                EnsembleSpec.independent(uniform_matrix(3)),
-                0.5,
-            )

@@ -11,7 +11,6 @@ from ginisafe import (
     GiniSafeError,
     ValidationError,
     apply_dual,
-    certain_vector,
     deficit,
     deficit_sweep,
     estimate_eta,
@@ -33,13 +32,13 @@ from ginisafe.eta import (
     MODES,
     REFINE_STEP_TOL,
     _nelder_mead,
-    state_space_dim,
 )
+from ginisafe.quantum import space_dimension
 
 
 def scalar_sweep(d, mode, n, seed):
     """Smallest per-state deficit over the states deficit_sweep draws."""
-    dim = state_space_dim(d, mode)
+    dim = space_dimension(d, _TRANSFORM[mode])
     rng = make_rng(seed)
     z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
@@ -55,7 +54,7 @@ class TestGiniSum:
 
     def test_basis_state_single(self):
         # certain position vector and flat dual vector
-        psi = certain_vector(2).astype(complex)
+        psi = np.eye(2, dtype=complex)[0]
         assert gini_sum(psi, 2, "single") == pytest.approx(1 / 3, abs=1e-12)
         assert deficit(psi, 2, "single") == pytest.approx(1 / 3, abs=1e-12)
 
@@ -95,7 +94,7 @@ class TestGiniSum:
 
 class TestEstimateEta:
     def test_budget_one_with_seed_state(self):
-        psi0 = certain_vector(2).astype(complex)
+        psi0 = np.eye(2, dtype=complex)[0]
         est = estimate_eta(2, "single", budget=1, seed=0, initial_states=[psi0])
         assert est.evaluations == 1
         assert est.best_sum == pytest.approx(1 / 3, abs=1e-12)
@@ -176,13 +175,13 @@ class TestEstimateEta:
     )
     def test_rejects_a_start_that_cannot_be_normalized(self, bad, norm):
         # an all-zero start returned best_sum=-inf, eta_upper=inf and no state
-        good = certain_vector(2).astype(complex)
+        good = np.eye(2, dtype=complex)[0]
         with pytest.raises(ValidationError, match=rf"initial state 1 has norm {norm}; it must be finite"):
             estimate_eta(2, "single", 5, initial_states=[good, bad])
 
     def test_checks_every_start_before_searching(self):
         # a start past the budget is checked too, and it is shown
-        good = certain_vector(2).astype(complex)
+        good = np.eye(2, dtype=complex)[0]
         with pytest.raises(ValidationError, match=r"initial state 1 has shape \(3,\), expected \(2,\)"):
             estimate_eta(2, "single", 1, initial_states=[good, [1, 0, 0]])
         start_is_1d = r"initial state 0 must be a non-empty 1-D array of complex numbers, got \[\[1\], \[0\]\]"
@@ -192,7 +191,7 @@ class TestEstimateEta:
     @pytest.mark.parametrize("bad", [[1, [0]], ["a", "b"], [1, {}], [10**400, 0]])
     def test_rejects_a_start_that_is_no_array_of_numbers(self, bad):
         # ragged and non-numeric starts ended in numpy's ValueError
-        good = certain_vector(2).astype(complex)
+        good = np.eye(2, dtype=complex)[0]
         with pytest.raises(ValidationError, match=r"initial state 1 must be a non-empty 1-D array of complex numbers"):
             estimate_eta(2, "single", 5, initial_states=[good, bad])
 
@@ -259,7 +258,7 @@ def argsort_nelder_mead(fn, x0, max_evals, step=0.1):
 def oracle_search(d, mode, budget, seed=0, initial_states=None):
     """(best_sum, evaluations, best_state) of the search through the checked
     gini_sum and the argsort descent."""
-    dim = state_space_dim(d, mode)
+    dim = space_dimension(d, _TRANSFORM[mode])
     best = {"sum": -np.inf, "state": None, "evaluations": 0}
 
     def objective(z):
@@ -310,7 +309,7 @@ class TestSearchBitIdentity:
     @pytest.mark.parametrize("d, mode", [(2, "single"), (3, "global_component"), (3, "local_total")])
     def test_initial_states_match_oracle(self, d, mode):
         rng = np.random.default_rng(d)
-        dim = state_space_dim(d, mode)
+        dim = space_dimension(d, _TRANSFORM[mode])
         given = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(2)]
         given.append(np.eye(dim)[0])  # a basis state: zeros in the simplex coordinates
         est = estimate_eta(d, mode, 400, seed=3, initial_states=given)
@@ -397,7 +396,7 @@ class TestDeficitSweep:
 
     @pytest.mark.parametrize("d, mode", [(2, "single"), (5, "global_total"), (5, "local_total")])
     def test_admits_the_amplitude_count_before_drawing(self, d, mode):
-        dim = state_space_dim(d, mode)
+        dim = space_dimension(d, _TRANSFORM[mode])
         tracemalloc.start()
         try:
             for n in (MAX_SAMPLES // dim + 1, 10**15):
@@ -425,7 +424,7 @@ class TestDeficitSweep:
 
 def batched_sweep_oracle(d, mode, n, seed):
     """The whole-batch sweep that deficit_sweep replaced, kept verbatim as its oracle."""
-    dim = state_space_dim(d, mode)
+    dim = space_dimension(d, _TRANSFORM[mode])
     if n < 1:
         raise ValidationError("sample count must be >= 1")
     cap = gini_sum_cap(d, mode)
@@ -456,7 +455,7 @@ def batched_sweep_oracle(d, mode, n, seed):
 def sweep_cases():
     for d in (2, 3, 4, 5):
         for mode in MODES:
-            block = _SWEEP_BLOCK // state_space_dim(d, mode)
+            block = _SWEEP_BLOCK // space_dimension(d, _TRANSFORM[mode])
             for n in sorted({1, block - 1, block, block + 1, 1000} - {0}):
                 # the ranked marginals take another summation order than the
                 # oracle's p @ indicator, and at d = 5 the local passes' zgemm
@@ -492,7 +491,7 @@ class TestGiniKernelBits:
     def test_vectors(self, d, mode):
         rng = np.random.default_rng(d)
         for _ in range(100):
-            psi = random_complex_unit(rng, state_space_dim(d, mode))
+            psi = random_complex_unit(rng, space_dimension(d, _TRANSFORM[mode]))
             for p in (np.abs(psi) ** 2, np.abs(apply_dual(psi, d, _TRANSFORM[mode])) ** 2):
                 assert gini_index(p) == float(sorted_rows_oracle(p[None, :])[0])
 
@@ -508,7 +507,7 @@ class TestGiniKernelBits:
     @pytest.mark.parametrize("d, mode", [(3, "single"), (3, "global_component"), (4, "global_total")])
     def test_batches(self, d, mode):
         rng = np.random.default_rng(20 + d)
-        dim = state_space_dim(d, mode)
+        dim = space_dimension(d, _TRANSFORM[mode])
         z = rng.standard_normal((300, dim)) + 1j * rng.standard_normal((300, dim))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         p = np.abs(apply_dual(z.T, d, _TRANSFORM[mode]).T) ** 2

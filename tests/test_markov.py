@@ -9,17 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import random_prob_vector, random_row_markov
 from ginisafe import (
-    DimensionMismatchError,
     FunctionMap,
     NegativeEntryError,
     NotNormalizedError,
     NotProductFormError,
     ValidationError,
-    all_function_maps,
-    compose,
     correlation_coefficients,
     function_table,
-    function_to_matrix,
     local_gini_vector,
     product_probabilities,
     push_forward,
@@ -28,13 +24,13 @@ from ginisafe import (
     tensor_dimension,
     tensor_to_matrix,
     total_gini,
-    uniform_matrix,
     uniform_vector,
     validate_markov_tensor,
     validate_prob_vector,
     validate_row_markov,
 )
 from ginisafe.reference import demo_correlated_tensor, demo_matrix, demo_table_rows
+from oracles import all_function_maps, function_to_matrix
 
 
 def brute_force_collision_probability(q, p):
@@ -143,38 +139,6 @@ class TestMatrixRepresentation:
         assert np.linalg.matrix_rank(function_to_matrix(FunctionMap((1, 1, 1)))) == 1
 
 
-class TestCompose:
-    def test_identity_is_unit(self):
-        ident = FunctionMap((0, 1, 2))
-        f = FunctionMap((1, 2, 1))
-        assert compose(f, ident) == f
-        assert compose(ident, f) == f
-
-    def test_pointwise_examples(self):
-        assert compose(FunctionMap((1, 2, 1)), FunctionMap((2, 2, 0))).images == (1, 1, 1)
-        assert compose(FunctionMap((1, 1)), FunctionMap((0, 1))).images == (1, 1)
-
-    def test_matrix_homomorphism_exhaustive(self):
-        for d in (2, 3):
-            for f in all_function_maps(d):
-                for g in all_function_maps(d):
-                    lhs = function_to_matrix(g) @ function_to_matrix(f)
-                    rhs = function_to_matrix(compose(f, g))
-                    np.testing.assert_array_equal(lhs, rhs)
-
-    def test_matrix_homomorphism_random_d4(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            f = FunctionMap(tuple(rng.integers(0, 4, size=4)))
-            g = FunctionMap(tuple(rng.integers(0, 4, size=4)))
-            lhs = function_to_matrix(g) @ function_to_matrix(f)
-            np.testing.assert_array_equal(lhs, function_to_matrix(compose(f, g)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            compose(FunctionMap((0, 1)), FunctionMap((0, 1, 2)))
-
-
 # ---------------------------------------------------------------------------
 # Row Markov matrices
 # ---------------------------------------------------------------------------
@@ -217,7 +181,7 @@ class TestRowMarkov:
     def test_push_forward_uniform_matrix(self):
         rng = np.random.default_rng(2)
         x = random_prob_vector(rng, 4)
-        np.testing.assert_allclose(push_forward(x, uniform_matrix(4)), uniform_vector(4), atol=1e-15)
+        np.testing.assert_allclose(push_forward(x, np.full((4, 4), 1 / 4)), uniform_vector(4), atol=1e-15)
 
     def test_push_forward_identity(self):
         rng = np.random.default_rng(3)
@@ -242,7 +206,7 @@ class TestScalarProduct:
         rng = np.random.default_rng(5)
         for d in (2, 3, 4):
             q = random_row_markov(rng, d)
-            assert scalar_product(q, uniform_matrix(d)) == pytest.approx(d**-d, abs=1e-15)
+            assert scalar_product(q, np.full((d, d), 1 / d)) == pytest.approx(d**-d, abs=1e-15)
 
     def test_function_matrices_are_orthonormal(self):
         for d in (2, 3):
@@ -316,7 +280,7 @@ class TestProductProbabilities:
         np.testing.assert_array_equal(weights, expected)
 
     def test_uniform_matrix_is_flat(self):
-        np.testing.assert_allclose(product_probabilities(uniform_matrix(3)), np.full(27, 27.0**-1), atol=1e-15)
+        np.testing.assert_allclose(product_probabilities(np.full((3, 3), 1 / 3)), np.full(27, 27.0**-1), atol=1e-15)
 
     def test_demo_table_values(self):
         rng = np.random.default_rng(11)
@@ -378,7 +342,7 @@ class TestTensorToMatrix:
         np.testing.assert_array_equal(tensor_to_matrix(t), function_to_matrix(g))
 
     def test_uniform_tensor(self):
-        np.testing.assert_allclose(tensor_to_matrix(np.full(27, 1 / 27)), uniform_matrix(3), atol=1e-15)
+        np.testing.assert_allclose(tensor_to_matrix(np.full(27, 1 / 27)), np.full((3, 3), 1 / 3), atol=1e-15)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(16)
@@ -474,7 +438,7 @@ class TestCorrelations:
 class TestScalarProductViaTensors:
     def test_uniform(self):
         # 27 terms of (1/27)^2 sum to 1/27
-        t = product_probabilities(uniform_matrix(3))
+        t = product_probabilities(np.full((3, 3), 1 / 3))
         assert scalar_product_via_tensors(t, t) == pytest.approx(1 / 27, abs=1e-15)
 
     def test_function_matrix_tensors(self):
@@ -519,7 +483,7 @@ class TestMarkovGini:
             )
 
     def test_uniform_matrix_zero(self):
-        np.testing.assert_allclose(local_gini_vector(uniform_matrix(4)), 0.0, atol=1e-15)
+        np.testing.assert_allclose(local_gini_vector(np.full((4, 4), 1 / 4)), 0.0, atol=1e-15)
 
     def test_function_matrix_maximal(self):
         m = function_to_matrix(FunctionMap((1, 2, 1)))

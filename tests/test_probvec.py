@@ -13,7 +13,6 @@ from ginisafe import (
     NotNormalizedError,
     ValidationError,
     average_bounds,
-    certain_vector,
     gini_index,
     gini_mean_abs_diff,
     lorenz_values,
@@ -86,7 +85,7 @@ class TestLorenz:
         np.testing.assert_allclose(lorenz_values(uniform_vector(3)), [1 / 3, 2 / 3, 1.0], atol=1e-15)
 
     def test_certain(self):
-        np.testing.assert_allclose(lorenz_values(certain_vector(3)), [0.0, 0.0, 1.0], atol=0)
+        np.testing.assert_allclose(lorenz_values(np.eye(3)[0]), [0.0, 0.0, 1.0], atol=0)
 
     def test_sixths(self):
         np.testing.assert_allclose(
@@ -145,8 +144,8 @@ class TestGini:
         assert gini_mean_abs_diff(uniform_vector(3)) == 0.0
 
     def test_certain_is_maximal(self):
-        assert gini_index(certain_vector(3)) == pytest.approx(0.5, abs=1e-15)
-        assert gini_mean_abs_diff(certain_vector(3)) == pytest.approx(0.5, abs=1e-15)
+        assert gini_index(np.eye(3)[0]) == pytest.approx(0.5, abs=1e-15)
+        assert gini_mean_abs_diff(np.eye(3)[0]) == pytest.approx(0.5, abs=1e-15)
 
     def test_sixths(self):
         assert gini_index([1 / 6, 1 / 2, 1 / 3]) == pytest.approx(1 / 6, abs=1e-15)
@@ -257,7 +256,7 @@ class TestMajorization:
                 Majorization.X_MAJORIZES_Y,
                 Majorization.EQUAL,
             )
-            assert majorizes(certain_vector(d), x) in (
+            assert majorizes(np.eye(d)[0], x) in (
                 Majorization.X_MAJORIZES_Y,
                 Majorization.EQUAL,
             )
@@ -296,7 +295,7 @@ class TestAverageBounds:
         assert hi == pytest.approx(1.0, abs=1e-12)
 
     def test_certain_full_range(self):
-        lo, hi = average_bounds(certain_vector(3))
+        lo, hi = average_bounds(np.eye(3)[0])
         assert (lo, hi) == (pytest.approx(0.0, abs=1e-12), pytest.approx(2.0, abs=1e-12))
 
     def test_sixths(self):

@@ -1,4 +1,4 @@
-"""Tests for Fourier transforms, projectors, partial traces and state statistics."""
+"""Tests for Fourier transforms, partial traces and state statistics."""
 
 import tracemalloc
 
@@ -10,26 +10,20 @@ from hypothesis import strategies as st
 from conftest import random_complex_unit
 from ginisafe import (
     DimensionMismatchError,
+    DimensionTooLargeError,
     FunctionMap,
     IndexOutOfRangeError,
     ValidationError,
     apply_dual,
     basis_state,
     NegativeEntryError,
-    componentwise_parity,
     dual_probabilities,
     dual_state,
     fourier_single,
-    function_to_matrix,
-    global_fourier,
+    function_table,
     index_product,
     index_to_tuple,
-    kron_chain,
     local_dimension,
-    local_fourier,
-    parity_matrix,
-    projector_function,
-    projector_local,
     pure_density,
     reduced_density,
     scalar_product,
@@ -41,7 +35,7 @@ from ginisafe import (
 )
 from ginisafe import quantum
 from ginisafe.errors import admit_square
-from ginisafe.quantum import MAX_COMPONENTS, elementary_projector
+from ginisafe.quantum import MAX_COMPONENTS
 from ginisafe.reference import (
     TRIPARTITE_DUAL_GINI_VECTOR,
     TRIPARTITE_DUAL_MARKOV,
@@ -53,6 +47,15 @@ from ginisafe.reference import (
     triple_state,
     tripartite_mixed_state,
     tripartite_pure_state,
+)
+from oracles import (
+    componentwise_parity,
+    elementary_projector,
+    function_to_matrix,
+    global_fourier,
+    kron_chain,
+    local_fourier,
+    parity_matrix,
 )
 
 
@@ -150,10 +153,8 @@ class TestLocalFourier:
         np.testing.assert_allclose(fl @ fl, componentwise_parity(d), atol=1e-10)
 
     def test_dense_limit(self):
-        from ginisafe.errors import DimensionTooLargeError
-
         with pytest.raises(DimensionTooLargeError):
-            local_fourier(MAX_COMPONENTS + 1)
+            apply_dual(np.ones(4), MAX_COMPONENTS + 1, "local")
 
 
 class TestGlobalFourier:
@@ -194,86 +195,6 @@ class TestGlobalFourier:
                 m = np.moveaxis(t, axis, 0).reshape(3, 9)
                 s = np.linalg.svd(m, compute_uv=False)
                 assert s[1] < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Projectors
-# ---------------------------------------------------------------------------
-
-def kron_projector_oracle(i, j, d):
-    """Independent construction: explicit tensor product under the codec order."""
-    ops = [np.eye(d, dtype=complex)] * d
-    ops[i] = elementary_projector(j, d)
-    out = ops[-1]
-    for op in reversed(ops[:-1]):
-        out = np.kron(out, op)
-    return out
-
-
-class TestProjectors:
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_local_matches_kron_oracle(self, d):
-        for i in range(d):
-            for j in range(d):
-                np.testing.assert_allclose(
-                    projector_local(i, j, d), kron_projector_oracle(i, j, d), atol=0
-                )
-
-    def test_component_zero_is_least_significant(self):
-        np.testing.assert_allclose(
-            np.diag(projector_local(0, 0, 2)).real, [1, 0, 1, 0], atol=0
-        )
-        np.testing.assert_allclose(
-            np.diag(projector_local(1, 0, 2)).real, [1, 1, 0, 0], atol=0
-        )
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_resolution_of_identity(self, d):
-        for i in range(d):
-            total = sum(projector_local(i, j, d) for j in range(d))
-            np.testing.assert_allclose(total, np.eye(d**d), atol=0)
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_pairwise_commutation(self, d):
-        projs = [projector_local(i, j, d) for i in range(d) for j in range(d)]
-        for p1 in projs:
-            for p2 in projs:
-                np.testing.assert_allclose(p1 @ p2, p2 @ p1, atol=0)
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_idempotent_hermitian(self, d):
-        for i in range(d):
-            for j in range(d):
-                p = projector_local(i, j, d)
-                np.testing.assert_allclose(p @ p, p, atol=0)
-                np.testing.assert_allclose(p, p.conj().T, atol=0)
-
-    def test_index_errors(self):
-        with pytest.raises(IndexOutOfRangeError):
-            projector_local(3, 0, 3)
-        with pytest.raises(IndexOutOfRangeError):
-            projector_local(0, 3, 3)
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_function_projectors(self, d):
-        total = np.zeros((d**d, d**d), dtype=complex)
-        for code in range(d**d):
-            f = FunctionMap.from_code(code, d)
-            pf = projector_function(f)
-            psi = basis_state(f)
-            np.testing.assert_allclose(pf @ psi, psi, atol=0)
-            product = np.eye(d**d, dtype=complex)
-            for i in range(d):
-                product = product @ projector_local(i, f.images[i], d)
-            np.testing.assert_allclose(pf, product, atol=0)
-            total += pf
-        np.testing.assert_allclose(total, np.eye(d**d), atol=0)
-
-    def test_basis_orthonormality(self):
-        for f in (FunctionMap((0, 1)), FunctionMap((1, 1))):
-            for g in (FunctionMap((0, 1)), FunctionMap((1, 1))):
-                val = basis_state(g).conj() @ projector_function(f) @ basis_state(g)
-                assert val == (1.0 if f == g else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +244,8 @@ class TestReducedDensity:
             assert np.trace(red).real == pytest.approx(1.0, abs=1e-12)
 
     def test_projector_consistency(self):
-        # Tr[rho Pi(i, j)] equals Tr[reduced_i rho * |j><j|] for random states,
-        # pure and mixed
+        # Tr[rho Pi(i, j)], the diagonal of rho summed where digit i is j,
+        # equals Tr[reduced_i rho * |j><j|] for random states, pure and mixed
         rng = np.random.default_rng(3)
         for d in (2, 3):
             pure = pure_density(random_complex_unit(rng, d**d))
@@ -336,7 +257,7 @@ class TestReducedDensity:
                 for i in range(d):
                     red = reduced_density(rho, i)
                     for j in range(d):
-                        via_projector = np.trace(rho @ projector_local(i, j, d)).real
+                        via_projector = np.real(np.diag(rho))[function_table(d)[:, i] == j].sum()
                         via_reduction = np.trace(red @ elementary_projector(j, d)).real
                         assert via_projector == pytest.approx(via_reduction, abs=1e-12)
 
