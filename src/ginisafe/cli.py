@@ -16,6 +16,7 @@ import json
 import math
 import os
 import re
+import struct
 import sys
 
 import numpy as np
@@ -142,6 +143,8 @@ def _sparse_tensor(d, terms) -> np.ndarray:
             raise ValidationError(f"terms[{i}].code = {code} repeats terms[{codes[code]}].code")
         codes[code] = i
         try:
+            if isinstance(term["weight"], str):  # float() would parse a numeric string
+                raise TypeError
             weights.append(float(term["weight"]))
         except (TypeError, ValueError):
             raise ValidationError(
@@ -170,7 +173,9 @@ def _complex_pairs(entries, n: int, what: str) -> np.ndarray:
     """`n` complex numbers from a list of `n` [re, im] pairs, converted in one pass.
 
     Each item must be a list of two (a string such as "12" also has length
-    two); the values then convert as under ``np.asarray(..., dtype=float)``.
+    two).  The values are packed as C doubles, which takes a number and
+    rejects anything else, a numeric string too; a number converts as under
+    ``np.asarray(..., dtype=float)``.
     """
     error = ValidationError(f"{what} must be a list of {n} [re, im] pairs of finite numbers")
     if (
@@ -181,8 +186,8 @@ def _complex_pairs(entries, n: int, what: str) -> np.ndarray:
     ):
         raise error
     try:
-        arr = np.fromiter(itertools.chain.from_iterable(entries), float, 2 * n)
-    except (TypeError, ValueError, OverflowError):  # non-numbers, or ints beyond float
+        arr = np.frombuffer(struct.pack(f"{2 * n}d", *itertools.chain.from_iterable(entries)))
+    except (struct.error, OverflowError):  # non-numbers, or ints beyond float
         raise error from None
     if not np.isfinite(arr).all():
         raise error

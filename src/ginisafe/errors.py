@@ -101,8 +101,8 @@ def admit_array(value, what: str, dtype, ndim) -> np.ndarray:
 
     `dtype` is float or complex.  The value converts as ``np.asarray(value, dtype=dtype)`` converts it,
     and an ndarray that already has the dtype is returned untouched.  A ragged, non-numeric or huge-int
-    value, a complex value for a real dtype, and an empty or wrong-ndim array are a ValidationError that
-    shows the value, or an ndarray's dtype and shape.
+    value, a string in place of a number, a complex value for a real dtype, and an empty or wrong-ndim array
+    are a ValidationError that shows the value, or an ndarray's dtype and shape.
     """
     ndims = (ndim,) if type(ndim) is int else ndim
     array = value
@@ -111,9 +111,13 @@ def admit_array(value, what: str, dtype, ndim) -> np.ndarray:
             found = np.asarray(value)  # numpy's own dtype first: a cast to float would drop an imaginary part
             if found.dtype.kind == "c" and dtype is not complex:
                 raise TypeError
-            if found.dtype.kind in "OSU":
-                # objects and strings convert one by one, as the dtype asks; a numpy complex
-                # scalar among them would lose its imaginary part with only a ComplexWarning
+            # numpy would parse a string, but a string is not a number, whatever it spells
+            strings = found.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in found.flat)
+            if found.dtype.kind in "SU" or strings:
+                raise TypeError
+            if found.dtype.kind == "O":
+                # objects convert one by one, as the dtype asks; a numpy complex scalar
+                # among them would lose its imaginary part with only a ComplexWarning
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", ComplexWarning)
                     array = np.asarray(value, dtype=dtype)

@@ -548,7 +548,6 @@ _NUMBERS = st.one_of(
     st.floats(allow_nan=False),
     st.integers(-(2**70), 2**70),
     st.booleans(),
-    st.floats(-1e6, 1e6).map(str),
     st.floats(width=32, allow_nan=False).map(np.float32),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
     st.integers(0, 2**64 - 1).map(np.uint64),
@@ -558,11 +557,13 @@ _ROWS = st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(_NUMBERS, min_size
 
 
 def test_an_object_array_of_real_numbers_converts_as_asarray_does():
-    value = np.array([np.float64(0.25), 0.5, np.int64(3), np.float32(0.1), True, "0.5"], dtype=object)
+    value = np.array([np.float64(0.25), 0.5, np.int64(3), np.float32(0.1), True], dtype=object)
     want = np.asarray(value, dtype=float)
     got = admit_array(value, "v", float, 1)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert admit_array(_numpy_scalars(np.array([0.5 + 1j])), "v", complex, 1).tobytes() == np.array([0.5 + 1j]).tobytes()
+    with pytest.raises(ValidationError):  # a string among them is no number, though numpy would parse it
+        admit_array(np.array([0.25, "0.5"], dtype=object), "v", float, 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -573,3 +574,21 @@ def test_the_rule_converts_as_asarray_does(value, dtype):
     got = admit_array(value, "v", dtype, want.ndim)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+
+
+_STRINGS = st.one_of(st.floats(-1e6, 1e6).map(str), st.sampled_from(["1", " -2e3 ", "nan", "inf", "", "x"]),
+                     st.sampled_from([np.str_("0.5"), b"0.5", np.bytes_(b"1")]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.one_of(st.lists(_NUMBERS, max_size=5), _ROWS), string=_STRINGS, at=st.integers(0, 5),
+       dtype=st.sampled_from([float, complex]))
+@example(value=[0.5], string="0.5", at=0, dtype=float)  # numpy parses it as 0.5
+def test_a_string_is_no_number_whatever_it_spells(value, string, at, dtype):
+    if value and isinstance(value[0], list):
+        row = value[at % len(value)]
+        row[at % len(row)] = string
+    else:
+        value.insert(at % (len(value) + 1), string)
+    with pytest.raises(ValidationError, match="must be a non-empty"):
+        admit_array(value, "v", dtype, (1, 2))

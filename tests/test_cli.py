@@ -380,8 +380,17 @@ class TestReaderErrors:
         assert "Traceback" not in err
 
 
+def holds_string(value) -> bool:
+    return isinstance(value, str) or isinstance(value, list) and any(map(holds_string, value))
+
+
 def pairs_oracle(entries, n):
-    """The ``np.asarray(..., dtype=float)`` reading of [re, im] pairs, or None if rejected."""
+    """The ``np.asarray(..., dtype=float)`` reading of [re, im] pairs, or None if rejected.
+
+    A string is rejected, though numpy would parse a numeric one.
+    """
+    if holds_string(entries):
+        return None
     try:
         arr = np.asarray(entries, dtype=float)
     except (TypeError, ValueError, OverflowError):

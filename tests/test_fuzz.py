@@ -75,7 +75,8 @@ def ensemble(d):
 # d**d-sized tensors and int64 codes for ensembles past the code cap, an
 # unchecked `--n`, a NaN or infinite tolerance that admits any vector, negative
 # seeds, JSON that the payload decoder refuses (a number past the double range,
-# nesting past cli.MAX_JSON_DEPTH), and an --out path that cannot be written.
+# nesting past cli.MAX_JSON_DEPTH), an --out path that cannot be written, and
+# a numeric string read as the number it spells.
 PINNED = {
     "eta-huge-d": ["eta", "--d", "100000"],
     "eta-single-past-state-cap": ["eta", "--d", "4000", "--budget", "1"],
@@ -95,6 +96,10 @@ PINNED = {
     "simulate-stack-deep-objects": ["simulate", "--ensemble", '{"a":' * 100_000 + "1" + "}" * 100_000],
     "validate-out-missing-dir": ["validate", "--vector", "[1]", "--out", "/nonexistent/dir/x.json"],
     "validate-out-directory": ["validate", "--vector", "[1]", "--out", "."],
+    "gini-numeric-strings": ["gini", "--vector", '["0.5","0.5"]'],
+    "quantum-stats-numeric-strings": ["quantum-stats", "--state", '{"dim":1,"entries":[["1","0"]]}'],
+    "correlations-numeric-string-weight": ["correlations", "--tensor", '{"d":1,"terms":[{"code":0,"weight":"1"}]}'],
+    "expand-numeric-string": ["expand", "--matrix", '[["1"]]'],
 }
 
 
