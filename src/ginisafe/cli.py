@@ -576,15 +576,7 @@ def cmd_deficits(args, rho) -> dict:
 
 def cmd_eta(args) -> dict:
     est = eta.estimate_eta(args.d, args.mode, args.budget, seed=args.seed)
-    return {
-        "d": est.d,
-        "mode": est.mode,
-        "budget": args.budget,
-        "evaluations": est.evaluations,
-        "best_sum": est.best_sum,
-        "eta_upper": est.eta_upper,
-        "best_state": _serialize_pure(est.best_state),
-    }
+    return {**_fields(est), "best_state": _serialize_pure(est.best_state), "budget": args.budget}
 
 
 # ---------------------------------------------------------------------------

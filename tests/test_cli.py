@@ -1023,9 +1023,9 @@ def library_results(d, seed):
         "collision": (["collision", "--ensemble", ens_q, "--ensemble", ens_p, "--n", str(n)],
                       {"command": "collision", **head, "value": mc.value, "stderr": mc.stderr, "n": mc.n}),
         "eta": (["eta", "--d", str(d), "--mode", est.mode, "--budget", "30"],
-                {"command": "eta", **head, "d": d, "mode": est.mode, "budget": 30,
-                 "evaluations": est.evaluations, "best_sum": est.best_sum, "eta_upper": est.eta_upper,
-                 "best_state": {"dim": est.best_state.size, "amplitudes": est.best_state}}),
+                {"command": "eta", **head, "d": d, "mode": est.mode, "best_sum": est.best_sum,
+                 "eta_upper": est.eta_upper, "best_state": {"dim": est.best_state.size, "amplitudes": est.best_state},
+                 "evaluations": est.evaluations, "budget": 30}),
     }
 
 
