@@ -62,8 +62,37 @@ INVALID_PAYLOADS = [
     ("quantum-stats", "--state", '{"dim":1,"entries":[["1","0"]]}'),
 ]
 
+
+def _independent(matrix) -> str:
+    return json.dumps({"kind": "independent", "matrix": matrix})
+
+
+# A row that sums to 1 + 1e-7: inside --tol 1e-6, outside the default 1e-9.
+_NEAR = _independent([[0.5, 0.5000001], [0.25, 0.75]])
+_D7 = [[1 / 7] * 7 for _ in range(7)]
+_CORRELATED = json.dumps({"kind": "correlated", "weights": [0.1, 0.2, 0.3, 0.4]})
+
+# Ensemble payloads in every form, near the tolerance and past the code cap.
+ENSEMBLES = [
+    ("simulate", "--ensemble", _CORRELATED, "--n", "500", "--seed", "3"),
+    ("simulate", "--ensemble", json.dumps({"kind": "correlated", "tensor": [0.4, 0.3, 0.2, 0.1]}), "--n", "500"),
+    ("simulate", "--ensemble", json.dumps({"kind": "correlated", "d": 2, "terms": [
+        {"code": 0, "weight": 0.5}, {"code": 3, "weight": 0.5}]}), "--n", "500", "--seed", "1"),
+    ("simulate", "--ensemble", _NEAR, "--n", "500", "--tol", "1e-6"),
+    ("simulate", "--ensemble", _NEAR, "--n", "500"),
+    ("collision", "--ensemble", _NEAR, "--ensemble", _NEAR, "--n", "500", "--tol", "1e-6"),
+    ("collision", "--ensemble", _NEAR, "--ensemble", _NEAR, "--n", "500"),
+    ("simulate", "--ensemble", json.dumps({"kind": "correlated", "weights": [0.25, 0.25, 0.25, 0.2500001]}),
+     "--n", "500", "--tol", "1e-6"),
+    ("simulate", "--ensemble", _independent(_D7), "--n", "10"),
+    ("simulate", "--ensemble", _independent(_D7[:3] + [[0.5, 0.6, 0, 0, 0, 0, 0]] + _D7[4:]), "--n", "10"),
+    ("simulate", "--ensemble", json.dumps({"kind": "bogus", "matrix": [[1.0]]}), "--n", "10"),
+    ("simulate", "--ensemble", json.dumps({"kind": list(range(2000)), "matrix": [[1.0]]}), "--n", "10"),
+    ("collision", "--ensemble", _CORRELATED, "--ensemble", _independent([[0.5, 0.5], [0.5, 0.5]]), "--n", "10"),
+]
+
 ARGV = [list(argv) for argv in EVERY_VERB] + [["expand", "--matrix", _D5, "--floor", "0.001"]] + [
-    list(argv) for argv in INVALID_PAYLOADS
+    list(argv) for argv in INVALID_PAYLOADS + ENSEMBLES
 ]
 
 
