@@ -156,17 +156,15 @@ def _sparse_tensor(d, terms) -> np.ndarray:
 
 
 def _as_ensemble(payload, tol: float) -> ensembles.EnsembleSpec:
-    """An ensemble whose matrix or tensor is validated once, at `tol`."""
+    """The ensemble of an object payload; :class:`ensembles.EnsembleSpec` validates it, at `tol`."""
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ValidationError("ensemble payload must be an object with a 'kind' field")
     kind = payload["kind"]
     if kind == ensembles.INDEPENDENT:
-        matrix = markov.validate_row_markov(_field(payload, "matrix"), tol)
-        return ensembles.EnsembleSpec(kind=ensembles.INDEPENDENT, matrix=matrix)
+        return ensembles.EnsembleSpec(kind, matrix=_field(payload, "matrix"), tol=tol)
     if kind == ensembles.CORRELATED:
-        tensor = markov.validate_markov_tensor(_as_tensor(payload), tol)
-        return ensembles.EnsembleSpec(kind=ensembles.CORRELATED, tensor=tensor)
-    raise ValidationError(f"unknown ensemble kind {_ECHO.repr(kind)}")
+        return ensembles.EnsembleSpec(kind, tensor=_as_tensor(payload), tol=tol)
+    return ensembles.EnsembleSpec(kind, tol=tol)  # raises: the kind is unknown
 
 
 def _complex_pairs(entries, n: int, what: str) -> np.ndarray:

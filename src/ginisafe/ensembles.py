@@ -29,25 +29,12 @@ objects, ``markov.MAX_ENUMERATION_D``; a draw is capped at ``MAX_SAMPLES``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import (
-    CorrelatedSpecRejectedError,
-    DimensionMismatchError,
-    ValidationError,
-    admit_array,
-    admit_int,
-    admit_square,
-)
-from .markov import (
-    code_count,
-    product_probabilities,
-    tensor_dimension,
-    validate_markov_tensor,
-    validate_row_markov,
-)
+from .errors import ECHO, CorrelatedSpecRejectedError, DimensionMismatchError, ValidationError, admit_int
+from .markov import DEFAULT_TOL, code_count, tensor_dimension, validate_markov_tensor, validate_row_markov
 
 INDEPENDENT = "independent"
 CORRELATED = "correlated"
@@ -80,42 +67,42 @@ def shard_rng(seed: int, shard: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """A random-safe ensemble: a row Markov matrix or a Markov tensor, checked within ``DEFAULT_TOL`` and kept as given."""
+    """A random-safe ensemble: a row Markov matrix or a Markov tensor, validated once, at `tol`.
+
+    The spec holds what :func:`markov.validate_row_markov` or
+    :func:`markov.validate_markov_tensor` returns at `tol` (clipped,
+    renormalized, C-contiguous), whether it is built directly or through a
+    classmethod.  `tol` is init-only: it is not stored or compared.  A matrix
+    is validated first, then capped, since its samples are codes in [0, d**d).
+    """
 
     kind: str
     matrix: np.ndarray | None = None
     tensor: np.ndarray | None = None
+    tol: InitVar[float] = DEFAULT_TOL
 
     @classmethod
     def independent(cls, matrix) -> "EnsembleSpec":
-        return cls(kind=INDEPENDENT, matrix=validate_row_markov(matrix))
+        return cls(kind=INDEPENDENT, matrix=matrix)
 
     @classmethod
     def correlated(cls, tensor) -> "EnsembleSpec":
-        return cls(kind=CORRELATED, tensor=validate_markov_tensor(tensor))
+        return cls(kind=CORRELATED, tensor=tensor)
 
-    def __post_init__(self):
+    def __post_init__(self, tol: float):
         if self.kind == INDEPENDENT:
-            object.__setattr__(self, "matrix", admit_square(self.matrix, "ensemble matrix", float))
-            code_count(self.matrix.shape[0])  # its samples are codes in [0, d**d)
-            validate_row_markov(self.matrix)
+            object.__setattr__(self, "matrix", validate_row_markov(self.matrix, tol))
+            code_count(self.matrix.shape[0])
         elif self.kind == CORRELATED:
-            object.__setattr__(self, "tensor", admit_array(self.tensor, "ensemble tensor", float, 1))
-            validate_markov_tensor(self.tensor)
+            object.__setattr__(self, "tensor", validate_markov_tensor(self.tensor, tol))
         else:
-            raise ValidationError(f"unknown ensemble kind {self.kind!r}")
+            raise ValidationError(f"unknown ensemble kind {ECHO.repr(self.kind)}")
 
     @property
     def d(self) -> int:
         if self.kind == INDEPENDENT:
             return self.matrix.shape[0]
         return tensor_dimension(self.tensor.size)
-
-    def exact_tensor(self) -> np.ndarray:
-        """The exact joint distribution over opening sequences, code order."""
-        if self.kind == INDEPENDENT:
-            return product_probabilities(self.matrix)
-        return np.array(self.tensor)
 
 
 def _thresholds(p: np.ndarray) -> np.ndarray:

@@ -364,9 +364,9 @@ ARRAY_SLOTS = [
     ArraySlot("local_gini_vector.q", gs.local_gini_vector, "row Markov matrix", float, (2,)),
     ArraySlot("total_gini.t", gs.total_gini, "Markov tensor", float, (1,)),
     ArraySlot("EnsembleSpec.matrix", lambda v: gs.EnsembleSpec(kind="independent", matrix=v),
-              "ensemble matrix", float, (2,)),
+              "row Markov matrix", float, (2,)),
     ArraySlot("EnsembleSpec.tensor", lambda v: gs.EnsembleSpec(kind="correlated", tensor=v),
-              "ensemble tensor", float, (1,)),
+              "Markov tensor", float, (1,)),
     ArraySlot("EnsembleSpec.independent.matrix", gs.EnsembleSpec.independent, "row Markov matrix", float, (2,)),
     ArraySlot("EnsembleSpec.correlated.tensor", gs.EnsembleSpec.correlated, "Markov tensor", float, (1,)),
     ArraySlot("apply_dual.x", lambda v: gs.apply_dual(v, 2, "single"), "'x'", complex, (1, 2)),

@@ -1,5 +1,8 @@
 """Tests for seeded ensemble sampling and Monte Carlo estimates."""
 
+import contextlib
+import dataclasses
+import json
 import tracemalloc
 from unittest import mock
 
@@ -14,19 +17,25 @@ from ginisafe import (
     EnsembleSpec,
     FunctionMap,
     ValidationError,
+    cli,
     collision_probability_mc,
     empirical_tensor,
     ensembles,
     make_rng,
+    markov,
     product_probabilities,
     sample_codes,
     scalar_product,
     shard_rng,
+    validate_markov_tensor,
     validate_row_markov,
 )
 from ginisafe.markov import MAX_ENUMERATION_D, code_count, encode
 from ginisafe.reference import demo_correlated_tensor, demo_matrix
 from oracles import function_to_matrix
+from test_writer import ENSEMBLE
+
+CORRELATED = json.dumps({"kind": "correlated", "weights": [0.25] * 4})
 
 
 class TestSpecs:
@@ -48,14 +57,32 @@ class TestSpecs:
         with pytest.raises(ValidationError):
             EnsembleSpec(kind=kind, **{field: value})
 
-    def test_a_direct_spec_keeps_the_bits_it_was_given(self):
-        # within DEFAULT_TOL but not exactly normalized: stored as given, not renormalized
+    def test_a_direct_spec_holds_the_validated_bits(self):
+        # within DEFAULT_TOL but not exactly normalized: every route stores the validator's output
         matrix = np.array([[0.5, 0.5 + 1e-12], [0.25, 0.75]])
-        assert EnsembleSpec(kind="independent", matrix=matrix).matrix is matrix
+        direct = EnsembleSpec(kind="independent", matrix=matrix).matrix
+        assert direct.tobytes() == EnsembleSpec.independent(matrix).matrix.tobytes()
+        assert direct.tobytes() == validate_row_markov(matrix).tobytes()
+        assert direct.flags.c_contiguous
         tensor = [0.25, 0.25, 0.25, 0.25 - 1e-12]
         spec = EnsembleSpec(kind="correlated", tensor=tensor)
-        assert spec.tensor.tobytes() == np.asarray(tensor).tobytes()
+        assert spec.tensor.tobytes() == EnsembleSpec.correlated(tensor).tensor.tobytes()
+        assert spec.tensor.tobytes() == validate_markov_tensor(tensor).tobytes()
         assert spec.d == 2  # a list tensor raised AttributeError here
+
+    def test_the_tolerance_is_init_only(self):
+        q = np.array([[0.5, 0.5000001], [0.25, 0.75]])
+        with pytest.raises(ValidationError, match="tolerance 1e-09"):
+            EnsembleSpec(kind="independent", matrix=q)
+        spec = EnsembleSpec(kind="independent", matrix=q, tol=1e-6)
+        assert spec.matrix.tobytes() == validate_row_markov(q, 1e-6).tobytes()
+        assert [f.name for f in dataclasses.fields(EnsembleSpec)] == ["kind", "matrix", "tensor"]
+        assert "tol" not in repr(spec)
+
+    def test_an_unknown_kind_is_echoed_short(self):
+        with pytest.raises(ValidationError) as info:
+            EnsembleSpec(kind=list(range(2000)))
+        assert str(info.value) == "unknown ensemble kind [0, 1, 2, 3, 4, 5, ...]"
 
     def test_validated_specs_check_clean(self):
         # the CLI validates at --tol and renormalizes exactly, so the spec's own check passes
@@ -65,10 +92,22 @@ class TestSpecs:
             spec = EnsembleSpec(kind="independent", matrix=validate_row_markov(q, tol=1e-6))
             assert spec.d == d
 
-    def test_exact_tensor_independent(self):
-        q = demo_matrix(0.3, 0.6)
-        spec = EnsembleSpec.independent(q)
-        np.testing.assert_allclose(spec.exact_tensor(), product_probabilities(q), atol=1e-15)
+    @pytest.mark.parametrize("run, rows, tensors", [
+        (lambda: cli.main(["simulate", "--ensemble", ENSEMBLE, "--n", "10"]) == 0, 1, 0),
+        (lambda: cli.main(["collision", "--ensemble", ENSEMBLE, "--ensemble", ENSEMBLE, "--n", "10"]) == 0, 2, 0),
+        (lambda: cli.main(["simulate", "--ensemble", CORRELATED, "--n", "10"]) == 0, 0, 1),
+        (lambda: EnsembleSpec.independent(demo_matrix(0.3, 0.6)), 1, 0),
+        (lambda: EnsembleSpec.correlated(np.full(4, 0.25)), 0, 1),
+    ], ids=["simulate", "collision", "simulate-correlated", "independent", "correlated"])
+    def test_each_ensemble_is_validated_once(self, run, rows, tensors):
+        counters = {name: mock.Mock(wraps=getattr(markov, name))
+                    for name in ("validate_row_markov", "validate_markov_tensor")}
+        with contextlib.ExitStack() as stack:
+            for name, counter in counters.items():
+                for module in (markov, ensembles):
+                    stack.enter_context(mock.patch.object(module, name, counter))
+            assert run()  # exit 0, or a spec
+        assert [counter.call_count for counter in counters.values()] == [rows, tensors]
 
     def test_d_property(self):
         assert EnsembleSpec.independent(np.full((3, 3), 1 / 3)).d == 3
@@ -124,7 +163,7 @@ class TestSampling:
             spec = EnsembleSpec.independent(q)
             n = 1_000_000
             emp = empirical_tensor(spec, n, make_rng(7))
-            tv = 0.5 * np.abs(emp - spec.exact_tensor()).sum()
+            tv = 0.5 * np.abs(emp - product_probabilities(spec.matrix)).sum()
             assert tv <= 5.0 * np.sqrt(d**d / n)
 
     def test_correlated_sampling_matches_tensor(self):
