@@ -49,10 +49,11 @@ import numpy as np
 from .ensembles import MAX_SAMPLES, make_rng, shard_rng
 from .errors import DimensionTooLargeError, GiniSafeError, ValidationError, admit_array, admit_int
 from .markov import tensor_to_matrix
-from .probvec import gini_index
+from .probvec import gini_index, validate_prob_vector
 from .quantum import (
     GLOBAL,
     LOCAL,
+    PROBABILITY_TOL,
     SINGLE,
     _dual_transform,
     admit_transform_d,
@@ -129,13 +130,15 @@ def gini_sum(state, d: int, mode: str) -> float:
 
     For ``global_component`` this is the maximum over components of the
     component Gini plus its global dual.  A density's diagonal and its
-    dual's become probabilities as in :func:`quantum.diagonal_probabilities`.
+    dual's become probabilities as in :func:`quantum.diagonal_probabilities`,
+    and an amplitude vector's ``|psi|**2`` must pass the same rule.
     """
     state = admit_array(state, "state", complex, (1, 2))
     d, dim = _admit_search(d, mode)
     if state.shape != (dim,) * state.ndim:
         raise ValidationError(f"state has shape {state.shape}, expected {(dim,) * state.ndim}")
     if state.ndim == 1:
+        validate_prob_vector(np.abs(state) ** 2, PROBABILITY_TOL)  # the density route's rule; the sum reads `state`
         return _pure_gini_sum(d, mode)(state)
     p_dual = dual_probabilities(state, _TRANSFORM[mode])
     return _mode_sum_from_probs(diagonal_probabilities(state), p_dual, mode)

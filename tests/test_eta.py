@@ -9,6 +9,7 @@ from conftest import random_complex_unit
 from ginisafe import (
     DimensionTooLargeError,
     GiniSafeError,
+    NotNormalizedError,
     ValidationError,
     apply_dual,
     deficit,
@@ -84,6 +85,15 @@ class TestGiniSum:
             dim = 2 if mode == "single" else 4
             for _ in range(50):
                 assert gini_sum(random_complex_unit(rng, dim), 2, mode) <= cap
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_an_unnormalized_vector_is_rejected_as_its_density_is(self, mode):
+        psi = np.zeros(2 if mode == "single" else 4)
+        psi[0] = 2.0  # gini_sum read -4.67 and deficit 5.33 against a cap of 0.667 at d = 2, single
+        for state in (psi, pure_density(psi)):
+            for f in (gini_sum, deficit):
+                with pytest.raises(NotNormalizedError):
+                    f(state, 2, mode)
 
     def test_mode_validation(self):
         with pytest.raises(ValidationError):
