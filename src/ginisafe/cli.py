@@ -170,22 +170,17 @@ def _as_ensemble(payload, tol: float) -> ensembles.EnsembleSpec:
 def _complex_pairs(entries, n: int, what: str) -> np.ndarray:
     """`n` complex numbers from a list of `n` [re, im] pairs, converted in one pass.
 
-    Each item must be a list of two (a string such as "12" also has length
-    two).  The values are packed as C doubles, which takes a number and
-    rejects anything else, a numeric string too; a number converts as under
-    ``np.asarray(..., dtype=float)``.
+    Each item must have length two.  The values are packed as C doubles,
+    which takes a number and rejects anything else: a numeric string, or what
+    a two-character string, a two-key object or a list of lists holds.  A
+    number converts as under ``np.asarray(..., dtype=float)``.
     """
     error = ValidationError(f"{what} must be a list of {n} [re, im] pairs of finite numbers")
-    if (
-        not isinstance(entries, list)
-        or len(entries) != n
-        or set(map(type, entries)) != {list}
-        or set(map(len, entries)) != {2}
-    ):
-        raise error
     try:
+        if not isinstance(entries, list) or len(entries) != n or set(map(len, entries)) != {2}:
+            raise error
         arr = np.frombuffer(struct.pack(f"{2 * n}d", *itertools.chain.from_iterable(entries)))
-    except (struct.error, OverflowError):  # non-numbers, or ints beyond float
+    except (TypeError, struct.error, OverflowError):  # unsized items, non-numbers, or ints beyond float
         raise error from None
     if not np.isfinite(arr).all():
         raise error
@@ -204,8 +199,7 @@ def _as_state(payload, repair: bool = False) -> np.ndarray:
         raise ValidationError("state payload must be a JSON object")
     if "entries" in payload:
         dim = quantum.check_state_dim(_json_int(payload.get("dim")))
-        flat = _complex_pairs(payload["entries"], dim * dim, "density entries")
-        rho = flat.reshape(dim, dim)
+        rho = _complex_pairs(payload["entries"], dim * dim, "density entries").reshape(dim, dim)
         return quantum.validate_density_matrix(rho, repair=repair)
     if "amplitudes" in payload:
         dim = quantum.check_state_dim(_json_int(payload.get("dim")))
@@ -594,8 +588,7 @@ def _check(name: str, computed, expected, tol: float) -> dict:
     }
 
 
-def _report_table1(args) -> tuple[dict, list]:
-    a, b = args.a, args.b
+def _report_table1(a: float, b: float) -> tuple[dict, list]:
     q = reference.demo_matrix(a, b)
     weights = markov.product_probabilities(q)
     tensor = reference.demo_correlated_tensor(a, b)
@@ -613,9 +606,8 @@ def _report_table1(args) -> tuple[dict, list]:
     return {"a": a, "b": b, "rows": rows}, checks
 
 
-def _two_qubit_states(args) -> tuple[quantum.StateStats, quantum.StateStats]:
+def _two_qubit_states(a2, c2, d2, e2) -> tuple[quantum.StateStats, quantum.StateStats]:
     """Statistics of the pair and triple states of the two-qubit examples."""
-    a2, c2, d2, e2 = args.a2, args.c2, args.d2, args.e2
     if not 0.0 < a2 < 0.5:
         raise ValidationError("--a2 must lie in (0, 1/2) so |a| < |b|")
     if abs((c2 + d2 + e2) - 1.0) > 1e-9:
@@ -629,9 +621,8 @@ def _two_qubit_states(args) -> tuple[quantum.StateStats, quantum.StateStats]:
     return quantum.state_stats(pair), quantum.state_stats(triple)
 
 
-def _report_table2(args) -> tuple[dict, list]:
-    a2, c2, d2, e2 = args.a2, args.c2, args.d2, args.e2
-    pair, triple = _two_qubit_states(args)
+def _report_table2(a2: float, c2: float, d2: float, e2: float) -> tuple[dict, list]:
+    pair, triple = _two_qubit_states(a2, c2, d2, e2)
     rows = reference.two_qubit_table_rows(a2, c2, d2, e2)
     checks = []
     for row in rows:
@@ -644,9 +635,8 @@ def _report_table2(args) -> tuple[dict, list]:
     return {"a2": a2, "c2": c2, "d2": d2, "e2": e2, "rows": rows}, checks
 
 
-def _report_section84(args) -> tuple[dict, list]:
-    a2, c2, d2, e2 = args.a2, args.c2, args.d2, args.e2
-    pair, triple = _two_qubit_states(args)
+def _report_section84(a2: float, c2: float, d2: float, e2: float) -> tuple[dict, list]:
+    pair, triple = _two_qubit_states(a2, c2, d2, e2)
     want_pair = reference.pair_expected(a2)
     want_triple = reference.triple_expected(c2, d2, e2)
     # the overlaps are quantum.state_scalar_product of the two states
@@ -667,7 +657,7 @@ def _report_section84(args) -> tuple[dict, list]:
     return {"a2": a2, "c2": c2, "d2": d2, "e2": e2}, checks
 
 
-def _report_section9(args) -> tuple[dict, list]:
+def _report_section9() -> tuple[dict, list]:
     pure = quantum.pure_density(reference.tripartite_pure_state())
     mixed = reference.tripartite_mixed_state()
     stats_pure = quantum.tensor_stats(quantum.dual_probabilities(pure, quantum.GLOBAL))
@@ -697,15 +687,22 @@ def _report_section9(args) -> tuple[dict, list]:
     return fields, checks
 
 
+_TWO_QUBIT = {"a2": 0.3, "c2": 0.5, "d2": 0.3, "e2": 0.2}
+_REPORTS = {  # each worked example: its handler and the parameters it reads, with their defaults
+    "table1": (_report_table1, {"a": 0.2, "b": 0.45}),
+    "table2": (_report_table2, _TWO_QUBIT),
+    "section84": (_report_section84, _TWO_QUBIT),
+    "section9": (_report_section9, {}),
+}
+
+
 def cmd_report(args) -> dict:
-    """Run one worked example; each handler returns its own fields and checks."""
-    handler = {
-        "table1": _report_table1,
-        "table2": _report_table2,
-        "section84": _report_section84,
-        "section9": _report_section9,
-    }[args.which]
-    fields, checks = handler(args)
+    """Run one worked example on the parameters it reads; each handler returns its own fields and checks."""
+    handler, defaults = _REPORTS[args.which]
+    given = {name: value for name in ("a", "b", "a2", "c2", "d2", "e2") if (value := getattr(args, name)) is not None}
+    if unread := [f"--{name}" for name in given if name not in defaults]:
+        raise _UsageError(f"report {args.which} does not read {', '.join(unread)}")
+    fields, checks = handler(**{**defaults, **given})
     return {
         "which": args.which,
         **fields,
@@ -825,13 +822,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=1000, help="objective evaluation budget")
 
     p = sub("report", cmd_report, help="reproduce the bundled worked examples")
-    p.add_argument("which", choices=("table1", "table2", "section84", "section9"))
-    p.add_argument("--a", type=float, default=0.2, help="table1 parameter a")
-    p.add_argument("--b", type=float, default=0.45, help="table1 parameter b")
-    p.add_argument("--a2", type=float, default=0.3, help="|a|^2 for the two-qubit pair state")
-    p.add_argument("--c2", type=float, default=0.5, help="|c|^2 for the two-qubit triple state")
-    p.add_argument("--d2", type=float, default=0.3, help="|d|^2 for the two-qubit triple state")
-    p.add_argument("--e2", type=float, default=0.2, help="|e|^2 for the two-qubit triple state")
+    p.add_argument("which", choices=tuple(_REPORTS))
+    p.add_argument("--a", type=float, help="table1: parameter a")
+    p.add_argument("--b", type=float, help="table1: parameter b")
+    p.add_argument("--a2", type=float, help="table2, section84: |a|^2 of the pair state")
+    p.add_argument("--c2", type=float, help="table2, section84: |c|^2 of the triple state")
+    p.add_argument("--d2", type=float, help="table2, section84: |d|^2 of the triple state")
+    p.add_argument("--e2", type=float, help="table2, section84: |e|^2 of the triple state")
 
     return parser
 

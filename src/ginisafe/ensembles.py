@@ -65,7 +65,7 @@ def shard_rng(seed: int, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleSpec:
     """A random-safe ensemble: a row Markov matrix or a Markov tensor, validated once, at `tol`.
 

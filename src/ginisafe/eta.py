@@ -153,7 +153,7 @@ def deficit(state, d: int, mode: str) -> float:
     return gini_sum_cap(d, mode) - gini_sum(state, d, mode)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EtaEstimate:
     """Result of a budgeted search for an uncertainty coefficient.
 

@@ -272,26 +272,29 @@ def validate_density_matrix(rho, repair: bool = False) -> np.ndarray:
     With ``repair=True`` the spectrum is always computed: small negative
     eigenvalues are clipped to zero and the spectrum renormalized (useful
     after file round-trips); otherwise the validated matrix is returned
-    unchanged.
+    unchanged.  Up to the certificate the checks hold two N x N arrays besides
+    ``rho``: one buffer (rho - rho†, then H shifted in place) and the Cholesky factor.
     """
     rho = admit_square(rho, "density matrix", complex)
     if not np.all(np.isfinite(rho)):
         raise ValidationError("density matrix contains non-finite entries")
-    herm = np.abs(rho - rho.conj().T).max()
+    buf = np.conjugate(rho.T, out=np.empty_like(rho))
+    herm = np.abs(np.subtract(rho, buf, out=buf)).max()
     if herm > _HERMITIAN_TOL:
         raise ValidationError(f"not Hermitian: max |rho - rho†| = {herm:.3g}")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > _TRACE_TOL:
         raise ValidationError(f"trace is {tr:.12g}, not 1 within {_TRACE_TOL:g}")
-    hermitian_part = (rho + rho.conj().T) / 2.0
+    hermitian_part = np.add(rho, np.conjugate(rho.T, out=buf), out=buf)
+    hermitian_part /= 2.0
     if not repair:
-        shifted = hermitian_part.copy()
-        shifted.flat[:: rho.shape[0] + 1] -= _EIG_FLOOR + _CHOLESKY_MARGIN
+        diagonal = hermitian_part.diagonal().copy()
+        hermitian_part.flat[:: rho.shape[0] + 1] -= _EIG_FLOOR + _CHOLESKY_MARGIN
         try:
-            np.linalg.cholesky(shifted)
+            np.linalg.cholesky(hermitian_part)
             return rho
         except np.linalg.LinAlgError:
-            pass  # not certified: eigh below decides
+            np.fill_diagonal(hermitian_part, diagonal)  # not certified: eigh below decides
     eigvals, eigvecs = np.linalg.eigh(hermitian_part)
     if eigvals.min() < _EIG_FLOOR:
         raise ValidationError(f"negative eigenvalue {eigvals.min():.3g} below floor {_EIG_FLOOR:g}")
@@ -322,7 +325,7 @@ def reduced_density(rho, i: int) -> np.ndarray:
 # State statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateStats:
     """Classical sequence statistics of a multipartite state.
 
@@ -477,7 +480,7 @@ def state_scalar_product(rho, sigma) -> float:
     return scalar_product(*(tensor_to_matrix(diagonal_probabilities(s)) for s in (rho, sigma)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UncertaintyDeficits:
     """Gini uncertainty deficits of a state under local and global duals.
 

@@ -436,6 +436,8 @@ class TestComplexPairs:
     @example(([[1.0, -0.0], [-0.0, 2.0]], 2))
     @example(([], 0))
     @example(([[[1, 2], [3, 4]]], 1))
+    @example(([[1, 2], 3], 2))  # an unsized item: len() raises TypeError
+    @example(([[1, 2], {"re": 1, "im": 2}], 2))  # a 2-key dict: its keys fail struct.pack
     def test_matches_asarray_route(self, payload):
         entries, n = payload
         want = pairs_oracle(entries, n)
@@ -768,8 +770,8 @@ class TestPayloadReader:
                 "--budget store int 1000"},
         "report": {"--seed store int 0", "--format store 'json' json,csv", "--out store None",
                    "which store None table1,table2,section84,section9 required",
-                   "--a store float 0.2", "--b store float 0.45", "--a2 store float 0.3",
-                   "--c2 store float 0.5", "--d2 store float 0.3", "--e2 store float 0.2"},
+                   "--a store float None", "--b store float None", "--a2 store float None",
+                   "--c2 store float None", "--d2 store float None", "--e2 store float None"},
     }
 
     @staticmethod
@@ -1174,6 +1176,26 @@ class TestReports:
     def test_rejects_bad_two_qubit_params(self, capsys):
         code, _, err = run_cli(capsys, "report", "table2", "--a2", "0.7")
         assert code == 1
+
+    READS = {"table1": ("--a", "--b"), "table2": ("--a2", "--c2", "--d2", "--e2"),
+             "section84": ("--a2", "--c2", "--d2", "--e2"), "section9": ()}
+    # a new value for each parameter, with a partner where the triple's weights must still sum to 1
+    MOVES = {"--a": ["--a", "0.25"], "--b": ["--b", "0.4"], "--a2": ["--a2", "0.2"],
+             "--c2": ["--c2", "0.55", "--d2", "0.25"], "--d2": ["--d2", "0.35", "--e2", "0.15"],
+             "--e2": ["--e2", "0.15", "--c2", "0.55"]}
+
+    @pytest.mark.parametrize("which", sorted(READS))
+    def test_each_example_takes_exactly_its_parameters(self, capsys, which):
+        default = run_json(capsys, "report", which)
+        for option, argv in self.MOVES.items():
+            if option in self.READS[which]:
+                out = run_json(capsys, "report", which, *argv)
+                assert out[option[2:]] == float(argv[1]) != default[option[2:]]
+                assert out["all_pass"] is True and out["checks"] != default["checks"]
+            else:
+                code, out, err = run_cli(capsys, "report", which, *argv[:2])
+                assert (code, out) == (2, ""), option
+                assert err.startswith(f"usage error: report {which} does not read {option}\n"), err
 
 
 class TestOutputFormats:

@@ -824,6 +824,18 @@ class TestCholeskyAdmission:
         validate_density_matrix(rank_two, repair=True)
         assert calls == ["eigh"]  # the counter sees the repair route
 
+    @pytest.mark.parametrize("smallest", [1e-3, -5e-9, -2e-8], ids=["certified", "eigh-admitted", "eigh-rejected"])
+    def test_peak_is_two_densities(self, smallest):
+        # besides rho, one buffer (rho - rho†, then H) and the Cholesky factor or eigh's eigenvectors
+        rho = density_with_smallest(np.random.default_rng(3), 256, smallest, 1)
+        tracemalloc.start()
+        try:
+            outcome(validate_density_matrix, rho)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * rho.nbytes
+
 
 class TestKronChain:
     def test_component_order(self):
