@@ -12,7 +12,6 @@ import dataclasses
 import functools
 import gc
 import itertools
-import json
 import math
 import os
 import re
@@ -265,7 +264,7 @@ def _read(args, kind: str, count: int) -> list:
 # Output
 # ---------------------------------------------------------------------------
 
-# The types `_plain` converts; the CSV walk writes any other leaf as it is.
+# The types `_plain` converts; `_leaves` yields any other leaf as it is.
 _NUMPY_VALUES = (np.ndarray, complex, np.complexfloating, np.floating, np.integer, np.bool_)
 
 
@@ -294,64 +293,7 @@ def _plain(obj):
 
 _ORJSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME
 
-# orjson writes the shortest round-trip digits, as float.__repr__ does, but
-# spells 1e+16 as 1e16, 1.5e-07 as 1.5e-7 and 1.2e-05 as 0.000012.  In
-# indented output a number token ends its line, and a JSON string cannot hold
-# a raw newline, so a pattern anchored at a line end never touches a string.
-# Each pattern opens with a literal, which sre searches for directly; the
-# look-behind after "0.0000" keeps 10.00001 whole.
-_POSITIVE_EXPONENT = re.compile(rb"e(?=\d+,?$)", re.MULTILINE)
-_ONE_DIGIT_EXPONENT = re.compile(rb"e-(?=\d,?$)", re.MULTILINE)
-_FIFTH_DECIMAL = re.compile(rb"0\.0000(?<![0-9]0\.0000)([1-9])(\d*)(?=,?$)", re.MULTILINE)
-
-
-def _as_e05(match) -> bytes:
-    first, rest = match.groups()
-    return first + b"." + rest + b"e-05" if rest else first + b"e-05"
-
-
-def _respell(data) -> bytes:
-    """orjson's float spellings in indented output respelled as ``float.__repr__``'s."""
-    data = _POSITIVE_EXPONENT.sub(b"e+", data)
-    data = _ONE_DIGIT_EXPONENT.sub(b"e-0", data)
-    return _FIFTH_DECIMAL.sub(_as_e05, data)
-
-
-# Floats on each side of every respelling boundary.  The writer trusts orjson
-# only if it spells all of them as json does once respelled; a release that
-# spells floats otherwise sends every output through json.
-_PROBE = (
-    1e-05, -1e-05, 1.2e-05, 9.999999999999999e-05, 0.0001, 9.999999999999999e-06,
-    1.5e-07, 1e-09, 1e-10, 5e-324, 1e15, 9999999999999998.0, 1e16, -1.5e16, 1e308,
-    10.00001, -0.0, 0.1,
-)
-
-
-def _orjson_spells_like_json(probe) -> bool:
-    respelled = _respell(orjson.dumps(probe, option=orjson.OPT_INDENT_2))
-    return respelled == json.dumps(probe, indent=2).encode()
-
-
-_ORJSON_SPELLS_LIKE_JSON = _orjson_spells_like_json(_PROBE)
-
-_SLICE = 1 << 16  # bytes of orjson output respelled at a time
-
-
-def _orjson_bytes(obj):
-    """orjson's indented bytes for `obj`, or None where json must write them.
-
-    json takes whatever orjson cannot encode (non-str keys, ints beyond 64
-    bits, lone surrogates, nesting past 255 levels) or would spell otherwise:
-    orjson writes null for NaN and the infinities, and DEL and non-ASCII
-    characters unescaped.
-    """
-    try:
-        data = orjson.dumps(obj, default=_plain, option=_ORJSON_OPTIONS)
-    except TypeError:  # orjson.JSONEncodeError
-        return None
-    if b"null" in data or b"\x7f" in data or not data.isascii():
-        return None
-    return data
+_SLICE = 1 << 16  # bytes of output decoded for stdout at a time
 
 
 def _line_slices(data: bytes):
@@ -362,28 +304,6 @@ def _line_slices(data: bytes):
         end = data.find(b"\n", start + _SLICE) + 1 or len(data)
         yield view[start:end]
         start = end
-
-
-def _json_pieces(obj):
-    """The bytes of ``_json_dumps(obj)`` in pieces, written by orjson where it can.
-
-    orjson's output is respelled one slice at a time, so a writer that takes
-    the pieces as they come never holds a second copy of a large output.
-    """
-    data = _orjson_bytes(obj) if _ORJSON_SPELLS_LIKE_JSON else None
-    if data is None:
-        return [_json_dumps(obj)]
-    return map(_respell, _line_slices(data))
-
-
-def _dumps(obj) -> bytes:
-    """The bytes of ``_json_dumps(obj)``."""
-    return b"".join(_json_pieces(obj))
-
-
-def _json_dumps(obj) -> bytes:
-    """The writer's fallback, json's own encoder, with `_plain` for the values it cannot encode."""
-    return json.dumps(obj, indent=2, default=_plain).encode()
 
 
 _CSV_QUOTED = re.compile(r'[,"\r\n]')
@@ -404,8 +324,8 @@ def _fmt_csv_value(v) -> str:
     return str(v)
 
 
-def _csv_rows(obj, key: str = ""):
-    """The ``key,value`` rows of `obj`: ``.name`` steps into a dict, ``[i]`` into a list or tuple.
+def _leaves(obj, key: str = ""):
+    """The ``(key, leaf)`` pairs of `obj`: ``.name`` steps into a dict, ``[i]`` into a list or tuple.
 
     An array, a numpy scalar or a complex is first made plain by `_plain`.
     """
@@ -413,30 +333,46 @@ def _csv_rows(obj, key: str = ""):
         obj = _plain(obj)
     if isinstance(obj, dict):
         for k, v in obj.items():
-            yield from _csv_rows(v, f"{key}.{k}" if key else str(k))
+            yield from _leaves(v, f"{key}.{k}" if key else str(k))
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
-            yield from _csv_rows(v, f"{key}[{i}]")
+            yield from _leaves(v, f"{key}[{i}]")
     else:
-        yield f"{_csv_cell(key)},{_csv_cell(_fmt_csv_value(obj))}"
+        yield key, obj
+
+
+def _csv_rows(obj):
+    """The ``key,value`` row of each leaf of `obj`."""
+    return (f"{_csv_cell(key)},{_csv_cell(_fmt_csv_value(v))}" for key, v in _leaves(obj))
 
 
 def _emit(out: dict, args) -> None:
-    """Write the output and a final newline to the --out file or stdout."""
+    """Write the output and a final newline to the --out file or stdout.
+
+    JSON output is the bytes of ``orjson.dumps``, which writes NaN and the
+    infinities as ``null``: an output whose bytes hold ``null`` is searched
+    for a non-finite float, and one found is rejected by its key before
+    anything is written.
+    """
     if args.format == "json":
-        pieces = _json_pieces(out)
+        data = orjson.dumps(out, default=_plain, option=_ORJSON_OPTIONS)
+        if b"null" in data:
+            for key, v in _leaves(out):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValidationError(f"output field {key} is not a finite number")
     else:
-        pieces = ["\n".join(["key,value", *_csv_rows(out)]).encode()]
+        data = "\n".join(["key,value", *_csv_rows(out)]).encode()
     if args.out:
         try:
             with open(args.out, "wb") as fh:
-                fh.writelines(pieces)
+                fh.write(data)
                 fh.write(b"\n")
         except OSError as exc:
             raise _UsageError(f"cannot write --out file {args.out!r}: {exc}") from None
     else:
-        for piece in pieces:
-            sys.stdout.write(piece.decode())
+        # a line end is a UTF-8 boundary, so stdout never holds a second whole copy
+        for piece in _line_slices(data):
+            sys.stdout.write(str(piece, "utf-8"))
         sys.stdout.write("\n")
 
 
@@ -755,7 +691,7 @@ def _build_parser() -> argparse.ArgumentParser:
         """
         kinds = (reads,) if isinstance(reads, str) else reads
         p = subs.add_parser(name, **kwargs)
-        p.add_argument("--seed", type=int, default=0, help="seed echoed in the output")
+        p.add_argument("--seed", type=int, default=0, help="seed in [0, 2**64 - 1], echoed in the output")
         if kinds and "state" not in kinds:
             p.add_argument("--tol", type=float, default=probvec.DEFAULT_TOL,
                            help="validation tolerance")
@@ -771,8 +707,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="clip tiny negative eigenvalues and renormalize")
 
         def run(args):
+            seed = admit_int(args.seed, "seed", 0, 2**64 - 1)  # the ints orjson writes and reads back
             objects = _read(args, reads, count) if isinstance(reads, str) else ()
-            return {"command": name, "seed": args.seed, **handler(args, *objects)}
+            return {"command": name, "seed": seed, **handler(args, *objects)}
 
         p.set_defaults(handler=run)
         return p

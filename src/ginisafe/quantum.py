@@ -274,6 +274,8 @@ def validate_density_matrix(rho, repair: bool = False) -> np.ndarray:
     after file round-trips); otherwise the validated matrix is returned
     unchanged.  Up to the certificate the checks hold two N x N arrays besides
     ``rho``: one buffer (rho - rho†, then H shifted in place) and the Cholesky factor.
+    The buffer is dropped once ``eigh`` returns, so the repair holds three:
+    the eigenvectors, scaled in place, their adjoint and the product.
     """
     rho = admit_square(rho, "density matrix", complex)
     if not np.all(np.isfinite(rho)):
@@ -296,12 +298,15 @@ def validate_density_matrix(rho, repair: bool = False) -> np.ndarray:
         except np.linalg.LinAlgError:
             np.fill_diagonal(hermitian_part, diagonal)  # not certified: eigh below decides
     eigvals, eigvecs = np.linalg.eigh(hermitian_part)
+    del buf, hermitian_part
     if eigvals.min() < _EIG_FLOOR:
         raise ValidationError(f"negative eigenvalue {eigvals.min():.3g} below floor {_EIG_FLOOR:g}")
     if repair:
         clipped = np.clip(eigvals, 0.0, None)
         clipped /= clipped.sum()
-        return (eigvecs * clipped) @ eigvecs.conj().T
+        adjoint = eigvecs.conj().T
+        eigvecs *= clipped  # in place: the bits of eigvecs * clipped
+        return eigvecs @ adjoint
     return rho
 
 

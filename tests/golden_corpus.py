@@ -27,7 +27,8 @@ from test_writer import EVERY_VERB
 PATH = Path(__file__).resolve().parent / "golden" / "outputs.json"
 
 # A d = 5 row Markov matrix: 3125 weights from 1e-5 to 2.4e-3, many of them in
-# [1e-5, 1e-4), where orjson's spelling is respelled, in an output past one slice.
+# [1e-5, 1e-4), where orjson spells a float as 0.000012, not 1.2e-05, in an
+# output past one stdout slice.
 _D5 = json.dumps([[0.1, 0.2, 0.3, 0.15, 0.25], [0.25, 0.1, 0.2, 0.3, 0.15], [0.15, 0.25, 0.1, 0.2, 0.3],
                   [0.3, 0.15, 0.25, 0.1, 0.2], [0.2, 0.3, 0.15, 0.25, 0.1]])
 

@@ -11,6 +11,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def dumps(obj) -> bytes:
+    """The JSON writer's bytes for `obj`."""
+    return orjson.dumps(obj, default=cli._plain, option=cli._ORJSON_OPTIONS)
 
 
 def run_json(capsys, *argv):
@@ -62,6 +68,21 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "gini", "--vector", "[0.5,0.5]", f"--tol={tol}")
         assert (code, out) == (2, "")
         assert err.startswith("usage error: --tol must be a finite number >= 0")
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64, -1])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--ensemble", '{"kind":"independent","matrix":[[0.5,0.5],[0.5,0.5]]}', "--n", "10"],
+        ["gini", "--vector", "[0.5,0.5]"],
+    ], ids=["drawing", "non-drawing"])
+    def test_seed_is_an_integer_the_writer_can_write(self, capsys, argv, seed):
+        # orjson writes ints up to 2**64 - 1; every verb admits --seed once, drawing or not
+        code, out, err = run_cli(capsys, *argv, "--seed", str(seed))
+        if 0 <= seed <= 2**64 - 1:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["seed"] == seed
+        else:
+            assert (code, out) == (1, "")
+            assert err == f"error: seed = {seed} outside [0, 18446744073709551615]\n"
 
     @pytest.mark.parametrize("verb, payload", [
         ("expand", ("--matrix", "[[1]]")),
@@ -915,7 +936,7 @@ def library_dual(mode):
 
 
 class TestDifferentialQuantum:
-    """CLI stdout against ``cli._dumps`` of the library result on the same array."""
+    """CLI stdout against the writer's bytes (`dumps`) of the library result on the same array."""
 
     VERBS = {
         "quantum-stats": (["quantum-stats"], library_quantum_stats),
@@ -938,7 +959,7 @@ class TestDifferentialQuantum:
         head, library = self.VERBS[verb]
         code, out, err = run_cli(capsys, *head, *source)
         assert code == 0, err
-        want = cli._dumps(library(rho)).decode() + "\n"
+        want = dumps(library(rho)).decode() + "\n"
         if out != want:  # name the first differing line; a diff of 5 MB texts takes minutes
             got_lines, want_lines = out.splitlines(), want.splitlines()
             i = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
@@ -1032,7 +1053,7 @@ def library_results(d, seed):
 
 
 class TestDifferentialVerbs:
-    """CLI stdout against ``cli._dumps`` of the library result, for the non-quantum verbs."""
+    """CLI stdout against the writer's bytes (`dumps`) of the library result, for the non-quantum verbs."""
 
     VERBS = ["collision", "correlations", "eta", "expand", "gini", "lorenz", "majorize",
              "scalar-product-direct", "scalar-product-tensors", "simulate", "validate"]
@@ -1043,7 +1064,7 @@ class TestDifferentialVerbs:
         argv, result = library_results(d, seed)[verb]
         code, out, err = run_cli(capsys, *argv, "--seed", str(seed))
         assert code == 0, err
-        assert out == cli._dumps(result).decode() + "\n"
+        assert out == dumps(result).decode() + "\n"
 
 
 class TestSimulationCommands:

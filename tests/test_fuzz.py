@@ -226,7 +226,7 @@ def options(choices):
 
 # every verb takes COMMON; the verbs that validate probability data take TOL
 COMMON = {
-    "--seed": pick(["0", "3", "99999999999999999999"], ["-1", "1.5"]),
+    "--seed": pick(["0", "3", "18446744073709551615"], ["-1", "1.5", "99999999999999999999"]),
     "--format": pick(["json", "csv"], ["xml"]),
 }
 TOL = {"--tol": pick(["0", "1e-12", "1e-9", "0.5", "1e308"], ["nan", "inf", "-inf", "-1", "x"])}

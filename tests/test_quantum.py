@@ -836,6 +836,18 @@ class TestCholeskyAdmission:
             tracemalloc.stop()
         assert peak <= 2.5 * rho.nbytes
 
+    @pytest.mark.parametrize("smallest", [1e-3, -5e-9], ids=["positive", "clipped"])
+    def test_repair_peak_is_three_densities(self, smallest):
+        # besides rho, the eigenvectors scaled in place, their adjoint and the product: 3.0x measured
+        rho = density_with_smallest(np.random.default_rng(3), 256, smallest, 1)
+        tracemalloc.start()
+        try:
+            validate_density_matrix(rho, repair=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * rho.nbytes
+
 
 class TestKronChain:
     def test_component_order(self):

@@ -1,14 +1,23 @@
 """The CLI's JSON and CSV writers against oracles built here, on plain values from `_pyify`.
 
-The JSON oracle is ``json.dumps(_pyify(x), indent=2)`` and the CSV oracle the
-rows of ``_flatten(_pyify(x))``; neither shares code with the writers.
+The JSON oracle parses the output with ``json.loads`` and holds it to
+``_pyify(x)``: the same key order, strings, ints, bools and None, and every
+float with the same bits.  The spelling of a float is orjson's and may differ
+between its releases; its value may not.  The CSV oracle is the rows of
+``_flatten(_pyify(x))``.  Neither shares code with the writers.
 """
 
+import argparse
+import contextlib
 import csv
 import dataclasses
 import gc
 import io
 import json
+import math
+import re
+import sys
+import tracemalloc
 
 import numpy as np
 import orjson
@@ -17,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ginisafe import cli, ensembles, quantum
+from ginisafe import ValidationError, cli, ensembles, markov, probvec, quantum
 
 
 def _pyify(obj):
@@ -51,8 +60,76 @@ def _flatten(obj, prefix: str = ""):
         yield prefix, obj
 
 
-def oracle(obj) -> bytes:
-    return json.dumps(_pyify(obj), indent=2).encode()
+def assert_same_values(got, want, path=""):
+    """`got` holds `want`: same types, key order, strings, ints, bools and None, and floats by ``float.hex``."""
+    assert type(got) is type(want), (path, got, want)
+    if isinstance(want, dict):
+        assert list(got) == list(want), (path, list(got), list(want))
+        for key, value in want.items():
+            assert_same_values(got[key], value, f"{path}.{key}" if path else key)
+    elif isinstance(want, list):
+        assert len(got) == len(want), (path, len(got), len(want))
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_values(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got.hex() == want.hex(), (path, got, want)  # -0.0 is not 0.0
+    else:
+        assert got == want, (path, got, want)
+
+
+def _encodable(plain) -> bool:
+    """Whether orjson can write `plain`: str keys, ints in [-2**63, 2**64 - 1] and UTF-8 strings."""
+    if isinstance(plain, dict):
+        return all(type(k) is str and _encodable(k) and _encodable(v) for k, v in plain.items())
+    if isinstance(plain, list):
+        return all(map(_encodable, plain))
+    if isinstance(plain, str):
+        try:
+            plain.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate
+            return False
+    return type(plain) is not int or -(2**63) <= plain <= 2**64 - 1
+
+
+def oracle(obj):
+    """The plain values the output of `obj` parses to, or the error the writer must raise.
+
+    An output orjson cannot write raises its TypeError; one that holds a NaN
+    or an infinity is a validation error that names the first such field.
+    """
+    plain = _pyify(obj)
+    if not _encodable(plain):
+        raise TypeError("orjson cannot write this output")
+    for key, value in _flatten(plain):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"output field {key} is not a finite number")
+    return plain
+
+
+JSON_ARGS = argparse.Namespace(format="json", out=None)
+
+
+def write(obj) -> str:
+    """What `cli._emit` prints for `obj`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(obj, JSON_ARGS)
+    return out.getvalue()
+
+
+def assert_writes(obj):
+    """`cli._emit` prints the values `oracle` expects of `obj`, or raises the error it expects."""
+    try:
+        want = oracle(obj)
+    except (TypeError, ValidationError) as exc:
+        with pytest.raises(type(exc)) as info:
+            write(obj)
+        if isinstance(exc, ValidationError):
+            assert str(info.value) == str(exc)
+        return
+    text = write(obj)
+    assert text.endswith("\n")
+    assert_same_values(json.loads(text), want)
 
 
 def _cell(text: str) -> str:
@@ -122,19 +199,21 @@ values = st.recursive(
 )
 
 
-# Floats on each side of every point where orjson's spelling changes, and
-# strings that read like respelled numbers or fallback triggers.
+# Floats on each side of every point where orjson's spelling changes, signed
+# zeros, and strings that read like numbers or like null.
 BOUNDARY_FLOATS = [
-    1e-05, -1e-05, 9.999999999999999e-06, -9.999999999999999e-06, 1.5e-07, 1e-09, 1e-10,
-    1e15, 9999999999999998.0, 1e16, 1e308, 5e-324, 10.00001, -10.00001,
+    1e-05, -1e-05, 1.2e-05, 9.999999999999999e-05, 0.0001, 9.999999999999999e-06, -9.999999999999999e-06,
+    1.5e-07, 1e-09, 1e-10, 1e15, 9999999999999998.0, 1e16, -1.5e16, 1e308, 5e-324, 10.00001, -10.00001,
+    0.1, 0.0, -0.0,
 ]
-LOOKALIKE_STRINGS = [" 0.00001", "1e16", "e-6", "null", "\x7f", "é"]
+LOOKALIKE_STRINGS = [" 0.00001", "1e16", "e-6", "null", "NaN", "\x7f", "é"]
 
 
 @settings(max_examples=400, deadline=None)
 @given(values)
 @example(BOUNDARY_FLOATS)
-@example({"weights": np.array(BOUNDARY_FLOATS), "pairs": np.array(BOUNDARY_FLOATS) * 1j})
+@example({"weights": np.array(BOUNDARY_FLOATS), "negated": [-x for x in BOUNDARY_FLOATS],
+          "pairs": np.array(BOUNDARY_FLOATS) * 1j})
 @example(1e-05)
 @example(-9.999999999999999e-06)
 @example(1.5e-07)
@@ -144,14 +223,18 @@ LOOKALIKE_STRINGS = [" 0.00001", "1e16", "e-6", "null", "\x7f", "é"]
 @example(LOOKALIKE_STRINGS)
 @example({s: s for s in LOOKALIKE_STRINGS})
 @example("1e16")
+@example({"a": "null", "b": None})
 @example([1e308, 1e308])
+@example({"weights": [0.5, float("inf"), float("nan")]})
 @example({"entries": np.array([1 + 2j, -0.0 - 1j, complex("nan+infj")])})
+@example({1: 0.5})
+@example([2**64 - 1, -(2**63), 2**64])
 @example([[1.0, 2.0], [3.0]])
 @example(np.array(1.0))
 @example([np.float32("nan"), np.float32("-inf"), np.float16(1e-7), np.int8(-3), np.bool_(False)])
 @example([np.longdouble(1) / 3, np.clongdouble(1 + 2j), np.uint64(2**64 - 1)])
 def test_writer_matches_oracle(obj):
-    assert outcome(cli._dumps, obj) == outcome(oracle, obj)
+    assert_writes(obj)
 
 
 @settings(max_examples=400, deadline=None)
@@ -164,19 +247,28 @@ def test_csv_rows_match_oracle(obj):
     assert outcome(lambda x: list(cli._csv_rows(x)), obj) == outcome(csv_oracle, obj)
 
 
-def test_the_installed_orjson_spells_the_probe_like_json():
-    """Fails on an orjson release whose floats the respelling passes do not cover.
+MUTANTS = {
+    "one ulp": lambda out: {**out, "weights": [math.nextafter(out["weights"][0], math.inf), *out["weights"][1:]]},
+    "signed zero": lambda out: {**out, "weights": [abs(w) if w == 0.0 else w for w in out["weights"]]},
+    "swapped keys": lambda out: dict(reversed(list(out.items()))),
+}
 
-    The writer would still be correct there, through json, but at json's speed.
-    """
-    assert cli._ORJSON_SPELLS_LIKE_JSON, f"orjson {orjson.__version__} spells a probe float otherwise"
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_the_oracle_sees_a_moved_value(mutant):
+    obj = {"seed": 0, "weights": np.array(BOUNDARY_FLOATS)}
+    got = json.loads(write(obj))
+    assert_same_values(got, _pyify(obj))
+    with pytest.raises(AssertionError):
+        assert_same_values(MUTANTS[mutant](got), _pyify(obj))
 
 
 @pytest.mark.parametrize("size", [1, 40, 200])
-def test_output_respelled_slice_by_slice_matches_oracle(monkeypatch, size):
+def test_output_written_slice_by_slice_matches_oracle(monkeypatch, size):
     obj = {
         "weights": np.array(BOUNDARY_FLOATS * 3),
         "terms": [{"code": i, "weight": w} for i, w in enumerate(BOUNDARY_FLOATS)],
+        "labels": ["é" * k for k in range(1, 40)],  # two-byte characters on each side of a slice end
         "value": 1e16,
     }
     monkeypatch.setattr(cli, "_SLICE", size)
@@ -184,18 +276,64 @@ def test_output_respelled_slice_by_slice_matches_oracle(monkeypatch, size):
     slices = [bytes(s) for s in cli._line_slices(data)]
     assert len(slices) > 1 and b"".join(slices) == data
     assert all(s.endswith(b"\n") and len(s) > size for s in slices[:-1])
-    assert cli._dumps(obj) == oracle(obj)
+    text = write(obj)
+    assert text == data.decode() + "\n"
+    assert_same_values(json.loads(text), _pyify(obj))
 
 
-def test_a_float_spelling_drift_sends_every_output_through_json(monkeypatch):
-    """The import-time probe fails on a release that spells a float otherwise."""
-    assert cli._orjson_spells_like_json(cli._PROBE)
+def test_a_float_spelling_drift_keeps_the_values(monkeypatch):
+    """Another orjson release may spell a float otherwise, here 1E308 for 1e308; the oracle reads its value."""
     dumps = orjson.dumps
-    monkeypatch.setattr(orjson, "dumps", lambda *args, **kwargs: dumps(*args, **kwargs).replace(b"e", b"E"))
-    assert not cli._orjson_spells_like_json(cli._PROBE)
-    monkeypatch.setattr(cli, "_ORJSON_SPELLS_LIKE_JSON", False)
+    monkeypatch.setattr(orjson, "dumps", lambda *args, **kwargs: re.sub(rb"(\d)e", rb"\1E", dumps(*args, **kwargs)))
     obj = {"weights": np.array(BOUNDARY_FLOATS), "seed": 0}
-    assert cli._dumps(obj) == oracle(obj)
+    assert "1E308" in write(obj)
+    assert_writes(obj)
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
+@pytest.mark.parametrize("verb, module, name, field", [
+    ("gini", probvec, "gini_index", "gini"),
+    ("expand", markov, "product_probabilities", "weights[3]"),
+])
+def test_a_non_finite_output_is_an_error_not_null(capsys, monkeypatch, tmp_path, verb, module, name, field, out):
+    real = getattr(module, name)
+
+    def spoiled(*args):
+        value = real(*args)
+        if np.ndim(value):
+            value = value.copy()
+            value[3] = np.inf
+            return value
+        return math.nan
+
+    monkeypatch.setattr(module, name, spoiled)
+    path = tmp_path / "out.json"
+    payload = ["--vector", "[0.1,0.5,0.4]"] if verb == "gini" else ["--matrix", "[[0.5,0.5],[0.25,0.75]]"]
+    assert cli.main([verb, *payload, *(["--out", str(path)] if out else [])]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: output field {field} is not a finite number\n")
+    assert not path.exists()
+
+
+def test_stdout_holds_one_copy_of_a_large_output(monkeypatch):
+    """Printing a d = 4 `dual` output takes its bytes and a few slices, never a decoded copy of the whole."""
+    rng = np.random.default_rng(4)
+    psi = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    args = cli._build_parser().parse_args(["dual", "--mode", "global"])
+    out = cli.cmd_dual(args, quantum.pure_density(psi / np.linalg.norm(psi)))
+    data = orjson.dumps(out, default=cli._plain, option=cli._ORJSON_OPTIONS)
+    assert len(data) > 50 * cli._SLICE
+    # the encoder returns a fresh copy of the bytes, so the trace counts them once
+    monkeypatch.setattr(orjson, "dumps", lambda *args, **kwargs: bytes(memoryview(data)))
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    monkeypatch.setattr(sys.stdout, "write", len)
+    tracemalloc.start()
+    try:
+        cli._emit(out, args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(data) + 4 * cli._SLICE
 
 
 SMALL_STATE = json.dumps({"dim": 4, "amplitudes": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.8]]})
@@ -239,15 +377,19 @@ def argv_id(argv):
 
 
 @pytest.mark.parametrize("argv", EVERY_VERB, ids=argv_id)
-def test_cli_output_matches_oracle(capsys, monkeypatch, argv):
-    def fallback(obj):
-        raise AssertionError("the json fallback wrote a verb's output")
-
-    monkeypatch.setattr(cli, "_json_dumps", fallback)
+def test_cli_output_matches_oracle(capsys, argv):
     assert cli.main(list(argv)) == 0
     stdout = capsys.readouterr().out
     args = cli._build_parser().parse_args(list(argv))
-    assert stdout == oracle(args.handler(args)).decode() + "\n"
+    assert stdout.endswith("}\n")
+    assert_same_values(json.loads(stdout), oracle(args.handler(args)))
+
+
+@pytest.mark.parametrize("argv", EVERY_VERB, ids=argv_id)
+def test_no_verb_output_holds_none(argv):
+    # the writer reads a null in its bytes as the trace of a non-finite float
+    args = cli._build_parser().parse_args(list(argv))
+    assert all(value is not None for _, value in _flatten(_pyify(args.handler(args))))
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -348,4 +490,4 @@ def test_result_verbs_print_the_record_fields_in_declared_order(capsys, argv, ex
     names = [f.name for f in dataclasses.fields(result) if f.name not in extras and f.name != omitted]
     assert list(out)[2:] == extras + names
     fields = {name: getattr(result, name) for name in names}
-    assert {name: out[name] for name in names} == json.loads(oracle(fields))
+    assert_same_values({name: out[name] for name in names}, oracle(fields))
