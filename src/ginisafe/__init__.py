@@ -72,11 +72,9 @@ from .quantum import (
     UncertaintyDeficits,
     apply_dual,
     basis_state,
-    dft_unitary,
     diagonal_probabilities,
     dual_probabilities,
     dual_state,
-    fourier_single,
     index_product,
     index_to_tuple,
     local_dimension,

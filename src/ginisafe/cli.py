@@ -376,15 +376,6 @@ def _emit(out: dict, args) -> None:
         sys.stdout.write("\n")
 
 
-def _serialize_density(rho: np.ndarray) -> dict:
-    """Row-major entries; the writer spells each complex entry as [re, im]."""
-    return {"dim": rho.shape[0], "entries": rho.ravel()}
-
-
-def _serialize_pure(psi: np.ndarray) -> dict:
-    return {"dim": psi.size, "amplitudes": psi}
-
-
 def _fields(record, omit: str = "") -> dict:
     """A library result's fields, but `omit`, in the order its dataclass declares them."""
     return {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.name != omit}
@@ -488,7 +479,7 @@ def cmd_quantum_stats(args, rho) -> dict:
 
 def cmd_dual(args, rho) -> dict:
     dual = quantum.dual_state(rho, args.mode)
-    out = {"mode": args.mode, "state": _serialize_density(dual)}
+    out = {"mode": args.mode, "state": {"dim": dual.shape[0], "entries": dual.ravel()}}  # [re, im] per entry
     if args.mode == quantum.SINGLE:
         out["probabilities"] = probs = quantum.diagonal_probabilities(dual)
         out["gini"] = probvec.gini_index(probs)
@@ -504,7 +495,8 @@ def cmd_deficits(args, rho) -> dict:
 
 def cmd_eta(args) -> dict:
     est = eta.estimate_eta(args.d, args.mode, args.budget, seed=args.seed)
-    return {**_fields(est), "best_state": _serialize_pure(est.best_state), "budget": args.budget}
+    best_state = {"dim": est.best_state.size, "amplitudes": est.best_state}
+    return {**_fields(est), "best_state": best_state, "budget": args.budget}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ followed by derivative-free simplex descent (the objective has sorting kinks,
 so gradients are off the table).
 
 The search loop does only the numerics: :func:`estimate_eta` checks ``d``,
-the mode, the budget, the seed and the starts once and evaluates each candidate by
+the mode, the budget and the seed once and evaluates each candidate by
 one evaluator that binds the mode's dual transform (:func:`gini_sum` checks its
 input and then uses the same evaluator).  The simplex keeps its vertices in
 stable-sorted order incrementally instead of re-sorting every step.  Results
@@ -257,35 +257,18 @@ def _stable_order(verts: np.ndarray, fvals: list):
     return verts[order], [fvals[i] for i in order]
 
 
-def estimate_eta(
-    d: int,
-    mode: str,
-    budget: int,
-    seed: int = 0,
-    initial_states=None,
-) -> EtaEstimate:
+def estimate_eta(d: int, mode: str, budget: int, seed: int = 0) -> EtaEstimate:
     """Budgeted multi-start search maximizing the mode's Gini sum.
 
-    Starts are drawn from per-index substreams of ``seed`` (after any caller
-    supplied ``initial_states``), each refined by simplex descent until its
-    step size collapses or the remaining evaluation budget runs out.  The
-    result is deterministic in (seed, budget, initial_states), and
-    ``best_sum`` is nondecreasing in the budget.  Exhausting the budget is
-    not an error: the partial result carries the evaluation count.
+    Starts are drawn from per-index substreams of ``seed``, each refined by
+    simplex descent until its step size collapses or the remaining
+    evaluation budget runs out.  The result is deterministic in (seed,
+    budget), and ``best_sum`` is nondecreasing in the budget.  Exhausting
+    the budget is not an error: the partial result carries the evaluation count.
     """
     d, dim = _admit_search(d, mode)
     budget = admit_int(budget, "budget", 1)
     seed = admit_int(seed, "seed", 0)
-    given = []
-    for k, psi in enumerate(() if initial_states is None else initial_states):
-        psi = admit_array(psi, f"initial state {k}", complex, 1)
-        if psi.shape != (dim,):
-            raise ValidationError(f"initial state {k} has shape {psi.shape}, expected {(dim,)}")
-        with np.errstate(over="ignore"):  # finite entries may square past the float range
-            norm = np.linalg.norm(psi)
-        if not 0.0 < norm < np.inf:
-            raise ValidationError(f"initial state {k} has norm {norm}; it must be finite and nonzero")
-        given.append(psi / norm)
     cap = gini_sum_cap(d, mode)
     evaluate = _pure_gini_sum(d, mode)
 
@@ -307,11 +290,11 @@ def estimate_eta(
             best_state = psi
         return -s
 
-    randoms = (random_pure_state(dim, shard_rng(seed, k)) for k in itertools.count())
-    for psi0 in itertools.chain(given, randoms):
+    for k in itertools.count():
         remaining = budget - evaluations
         if remaining < 1:
             break
+        psi0 = random_pure_state(dim, shard_rng(seed, k))
         x0 = np.concatenate([psi0.real, psi0.imag])
         evaluations += _nelder_mead(objective, x0, remaining)
 

@@ -141,11 +141,11 @@ def gini_mean_abs_diff(x) -> float:
     return float(weights @ x) / (d + 1)
 
 
-def majorizes(x, y, tol: float = MAJORIZATION_TOL) -> Majorization:
+def majorizes(x, y) -> Majorization:
     """Compare two probability vectors in the majorization preorder.
 
     ``x`` majorizes ``y`` ("x is more sparse") when every Lorenz value of
-    ``x`` is <= the corresponding value of ``y`` (within ``tol``).
+    ``x`` is <= the corresponding value of ``y`` (within ``MAJORIZATION_TOL``).
     """
     x = admit_array(x, "'x'", float, 1)
     y = admit_array(y, "'y'", float, 1)
@@ -153,8 +153,8 @@ def majorizes(x, y, tol: float = MAJORIZATION_TOL) -> Majorization:
         raise DimensionMismatchError(f"vectors have different dimensions {x.size} and {y.size}")
     lx = lorenz_values(x)
     ly = lorenz_values(y)
-    x_over_y = bool(np.all(lx <= ly + tol))
-    y_over_x = bool(np.all(ly <= lx + tol))
+    x_over_y = bool(np.all(lx <= ly + MAJORIZATION_TOL))
+    y_over_x = bool(np.all(ly <= lx + MAJORIZATION_TOL))
     if x_over_y and y_over_x:
         return Majorization.EQUAL
     if x_over_y:

@@ -7,9 +7,10 @@ j_{d-1} d^{d-1}``; component 0 is the least significant digit.  This is the
 same little-endian encoding used for opening-sequence codes, and the codec
 of :mod:`ginisafe.markov` serves both the classical and the quantum side.
 
-Every state (density, amplitude vector, dual, searched pure state) has one
-cap, dimension 5**5 = 3125 or ``MAX_COMPONENTS`` = 5 components, checked by
-:func:`check_state_dim` or :func:`space_dimension` before any d**d is formed.
+Every state (density, amplitude vector, dual, searched pure state, basis
+ket) has one cap, dimension 5**5 = 3125 or ``MAX_COMPONENTS`` = 5 components,
+checked by :func:`check_state_dim`, :func:`space_dimension` or a basis ket's
+d before any d**d is formed.
 
 Two inequivalent Fourier transforms act on that space:
 
@@ -140,23 +141,6 @@ def index_product(j_components, k_components, d: int) -> int:
 # Fourier transforms
 # ---------------------------------------------------------------------------
 
-def dft_unitary(n: int) -> np.ndarray:
-    """Unitary DFT matrix with entries omega_n(j k)/sqrt(n), omega_n = exp(2 pi i / n).
-
-    The exponent j*k is reduced mod n in integer arithmetic so that the
-    fourth-power identity survives at large n.
-    """
-    n = admit_int(n, "Fourier dimension", 2)
-    k = np.arange(n, dtype=np.int64)
-    phases = np.outer(k, k) % n
-    return np.exp(2j * np.pi * phases / n) / np.sqrt(n)
-
-
-def fourier_single(d: int) -> np.ndarray:
-    """Single-qudit Fourier matrix F on H_d; F F† = 1 and F**4 = 1."""
-    return dft_unitary(d)
-
-
 def admit_transform_d(d: int, mode: str) -> int:
     """The state cap on a transform's d, by :func:`errors.admit_int`: d <= 3125 for ``"single"``, else d <= 5."""
     if mode not in (SINGLE, LOCAL, GLOBAL):
@@ -179,8 +163,13 @@ _SMALL_DAGGER_D = 256
 
 @functools.lru_cache(maxsize=8)
 def _single_dagger(d: int) -> np.ndarray:
-    """The read-only single-qudit F† for d <= _SMALL_DAGGER_D, kept for eight d."""
-    f_dagger = fourier_single(d).conj().T
+    """The read-only single-qudit F† for d <= _SMALL_DAGGER_D, kept for eight d.
+
+    F has entries omega_d(j k)/sqrt(d), omega_d = exp(2 pi i / d); the
+    exponent j k is reduced mod d in integer arithmetic before any phase is formed.
+    """
+    k = np.arange(d, dtype=np.int64)
+    f_dagger = (np.exp(2j * np.pi * (np.outer(k, k) % d) / d) / np.sqrt(d)).conj().T
     f_dagger.setflags(write=False)
     return f_dagger
 
@@ -238,15 +227,16 @@ def apply_dual(x, d: int, mode: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def basis_state(f: FunctionMap) -> np.ndarray:
-    """The computational basis ket |f(0), ..., f(d-1)> as an amplitude vector."""
-    psi = np.zeros(f.d ** f.d, dtype=complex)
+    """The computational basis ket |f(0), ..., f(d-1)> as an amplitude vector, for d <= MAX_COMPONENTS."""
+    d = admit_int(f.d, "basis state's 'd'", 1, MAX_COMPONENTS)
+    psi = np.zeros(d**d, dtype=complex)
     psi[f.code] = 1.0
     return psi
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random pure state: normalized complex Gaussian amplitudes."""
-    dim = admit_int(dim, "state 'dim'", 1)
+    dim = check_state_dim(dim)
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z)
 
@@ -254,6 +244,7 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 def pure_density(psi) -> np.ndarray:
     """Density matrix |psi><psi| of a normalized amplitude vector."""
     psi = admit_array(psi, "amplitude vector", complex, 1)
+    check_state_dim(psi.size)
     return np.outer(psi, psi.conj())
 
 

@@ -95,8 +95,6 @@ SLOTS = [
     Slot("markov.admit_code_d.d", markov.admit_code_d, "'d'", 1, 6, (1, 6)),
     Slot("tensor_dimension.size", gs.tensor_dimension, "array size", 1, None, (1, 4, 27)),
     Slot("uniform_vector.d", gs.uniform_vector, "'d'", 1, None, (1, 3)),
-    Slot("dft_unitary.n", gs.dft_unitary, "Fourier dimension", 2, None, (2, 5)),
-    Slot("fourier_single.d", gs.fourier_single, "Fourier dimension", 2, None, (2, 3)),
     Slot("apply_dual.d", lambda v: gs.apply_dual(np.ones(4), v, "global"), "'d'", 2, 5, (2,)),
     Slot("tuple_to_index.components", lambda v: gs.tuple_to_index((v, 1), 2), "component 0",
          None, None, (-3, 0, 1, 6)),
@@ -110,7 +108,7 @@ SLOTS = [
     Slot("quantum.admit_transform_d.d", lambda v: quantum.admit_transform_d(v, "single"), "'d'", 2, 5**5,
          (2, 3125)),
     Slot("random_pure_state.dim", lambda v: gs.random_pure_state(v, gs.make_rng(0)), "state 'dim'",
-         1, None, (1, 4)),
+         1, 5**5, (1, 4, 5**5)),
     Slot("reduced_density.i", lambda v: gs.reduced_density(RHO, v), "component", 0, 1, (0, 1), True),
 ]
 SLOT = {slot.name: slot for slot in SLOTS}
@@ -218,7 +216,6 @@ BAD_CASES = st.sampled_from(SLOTS).flatmap(lambda s: st.tuples(st.just(s), _bad_
 @example(case=(SLOT["markov.code_count.d"], True))
 @example(case=(SLOT["quantum.check_state_dim.dim"], 2.5))
 @example(case=(SLOT["gini_sum_cap.d"], 2.5))
-@example(case=(SLOT["dft_unitary.n"], 2.5))
 @example(case=(SLOT["reduced_density.i"], True))
 @example(case=(SLOT["FunctionMap.images"], True))
 @example(case=(SLOT["FunctionMap.images"], 1.5))
@@ -237,6 +234,8 @@ BAD_CASES = st.sampled_from(SLOTS).flatmap(lambda s: st.tuples(st.just(s), _bad_
 @example(case=(SLOT["uniform_vector.d"], -10**5000))
 @example(case=(SLOT["reduced_density.i"], 10**5000))
 @example(case=(SLOT["quantum.check_state_dim.dim"], 10**5000))
+# a state past the one state cap, which random_pure_state drew
+@example(case=(SLOT["random_pure_state.dim"], 5**5 + 1))
 def test_a_bad_integer_argument_is_rejected_by_name_before_allocating(case):
     slot, value = case
     error = _rejected(slot, value)
@@ -245,6 +244,28 @@ def test_a_bad_integer_argument_is_rejected_by_name_before_allocating(case):
             assert isinstance(error, IndexOutOfRangeError)
         elif slot.cap is not None and value > slot.cap:
             assert isinstance(error, DimensionTooLargeError)
+
+
+@pytest.mark.parametrize(
+    "call, value, what",
+    [
+        (lambda v: gs.random_pure_state(v, gs.make_rng(0)), 5**5 + 1, "state 'dim' = 3126 outside [1, 3125]"),
+        (gs.pure_density, np.zeros(5**5 + 1, dtype=complex), "state 'dim' = 3126 outside [1, 3125]"),
+        (gs.basis_state, gs.FunctionMap((0,) * 6), "basis state's 'd' = 6 outside [1, 5]"),
+    ],
+    ids=["random_pure_state", "pure_density", "basis_state"],
+)
+def test_a_state_past_the_state_cap_is_rejected_before_allocating(call, value, what):
+    # each returned an over-cap state: 3126 amplitudes, a 3126 x 3126 density, 6**6 amplitudes
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionTooLargeError) as info:
+            call(value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ADMISSION_BYTES, peak
+    assert str(info.value) == what
 
 
 def _canonical(result):
@@ -384,16 +405,12 @@ ARRAY_SLOTS = [
     ArraySlot("uncertainty_deficits.rho", gs.uncertainty_deficits, "density matrix", complex, (2,)),
     ArraySlot("gini_sum.state", lambda v: gs.gini_sum(v, 2, "single"), "state", complex, (1, 2)),
     ArraySlot("deficit.state", lambda v: gs.deficit(v, 2, "local_total"), "state", complex, (1, 2)),
-    ArraySlot("estimate_eta.initial_states", lambda v: gs.estimate_eta(2, "single", 5, initial_states=[PSI, v]),
-              "initial state 1", complex, (1,)),
 ]
 ARRAY_SLOT = {slot.name: slot for slot in ARRAY_SLOTS}
 
 # the parameter names of the public API that take an array
 _ARRAY_PARAMETERS = {"x", "y", "q", "p", "t", "tq", "tp", "raw", "matrix", "tensor", "rho", "sigma", "psi",
-                     "state", "initial_states"}
-# arrays inside a sequence argument: the starts of a search
-_ARRAY_ELEMENT_SLOTS = {"estimate_eta.initial_states"}
+                     "state"}
 
 
 def _public_signatures():
@@ -416,7 +433,6 @@ def test_every_array_argument_of_the_public_api_has_a_slot():
     wanted = {f"{name}.{p}" for name, params in _public_signatures() for p in params if p in _ARRAY_PARAMETERS}
     covered = {s.name for s in ARRAY_SLOTS}
     assert wanted - covered == set()
-    assert _ARRAY_ELEMENT_SLOTS <= covered
     assert "EnsembleSpec.independent.matrix" in wanted  # the classmethods are searched too
 
 

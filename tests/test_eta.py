@@ -104,11 +104,12 @@ class TestGiniSum:
 
 class TestEstimateEta:
     def test_budget_one_with_seed_state(self):
-        psi0 = np.eye(2, dtype=complex)[0]
-        est = estimate_eta(2, "single", budget=1, seed=0, initial_states=[psi0])
+        # one evaluation, at the first start the seed draws
+        psi0 = random_pure_state(2, shard_rng(0, 0))
+        est = estimate_eta(2, "single", budget=1, seed=0)
         assert est.evaluations == 1
-        assert est.best_sum == pytest.approx(1 / 3, abs=1e-12)
-        assert est.eta_upper == pytest.approx(1 / 3, abs=1e-12)
+        assert est.best_sum == pytest.approx(gini_sum(psi0, 2, "single"), abs=1e-12)
+        assert est.eta_upper == pytest.approx(gini_sum_cap(2, "single") - est.best_sum, abs=1e-15)
         np.testing.assert_allclose(est.best_state, psi0, atol=1e-12)
 
     def test_deterministic(self):
@@ -179,32 +180,6 @@ class TestEstimateEta:
         assert est.evaluations == 40
         assert est.best_sum == estimate_eta(2, "single", budget=40, seed=1).best_sum
 
-    @pytest.mark.parametrize(
-        "bad, norm",
-        [([0, 0], "0.0"), ([np.nan, 1], "nan"), ([1, np.inf], "inf"), ([1e200, 1e200], "inf")],
-    )
-    def test_rejects_a_start_that_cannot_be_normalized(self, bad, norm):
-        # an all-zero start returned best_sum=-inf, eta_upper=inf and no state
-        good = np.eye(2, dtype=complex)[0]
-        with pytest.raises(ValidationError, match=rf"initial state 1 has norm {norm}; it must be finite"):
-            estimate_eta(2, "single", 5, initial_states=[good, bad])
-
-    def test_checks_every_start_before_searching(self):
-        # a start past the budget is checked too, and it is shown
-        good = np.eye(2, dtype=complex)[0]
-        with pytest.raises(ValidationError, match=r"initial state 1 has shape \(3,\), expected \(2,\)"):
-            estimate_eta(2, "single", 1, initial_states=[good, [1, 0, 0]])
-        start_is_1d = r"initial state 0 must be a non-empty 1-D array of complex numbers, got \[\[1\], \[0\]\]"
-        with pytest.raises(ValidationError, match=start_is_1d):
-            estimate_eta(2, "single", 1, initial_states=[[[1], [0]]])
-
-    @pytest.mark.parametrize("bad", [[1, [0]], ["a", "b"], [1, {}], [10**400, 0]])
-    def test_rejects_a_start_that_is_no_array_of_numbers(self, bad):
-        # ragged and non-numeric starts ended in numpy's ValueError
-        good = np.eye(2, dtype=complex)[0]
-        with pytest.raises(ValidationError, match=r"initial state 1 must be a non-empty 1-D array of complex numbers"):
-            estimate_eta(2, "single", 5, initial_states=[good, bad])
-
 
 def argsort_nelder_mead(fn, x0, max_evals, step=0.1):
     """The simplex descent that re-sorts every step with a stable argsort: the oracle."""
@@ -265,7 +240,7 @@ def argsort_nelder_mead(fn, x0, max_evals, step=0.1):
     return used
 
 
-def oracle_search(d, mode, budget, seed=0, initial_states=None):
+def oracle_search(d, mode, budget, seed=0):
     """(best_sum, evaluations, best_state) of the search through the checked
     gini_sum and the argsort descent."""
     dim = space_dimension(d, _TRANSFORM[mode])
@@ -283,15 +258,10 @@ def oracle_search(d, mode, budget, seed=0, initial_states=None):
             best["sum"], best["state"] = s, psi
         return -s
 
-    starts = [np.asarray(g, dtype=complex) for g in initial_states or []]
-    starts = [psi / np.linalg.norm(psi) for psi in starts]
     k = 0
     while best["evaluations"] < budget:
-        if starts:
-            psi0 = starts.pop(0)
-        else:
-            psi0 = random_pure_state(dim, shard_rng(seed, k))
-            k += 1
+        psi0 = random_pure_state(dim, shard_rng(seed, k))
+        k += 1
         x0 = np.concatenate([psi0.real, psi0.imag])
         argsort_nelder_mead(objective, x0, budget - best["evaluations"])
     return best["sum"], best["evaluations"], best["state"]
@@ -313,17 +283,6 @@ class TestSearchBitIdentity:
     def test_matches_oracle(self, d, mode, budget, seed):
         est = estimate_eta(d, mode, budget, seed=seed)
         best_sum, evaluations, best_state = oracle_search(d, mode, budget, seed=seed)
-        assert (est.best_sum, est.evaluations) == (best_sum, evaluations)
-        assert est.best_state.tobytes() == best_state.tobytes()
-
-    @pytest.mark.parametrize("d, mode", [(2, "single"), (3, "global_component"), (3, "local_total")])
-    def test_initial_states_match_oracle(self, d, mode):
-        rng = np.random.default_rng(d)
-        dim = space_dimension(d, _TRANSFORM[mode])
-        given = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(2)]
-        given.append(np.eye(dim)[0])  # a basis state: zeros in the simplex coordinates
-        est = estimate_eta(d, mode, 400, seed=3, initial_states=given)
-        best_sum, evaluations, best_state = oracle_search(d, mode, 400, seed=3, initial_states=given)
         assert (est.best_sum, est.evaluations) == (best_sum, evaluations)
         assert est.best_state.tobytes() == best_state.tobytes()
 

@@ -19,7 +19,6 @@ from ginisafe import (
     NegativeEntryError,
     dual_probabilities,
     dual_state,
-    fourier_single,
     function_table,
     index_product,
     index_to_tuple,
@@ -50,6 +49,7 @@ from ginisafe.reference import (
 )
 from oracles import (
     componentwise_parity,
+    dft,
     elementary_projector,
     function_to_matrix,
     global_fourier,
@@ -113,31 +113,40 @@ class TestIndexCodec:
 # Fourier transforms
 # ---------------------------------------------------------------------------
 
+def single_fourier(d):
+    """The single-qudit F that the verbs run: the adjoint of apply_dual's F†."""
+    return apply_dual(np.eye(d), d, "single").conj().T
+
+
 class TestFourierSingle:
     def test_qubit_is_hadamard(self):
         np.testing.assert_allclose(
-            fourier_single(2), np.array([[1, 1], [1, -1]]) / np.sqrt(2), atol=1e-15
+            single_fourier(2), np.array([[1, 1], [1, -1]]) / np.sqrt(2), atol=1e-15
         )
 
     def test_qubit_squares_to_identity(self):
-        f = fourier_single(2)
+        f = single_fourier(2)
         np.testing.assert_allclose(f @ f, np.eye(2), atol=1e-15)
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 64])
     def test_unitary_and_fourth_power(self, d):
-        f = fourier_single(d)
+        f = single_fourier(d)
         np.testing.assert_allclose(f @ f.conj().T, np.eye(d), atol=1e-10)
         np.testing.assert_allclose(np.linalg.matrix_power(f, 4), np.eye(d), atol=1e-10)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_square_is_parity(self, d):
-        f = fourier_single(d)
+        f = single_fourier(d)
         np.testing.assert_allclose(f @ f, parity_matrix(d), atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 64])
+    def test_matches_the_oracle_dft(self, d):
+        np.testing.assert_allclose(single_fourier(d), dft(d), atol=1e-13)
 
 
 class TestLocalFourier:
     def test_qubit_pair_matches_kron(self):
-        f = fourier_single(2)
+        f = single_fourier(2)
         np.testing.assert_allclose(local_fourier(2), np.kron(f, f), atol=1e-15)
 
     def test_uniform_superposition(self):
@@ -411,7 +420,7 @@ class TestDualState:
 
 def dense_transform(d, mode):
     if mode == "single":
-        return fourier_single(d)
+        return dft(d)
     return local_fourier(d) if mode == "local" else global_fourier(d)
 
 
@@ -469,7 +478,7 @@ class TestApplyDual:
         quantum._single_dagger.cache_clear()
         for d in (2, 3, 64, 2, 257, 3, 300, 64):
             psi = random_complex_unit(np.random.default_rng(d), d)
-            np.testing.assert_allclose(apply_dual(psi, d, "single"), fourier_single(d).conj().T @ psi, atol=1e-12)
+            np.testing.assert_allclose(apply_dual(psi, d, "single"), dft(d).conj().T @ psi, atol=1e-12)
         assert quantum._single_dagger.cache_info().misses == 3
         psi = random_complex_unit(np.random.default_rng(5), 3125)
         tracemalloc.start()
