@@ -80,7 +80,6 @@ from .quantum import (
     local_dimension,
     pure_density,
     random_pure_state,
-    reduced_density,
     state_scalar_product,
     state_stats,
     tensor_stats,

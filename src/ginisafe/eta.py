@@ -9,19 +9,23 @@ The search therefore walks pure states only: multi-start random amplitudes
 followed by derivative-free simplex descent (the objective has sorting kinks,
 so gradients are off the table).
 
-The search loop does only the numerics: :func:`estimate_eta` checks ``d``,
-the mode, the budget and the seed once and evaluates each candidate by
-one evaluator that binds the mode's dual transform (:func:`gini_sum` checks its
-input and then uses the same evaluator).  The simplex keeps its vertices in
+Every Gini sum here is of amplitude vectors, priced by one evaluator that
+binds the mode's dual transform: :func:`gini_sum` checks one vector and then
+uses it, :func:`estimate_eta` checks ``d``, the mode, the budget and the seed
+once and evaluates each candidate by it, and :func:`deficit_sweep` prices
+blocks of states by it.  A density's deficits are those of
+:func:`quantum.uncertainty_deficits`.  The simplex keeps its vertices in
 stable-sorted order incrementally instead of re-sorting every step.  Results
 (``best_sum``, ``evaluations``, the bytes of ``best_state``) are bitwise those
-of a descent that re-sorts with a stable argsort every step over the checked
-:func:`gini_sum`, which the tests keep as the oracle.
+of a descent that re-sorts with a stable argsort every step over a Gini sum
+built from public pieces (``|psi|**2``, :func:`quantum.apply_dual`,
+:func:`probvec.gini_index` and :func:`markov.tensor_to_matrix`), which the
+tests keep as the oracle.
 
 A finite search can only lower-bound the supremum, so ``eta_upper``
 (``cap - best_sum``) is an upper bound on the true coefficient, with
 ``best_state`` as the certificate.  Positivity of the coefficient itself is
-probed by :func:`deficit_sweep`, which sums blocks of states by the same route.
+probed by :func:`deficit_sweep`.
 
 Modes
 -----
@@ -57,9 +61,6 @@ from .quantum import (
     SINGLE,
     _dual_transform,
     admit_transform_d,
-    apply_dual,
-    diagonal_probabilities,
-    dual_probabilities,
     random_pure_state,
     space_dimension,
 )
@@ -103,49 +104,44 @@ def gini_sum_cap(d: int, mode: str) -> float:
     return 2.0 * (D - 1) / (D + 1)
 
 
-def _mode_sum_from_probs(p: np.ndarray, p_dual: np.ndarray, mode: str):
-    """The mode's Gini sum of a probability vector and its dual's, or one per row of a batch."""
-    if mode == MODE_GLOBAL_COMPONENT:
-        rows = gini_index(tensor_to_matrix(p)) + gini_index(tensor_to_matrix(p_dual))
-        return float(rows.max()) if p.ndim == 1 else rows.max(axis=-1)
-    return gini_index(p) + gini_index(p_dual)
-
-
 def _pure_gini_sum(d: int, mode: str):
-    """The unchecked Gini sum of an amplitude vector, for an admitted (d, mode).
+    """The unchecked Gini sum of an amplitude vector, or one per row of a block, for an admitted (d, mode).
 
     The dual transform is bound once.  :func:`gini_sum` calls this after its
-    checks, and :func:`estimate_eta` calls it for every evaluation.
+    checks, :func:`estimate_eta` for every evaluation and :func:`deficit_sweep`
+    for every block.
     """
     dual = _dual_transform(d, _TRANSFORM[mode])
 
-    def evaluate(psi: np.ndarray) -> float:
-        return _mode_sum_from_probs(np.abs(psi) ** 2, np.abs(dual(psi)) ** 2, mode)
+    def evaluate(z: np.ndarray):
+        p, p_dual = np.abs(z) ** 2, np.abs(dual(z.T).T) ** 2
+        if mode == MODE_GLOBAL_COMPONENT:
+            rows = gini_index(tensor_to_matrix(p)) + gini_index(tensor_to_matrix(p_dual))
+            return float(rows.max()) if z.ndim == 1 else rows.max(axis=-1)
+        return gini_index(p) + gini_index(p_dual)
 
     return evaluate
 
 
 def gini_sum(state, d: int, mode: str) -> float:
-    """The mode's Gini sum for a pure amplitude vector or a density matrix.
+    """The mode's Gini sum for a pure amplitude vector.
 
     For ``global_component`` this is the maximum over components of the
-    component Gini plus its global dual.  A density's diagonal and its
-    dual's become probabilities as in :func:`quantum.diagonal_probabilities`,
-    and an amplitude vector's ``|psi|**2`` must pass the same rule.
+    component Gini plus its global dual.  ``|psi|**2`` must be a probability
+    vector within ``quantum.PROBABILITY_TOL``, the rule of a density's
+    diagonal; the sum is then taken on the vector as given.  Densities are
+    priced by :func:`quantum.uncertainty_deficits`.
     """
-    state = admit_array(state, "state", complex, (1, 2))
+    state = admit_array(state, "amplitude vector", complex, 1)
     d, dim = _admit_search(d, mode)
-    if state.shape != (dim,) * state.ndim:
-        raise ValidationError(f"state has shape {state.shape}, expected {(dim,) * state.ndim}")
-    if state.ndim == 1:
-        validate_prob_vector(np.abs(state) ** 2, PROBABILITY_TOL)  # the density route's rule; the sum reads `state`
-        return _pure_gini_sum(d, mode)(state)
-    p_dual = dual_probabilities(state, _TRANSFORM[mode])
-    return _mode_sum_from_probs(diagonal_probabilities(state), p_dual, mode)
+    if state.shape != (dim,):
+        raise ValidationError(f"amplitude vector has shape {state.shape}, expected {(dim,)}")
+    validate_prob_vector(np.abs(state) ** 2, PROBABILITY_TOL)
+    return _pure_gini_sum(d, mode)(state)
 
 
 def deficit(state, d: int, mode: str) -> float:
-    """The mode's uncertainty deficit, cap minus Gini sum.
+    """The mode's uncertainty deficit of a pure amplitude vector, cap minus Gini sum.
 
     For ``global_component`` the Gini sum is maximized over components, so
     this is the smallest per-component deficit.
@@ -323,6 +319,7 @@ def deficit_sweep(d: int, mode: str, n: int, seed: int = 0) -> float:
     if n * dim > MAX_SAMPLES:
         raise DimensionTooLargeError(f"sample count {n}: states of dimension {dim} exceed {MAX_SAMPLES} amplitudes")
     cap = gini_sum_cap(d, mode)
+    evaluate = _pure_gini_sum(d, mode)
     rng = make_rng(seed)
     real = rng.standard_normal((n, dim))
     deficits = np.empty(n)
@@ -330,8 +327,7 @@ def deficit_sweep(d: int, mode: str, n: int, seed: int = 0) -> float:
     for start in range(0, n, block):
         z = real[start : start + block] + 1j * rng.standard_normal((min(block, n - start), dim))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        p_dual = np.abs(apply_dual(z.T, d, _TRANSFORM[mode]).T) ** 2
-        deficits[start : start + block] = cap - _mode_sum_from_probs(np.abs(z) ** 2, p_dual, mode)
+        deficits[start : start + block] = cap - evaluate(z)
     smallest = float(deficits.min())
     if smallest <= 0.0:
         raise GiniSafeError(f"non-positive uncertainty deficit {smallest}; numerical fault")

@@ -49,7 +49,6 @@ a state's or a dual's, becomes probabilities one way: validated at
 from __future__ import annotations
 
 import functools
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +57,6 @@ from .errors import (
     DimensionMismatchError,
     ValidationError,
     admit_array,
-    admit_index,
     admit_int,
     admit_square,
 )
@@ -299,22 +297,6 @@ def validate_density_matrix(rho, repair: bool = False) -> np.ndarray:
         eigvecs *= clipped  # in place: the bits of eigvecs * clipped
         return eigvecs @ adjoint
     return rho
-
-
-def reduced_density(rho, i: int) -> np.ndarray:
-    """Reduced density matrix of component i (partial trace over the rest)."""
-    rho, d = _admit_density(rho)
-    i = admit_index(i, "component", d)
-    t = rho.reshape((d,) * (2 * d))
-    # C-order reshape puts component i at axis d - 1 - i (rows) and
-    # 2d - 1 - i (columns); all other row/column axis pairs are traced.
-    letters = string.ascii_lowercase
-    row = list(letters[:d])
-    col = list(letters[:d])
-    row[d - 1 - i] = "y"
-    col[d - 1 - i] = "z"
-    spec = "".join(row) + "".join(col) + "->yz"
-    return np.einsum(spec, t)
 
 
 # ---------------------------------------------------------------------------

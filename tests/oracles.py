@@ -5,6 +5,8 @@ basis order is the package's: component 0 is the least significant base-d
 digit of a flat index or code.  The d**d x d**d matrices take 156 MB at d = 5.
 """
 
+import string
+
 import numpy as np
 
 from ginisafe import FunctionMap
@@ -52,6 +54,20 @@ def elementary_projector(j: int, d: int) -> np.ndarray:
     p = np.zeros((d, d), dtype=complex)
     p[j, j] = 1.0
     return p
+
+
+def reduced_density(rho: np.ndarray, i: int) -> np.ndarray:
+    """The reduced density of component i of a d**d x d**d density: the partial trace over the rest."""
+    d = next(d for d in range(1, 6) if d**d == rho.shape[0])
+    t = rho.reshape((d,) * (2 * d))
+    # C-order reshape puts component i at axis d - 1 - i (rows) and
+    # 2d - 1 - i (columns); all other row/column axis pairs are traced.
+    letters = string.ascii_lowercase
+    row = list(letters[:d])
+    col = list(letters[:d])
+    row[d - 1 - i] = "y"
+    col[d - 1 - i] = "z"
+    return np.einsum("".join(row) + "".join(col) + "->yz", t)
 
 
 def function_to_matrix(f: FunctionMap) -> np.ndarray:

@@ -348,8 +348,8 @@ def test_criterion_12_uncertainty_positivity_and_search_behavior():
         )
         lam = float(rng.uniform(0.05, 0.95))
         mixed = lam * rho1 + (1 - lam) * rho2
-        endpoint = max(gs.gini_sum(rho1, 2, "global_total"), gs.gini_sum(rho2, 2, "global_total"))
-        ok &= gs.gini_sum(mixed, 2, "global_total") <= endpoint + 1e-10
+        endpoint = min(gs.uncertainty_deficits(rho1).global_total, gs.uncertainty_deficits(rho2).global_total)
+        ok &= gs.uncertainty_deficits(mixed).global_total >= endpoint - 1e-10
     announce(12, "deficits strictly positive over 10k-state sweeps; search deterministic, "
                  "monotone in budget, maximal on pure states", ok)
 

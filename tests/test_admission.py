@@ -109,12 +109,11 @@ SLOTS = [
          (2, 3125)),
     Slot("random_pure_state.dim", lambda v: gs.random_pure_state(v, gs.make_rng(0)), "state 'dim'",
          1, 5**5, (1, 4, 5**5)),
-    Slot("reduced_density.i", lambda v: gs.reduced_density(RHO, v), "component", 0, 1, (0, 1), True),
 ]
 SLOT = {slot.name: slot for slot in SLOTS}
 
 # the parameter names of the public API that take an integer
-_INTEGER_PARAMETERS = {"d", "n", "dim", "seed", "shard", "budget", "size", "index", "i"}
+_INTEGER_PARAMETERS = {"d", "n", "dim", "seed", "shard", "budget", "size", "index"}
 # integers inside a sequence argument: the digits of a component tuple, the images of a map
 _ELEMENT_SLOTS = {"tuple_to_index.components", "FunctionMap.images"}
 
@@ -216,7 +215,6 @@ BAD_CASES = st.sampled_from(SLOTS).flatmap(lambda s: st.tuples(st.just(s), _bad_
 @example(case=(SLOT["markov.code_count.d"], True))
 @example(case=(SLOT["quantum.check_state_dim.dim"], 2.5))
 @example(case=(SLOT["gini_sum_cap.d"], 2.5))
-@example(case=(SLOT["reduced_density.i"], True))
 @example(case=(SLOT["FunctionMap.images"], True))
 @example(case=(SLOT["FunctionMap.images"], 1.5))
 @example(case=(SLOT["FunctionMap.from_code.code"], True))
@@ -228,11 +226,10 @@ BAD_CASES = st.sampled_from(SLOTS).flatmap(lambda s: st.tuples(st.just(s), _bad_
 @example(case=(SLOT["random_pure_state.dim"], 2.5))
 @example(case=(SLOT["uniform_vector.d"], 2.5))
 @example(case=(SLOT["FunctionMap.from_code.code"], 1.5))
-@example(case=(SLOT["reduced_density.i"], 0.5))
 # an int past Python's 4300-digit str() limit is shown by its sign and bit length
 @example(case=(SLOT["make_rng.seed"], -10**5000))
 @example(case=(SLOT["uniform_vector.d"], -10**5000))
-@example(case=(SLOT["reduced_density.i"], 10**5000))
+@example(case=(SLOT["FunctionMap.from_code.code"], 10**5000))
 @example(case=(SLOT["quantum.check_state_dim.dim"], 10**5000))
 # a state past the one state cap, which random_pure_state drew
 @example(case=(SLOT["random_pure_state.dim"], 5**5 + 1))
@@ -393,7 +390,6 @@ ARRAY_SLOTS = [
     ArraySlot("apply_dual.x", lambda v: gs.apply_dual(v, 2, "single"), "'x'", complex, (1, 2)),
     ArraySlot("pure_density.psi", gs.pure_density, "amplitude vector", complex, (1,)),
     ArraySlot("validate_density_matrix.rho", gs.validate_density_matrix, "density matrix", complex, (2,)),
-    ArraySlot("reduced_density.rho", lambda v: gs.reduced_density(v, 0), "density matrix", complex, (2,)),
     ArraySlot("state_stats.rho", gs.state_stats, "density matrix", complex, (2,)),
     ArraySlot("tensor_stats.tensor", gs.tensor_stats, "Markov tensor", float, (1,)),
     ArraySlot("diagonal_probabilities.rho", gs.diagonal_probabilities, "density matrix", complex, (2,)),
@@ -403,8 +399,8 @@ ARRAY_SLOTS = [
     ArraySlot("state_scalar_product.rho", lambda v: gs.state_scalar_product(v, RHO), "'rho'", complex, (2,)),
     ArraySlot("state_scalar_product.sigma", lambda v: gs.state_scalar_product(RHO, v), "'sigma'", complex, (2,)),
     ArraySlot("uncertainty_deficits.rho", gs.uncertainty_deficits, "density matrix", complex, (2,)),
-    ArraySlot("gini_sum.state", lambda v: gs.gini_sum(v, 2, "single"), "state", complex, (1, 2)),
-    ArraySlot("deficit.state", lambda v: gs.deficit(v, 2, "local_total"), "state", complex, (1, 2)),
+    ArraySlot("gini_sum.state", lambda v: gs.gini_sum(v, 2, "single"), "amplitude vector", complex, (1,)),
+    ArraySlot("deficit.state", lambda v: gs.deficit(v, 2, "local_total"), "amplitude vector", complex, (1,)),
 ]
 ARRAY_SLOT = {slot.name: slot for slot in ARRAY_SLOTS}
 
@@ -505,7 +501,6 @@ BAD_ARRAY_CASES = st.sampled_from(ARRAY_SLOTS).flatmap(lambda s: st.tuples(st.ju
 @example(case=(ARRAY_SLOT["lorenz_values.x"], "ab"))
 @example(case=(ARRAY_SLOT["product_probabilities.q"], [["a"]]))
 @example(case=(ARRAY_SLOT["validate_density_matrix.rho"], [[1, [0]], [0, 0]]))
-@example(case=(ARRAY_SLOT["reduced_density.rho"], [["a"]]))
 # silently wrong answers: an empty vector, a matrix read as a vector, a dropped imaginary part
 @example(case=(ARRAY_SLOT["gini_index.x"], []))
 @example(case=(ARRAY_SLOT["gini_mean_abs_diff.x"], []))
@@ -537,7 +532,7 @@ def test_a_bad_array_argument_is_rejected_by_name_before_allocating(case):
     "call, message",
     [
         # a non-square matrix ended in a reshape error; a flat tensor in an AttributeError
-        (lambda: gs.reduced_density(np.eye(4)[:, :3], 0), "density matrix must be square, got shape (4, 3)"),
+        (lambda: gs.state_stats(np.eye(4)[:, :3]), "density matrix must be square, got shape (4, 3)"),
         (lambda: gs.validate_row_markov(np.ones((2, 3)) / 3), "row Markov matrix must be square"),
         (lambda: gs.EnsembleSpec(kind="independent", matrix=[[2.0, -1.0], [0.0, 1.0]]), "row 0: entry 1 = -1"),
         (lambda: admit_array(np.eye(2), "'a'", float, (1, 3)),
@@ -545,6 +540,9 @@ def test_a_bad_array_argument_is_rejected_by_name_before_allocating(case):
         (lambda: admit_array([1j], "'a'", float, 1), "'a' must be a non-empty 1-D array of real numbers, got [1j]"),
         (lambda: admit_array(None, "'a'", complex, 2), "'a' must be a non-empty 2-D array of complex numbers, got None"),
         (lambda: admit_square(np.ones((1, 2)), "'m'", float), "'m' must be square, got shape (1, 2)"),
+        # a density is priced by uncertainty_deficits, not by the pure-state Gini sum
+        (lambda: gs.gini_sum(np.eye(2) / 2, 2, "single"),
+         "amplitude vector must be a non-empty 1-D array of complex numbers, got a float64 array of shape (2, 2)"),
     ],
 )
 def test_array_admission_messages(call, message):

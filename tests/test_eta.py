@@ -66,17 +66,18 @@ class TestGiniSum:
         assert gini_sum(psi, 2, "local_total") == pytest.approx(3 / 5, abs=1e-12)
 
     def test_pure_and_density_paths_agree(self):
+        # a pure state's deficits from its amplitudes and from its density's diagonals
         rng = np.random.default_rng(0)
-        for mode in MODES:
-            for d in (2, 3):
-                if mode == "single":
-                    dim = d
-                else:
-                    dim = d**d
-                psi = random_complex_unit(rng, dim)
-                s_pure = gini_sum(psi, d, mode)
-                s_dens = gini_sum(pure_density(psi), d, mode)
-                assert s_pure == pytest.approx(s_dens, abs=1e-11)
+        for d in (2, 3, 4):
+            for _ in range(5):
+                psi = random_complex_unit(rng, d**d)
+                deficits = uncertainty_deficits(pure_density(psi))
+                for mode, want in (
+                    ("local_total", deficits.local_total),
+                    ("global_total", deficits.global_total),
+                    ("global_component", deficits.global_components.min()),
+                ):
+                    assert gini_sum_cap(d, mode) - gini_sum(psi, d, mode) == pytest.approx(want, abs=1e-11)
 
     def test_bounded_by_cap(self):
         rng = np.random.default_rng(1)
@@ -90,10 +91,11 @@ class TestGiniSum:
     def test_an_unnormalized_vector_is_rejected_as_its_density_is(self, mode):
         psi = np.zeros(2 if mode == "single" else 4)
         psi[0] = 2.0  # gini_sum read -4.67 and deficit 5.33 against a cap of 0.667 at d = 2, single
-        for state in (psi, pure_density(psi)):
-            for f in (gini_sum, deficit):
-                with pytest.raises(NotNormalizedError):
-                    f(state, 2, mode)
+        for f in (gini_sum, deficit):
+            with pytest.raises(NotNormalizedError):
+                f(psi, 2, mode)
+        with pytest.raises(NotNormalizedError):
+            uncertainty_deficits(pure_density(np.eye(4)[0] * 2.0))
 
     def test_mode_validation(self):
         with pytest.raises(ValidationError):
@@ -240,9 +242,18 @@ def argsort_nelder_mead(fn, x0, max_evals, step=0.1):
     return used
 
 
+def oracle_gini_sum(psi, d, mode):
+    """The mode's Gini sum of a unit vector from public pieces, not through the search's evaluator."""
+    p = np.abs(psi) ** 2
+    p_dual = np.abs(apply_dual(psi, d, _TRANSFORM[mode])) ** 2
+    if mode == "global_component":
+        return float((gini_index(tensor_to_matrix(p)) + gini_index(tensor_to_matrix(p_dual))).max())
+    return gini_index(p) + gini_index(p_dual)
+
+
 def oracle_search(d, mode, budget, seed=0):
-    """(best_sum, evaluations, best_state) of the search through the checked
-    gini_sum and the argsort descent."""
+    """(best_sum, evaluations, best_state) of the search through oracle_gini_sum
+    and the argsort descent."""
     dim = space_dimension(d, _TRANSFORM[mode])
     best = {"sum": -np.inf, "state": None, "evaluations": 0}
 
@@ -253,7 +264,7 @@ def oracle_search(d, mode, budget, seed=0):
         if norm < 1e-12:
             return 1.0
         psi = psi / norm
-        s = gini_sum(psi, d, mode)
+        s = oracle_gini_sum(psi, d, mode)
         if s > best["sum"]:
             best["sum"], best["state"] = s, psi
         return -s
@@ -276,9 +287,9 @@ SEARCH_GRID = (
 
 class TestSearchBitIdentity:
     # the lean objective and the incremental simplex ordering must give the
-    # bits of the checked gini_sum and the argsort descent, on any numpy
+    # bits of the Gini sum from public pieces and the argsort descent, on any numpy
 
-    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11])  # 7 and 11 see a reordered marginal sum that 0 and 1 miss
     @pytest.mark.parametrize("d, mode, budget", SEARCH_GRID)
     def test_matches_oracle(self, d, mode, budget, seed):
         est = estimate_eta(d, mode, budget, seed=seed)
@@ -486,30 +497,15 @@ class TestGiniKernelBits:
 
 
 class TestConvexity:
-    @pytest.mark.parametrize("mode", ["single", "global_total"])
-    def test_mixtures_never_beat_endpoints(self, mode):
+    # a Gini sum is convex in the density, so a mixture's deficit is never
+    # below the smaller deficit of its endpoints: the search may walk pure states
+    @pytest.mark.parametrize("total", ["local_total", "global_total"])
+    def test_mixtures_never_beat_endpoints(self, total):
         rng = np.random.default_rng(6)
-        dim = 2 if mode == "single" else 4
         for _ in range(100):
-            rho1 = pure_density(random_complex_unit(rng, dim))
-            rho2 = pure_density(random_complex_unit(rng, dim))
+            rho1 = pure_density(random_complex_unit(rng, 4))
+            rho2 = pure_density(random_complex_unit(rng, 4))
             lam = float(rng.uniform(0.05, 0.95))
             mixed = lam * rho1 + (1 - lam) * rho2
-            endpoint_best = max(gini_sum(rho1, 2, mode), gini_sum(rho2, 2, mode))
-            assert gini_sum(mixed, 2, mode) <= endpoint_best + 1e-10
-
-
-class TestDeficitsAgreeWithQuantum:
-    """`quantum.uncertainty_deficits` and `eta.deficit` are two routes to the same relation."""
-
-    @pytest.mark.parametrize("rank", [1, 2, 3])
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_totals_and_component_minimum_are_bit_identical(self, d, rank):
-        rng = np.random.default_rng(100 * d + rank)
-        for _ in range(10):
-            weights = rng.dirichlet(np.ones(rank))
-            rho = sum(w * pure_density(random_complex_unit(rng, d**d)) for w in weights)
-            deficits = uncertainty_deficits(rho)
-            assert deficits.local_total == deficit(rho, d, "local_total")
-            assert deficits.global_total == deficit(rho, d, "global_total")
-            assert deficits.global_components.min() == deficit(rho, d, "global_component")
+            endpoint_least = min(getattr(uncertainty_deficits(rho), total) for rho in (rho1, rho2))
+            assert getattr(uncertainty_deficits(mixed), total) >= endpoint_least - 1e-10

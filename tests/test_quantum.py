@@ -12,7 +12,6 @@ from ginisafe import (
     DimensionMismatchError,
     DimensionTooLargeError,
     FunctionMap,
-    IndexOutOfRangeError,
     ValidationError,
     apply_dual,
     basis_state,
@@ -24,7 +23,6 @@ from ginisafe import (
     index_to_tuple,
     local_dimension,
     pure_density,
-    reduced_density,
     scalar_product,
     state_scalar_product,
     state_stats,
@@ -56,6 +54,7 @@ from oracles import (
     kron_chain,
     local_fourier,
     parity_matrix,
+    reduced_density,
 )
 
 
@@ -211,6 +210,8 @@ class TestGlobalFourier:
 # ---------------------------------------------------------------------------
 
 class TestReducedDensity:
+    """The partial-trace oracle that state_stats' Markov rows are checked against."""
+
     def test_product_basis_states(self):
         for images in ((0, 1), (1, 0), (1, 1)):
             rho = pure_density(basis_state(FunctionMap(images)))
@@ -269,11 +270,6 @@ class TestReducedDensity:
                         via_projector = np.real(np.diag(rho))[function_table(d)[:, i] == j].sum()
                         via_reduction = np.trace(red @ elementary_projector(j, d)).real
                         assert via_projector == pytest.approx(via_reduction, abs=1e-12)
-
-    def test_index_error(self):
-        rho = pure_density(basis_state(FunctionMap((0, 1))))
-        with pytest.raises(IndexOutOfRangeError):
-            reduced_density(rho, 2)
 
 
 # ---------------------------------------------------------------------------
