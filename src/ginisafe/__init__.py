@@ -75,15 +75,11 @@ from .quantum import (
     diagonal_probabilities,
     dual_probabilities,
     dual_state,
-    index_product,
-    index_to_tuple,
     local_dimension,
     pure_density,
     random_pure_state,
-    state_scalar_product,
     state_stats,
     tensor_stats,
-    tuple_to_index,
     uncertainty_deficits,
     validate_density_matrix,
 )

@@ -24,7 +24,7 @@ from orjson import loads as _orjson_decode
 
 from . import ensembles, eta, markov, probvec, quantum, reference
 from .errors import ECHO as _ECHO
-from .errors import GiniSafeError, ValidationError, admit_index, admit_int
+from .errors import GiniSafeError, ValidationError, admit_index, admit_int, admit_tol
 
 
 class _UsageError(Exception):
@@ -203,7 +203,8 @@ def _as_state(payload, repair: bool = False) -> np.ndarray:
     if "amplitudes" in payload:
         dim = quantum.check_state_dim(_json_int(payload.get("dim")))
         psi = _complex_pairs(payload["amplitudes"], dim, "amplitudes")
-        norm = np.linalg.norm(psi)
+        with np.errstate(over="ignore"):  # a norm past the double range is inf, rejected below
+            norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-6:
             raise ValidationError(f"amplitudes have norm {norm:.6g}, not 1")
         return quantum.pure_density(psi / norm)
@@ -567,8 +568,6 @@ def _report_section84(a2: float, c2: float, d2: float, e2: float) -> tuple[dict,
     pair, triple = _two_qubit_states(a2, c2, d2, e2)
     want_pair = reference.pair_expected(a2)
     want_triple = reference.triple_expected(c2, d2, e2)
-    # the overlaps are quantum.state_scalar_product of the two states
-    overlap = markov.scalar_product
     rows = [
         ("pair_markov", pair.markov, want_pair["markov"]),
         ("triple_markov", triple.markov, want_triple["markov"]),
@@ -576,9 +575,9 @@ def _report_section84(a2: float, c2: float, d2: float, e2: float) -> tuple[dict,
         ("triple_gini_vector", triple.gini_vector, want_triple["gini_vector"]),
         ("pair_total_gini", pair.total_gini, want_pair["total_gini"]),
         ("triple_total_gini", triple.total_gini, want_triple["total_gini"]),
-        ("pair_self_overlap", overlap(pair.markov, pair.markov), want_pair["self_overlap"]),
-        ("triple_self_overlap", overlap(triple.markov, triple.markov), want_triple["self_overlap"]),
-        ("pair_triple_overlap", overlap(pair.markov, triple.markov),
+        ("pair_self_overlap", markov.scalar_product(pair.markov, pair.markov), want_pair["self_overlap"]),
+        ("triple_self_overlap", markov.scalar_product(triple.markov, triple.markov), want_triple["self_overlap"]),
+        ("pair_triple_overlap", markov.scalar_product(pair.markov, triple.markov),
          reference.pair_triple_overlap(a2, c2, d2, e2)),
     ]
     checks = [_check(name, computed, expected, 1e-12) for name, computed, expected in rows]
@@ -769,9 +768,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        tol = getattr(args, "tol", 0.0)
-        if not 0.0 <= tol < math.inf:  # NaN fails both comparisons
-            raise _UsageError(f"--tol must be a finite number >= 0, got {tol!r}")
+        try:
+            admit_tol(getattr(args, "tol", 0.0), "--tol")
+        except ValidationError as exc:
+            raise _UsageError(exc) from None
         if not math.isfinite(getattr(args, "floor", 0.0)):  # a NaN floor drops every term
             raise _UsageError(f"--floor must be a finite number, got {args.floor!r}")
         with _collector_paused():

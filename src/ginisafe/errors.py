@@ -1,13 +1,14 @@
-"""Exception hierarchy for ginisafe, and the admission rules for integer and array arguments.
+"""Exception hierarchy for ginisafe, and the admission rules for integer, tolerance and array arguments.
 
 Public functions raise these instead of bare ValueError so callers (and the
 CLI) can map failures to exit codes and name the violated invariant.  Every
-count, size, seed and index argument goes through :func:`admit_int`, and every
-array argument through :func:`admit_array`: it converts as ``np.asarray(value,
-dtype=dtype)`` and returns an ndarray of that dtype untouched, and it rejects
-a value with ``<what> must be a non-empty <n>-D array of <real|complex>
-numbers, got <value>``, or a non-square matrix (:func:`admit_square`) with
-``<what> must be square, got shape (r, c)``.
+count, size, seed and index argument goes through :func:`admit_int`, every
+tolerance through :func:`admit_tol`, and every array argument through
+:func:`admit_array`: it converts as ``np.asarray(value, dtype=dtype)`` and
+returns an ndarray of that dtype untouched, and it rejects a value with
+``<what> must be a non-empty <n>-D array of <real|complex> numbers, got
+<value>``, or a non-square matrix (:func:`admit_square`) with ``<what> must
+be square, got shape (r, c)``.
 """
 
 import numbers
@@ -94,6 +95,13 @@ def admit_index(value, what: str, d: int) -> int:
 def _echo_int(value: int) -> str:
     """An int through ECHO, or past 4096 bits, where repr() may fail, by its sign and bit length."""
     return ECHO.repr(value) if value.bit_length() <= 4096 else f"{'-' * (value < 0)}<{value.bit_length()}-bit integer>"
+
+
+def admit_tol(value, what: str = "'tol'") -> float:
+    """The one rule for a tolerance: a real number in [0, 1), as a float; below 1 a passing vector sums to > 0 once clipped."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value < 1.0:  # NaN fails both
+        raise ValidationError(f"{what} must be a finite number >= 0 and < 1, got {ECHO.repr(value)}")
+    return float(value)
 
 
 def admit_array(value, what: str, dtype, ndim) -> np.ndarray:

@@ -51,9 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import MAX_SAMPLES, make_rng, shard_rng
-from .errors import DimensionTooLargeError, GiniSafeError, ValidationError, admit_array, admit_int
+from .errors import DimensionTooLargeError, GiniSafeError, ValidationError, _echo_int, admit_array, admit_int
 from .markov import tensor_to_matrix
-from .probvec import gini_index, validate_prob_vector
+from .probvec import _additive_cap, gini_index, validate_prob_vector
 from .quantum import (
     GLOBAL,
     LOCAL,
@@ -100,8 +100,7 @@ def _admit_search(d: int, mode: str) -> tuple[int, int]:
 def gini_sum_cap(d: int, mode: str) -> float:
     """The additive cap 2 (D - 1)/(D + 1) for the mode's Gini sum."""
     d, dim = _admit_search(d, mode)
-    D = d if mode == MODE_GLOBAL_COMPONENT else dim
-    return 2.0 * (D - 1) / (D + 1)
+    return _additive_cap(d if mode == MODE_GLOBAL_COMPONENT else dim)
 
 
 def _pure_gini_sum(d: int, mode: str):
@@ -264,6 +263,7 @@ def estimate_eta(d: int, mode: str, budget: int, seed: int = 0) -> EtaEstimate:
     """
     d, dim = _admit_search(d, mode)
     budget = admit_int(budget, "budget", 1)
+    admit_int(budget, "budget", 1, MAX_SAMPLES // dim)  # budget * dim <= MAX_SAMPLES, as deficit_sweep caps n
     seed = admit_int(seed, "seed", 0)
     cap = gini_sum_cap(d, mode)
     evaluate = _pure_gini_sum(d, mode)
@@ -317,7 +317,7 @@ def deficit_sweep(d: int, mode: str, n: int, seed: int = 0) -> float:
     d, dim = _admit_search(d, mode)
     n = admit_int(n, "sample count", 1)
     if n * dim > MAX_SAMPLES:
-        raise DimensionTooLargeError(f"sample count {n}: states of dimension {dim} exceed {MAX_SAMPLES} amplitudes")
+        raise DimensionTooLargeError(f"sample count {_echo_int(n)}: states of dimension {dim} exceed {MAX_SAMPLES} amplitudes")
     cap = gini_sum_cap(d, mode)
     evaluate = _pure_gini_sum(d, mode)
     rng = make_rng(seed)

@@ -34,6 +34,7 @@ from .errors import (
     admit_index,
     admit_int,
     admit_square,
+    admit_tol,
 )
 from .probvec import DEFAULT_TOL, _failing, _failure, _renormalized, gini_index, validate_prob_vector
 
@@ -105,9 +106,6 @@ class FunctionMap:
         d = admit_code_d(d)
         return cls(tuple(decode(admit_index(code, "code", d**d), d)))
 
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
     def is_permutation(self) -> bool:
         return len(set(self.images)) == self.d
 
@@ -133,6 +131,7 @@ def validate_row_markov(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     All rows are checked at once by the rule of :func:`probvec.validate_prob_vector`;
     the first that fails raises that rule's error, prefixed ``row i: ``.
     """
+    tol = admit_tol(tol)
     # C order, so that each row sums in the order of a 1-D row: an F-order sum along axis 1 rounds differently
     q = np.ascontiguousarray(admit_square(matrix, "row Markov matrix", float))
     failing = np.flatnonzero(_failing(q, tol))
@@ -238,6 +237,7 @@ def scalar_product_via_tensors(
     matrix scalar product; pass ``verify_product_form=True`` to check the
     assumption (costs a d**d scan per tensor).
     """
+    tol = admit_tol(tol)
     tq = admit_array(tq, "'tq'", float, 1)
     tp = admit_array(tp, "'tp'", float, 1)
     if tq.shape != tp.shape:

@@ -22,6 +22,7 @@ from .errors import (
     ValidationError,
     admit_array,
     admit_int,
+    admit_tol,
 )
 
 #: Default tolerance for validating file-sourced probabilities.
@@ -50,8 +51,9 @@ def validate_prob_vector(raw, tol: float = DEFAULT_TOL) -> np.ndarray:
         NegativeEntryError: some entry is below ``-tol``.
         NotNormalizedError: entries do not sum to 1 within ``tol`` (or an
             entry exceeds ``1 + tol``).
-        ValidationError: input is no array :func:`errors.admit_array` admits, or not finite.
+        ValidationError: input is no array :func:`errors.admit_array` admits, or not finite, or ``tol`` is not in [0, 1).
     """
+    tol = admit_tol(tol)
     x = admit_array(raw, "probability vector", float, 1)
     if _failing(x, tol):
         raise _failure(x, tol)
@@ -125,6 +127,11 @@ def _gini_weights(d: int) -> tuple[np.ndarray, float]:
     weights = np.arange(d, 0, -1, dtype=float)
     weights.setflags(write=False)
     return weights, 2.0 / (d + 1)
+
+
+def _additive_cap(n: int) -> float:
+    """2 (n - 1)/(n + 1), twice the largest Gini index of n entries: the cap on an index plus its dual."""
+    return 2.0 * (n - 1) / (n + 1)
 
 
 def gini_mean_abs_diff(x) -> float:

@@ -3,9 +3,8 @@
 A d-partite system of qudits lives on a d**d-dimensional space.  Basis
 ordering is fixed once for the whole package: the basis ket labelled by the
 tuple (j_0, ..., j_{d-1}) sits at flat index ``j_0 + j_1 d + ... +
-j_{d-1} d^{d-1}``; component 0 is the least significant digit.  This is the
-same little-endian encoding used for opening-sequence codes, and the codec
-of :mod:`ginisafe.markov` serves both the classical and the quantum side.
+j_{d-1} d^{d-1}``; component 0 is the least significant digit: the code of
+the map i -> j_i in the package's one codec, that of :mod:`ginisafe.markov`.
 
 Every state (density, amplitude vector, dual, searched pure state, basis
 ket) has one cap, dimension 5**5 = 3125 or ``MAX_COMPONENTS`` = 5 components,
@@ -17,8 +16,7 @@ Two inequivalent Fourier transforms act on that space:
 * the local transform ``F_L = F tensor ... tensor F`` (one single-qudit DFT
   per component), and
 * the global transform ``F_G``, the plain DFT of size d**d applied to the
-  flat index; products of indices are reduced mod d**d with exact integer
-  arithmetic before any phase is formed, never in floating point.
+  flat index.
 
 ``F_L**2`` is the componentwise parity permutation (j_i -> -j_i mod d), while
 ``F_G**2`` is the flat parity permutation (m -> -m mod d**d).  These two
@@ -29,7 +27,8 @@ squares.  Both transforms are unitary with fourth power 1.
 Statistics of a state rho: measuring component i in the computational basis
 gives a row Markov matrix q(i, j); measuring all components jointly gives a
 Markov tensor over opening-sequence codes.  "Dual" statistics are the plain
-statistics of F† rho F for the chosen transform.
+statistics of F† rho F for the chosen transform.  The overlap (q_rho, q_sigma)
+of two states is :func:`markov.scalar_product` of their ``StateStats.markov``.
 
 Every dual goes through :func:`apply_dual`, which applies F† without forming
 a d**d x d**d matrix: an FFT for F_G, and d passes of the d x d single-qudit
@@ -62,18 +61,13 @@ from .errors import (
 )
 from .markov import (
     FunctionMap,
-    admit_code_d,
-    code_count,
-    decode,
-    encode,
     local_gini_vector,
     product_probabilities,
-    scalar_product,
     tensor_dimension,
     tensor_to_matrix,
     total_gini,
 )
-from .probvec import validate_prob_vector
+from .probvec import _additive_cap, validate_prob_vector
 
 #: Largest number of qudit components: every state has dimension at most 5**5 = 3125.
 MAX_COMPONENTS = 5
@@ -98,7 +92,7 @@ GLOBAL = "global"
 
 
 # ---------------------------------------------------------------------------
-# State cap and index codec
+# State cap
 # ---------------------------------------------------------------------------
 
 def check_state_dim(dim: int) -> int:
@@ -109,30 +103,6 @@ def check_state_dim(dim: int) -> int:
 def local_dimension(dim: int) -> int:
     """Invert dim = d**d under the state cap; the per-component dimension."""
     return tensor_dimension(check_state_dim(dim))
-
-
-def tuple_to_index(components, d: int) -> int:
-    """Flat index of a component tuple: the code of the digits j_i mod d."""
-    d = admit_int(d, "'d'", 1)
-    comps = tuple(admit_int(v, f"component {i}", None) % d for i, v in enumerate(components))
-    if len(comps) != d:
-        raise DimensionMismatchError(f"expected {d} components, got {len(comps)}")
-    return encode(comps, d)
-
-
-def index_to_tuple(index: int, d: int) -> tuple[int, ...]:
-    """Component tuple of a flat index (little-endian base-d digits)."""
-    d = admit_code_d(d)
-    return tuple(decode(admit_int(index, "index", None) % d**d, d))
-
-
-def index_product(j_components, k_components, d: int) -> int:
-    """The product of two flat indices, reduced mod d**d exactly.
-
-    This is integer arithmetic on the encoded indices; it is *not* the
-    componentwise product (the two rings are not isomorphic).
-    """
-    return (tuple_to_index(j_components, d) * tuple_to_index(k_components, d)) % code_count(d)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +301,7 @@ def state_stats(rho) -> StateStats:
     component i.  Joint statistics are blind to off-diagonal elements of rho
     (only duals under the global transform can see those).
     """
-    return tensor_stats(diagonal_probabilities(_admit_density(rho)[0]))
+    return tensor_stats(_diagonal(_admit_density(rho)[0]))
 
 
 def tensor_stats(tensor: np.ndarray) -> StateStats:
@@ -352,7 +322,11 @@ def tensor_stats(tensor: np.ndarray) -> StateStats:
 
 def diagonal_probabilities(rho) -> np.ndarray:
     """The computational-basis probabilities of a density, validated at PROBABILITY_TOL."""
-    rho = admit_square(rho, "density matrix", complex)
+    return _diagonal(admit_square(rho, "density matrix", complex))
+
+
+def _diagonal(rho: np.ndarray) -> np.ndarray:
+    """:func:`diagonal_probabilities` of an admitted density."""
     return validate_prob_vector(np.real(np.diag(rho)), PROBABILITY_TOL)
 
 
@@ -445,19 +419,6 @@ def _local_diagonal(rho: np.ndarray, d: int) -> np.ndarray:
     return x.real.ravel()
 
 
-def state_scalar_product(rho, sigma) -> float:
-    """Scalar product of the Markov matrices of two states.
-
-    The probability that componentwise measurements on one system from each
-    ensemble agree everywhere.  Basis kets give (q_f, q_g) = delta(f, g).
-    """
-    rho = admit_square(rho, "'rho'", complex)
-    sigma = admit_square(sigma, "'sigma'", complex)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatchError(f"state dimensions {rho.shape[0]} and {sigma.shape[0]} differ")
-    return scalar_product(*(tensor_to_matrix(diagonal_probabilities(s)) for s in (rho, sigma)))
-
-
 @dataclass(frozen=True, eq=False)
 class UncertaintyDeficits:
     """Gini uncertainty deficits of a state under local and global duals.
@@ -480,10 +441,8 @@ def uncertainty_deficits(rho) -> UncertaintyDeficits:
     (:func:`dual_probabilities`).  No dual state and no product tensor is formed.
     """
     rho, d = _admit_density(rho, LOCAL)  # the d of the global transform too
-    dim = d**d
-    cap_comp = 2.0 * (d - 1) / (d + 1)
-    cap_total = 2.0 * (dim - 1) / (dim + 1)
-    p = validate_prob_vector(np.real(np.diag(rho)), PROBABILITY_TOL)  # diagonal_probabilities without a second admission
+    cap_comp, cap_total = _additive_cap(d), _additive_cap(d**d)
+    p = _diagonal(rho)
     plain_components, plain_total = local_gini_vector(tensor_to_matrix(p)), total_gini(p)
     loc = _dual_probabilities(rho, d, LOCAL)
     glo = _dual_probabilities(rho, d, GLOBAL)

@@ -30,10 +30,10 @@ from ginisafe.errors import (
     admit_index,
     admit_int,
     admit_square,
+    admit_tol,
 )
 
 SPEC = gs.EnsembleSpec.independent([[0.5, 0.5, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]])
-RHO = np.eye(4) / 4
 PSI = np.array([1.0, 0.0], dtype=complex)
 
 # a bad value may allocate no more than this before it is rejected
@@ -78,7 +78,8 @@ SLOTS = [
          lambda v: gs.collision_probability_mc(SPEC, SPEC, v, gs.make_rng(0)),
          "sample count", 1, ensembles.MAX_SAMPLES, (1, 40)),
     Slot("estimate_eta.d", lambda v: gs.estimate_eta(v, "single", 5), "'d'", 2, 5**5, (2, 3)),
-    Slot("estimate_eta.budget", lambda v: gs.estimate_eta(2, "single", v), "budget", 1, None, (1, 9)),
+    Slot("estimate_eta.budget", lambda v: gs.estimate_eta(2, "single", v), "budget", 1,
+         ensembles.MAX_SAMPLES // 2, (1, 9)),
     Slot("estimate_eta.seed", lambda v: gs.estimate_eta(2, "single", 5, seed=v), "seed", 0, None, (0, 4)),
     Slot("deficit_sweep.d", lambda v: gs.deficit_sweep(v, "single", 5), "'d'", 2, 5**5, (2, 3)),
     Slot("deficit_sweep.n", lambda v: gs.deficit_sweep(2, "single", v), "sample count", 1,
@@ -96,12 +97,6 @@ SLOTS = [
     Slot("tensor_dimension.size", gs.tensor_dimension, "array size", 1, None, (1, 4, 27)),
     Slot("uniform_vector.d", gs.uniform_vector, "'d'", 1, None, (1, 3)),
     Slot("apply_dual.d", lambda v: gs.apply_dual(np.ones(4), v, "global"), "'d'", 2, 5, (2,)),
-    Slot("tuple_to_index.components", lambda v: gs.tuple_to_index((v, 1), 2), "component 0",
-         None, None, (-3, 0, 1, 6)),
-    Slot("tuple_to_index.d", lambda v: gs.tuple_to_index((0, 1), v), "'d'", 1, None, (2,)),
-    Slot("index_product.d", lambda v: gs.index_product((1, 1), (0, 1), v), "'d'", 1, None, (2,)),
-    Slot("index_to_tuple.index", lambda v: gs.index_to_tuple(v, 2), "index", None, None, (-1, 0, 3, 9)),
-    Slot("index_to_tuple.d", lambda v: gs.index_to_tuple(1, v), "'d'", 1, 6, (1, 3)),
     Slot("local_dimension.dim", gs.local_dimension, "state 'dim'", 1, 5**5, (1, 4, 27)),
     Slot("quantum.check_state_dim.dim", quantum.check_state_dim, "state 'dim'", 1, 5**5, (1, 7)),
     Slot("quantum.space_dimension.d", lambda v: quantum.space_dimension(v, "local"), "'d'", 2, 5, (2, 4)),
@@ -113,9 +108,9 @@ SLOTS = [
 SLOT = {slot.name: slot for slot in SLOTS}
 
 # the parameter names of the public API that take an integer
-_INTEGER_PARAMETERS = {"d", "n", "dim", "seed", "shard", "budget", "size", "index"}
-# integers inside a sequence argument: the digits of a component tuple, the images of a map
-_ELEMENT_SLOTS = {"tuple_to_index.components", "FunctionMap.images"}
+_INTEGER_PARAMETERS = {"d", "n", "dim", "seed", "shard", "budget", "size"}
+# integers inside a sequence argument: the images of a map
+_ELEMENT_SLOTS = {"FunctionMap.images"}
 
 
 def test_every_integer_argument_of_the_public_api_has_a_slot():
@@ -231,6 +226,7 @@ BAD_CASES = st.sampled_from(SLOTS).flatmap(lambda s: st.tuples(st.just(s), _bad_
 @example(case=(SLOT["uniform_vector.d"], -10**5000))
 @example(case=(SLOT["FunctionMap.from_code.code"], 10**5000))
 @example(case=(SLOT["quantum.check_state_dim.dim"], 10**5000))
+@example(case=(SLOT["deficit_sweep.n"], 10**5000))
 # a state past the one state cap, which random_pure_state drew
 @example(case=(SLOT["random_pure_state.dim"], 5**5 + 1))
 def test_a_bad_integer_argument_is_rejected_by_name_before_allocating(case):
@@ -293,7 +289,6 @@ def test_a_numpy_integer_gives_the_result_of_the_equal_int(slot):
 def test_a_numpy_d_decodes_as_its_int(kind):
     # int16: 6**5 overflows the dtype; uint64: numpy 1.x makes its digits floats
     assert gs.FunctionMap.from_code(46655, kind(6)).images == (5,) * 6
-    assert gs.index_to_tuple(46655, kind(6)) == (5,) * 6
     assert np.array_equal(gs.function_table(kind(6)), gs.function_table(6))
 
 
@@ -396,8 +391,6 @@ ARRAY_SLOTS = [
     ArraySlot("dual_probabilities.rho", lambda v: gs.dual_probabilities(v, "global"), "density matrix",
               complex, (2,)),
     ArraySlot("dual_state.rho", lambda v: gs.dual_state(v, "local"), "density matrix", complex, (2,)),
-    ArraySlot("state_scalar_product.rho", lambda v: gs.state_scalar_product(v, RHO), "'rho'", complex, (2,)),
-    ArraySlot("state_scalar_product.sigma", lambda v: gs.state_scalar_product(RHO, v), "'sigma'", complex, (2,)),
     ArraySlot("uncertainty_deficits.rho", gs.uncertainty_deficits, "density matrix", complex, (2,)),
     ArraySlot("gini_sum.state", lambda v: gs.gini_sum(v, 2, "single"), "amplitude vector", complex, (1,)),
     ArraySlot("deficit.state", lambda v: gs.deficit(v, 2, "local_total"), "amplitude vector", complex, (1,)),
@@ -405,8 +398,7 @@ ARRAY_SLOTS = [
 ARRAY_SLOT = {slot.name: slot for slot in ARRAY_SLOTS}
 
 # the parameter names of the public API that take an array
-_ARRAY_PARAMETERS = {"x", "y", "q", "p", "t", "tq", "tp", "raw", "matrix", "tensor", "rho", "sigma", "psi",
-                     "state"}
+_ARRAY_PARAMETERS = {"x", "y", "q", "p", "t", "tq", "tp", "raw", "matrix", "tensor", "rho", "psi", "state"}
 
 
 def _public_signatures():
@@ -593,3 +585,32 @@ def test_the_rule_converts_as_asarray_does(value, dtype):
     want = np.asarray(value, dtype=dtype)
     got = admit_array(value, "v", dtype, want.ndim)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Tolerances
+# ---------------------------------------------------------------------------
+
+# Every tolerance argument of the library, with data that no tolerance below 1 admits:
+# each call raised nothing, or a RuntimeWarning from a division by 0, before the rule.
+TOLERANCE_SLOTS = {
+    "validate_prob_vector": lambda tol: gs.validate_prob_vector([5, -7], tol),
+    "validate_row_markov": lambda tol: gs.validate_row_markov([[0, 0], [0.5, 0.5]], tol),
+    "validate_markov_tensor": lambda tol: gs.validate_markov_tensor([0.0] * 4, tol),
+    "EnsembleSpec": lambda tol: gs.EnsembleSpec("independent", matrix=[[0, 0], [0.5, 0.5]], tol=tol),
+    "scalar_product_via_tensors": lambda tol: gs.scalar_product_via_tensors([0.25] * 4, [0.25] * 4, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-9, 1, 1.0, 2.5, 1e308, True, "1e-9", None, 0.5j],
+                         ids=repr)
+@pytest.mark.parametrize("slot", sorted(TOLERANCE_SLOTS))
+def test_a_tolerance_outside_0_to_1_is_rejected(slot, tol):
+    with pytest.raises(ValidationError, match=r"^'tol' must be a finite number >= 0 and < 1, got "):
+        TOLERANCE_SLOTS[slot](tol)
+
+
+@pytest.mark.parametrize("tol", [0, 0.0, -0.0, 1e-9, np.float64(0.5), np.float32(0.5), 0.999])
+def test_a_tolerance_in_0_to_1_is_admitted_as_its_float(tol):
+    assert type(admit_tol(tol)) is float and admit_tol(tol) == tol
+    assert gs.validate_prob_vector([0.25, 0.75], tol).tolist() == [0.25, 0.75]

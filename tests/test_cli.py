@@ -62,9 +62,10 @@ class TestExitCodes:
         assert code == 2
         assert "2" in err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "1", "1e308"])
     def test_tolerance_must_be_finite_and_non_negative(self, capsys, tol):
-        # a NaN or infinite tolerance admits any vector and renormalises it
+        # a NaN or infinite tolerance admits any vector and renormalises it; from 1 on,
+        # an all-zero row passes and is divided by its sum of 0
         code, out, err = run_cli(capsys, "gini", "--vector", "[0.5,0.5]", f"--tol={tol}")
         assert (code, out) == (2, "")
         assert err.startswith("usage error: --tol must be a finite number >= 0")
@@ -822,6 +823,12 @@ class TestStateAdmission:
         code, out, err = run_cli(capsys, "quantum-stats", "--state", json.dumps(state))
         assert (code, out) == (1, "")
         assert err.startswith("error:") and needle in err, err
+
+    def test_amplitudes_whose_norm_overflows_give_one_error_line(self, capsys):
+        # numpy's overflow RuntimeWarning was printed before the error line
+        state = {"dim": 2, "amplitudes": [[1e160, 0], [1e160, 0]]}
+        code, out, err = run_cli(capsys, "quantum-stats", "--state", json.dumps(state))
+        assert (code, out, err) == (1, "", "error: amplitudes have norm inf, not 1\n")
 
     @pytest.fixture
     def no_large_densities(self, monkeypatch):

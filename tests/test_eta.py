@@ -182,6 +182,21 @@ class TestEstimateEta:
         assert est.evaluations == 40
         assert est.best_sum == estimate_eta(2, "single", budget=40, seed=1).best_sum
 
+    @pytest.mark.parametrize("d, mode", [(5, "local_total"), (5, "global_component")])
+    def test_admits_the_budget_against_the_amplitude_cap(self, d, mode):
+        # the budget was uncapped: a budget of 3201 at d = 5 ran, with a peak of 188 MB,
+        # and one of 2**63 never returned
+        dim = space_dimension(d, _TRANSFORM[mode])
+        tracemalloc.start()
+        try:
+            for budget in (MAX_SAMPLES // dim + 1, 2**63):
+                with pytest.raises(DimensionTooLargeError, match=rf"^budget = {budget} outside \[1, {MAX_SAMPLES // dim}\]$"):
+                    estimate_eta(d, mode, budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 def argsort_nelder_mead(fn, x0, max_evals, step=0.1):
     """The simplex descent that re-sorts every step with a stable argsort: the oracle."""

@@ -1,9 +1,10 @@
-"""Every verb under hostile argv: exit 0, 1 or 2 and never a traceback.
+"""Every verb under hostile argv: exit 0, 1 or 2, and never a traceback or a warning.
 
 All argv run in one long-lived CLI process whose address space is capped at
 3 GiB (``RLIMIT_AS``) with one BLAS thread, so an allocation sized by the
 payload before its size is checked ends in a ``MemoryError`` traceback here
-instead of exhausting the machine.
+instead of exhausting the machine.  That process prints every warning, not
+only the first from each line of code, so each argv shows its own.
 """
 
 import json
@@ -21,7 +22,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ADDRESS_SPACE = 3 * 2**30
 
 SERVER = f"""
-import contextlib, io, json, resource, sys, traceback
+import contextlib, io, json, resource, sys, traceback, warnings
+warnings.simplefilter("always")
 _, hard = resource.getrlimit(resource.RLIMIT_AS)
 cap = {ADDRESS_SPACE} if hard == resource.RLIM_INFINITY else min({ADDRESS_SPACE}, hard)
 resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
@@ -64,6 +66,7 @@ def run_cli():
 def assert_clean_exit(run_cli, argv):
     code, err = run_cli(argv)
     assert code in (0, 1, 2) and "Traceback" not in err, (argv, err[-2000:])
+    assert "Warning:" not in err, (argv, err[-2000:])
     return code, err
 
 
@@ -75,8 +78,9 @@ def ensemble(d):
 # d**d-sized tensors and int64 codes for ensembles past the code cap, an
 # unchecked `--n`, a NaN or infinite tolerance that admits any vector, negative
 # seeds, JSON that the payload decoder refuses (a number past the double range,
-# nesting past cli.MAX_JSON_DEPTH), an --out path that cannot be written, and
-# a numeric string read as the number it spells.
+# nesting past cli.MAX_JSON_DEPTH), an --out path that cannot be written,
+# a numeric string read as the number it spells, a tolerance of 1 that admits an
+# all-zero row, an amplitude norm that overflows and an uncapped search budget.
 PINNED = {
     "eta-huge-d": ["eta", "--d", "100000"],
     "eta-single-past-state-cap": ["eta", "--d", "4000", "--budget", "1"],
@@ -100,6 +104,11 @@ PINNED = {
     "quantum-stats-numeric-strings": ["quantum-stats", "--state", '{"dim":1,"entries":[["1","0"]]}'],
     "correlations-numeric-string-weight": ["correlations", "--tensor", '{"d":1,"terms":[{"code":0,"weight":"1"}]}'],
     "expand-numeric-string": ["expand", "--matrix", '[["1"]]'],
+    "validate-tol-one": ["validate", "--vector", "[0,0]", "--tol", "1"],
+    "collision-tol-one": ["collision", "--ensemble", '{"kind":"independent","matrix":[[0,0],[0.5,0.5]]}',
+                          "--ensemble", ensemble(2), "--tol", "1", "--n", "10"],
+    "quantum-stats-overflowing-norm": ["quantum-stats", "--state", '{"dim":2,"amplitudes":[[1e160,0],[1e160,0]]}'],
+    "eta-huge-budget": ["eta", "--d", "2", "--budget", "9223372036854775808"],
 }
 
 
@@ -229,7 +238,7 @@ COMMON = {
     "--seed": pick(["0", "3", "18446744073709551615"], ["-1", "1.5", "99999999999999999999"]),
     "--format": pick(["json", "csv"], ["xml"]),
 }
-TOL = {"--tol": pick(["0", "1e-12", "1e-9", "0.5", "1e308"], ["nan", "inf", "-inf", "-1", "x"])}
+TOL = {"--tol": pick(["0", "1e-12", "1e-9", "0.5"], ["nan", "inf", "-inf", "-1", "1", "1e308", "x"])}
 FLOOR = {"--floor": pick(["0", "1e-9", "0.1"], ["nan", "-inf", "inf", "-1"])}
 # 40000 draws span three chunks of the ensemble sampler
 SAMPLES = {"--n": pick(["1", "50", "2000", "40000"], ["-1", "0", "10000001", "100000000000", "1e11", "x"])}

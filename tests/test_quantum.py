@@ -19,19 +19,16 @@ from ginisafe import (
     dual_probabilities,
     dual_state,
     function_table,
-    index_product,
-    index_to_tuple,
     local_dimension,
     pure_density,
     scalar_product,
-    state_scalar_product,
     state_stats,
-    tuple_to_index,
     uncertainty_deficits,
     validate_density_matrix,
 )
 from ginisafe import quantum
 from ginisafe.errors import admit_square
+from ginisafe.markov import code_count
 from ginisafe.quantum import MAX_COMPONENTS
 from ginisafe.reference import (
     TRIPARTITE_DUAL_GINI_VECTOR,
@@ -78,21 +75,18 @@ def random_amplitude_settings(rng):
 
 class TestIndexCodec:
     def test_examples(self):
-        assert tuple_to_index((2, 1, 2), 3) == 23
-        assert tuple_to_index((1, 1, 0), 3) == 4
-        assert index_product((2, 1, 2), (1, 1, 0), 3) == 11
+        assert FunctionMap((2, 1, 2)).code == 23
+        assert FunctionMap((1, 1, 0)).code == 4
+        assert (23 * 4) % code_count(3) == 11
 
     def test_roundtrip(self):
         for d in (2, 3):
             for m in range(d**d):
-                assert tuple_to_index(index_to_tuple(m, d), d) == m
-
-    def test_components_reduced_mod_d(self):
-        assert tuple_to_index((4, 1, 5), 3) == tuple_to_index((1, 1, 2), 3)
+                assert FunctionMap.from_code(m, d).code == m
 
     def test_sum_wraps_mod_dimension(self):
-        # 23 + 4 = 27 reduces to 0 in the 27-element ring
-        assert (tuple_to_index((2, 1, 2), 3) + tuple_to_index((1, 1, 0), 3)) % 27 == 0
+        # 23 + 4 = 27 reduces to 0 in the 27-element ring of codes
+        assert (FunctionMap((2, 1, 2)).code + FunctionMap((1, 1, 0)).code) % code_count(3) == 0
 
     def test_local_dimension(self):
         assert local_dimension(4) == 2
@@ -102,10 +96,10 @@ class TestIndexCodec:
             local_dimension(8)
 
     def test_codec_matches_function_codes(self):
+        # the ket |f(0), ..., f(d-1)> sits at the flat index of f's code
         for d in (2, 3):
             for code in range(d**d):
-                f = FunctionMap.from_code(code, d)
-                assert tuple_to_index(f.images, d) == code
+                assert np.flatnonzero(basis_state(FunctionMap.from_code(code, d))).tolist() == [code]
 
 
 # ---------------------------------------------------------------------------
@@ -553,19 +547,12 @@ class TestDualProbabilities:
             assert getattr(got, f"{mode}_total") == pytest.approx(total, rel=0, abs=1e-12)
 
 
+def state_scalar_product(rho, sigma) -> float:
+    """The overlap (q_rho, q_sigma): the scalar product of the two states' Markov matrices."""
+    return scalar_product(state_stats(rho).markov, state_stats(sigma).markov)
+
+
 class TestStateScalarProduct:
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_is_the_scalar_product_of_the_state_stats_matrices_bit_for_bit(self, d, monkeypatch):
-        rng = np.random.default_rng(40 + d)
-        rho, sigma = random_density(rng, d**d, 2), random_density(rng, d**d, 3)
-        want = scalar_product(state_stats(rho).markov, state_stats(sigma).markov)
-
-        def unused(*args):
-            raise AssertionError("state_scalar_product built a product tensor")
-
-        monkeypatch.setattr(quantum, "product_probabilities", unused)
-        assert state_scalar_product(rho, sigma) == want
-
     def test_basis_states_orthonormal(self):
         for d in (2, 3):
             for f_code in range(min(d**d, 6)):
