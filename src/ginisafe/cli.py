@@ -2,6 +2,11 @@
 
 Every output opens with the verb and the seed, and identical argv produce
 byte-identical output.  Exit codes: 0 success, 1 validation error, 2 usage error.
+
+`main` can run many verbs in one process.  The objects that `_read` last
+admitted are kept, read-only, so a verb that reads the same payload bytes
+under the same admission option as the verb before it decodes and validates
+nothing.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import contextlib
 import dataclasses
 import functools
 import gc
+import hashlib
 import itertools
 import math
 import os
@@ -222,32 +228,69 @@ def _as_state(payload, repair: bool = False) -> np.ndarray:
     raise ValidationError("state payload needs 'entries', 'amplitudes' or 'images'")
 
 
-# One admission rule per payload kind: a decoded payload and the parsed
-# options in, the object a handler takes out.  Each lambda looks its functions
-# up when called, so rebinding a module attribute (as a tracer does) holds.
+# One admission rule per payload kind: the one option it reads, and a
+# function of a decoded payload and that option's value that returns the
+# object a handler takes.  Each lambda looks its functions up when called, so
+# rebinding a module attribute (as a tracer does) holds.
 _ADMIT = {
-    "vector": lambda payload, args: probvec.validate_prob_vector(_field(payload, "vector"), args.tol),
-    "matrix": lambda payload, args: markov.validate_row_markov(_field(payload, "matrix"), args.tol),
-    "tensor": lambda payload, args: markov.validate_markov_tensor(_as_tensor(payload), args.tol),
-    "ensemble": lambda payload, args: _as_ensemble(payload, args.tol),
-    "state": lambda payload, args: _as_state(payload, repair=args.repair),
+    "vector": ("tol", lambda payload, tol: probvec.validate_prob_vector(_field(payload, "vector"), tol)),
+    "matrix": ("tol", lambda payload, tol: markov.validate_row_markov(_field(payload, "matrix"), tol)),
+    "tensor": ("tol", lambda payload, tol: markov.validate_markov_tensor(_as_tensor(payload), tol)),
+    "ensemble": ("tol", lambda payload, tol: _as_ensemble(payload, tol)),
+    "state": ("repair", lambda payload, repair: _as_state(payload, repair=repair)),
 }
 
+# The last successful read: its key and the read-only objects it admitted.
+_memo = None
 
-def _read(args, kind: str, count: int) -> list:
+
+def _digest(texts) -> bytes:
+    """The sha256 of the payload texts, each prefixed by its length; a str counts as its UTF-8 bytes."""
+    h = hashlib.sha256()
+    for text in texts:
+        data = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
+    return h.digest()
+
+
+def _freeze(obj) -> None:
+    """Make every array of an admitted object read-only: the object itself, or a dataclass's fields."""
+    values = [getattr(obj, f.name) for f in dataclasses.fields(obj)] if dataclasses.is_dataclass(obj) else [obj]
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+
+
+def _read(args, kind: str, count: int) -> tuple:
     """The `count` objects of `kind` from repeated --<kind> flags or from --input, never both.
 
-    Every payload is decoded before the first is admitted by `_ADMIT`.
+    Every payload is decoded before the first is admitted by `_ADMIT`.  The
+    objects of the last successful read are kept, read-only, under a key: the
+    kind, the count, the route (inline or --input), the sha256 of the payload
+    texts (the --input text after its line-end normalisation) and the option
+    the kind's rule reads.  A read with the same key returns them without
+    decoding or admitting anything; any other read drops them before it
+    decodes, so at most one read's objects are kept.
     """
+    global _memo
     raw = getattr(args, kind) or []
-    if not args.input:
-        payloads = [_parse_json(text) for text in raw]
-    elif raw:
+    if args.input and raw:
         raise _UsageError(f"--{kind} and --input were both given; pass the payloads one way")
+    texts = [_read_input(args.input)] if args.input else raw
+    option, admit = _ADMIT[kind]
+    value = getattr(args, option)
+    key = (kind, count, bool(args.input), _digest(texts), value)
+    kept = _memo  # read once: a caller's other thread may rebind it
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    kept = _memo = None  # the kept objects go before this read's payloads are decoded
+    if not args.input:
+        payloads = [_parse_json(text) for text in texts]
     elif count == 1:
-        payloads = [_parse_json(_read_input(args.input))]
+        payloads = [_parse_json(texts.pop())]  # the file's text goes once decoded
     else:
-        payloads = _parse_json(_read_input(args.input))
+        payloads = _parse_json(texts.pop())
         # every valid payload is a sequence or object, never a bare number
         if (
             not isinstance(payloads, list)
@@ -257,8 +300,11 @@ def _read(args, kind: str, count: int) -> list:
             raise _UsageError(f"--input file must hold a list of {count} payloads for this command")
     if len(payloads) != count:
         raise _UsageError(f"expected {count} --{kind} payload(s) (or --input), got {len(payloads)}")
-    admit = _ADMIT[kind]
-    return [admit(payload, args) for payload in payloads]
+    objects = tuple(admit(payload, value) for payload in payloads)
+    for obj in objects:
+        _freeze(obj)
+    _memo = (key, objects)
+    return objects
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def admit_tol(value, what: str = "'tol'") -> float:
     """The one rule for a tolerance: a real number in [0, 1), as a float; below 1 a passing vector sums to > 0 once clipped."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value < 1.0:  # NaN fails both
         raise ValidationError(f"{what} must be a finite number >= 0 and < 1, got {ECHO.repr(value)}")
-    return float(value)
+    return float(value) + 0.0  # -0.0 admits as 0.0, so no message echoes a signed zero
 
 
 def admit_array(value, what: str, dtype, ndim) -> np.ndarray:

@@ -1,8 +1,22 @@
-"""Shared generators for randomized tests (all seeded, all deterministic)."""
+"""Shared generators for randomized tests (all seeded, all deterministic), and the memo reset."""
 
 import itertools
 
 import numpy as np
+import pytest
+
+from ginisafe import cli
+
+
+@pytest.fixture(autouse=True)
+def empty_read_memo():
+    """Start every test with no objects kept by `cli._read`.
+
+    A read that matches the one before it skips the decoder and the
+    validators, so an entry left by an earlier test would skip a patched one.
+    The memo's own tests warm it themselves.
+    """
+    cli._memo = None
 
 
 def random_prob_vector(rng, d):

@@ -613,4 +613,5 @@ def test_a_tolerance_outside_0_to_1_is_rejected(slot, tol):
 @pytest.mark.parametrize("tol", [0, 0.0, -0.0, 1e-9, np.float64(0.5), np.float32(0.5), 0.999])
 def test_a_tolerance_in_0_to_1_is_admitted_as_its_float(tol):
     assert type(admit_tol(tol)) is float and admit_tol(tol) == tol
+    assert not np.signbit(admit_tol(tol))  # -0.0 admits as 0.0
     assert gs.validate_prob_vector([0.25, 0.75], tol).tolist() == [0.25, 0.75]

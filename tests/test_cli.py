@@ -70,6 +70,11 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("usage error: --tol must be a finite number >= 0")
 
+    @pytest.mark.parametrize("tol", ["-0", "0"])
+    def test_a_zero_tolerance_is_echoed_without_a_sign(self, capsys, tol):
+        code, out, err = run_cli(capsys, "gini", "--vector", "[5,-7]", f"--tol={tol}")
+        assert (code, out, err) == (1, "", "error: entry 1 = -7 is negative beyond tolerance 0\n")
+
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64, -1])
     @pytest.mark.parametrize("argv", [
         ["simulate", "--ensemble", '{"kind":"independent","matrix":[[0.5,0.5],[0.5,0.5]]}', "--n", "10"],
@@ -686,6 +691,141 @@ class TestInputFile:
         inline = run_cli(capsys, "quantum-stats", "--state", text)
         assert inline[0] == 1 and "line 7 column" in inline[2]
         assert self.read(capsys, tmp_path, text.replace("\n", "\r\n").encode()) == inline
+
+
+class TestReadMemo:
+    """`_read` keeps what it last admitted: the same payload bytes under the same option are read once."""
+
+    STATE = json.dumps(TestInputFile.STATE)
+    INDEPENDENT = json.dumps({"kind": "independent", "matrix": [[0.5, 0.5], [0.1, 0.9]]})
+    CORRELATED = json.dumps({"kind": "correlated", "weights": [0.1, 0.2, 0.3, 0.4]})
+
+    def decoded(self, monkeypatch) -> list:
+        """The texts the decoder is handed from now on."""
+        seen = []
+        decode = cli._orjson_decode
+        monkeypatch.setattr(cli, "_orjson_decode", lambda text: seen.append(text) or decode(text))
+        return seen
+
+    def test_a_repeated_input_file_is_not_decoded_again(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "density.json"
+        path.write_text(mixed_density(4, 7)[1], encoding="utf-8")
+        seen = self.decoded(monkeypatch)
+        assert run_cli(capsys, "quantum-stats", "--input", str(path))[0] == 0
+        warm = run_cli(capsys, "deficits", "--input", str(path))
+        assert len(seen) == 1
+        cold = subprocess.run(
+            [sys.executable, "-m", "ginisafe.cli", "deficits", "--input", str(path)],
+            capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+        )
+        assert warm == (cold.returncode, cold.stdout.decode(), cold.stderr.decode())
+        assert warm[0] == 0
+
+    def test_a_file_rewritten_with_other_bytes_is_decoded_again(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "state.json"
+        path.write_text(self.STATE)
+        seen = self.decoded(monkeypatch)
+        first = run_cli(capsys, "quantum-stats", "--input", str(path))
+        stat = path.stat()
+        # the same length and modification time: only the bytes tell the payloads apart
+        path.write_text(self.STATE.replace("0.6", "0.8").replace("[0.0, 0.8]", "[0.0, 0.6]"))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        second = run_cli(capsys, "quantum-stats", "--input", str(path))
+        assert len(seen) == 2
+        cli._memo = None
+        assert second == run_cli(capsys, "quantum-stats", "--input", str(path)) != first
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--vector", "[0.5,0.6]"],
+        ["quantum-stats", "--state", '{"dim": 2, "amplitudes": [[1,0],[0]]}'],
+    ], ids=["sum", "pairs"])
+    def test_a_rejected_payload_is_decoded_each_time(self, capsys, monkeypatch, argv):
+        seen = self.decoded(monkeypatch)
+        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        assert len(seen) == 2
+        assert first == second
+        assert (first[0], first[1]) == (1, "") and first[2].startswith("error: ")
+
+    def test_each_option_value_has_its_own_entry(self, capsys, monkeypatch):
+        seen = self.decoded(monkeypatch)
+        for repair in ([], ["--repair"], ["--repair"]):
+            assert run_cli(capsys, "quantum-stats", "--state", self.STATE, *repair)[0] == 0
+        assert len(seen) == 2
+        # a row summing to 1 + 1e-7 passes at --tol 1e-6; at 1e-9 it is read again and rejected
+        argv = ["simulate", "--ensemble", TestOptionContract.LOOSE, "--n", "10"]
+        assert run_cli(capsys, *argv, "--tol", "1e-6")[0] == 0
+        code, _, err = run_cli(capsys, *argv, "--tol", "1e-9")
+        assert code == 1 and err.startswith("error: row 0:")
+        assert len(seen) == 4
+
+    def test_zero_tolerances_share_an_entry(self, capsys, monkeypatch):
+        seen = self.decoded(monkeypatch)
+        outputs = [run_cli(capsys, "gini", "--vector", "[0.25,0.75]", f"--tol={tol}") for tol in ("0", "-0")]
+        assert len(seen) == 1
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+    def test_an_inline_payload_never_reads_as_an_input_list(self, capsys, tmp_path):
+        # one --input text holds both payloads; the same text inline is one payload of two
+        text = "[[0.5,0.5],[0.6,0.4]]"
+        path = tmp_path / "pair.json"
+        path.write_text(text)
+        assert run_cli(capsys, "majorize", "--input", str(path))[0] == 0
+        code, out, err = run_cli(capsys, "majorize", "--vector", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: expected 2 --vector payload(s) (or --input), got 1")
+
+    @pytest.mark.parametrize("argv, kind, count", [
+        (["gini", "--vector", "[0.25,0.75]"], "vector", 1),
+        (["majorize", "--vector", "[0.25,0.75]", "--vector", "[0.5,0.5]"], "vector", 2),
+        (["expand", "--matrix", "[[1,0],[0,1]]"], "matrix", 1),
+        (["correlations", "--tensor", '{"d":2,"terms":[{"code":0,"weight":1}]}'], "tensor", 1),
+        (["collision", "--ensemble", INDEPENDENT, "--ensemble", INDEPENDENT], "ensemble", 2),
+        (["simulate", "--ensemble", CORRELATED], "ensemble", 1),
+        (["quantum-stats", "--state", STATE], "state", 1),
+        (["quantum-stats", "--state", STATE, "--repair"], "state", 1),
+        (["quantum-stats", "--state", '{"d": 2, "images": [1, 0]}'], "state", 1),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_admitted_arrays_are_read_only(self, argv, kind, count):
+        args = cli._build_parser().parse_args(argv)
+        objects = cli._read(args, kind, count)
+        arrays = [
+            array
+            for obj in objects
+            for array in ((obj.matrix, obj.tensor) if isinstance(obj, ensembles.EnsembleSpec) else (obj,))
+            if array is not None
+        ]
+        assert len(arrays) == count
+        assert all(array.flags.writeable is False for array in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            arrays[0][0] = 0.0
+        assert all(a is b for a, b in zip(cli._read(args, kind, count), objects, strict=True))
+
+    def test_a_new_read_drops_the_kept_objects_before_decoding(self, tmp_path):
+        # a d = 4 read after another peaks as a cold one: the 1 MiB density kept is freed first
+        parse = cli._build_parser().parse_args
+        reads = []
+        for seed in (1, 2):
+            path = tmp_path / f"density-{seed}.json"
+            path.write_text(mixed_density(4, seed)[1], encoding="utf-8")
+            reads.append(parse(["quantum-stats", "--input", str(path)]))
+        cli._read(parse(["quantum-stats", "--state", self.STATE]), "state", 1)  # first-call allocations
+
+        def peak(*before):
+            cli._memo = None
+            tracemalloc.start()
+            try:
+                for args in before:
+                    cli._read(args, "state", 1)
+                tracemalloc.reset_peak()
+                cli._read(reads[1], "state", 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        cold, warm = peak(), peak(reads[0])
+        kept = 16 * 256**2
+        assert warm < cold + kept // 8, (warm, cold)
 
 
 INLINE_PAYLOADS = [

@@ -2,7 +2,10 @@
 
 Exit codes, stderr, key order, strings, ints and bools must match exactly,
 and floats within 1e-12.  Under the numpy and orjson versions the corpus was
-recorded with, the JSON and CSV stdout must also keep their bytes.
+recorded with, the JSON and CSV stdout must also keep their bytes.  The
+corpus also runs warm, in one process, first to last and back: each argv
+follows its predecessor, then its successor, and a read may return what the
+read before it admitted.
 ``tests/golden_corpus.py`` rewrites the corpus.
 """
 
@@ -39,10 +42,19 @@ def test_the_corpus_holds_every_argv():
     assert [entry["argv"] for entry in OUTPUTS] == golden_corpus.ARGV
 
 
-@pytest.mark.parametrize("entry", OUTPUTS, ids=IDS)
-def test_output_matches_the_corpus(entry):
+def assert_recorded(entry):
     got = golden_corpus.record(entry["argv"])
-    assert (got["exit"], got["stderr"]) == (entry["exit"], entry["stderr"])
+    assert (got["exit"], got["stderr"]) == (entry["exit"], entry["stderr"]), entry["argv"]
     assert_same(got["json"], entry["json"])
     if golden_corpus.versions() == RECORDED:
-        assert (got["json_sha256"], got["csv_sha256"]) == (entry["json_sha256"], entry["csv_sha256"])
+        assert (got["json_sha256"], got["csv_sha256"]) == (entry["json_sha256"], entry["csv_sha256"]), entry["argv"]
+
+
+@pytest.mark.parametrize("entry", OUTPUTS, ids=IDS)
+def test_output_matches_the_corpus(entry):
+    assert_recorded(entry)
+
+
+def test_a_warm_process_prints_the_corpus_forwards_and_back():
+    for entry in [*OUTPUTS, *reversed(OUTPUTS)]:
+        assert_recorded(entry)
