@@ -3,6 +3,10 @@
 Every output opens with the verb and the seed, and identical argv produce
 byte-identical output.  Exit codes: 0 success, 1 validation error, 2 usage error.
 
+Every payload text is bytes from the boundary on: an inline flag's text is
+its UTF-8 with lone surrogates kept, which orjson rejects as it would in a
+str, and an --input file is taken as read, with CR and CRLF made LF.
+
 `main` can run many verbs in one process.  The objects that `_read` last
 admitted are kept, read-only, so a verb that reads the same payload bytes
 under the same admission option as the verb before it decodes and validates
@@ -49,23 +53,20 @@ _NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'"[]{}')))
 _ESCAPE = re.compile(rb"\\.", re.DOTALL)
 
 
-def _nests_too_deep(text) -> bool:
-    """True if brackets nest deeper than MAX_JSON_DEPTH outside strings (exact for valid JSON).
-
-    `text` is a str, or the bytes of an ASCII file.
-    """
-    if len(text) <= 2 * MAX_JSON_DEPTH:  # every level takes an opening and a closing bracket
+def _nests_too_deep(data: bytes) -> bool:
+    """True if the brackets of `data` nest deeper than MAX_JSON_DEPTH outside strings (exact for valid JSON)."""
+    if len(data) <= 2 * MAX_JSON_DEPTH:  # every level takes an opening and a closing bracket
         return False
-    data = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
-    if b"\\" in data:
-        data = _ESCAPE.sub(b"", data)  # then every quote opens or closes a string
-    brackets = b"".join(data.translate(None, _NOT_STRUCTURE).split(b'"')[::2])
+    unescaped = _ESCAPE.sub(b"", data) if b"\\" in data else data  # every quote opens or closes a string
+    brackets = b"".join(unescaped.translate(None, _NOT_STRUCTURE).split(b'"')[::2])
     steps = (np.frombuffer(brackets, np.uint8) & 2).astype(np.intp) - 1  # [ { -> +1, ] } -> -1
-    return steps.cumsum().max(initial=0) > MAX_JSON_DEPTH
+    # a text of at most 2 * MAX_JSON_DEPTH characters this deep is invalid: the decoder names its fault
+    too_deep = steps.cumsum().max(initial=0) > MAX_JSON_DEPTH
+    return too_deep and len(str(data, "utf-8", "surrogatepass")) > 2 * MAX_JSON_DEPTH
 
 
-def _parse_json(text):
-    """Decode a payload, a str or ASCII bytes, with orjson.
+def _parse_json(data: bytes):
+    """Decode payload text `data` with orjson.
 
     The grammar is RFC 8259: the literals NaN, Infinity and -Infinity, numbers
     that overflow a double and lone surrogates are rejected, and integers
@@ -74,29 +75,27 @@ def _parse_json(text):
     handler with the cyclic collector paused (`_collector_paused`).
     """
     try:
-        if _nests_too_deep(text):
+        if _nests_too_deep(data):
             raise ValueError(f"nested deeper than {MAX_JSON_DEPTH} levels")
-        return _orjson_decode(text)
+        return _orjson_decode(data)
     except ValueError as exc:  # the depth check or orjson.JSONDecodeError
         raise ValidationError(f"invalid JSON payload: {exc}") from None
 
 
-def _read_input(path: str):
-    """The --input file as a text-mode read gives it: bytes if ASCII, else the decoded str.
+def _read_input(path: str) -> bytes:
+    """The --input file's payload text: its bytes, with CR and CRLF made LF as in text mode.
 
-    Only a non-ASCII file is decoded, so invalid UTF-8 still fails here with
-    the decoder's message.  CR and CRLF become LF, as in text mode, so error
-    positions in a payload count characters as before.
+    A non-ASCII file is decoded, and the result dropped, only so that invalid
+    UTF-8 fails here with the decoder's message.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
         if not data.isascii():
-            data = data.decode("utf-8")
+            data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read --input file {path!r}: {exc}") from None
-    cr, lf = ("\r", "\n") if isinstance(data, str) else (b"\r", b"\n")
-    return data.replace(cr + lf, lf).replace(cr, lf) if cr in data else data
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
 def _field(payload, name: str):
@@ -244,11 +243,10 @@ _ADMIT = {
 _memo = None
 
 
-def _digest(texts) -> bytes:
-    """The sha256 of the payload texts, each prefixed by its length; a str counts as its UTF-8 bytes."""
+def _digest(texts: list[bytes]) -> bytes:
+    """The sha256 of the payload texts, each prefixed by its length."""
     h = hashlib.sha256()
-    for text in texts:
-        data = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
+    for data in texts:
         h.update(len(data).to_bytes(8, "little"))
         h.update(data)
     return h.digest()
@@ -268,8 +266,8 @@ def _read(args, kind: str, count: int) -> tuple:
     Every payload is decoded before the first is admitted by `_ADMIT`.  The
     objects of the last successful read are kept, read-only, under a key: the
     kind, the count, the route (inline or --input), the sha256 of the payload
-    texts (the --input text after its line-end normalisation) and the option
-    the kind's rule reads.  A read with the same key returns them without
+    texts (their bytes, as the module docstring says) and the option the
+    kind's rule reads.  A read with the same key returns them without
     decoding or admitting anything; any other read drops them before it
     decodes, so at most one read's objects are kept.
     """
@@ -277,7 +275,10 @@ def _read(args, kind: str, count: int) -> tuple:
     raw = getattr(args, kind) or []
     if args.input and raw:
         raise _UsageError(f"--{kind} and --input were both given; pass the payloads one way")
-    texts = [_read_input(args.input)] if args.input else raw
+    if args.input:
+        texts = [_read_input(args.input)]
+    else:  # argparse before Python 3.13 gives --<kind>=-- as [], having dropped the text "--"
+        texts = [("--" if text == [] else text).encode("utf-8", "surrogatepass") for text in raw]
     option, admit = _ADMIT[kind]
     value = getattr(args, option)
     key = (kind, count, bool(args.input), _digest(texts), value)

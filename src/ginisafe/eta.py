@@ -88,6 +88,26 @@ _SIMPLEX_STEP = 0.1
 #: Amplitudes per block of a deficit sweep: 2**14 // dim states, 256 kB complex.
 _SWEEP_BLOCK = 2**14
 
+#: The cost cap of one search.  An evaluation costs _EVAL_COST + dim units,
+#: and each evaluation after the first simplex's 2 dim + 1 costs dim**2 more
+#: for the simplex step.  A unit is about an amplitude's share of an
+#: evaluation, 25 to 60 ns on a 2-core x86-64 host; the slowest search at the
+#: cap there, d = 2 in ``global_component`` mode, took 2.1 to 2.8 s.
+SEARCH_COST = 4 * 10**7
+_EVAL_COST = 800
+
+
+def _max_budget(dim: int) -> int:
+    """The largest budget of a search on `dim` amplitudes.
+
+    Its cost stays within SEARCH_COST, and ``budget * dim`` within
+    MAX_SAMPLES, the amplitude cap of a deficit sweep, which bounds the
+    vertices the simplex holds.
+    """
+    per_eval, simplex = _EVAL_COST + dim, 2 * dim + 1
+    past_simplex = (SEARCH_COST - simplex * per_eval) // (per_eval + dim * dim)
+    return min(SEARCH_COST // per_eval, simplex + past_simplex, MAX_SAMPLES // dim)
+
 
 def _admit_search(d: int, mode: str) -> tuple[int, int]:
     """A search's d, by :func:`quantum.admit_transform_d` for its mode, and its state space's dimension."""
@@ -165,7 +185,7 @@ class EtaEstimate:
 
 
 def _nelder_mead(fn, x0: np.ndarray, max_evals: int):
-    """Simplex descent on fn; stops at the eval budget or vertex spread < tol.
+    """Simplex descent on fn; stops at the eval budget, at least 1, or vertex spread < tol.
 
     Returns the number of calls of fn, which the search counts as spent.
 
@@ -183,8 +203,6 @@ def _nelder_mead(fn, x0: np.ndarray, max_evals: int):
         used += 1
         return fn(x)
 
-    if max_evals < 1:
-        return 0
     verts = [x0.copy()]
     fvals = [call(x0)]
     for i in range(n):
@@ -263,7 +281,7 @@ def estimate_eta(d: int, mode: str, budget: int, seed: int = 0) -> EtaEstimate:
     """
     d, dim = _admit_search(d, mode)
     budget = admit_int(budget, "budget", 1)
-    admit_int(budget, "budget", 1, MAX_SAMPLES // dim)  # budget * dim <= MAX_SAMPLES, as deficit_sweep caps n
+    admit_int(budget, "budget", 1, _max_budget(dim))
     seed = admit_int(seed, "seed", 0)
     cap = gini_sum_cap(d, mode)
     evaluate = _pure_gini_sum(d, mode)

@@ -78,8 +78,7 @@ SLOTS = [
          lambda v: gs.collision_probability_mc(SPEC, SPEC, v, gs.make_rng(0)),
          "sample count", 1, ensembles.MAX_SAMPLES, (1, 40)),
     Slot("estimate_eta.d", lambda v: gs.estimate_eta(v, "single", 5), "'d'", 2, 5**5, (2, 3)),
-    Slot("estimate_eta.budget", lambda v: gs.estimate_eta(2, "single", v), "budget", 1,
-         ensembles.MAX_SAMPLES // 2, (1, 9)),
+    Slot("estimate_eta.budget", lambda v: gs.estimate_eta(2, "single", v), "budget", 1, 49_627, (1, 9)),
     Slot("estimate_eta.seed", lambda v: gs.estimate_eta(2, "single", 5, seed=v), "seed", 0, None, (0, 4)),
     Slot("deficit_sweep.d", lambda v: gs.deficit_sweep(v, "single", 5), "'d'", 2, 5**5, (2, 3)),
     Slot("deficit_sweep.n", lambda v: gs.deficit_sweep(2, "single", v), "sample count", 1,

@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import orjson
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ginisafe import ValidationError, cli, ensembles, eta, markov, probvec, quantum
+from ginisafe import DimensionMismatchError, ValidationError, cli, ensembles, eta, markov, probvec, quantum
 from ginisafe.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -407,6 +407,77 @@ class TestReaderErrors:
         assert "Traceback" not in err
 
 
+def uniform_ensemble(d: int) -> str:
+    return json.dumps({"kind": "independent", "matrix": [[1 / d] * d] * d})
+
+
+STATE_FORMS = "'entries', 'amplitudes' or 'images'"
+ENSEMBLE_KIND = "ensemble payload must be an object with a 'kind' field"
+# id, argv head, payload flag (None: the argv reads no payload), payloads, exit code, message
+CLI_REJECTIONS = [
+    ("vector-field", ["gini"], "--vector", ['{"x": [1]}'], 1, "object payload has no 'vector' field"),
+    ("ensemble-matrix-field", ["simulate"], "--ensemble", ['{"kind": "independent"}'], 1,
+     "object payload has no 'matrix' field"),
+    ("tensor-form", ["correlations"], "--tensor", ['{"d": 2}'], 1,
+     "object payload has no 'weights'/'tensor'/'terms' field"),
+    ("terms-not-a-list", ["correlations"], "--tensor", ['{"d": 2, "terms": {"code": 0, "weight": 1}}'], 1,
+     "sparse tensor 'terms' must be a list of {code, weight} objects"),
+    ("term-not-an-object", ["correlations"], "--tensor", ['{"d": 2, "terms": [[0, 1]]}'], 1,
+     "terms[0] must be an object with 'code' and 'weight'"),
+    ("ensemble-kind", ["simulate"], "--ensemble", ['{"matrix": [[1, 0], [0, 1]]}'], 1, ENSEMBLE_KIND),
+    ("ensemble-not-an-object", ["simulate"], "--ensemble", ["[[1, 0], [0, 1]]"], 1, ENSEMBLE_KIND),
+    ("state-not-an-object", ["quantum-stats"], "--state", ["[1, 0]"], 1, "state payload must be a JSON object"),
+    ("state-form", ["quantum-stats"], "--state", ['{"dim": 2}'], 1, f"state payload needs {STATE_FORMS}"),
+    ("tensor-sizes", ["scalar-product", "--tensors"], "--tensor",
+     [json.dumps([1 / 4] * 4), json.dumps([1 / 27] * 27)], 1, "tensor sizes 4 and 27 differ"),
+    ("ensemble-dimensions", ["collision"], "--ensemble", [uniform_ensemble(2), uniform_ensemble(3)], 1,
+     "ensembles have dimensions 2 and 3"),
+    ("both-kinds", ["scalar-product", "--matrix", "[[1]]", "--matrix", "[[1]]", "--tensor", "[1]"], None, [], 2,
+     "pass two --matrix or two --tensor payloads, not both kinds"),
+    ("table2-sum", ["report", "table2", "--c2", "0.5", "--d2", "0.3", "--e2", "0.3"], None, [], 1,
+     "--c2 + --d2 + --e2 must sum to 1"),
+    ("table2-order", ["report", "table2", "--c2", "0.3", "--d2", "0.5", "--e2", "0.2"], None, [], 1,
+     "need 0 < e2 < d2 < c2"),
+]
+# id, call, exception type, message
+CALL_REJECTIONS = [
+    ("push-forward", lambda: markov.push_forward([0.5, 0.5], np.eye(3)), DimensionMismatchError,
+     "cannot push a 2-vector through a (3, 3) matrix"),
+    ("tensor-sizes", lambda: markov.scalar_product_via_tensors(np.full(4, 1 / 4), np.full(27, 1 / 27)),
+     DimensionMismatchError, "tensor sizes 4 and 27 differ"),
+    ("ensemble-dimensions",
+     lambda: ensembles.collision_probability_mc(*map(ensembles.EnsembleSpec.independent, (np.eye(2), np.eye(3))),
+                                                10, ensembles.make_rng(0)),
+     DimensionMismatchError, "ensembles have dimensions 2 and 3"),
+]
+REJECTIONS = [
+    pytest.param(("argv", head, flag, payloads, route), code, message, id=f"{name}-{route}")
+    for name, head, flag, payloads, code, message in CLI_REJECTIONS
+    for route in (("inline", "input") if flag else ("inline",))
+] + [pytest.param(("call", call), error, message, id=f"{name}-call") for name, call, error, message in CALL_REJECTIONS]
+
+
+@pytest.mark.parametrize("target, outcome, message", REJECTIONS)
+def test_rejection_messages(capsys, tmp_path, target, outcome, message):
+    """Each rejection's exact message: an argv's exit code and stderr, inline and through --input, or a call's error."""
+    if target[0] == "call":
+        with pytest.raises(outcome) as info:
+            target[1]()
+        assert str(info.value) == message
+        return
+    _, head, flag, payloads, route = target
+    argv = list(head)
+    if route == "inline":
+        argv += [arg for payload in payloads for arg in (flag, payload)]
+    else:
+        path = tmp_path / "payload.json"
+        path.write_text(payloads[0] if len(payloads) == 1 else f"[{', '.join(payloads)}]", encoding="utf-8")
+        argv += ["--input", str(path)]
+    want = f"error: {message}\n" if outcome == 1 else (
+        f"usage error: {message}\nrun 'ginisafe {head[0]} --help' for the grammar\n")
+    assert run_cli(capsys, *argv) == (outcome, "", want)
+
+
 def holds_string(value) -> bool:
     return isinstance(value, str) or isinstance(value, list) and any(map(holds_string, value))
 
@@ -535,6 +606,11 @@ json_pieces = st.sampled_from([
 ])
 
 
+def payload_bytes(text: str) -> bytes:
+    """The payload text `_read` makes of an inline flag's str."""
+    return text.encode("utf-8", "surrogatepass")
+
+
 class TestParseJson:
     @settings(max_examples=300, deadline=None)
     @given(json_values, st.lists(long_decimals(), max_size=60), st.booleans())
@@ -543,7 +619,7 @@ class TestParseJson:
     @example({"entries": [[1.5, -0.0], [5e-324, 1.7976931348623157e308]]}, [], True)
     def test_matches_json_loads(self, value, decimals, ascii_only):
         text = "[" + json.dumps(value, ensure_ascii=ascii_only) + "".join("," + d for d in decimals) + "]"
-        assert same_json(cli._parse_json(text), json.loads(text))
+        assert same_json(cli._parse_json(payload_bytes(text)), json.loads(text))
 
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.one_of(json_pieces, st.text('[]{},:"\\ -+.0123456789eEtrufalsn', max_size=3)),
@@ -552,7 +628,7 @@ class TestParseJson:
     @example("[18446744073709551616, -9223372036854775809]")
     def test_accepts_only_what_json_loads_accepts(self, text):
         try:
-            got = cli._parse_json(text)
+            got = cli._parse_json(payload_bytes(text))
         except ValidationError as exc:
             assert str(exc).startswith("invalid JSON payload: ")
             return
@@ -577,19 +653,19 @@ class TestParseJson:
         if offset > 0:
             limit = cli.MAX_JSON_DEPTH
             with pytest.raises(ValidationError, match=f"^invalid JSON payload: nested deeper than {limit} levels$"):
-                cli._parse_json(text)
+                cli._parse_json(payload_bytes(text))
         else:
-            assert same_json(cli._parse_json(text), json.loads(text))
+            assert same_json(cli._parse_json(payload_bytes(text)), json.loads(text))
 
     @pytest.mark.parametrize("start", [True, False])
     def test_restores_collector_state(self, start):
         was = gc.isenabled()
         try:
             (gc.enable if start else gc.disable)()
-            assert cli._parse_json('{"entries": [[1, 0], [0, 1]]}') == {"entries": [[1, 0], [0, 1]]}
+            assert cli._parse_json(b'{"entries": [[1, 0], [0, 1]]}') == {"entries": [[1, 0], [0, 1]]}
             assert gc.isenabled() is start
             with pytest.raises(ValidationError, match="invalid JSON payload"):
-                cli._parse_json('{"entries": [[1, 0],')
+                cli._parse_json(b'{"entries": [[1, 0],')
             assert gc.isenabled() is start
         finally:
             (gc.enable if was else gc.disable)()
@@ -691,6 +767,86 @@ class TestInputFile:
         inline = run_cli(capsys, "quantum-stats", "--state", text)
         assert inline[0] == 1 and "line 7 column" in inline[2]
         assert self.read(capsys, tmp_path, text.replace("\n", "\r\n").encode()) == inline
+
+
+def str_depth(text: str) -> int:
+    """The deepest bracket nesting outside strings, a backslash escaping the next character anywhere."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for char in text:
+        if escaped:
+            escaped = False
+        elif char == "\\":
+            escaped = True
+        elif char == '"':
+            in_string = not in_string
+        elif not in_string and char in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif not in_string and char in "]}":
+            depth -= 1
+    return deepest
+
+
+def str_route(text: str) -> tuple:
+    """What orjson makes of the str itself, behind the depth rule: ("value", the value) or (1, the error line)."""
+    limit = cli.MAX_JSON_DEPTH
+    if len(text) > 2 * limit and str_depth(text) > limit:  # a shorter text that deep is invalid JSON
+        return 1, f"error: invalid JSON payload: nested deeper than {limit} levels\n"
+    try:
+        return "value", orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
+        return 1, f"error: invalid JSON payload: {exc}\n"
+
+
+line_ends = st.sampled_from(["\n", "\r\n", "\r"])
+reader_texts = st.one_of(
+    st.builds(  # almost-JSON, non-ASCII and lone surrogates included, nested around the depth limit
+        lambda opens, body, closes: "[" * opens + body + "]" * closes,
+        st.sampled_from([0, 1, 511, 512, 513, 700]),
+        st.lists(st.one_of(json_pieces, line_ends, st.sampled_from(["\u00e9", "\U0001f600", "\udcff", "\ufeff"]),
+                           st.text(max_size=3)), max_size=20).map("".join),
+        st.sampled_from([0, 1, 512, 513, 700]),
+    ),
+    st.builds(  # JSON with non-ASCII text, its line ends respelled
+        lambda value, end, bom: bom + json.dumps(value, ensure_ascii=False, indent=1).replace("\n", end),
+        json_values, line_ends, st.sampled_from(["", "\ufeff"]),
+    ),
+)
+
+
+class TestPayloadBytes:
+    """Payload texts reach the decoder as bytes, with the value or the error line orjson gives their str."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(reader_texts)
+    @example("[" * 513 + "\u00e9" * 300)  # 813 characters in 1113 bytes: too deep, and left to the decoder
+    @example("[" * 513 + "\u00e9" * 600 + "]" * 513)
+    @example('["\udcff"]')
+    @example("\ufeff[0.5, 0.5]")
+    @example('["\u00e9",\r\n1,\r\n,]')
+    @example("[" * 513 + "\\" + "]" * 512)  # 1026 characters, 1024 once the escape is gone
+    @example("--")  # argparse before Python 3.13 gives --vector=-- as an empty list
+    def test_both_routes_decode_as_the_str(self, capsys, monkeypatch, tmp_path, text):
+        decoded = []
+        decode = cli._orjson_decode
+        monkeypatch.setattr(cli, "_orjson_decode", lambda data: decoded.append(decode(data)) or decoded[-1])
+        path = tmp_path / "payload.json"
+        path.write_bytes(payload_bytes(text))
+        try:  # a file is decoded as UTF-8 and its line ends made LF, as in text mode
+            from_file = str_route(payload_bytes(text).decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+        except UnicodeDecodeError as exc:
+            from_file = 2, (f"usage error: cannot read --input file {str(path)!r}: {exc}\n"
+                            "run 'ginisafe validate --help' for the grammar\n")
+        # "--vector=" takes a text that starts with "-" too
+        for argv, (outcome, want) in (([f"--vector={text}"], str_route(text)), (["--input", str(path)], from_file)):
+            cli._memo = None
+            decoded.clear()
+            code, out, err = run_cli(capsys, "validate", *argv)
+            if outcome == "value":
+                assert len(decoded) == 1 and same_json(decoded[0], want), (decoded, want)
+            else:
+                assert (code, out, err) == (outcome, "", want)
 
 
 class TestReadMemo:

@@ -1,5 +1,6 @@
 """Tests for the uncertainty-coefficient search and deficit sweeps."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,7 @@ from ginisafe.eta import (
     _TRANSFORM,
     MODES,
     REFINE_STEP_TOL,
+    _max_budget,
     _nelder_mead,
 )
 from ginisafe.quantum import space_dimension
@@ -181,6 +183,28 @@ class TestEstimateEta:
         est = estimate_eta(2, "single", budget=np.int64(40), seed=1)
         assert est.evaluations == 40
         assert est.best_sum == estimate_eta(2, "single", budget=40, seed=1).best_sum
+
+    #: A search at the largest admitted budget ends within this many seconds.  On a
+    #: 2-core x86-64 host it took 1.0-1.5 s at d = 2 in single mode, 2.1-2.8 s at d = 2
+    #: in global_component mode (the slowest at the cap) and 0.6 s at d = 5.
+    SEARCH_SECONDS = 10
+
+    @pytest.mark.parametrize("d, mode", [(2, "single"), (2, "global_component"), (5, "global_total")])
+    def test_the_largest_admitted_budget_ends_in_seconds(self, d, mode):
+        # the amplitude cap alone admitted 5,000,000 evaluations at d = 2, about 100 s
+        cap = _max_budget(space_dimension(d, _TRANSFORM[mode]))
+        with pytest.raises(DimensionTooLargeError, match=rf"^budget = {cap + 1} outside \[1, {cap}\]$"):
+            estimate_eta(d, mode, cap + 1)
+        start = time.perf_counter()
+        assert estimate_eta(d, mode, cap, seed=0).evaluations == cap
+        assert time.perf_counter() - start < self.SEARCH_SECONDS
+
+    def test_the_default_and_benchmark_budgets_are_admitted(self):
+        # the CLI's default budget at every d, and the budgets of perfbench's eta_search workload
+        assert min(map(_max_budget, range(2, 5**5 + 1))) >= 1000
+        for d, mode, budget in [(2, "single", 1000), (3, "local_total", 400), (3, "global_total", 400),
+                                (3, "global_component", 400), (4, "global_total", 20)]:
+            assert budget <= _max_budget(space_dimension(d, _TRANSFORM[mode]))
 
     @pytest.mark.parametrize("d, mode", [(5, "local_total"), (5, "global_component")])
     def test_admits_the_budget_against_the_amplitude_cap(self, d, mode):
