@@ -20,7 +20,6 @@ import contextlib
 import dataclasses
 import functools
 import gc
-import hashlib
 import itertools
 import math
 import os
@@ -244,7 +243,13 @@ _memo = None
 
 
 def _digest(texts: list[bytes]) -> bytes:
-    """The sha256 of the payload texts, each prefixed by its length."""
+    """The sha256 of the payload texts, each prefixed by its length.
+
+    hashlib is imported here: loading OpenSSL costs a few ms, which a verb
+    that reads no payload does not pay.
+    """
+    import hashlib
+
     h = hashlib.sha256()
     for data in texts:
         h.update(len(data).to_bytes(8, "little"))

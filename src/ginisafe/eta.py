@@ -13,9 +13,13 @@ Every Gini sum here is of amplitude vectors, priced by one evaluator that
 binds the mode's dual transform: :func:`gini_sum` checks one vector and then
 uses it, :func:`estimate_eta` checks ``d``, the mode, the budget and the seed
 once and evaluates each candidate by it, and :func:`deficit_sweep` prices
-blocks of states by it.  A density's deficits are those of
-:func:`quantum.uncertainty_deficits`.  The simplex keeps its vertices in
-stable-sorted order incrementally instead of re-sorting every step.  Results
+blocks of states by it.  A 1-D vector takes the evaluator's own route, with
+the Gini weights bound and its squared moduli sorted in place; a 2-D block
+keeps :func:`probvec.gini_index` and :func:`markov.tensor_to_matrix`, whose
+C-order copy of the block's dual the sweep's bits depend on.  A density's
+deficits are those of :func:`quantum.uncertainty_deficits`.  The simplex keeps
+its vertices in stable-sorted order incrementally instead of re-sorting every
+step, in two arrays of its size made once per descent.  Results
 (``best_sum``, ``evaluations``, the bytes of ``best_state``) are bitwise those
 of a descent that re-sorts with a stable argsort every step over a Gini sum
 built from public pieces (``|psi|**2``, :func:`quantum.apply_dual`,
@@ -52,8 +56,8 @@ import numpy as np
 
 from .ensembles import MAX_SAMPLES, make_rng, shard_rng
 from .errors import DimensionTooLargeError, GiniSafeError, ValidationError, _echo_int, admit_array, admit_int
-from .markov import tensor_to_matrix
-from .probvec import _additive_cap, gini_index, validate_prob_vector
+from .markov import _marginal_bins, tensor_to_matrix
+from .probvec import _additive_cap, _gini_weights, gini_index, validate_prob_vector
 from .quantum import (
     GLOBAL,
     LOCAL,
@@ -126,18 +130,45 @@ def gini_sum_cap(d: int, mode: str) -> float:
 def _pure_gini_sum(d: int, mode: str):
     """The unchecked Gini sum of an amplitude vector, or one per row of a block, for an admitted (d, mode).
 
-    The dual transform is bound once.  :func:`gini_sum` calls this after its
-    checks, :func:`estimate_eta` for every evaluation and :func:`deficit_sweep`
-    for every block.
+    :func:`gini_sum` calls this after its checks, :func:`estimate_eta` for
+    every evaluation and :func:`deficit_sweep` for every block.  The dual
+    transform is bound once, and so are the vector route's Gini weights and
+    factor, and in ``global_component`` mode the marginal bins.  A 1-D vector
+    takes that route: its squared moduli are fresh arrays, so they are squared
+    and sorted in place and dotted with the bound weights, with no admission,
+    copy or cache lookup per call.  A 2-D block of states, one per row, takes
+    :func:`probvec.gini_index` and :func:`markov.tensor_to_matrix`: the sweep's
+    bits depend on the C-order copy that ``gini_index`` makes of the dual's
+    transposed moduli.  Both routes give the bits of those public pieces.
     """
     dual = _dual_transform(d, _TRANSFORM[mode])
+    dim = space_dimension(d, _TRANSFORM[mode])
+    if mode == MODE_GLOBAL_COMPONENT:
+        bins, _ = _marginal_bins(dim)
+        weights, scale = _gini_weights(d)
+
+        def gini(p: np.ndarray) -> np.ndarray:
+            q = np.bincount(bins, weights=p.repeat(d), minlength=d * d).reshape(d, d)
+            q.sort()
+            return 1.0 - scale * q.dot(weights)
+    else:
+        weights, scale = _gini_weights(dim)
+
+        def gini(p: np.ndarray) -> float:
+            p.sort()
+            return 1.0 - scale * float(p.dot(weights))
 
     def evaluate(z: np.ndarray):
-        p, p_dual = np.abs(z) ** 2, np.abs(dual(z.T).T) ** 2
-        if mode == MODE_GLOBAL_COMPONENT:
-            rows = gini_index(tensor_to_matrix(p)) + gini_index(tensor_to_matrix(p_dual))
-            return float(rows.max()) if z.ndim == 1 else rows.max(axis=-1)
-        return gini_index(p) + gini_index(p_dual)
+        if z.ndim == 2:
+            p, p_dual = np.abs(z) ** 2, np.abs(dual(z.T).T) ** 2
+            if mode == MODE_GLOBAL_COMPONENT:
+                return (gini_index(tensor_to_matrix(p)) + gini_index(tensor_to_matrix(p_dual))).max(axis=-1)
+            return gini_index(p) + gini_index(p_dual)
+        p, p_dual = np.abs(z), np.abs(dual(z))
+        np.square(p, p)
+        np.square(p_dual, p_dual)
+        s = gini(p) + gini(p_dual)
+        return float(s.max()) if mode == MODE_GLOBAL_COMPONENT else s
 
     return evaluate
 
@@ -187,13 +218,21 @@ class EtaEstimate:
 def _nelder_mead(fn, x0: np.ndarray, max_evals: int):
     """Simplex descent on fn; stops at the eval budget, at least 1, or vertex spread < tol.
 
-    Returns the number of calls of fn, which the search counts as spent.
+    Returns the number of calls of fn, which the search counts as spent.  fn
+    may read its argument but not keep it: the descent reuses the buffer.
 
     Deterministic: vertices stay in the order of a stable sort of their
     values, coefficients are the standard reflection/expansion/contraction/
     shrink values.  The stable argsort runs after the initial simplex and
     after a shrink; a single new vertex is inserted after every vertex of
     equal value, which is where the stable argsort puts it.
+
+    The simplex is held twice, not more: the (n + 1, n) vertices are filled
+    in place, and one scratch array of their shape takes the spread, each
+    reordering (then the two swap) and the rows an insertion shifts.  The
+    centroid and the trial points live in buffers of n made once per descent.
+    The spread is taken only when one coordinate of the worst vertex lies
+    within the tolerance of the best's: otherwise it cannot be below it.
     """
     n = x0.size
     used = 0
@@ -203,42 +242,58 @@ def _nelder_mead(fn, x0: np.ndarray, max_evals: int):
         used += 1
         return fn(x)
 
-    verts = [x0.copy()]
+    verts = np.empty((min(n + 1, max_evals), n))  # a budget below n + 1 ends in the first simplex
+    verts[0] = x0
     fvals = [call(x0)]
     for i in range(n):
         if used >= max_evals:
             return used
-        v = x0.copy()
+        v = verts[i + 1]
+        v[:] = x0
         v[i] += _SIMPLEX_STEP
-        verts.append(v)
         fvals.append(call(v))
-    verts = np.array(verts)
-    verts, fvals = _stable_order(verts, fvals)
+    scratch = np.empty_like(verts)
+    centroid, reflected, trial = np.empty(n), np.empty(n), np.empty(n)
+
+    def reorder():
+        nonlocal verts, scratch, fvals
+        order = np.argsort(fvals, kind="stable")
+        np.take(verts, order, axis=0, out=scratch, mode="clip")  # "raise" would buffer the output
+        verts, scratch = scratch, verts
+        fvals = [fvals[i] for i in order]
 
     def replace_worst(x, f):
-        nonlocal verts, fvals
         # the argsort puts NaN last; bisect puts a NaN f there too, but does
         # not skip a NaN left among the first n values
         if fvals[n - 1] != fvals[n - 1]:
             verts[n], fvals[n] = x, f
-            verts, fvals = _stable_order(verts, fvals)
+            reorder()
             return
         k = bisect.bisect_right(fvals, f, 0, n)
-        verts[k + 1 :] = verts[k:n]
+        tail = scratch[k:n]
+        tail[...] = verts[k:n]
+        verts[k + 1 :] = tail
         verts[k] = x
         fvals.insert(k, f)
         del fvals[-1]
 
+    reorder()
     while used < max_evals:
-        spread = np.abs(verts[1:] - verts[0]).max()
-        if spread < REFINE_STEP_TOL:
-            break
-        centroid = np.add.reduce(verts[:n], axis=0) / n  # bitwise .mean(axis=0)
+        if abs(verts.item(n, 0) - verts.item(0, 0)) < REFINE_STEP_TOL:  # else the spread is not below it
+            spread = np.subtract(verts[1:], verts[0], scratch[1:])
+            if np.abs(spread, spread).max() < REFINE_STEP_TOL:
+                break
+        np.add.reduce(verts[:n], 0, None, centroid)
+        centroid /= n  # bitwise .mean(axis=0)
         worst = verts[n]
-        reflected = centroid + (centroid - worst)
+        # each trial point is its textbook expression, term by term, in place
+        np.subtract(centroid, worst, reflected)
+        np.add(centroid, reflected, reflected)
         f_r = call(reflected)
         if f_r < fvals[0] and used < max_evals:
-            expanded = centroid + 2.0 * (centroid - worst)
+            expanded = np.subtract(centroid, worst, trial)
+            expanded *= 2.0
+            expanded += centroid
             f_e = call(expanded)
             if f_e < f_r:
                 replace_worst(expanded, f_e)
@@ -250,24 +305,25 @@ def _nelder_mead(fn, x0: np.ndarray, max_evals: int):
             continue
         if used >= max_evals:
             break
-        contracted = centroid + 0.5 * (worst - centroid)
+        contracted = np.subtract(worst, centroid, trial)
+        contracted *= 0.5
+        contracted += centroid
         f_c = call(contracted)
         if f_c < fvals[n]:
             replace_worst(contracted, f_c)
             continue
         # shrink toward the best vertex
+        best = verts[0]
         for i in range(1, n + 1):
             if used >= max_evals:
                 break
-            verts[i] = verts[0] + 0.5 * (verts[i] - verts[0])
-            fvals[i] = call(verts[i])
-        verts, fvals = _stable_order(verts, fvals)
+            v = verts[i]
+            v -= best
+            v *= 0.5
+            v += best
+            fvals[i] = call(v)
+        reorder()
     return used
-
-
-def _stable_order(verts: np.ndarray, fvals: list):
-    order = np.argsort(fvals, kind="stable")
-    return verts[order], [fvals[i] for i in order]
 
 
 def estimate_eta(d: int, mode: str, budget: int, seed: int = 0) -> EtaEstimate:

@@ -957,6 +957,19 @@ class TestReadMemo:
             arrays[0][0] = 0.0
         assert all(a is b for a, b in zip(cli._read(args, kind, count), objects, strict=True))
 
+    @pytest.mark.parametrize("argv, loaded", [
+        (["report", "table1"], False),
+        (["gini", "--vector", "[0.25,0.75]"], True),
+    ], ids=["report", "gini"])
+    def test_hashlib_loads_only_where_a_payload_is_digested(self, argv, loaded):
+        # OpenSSL's _hashlib took 2.6 ms of every start, a verb that reads no payload included
+        probe = "import sys; from ginisafe.cli import main; main(sys.argv[1:]); print('_hashlib' in sys.modules, file=sys.stderr)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+        )
+        assert (proc.returncode, proc.stderr.decode().split()) == (0, [str(loaded)])
+
     def test_a_new_read_drops_the_kept_objects_before_decoding(self, tmp_path):
         # a d = 4 read after another peaks as a cold one: the 1 MiB density kept is freed first
         parse = cli._build_parser().parse_args

@@ -35,6 +35,7 @@ from ginisafe.eta import (
     REFINE_STEP_TOL,
     _max_budget,
     _nelder_mead,
+    _pure_gini_sum,
 )
 from ginisafe.quantum import space_dimension
 
@@ -199,6 +200,19 @@ class TestEstimateEta:
         assert estimate_eta(d, mode, cap, seed=0).evaluations == cap
         assert time.perf_counter() - start < self.SEARCH_SECONDS
 
+    #: The largest admitted budgets; a cheaper evaluator must not move an ``eta`` exit code.
+    MAX_BUDGETS = {
+        (2, "single"): 49627, (2, "local_total"): 48780, (2, "global_component"): 48780, (2, "global_total"): 48780,
+        (3, "single"): 49261, (3, "local_total"): 25732, (3, "global_component"): 25732, (3, "global_total"): 25732,
+        (4, "single"): 48780, (4, "local_total"): 1105, (4, "global_component"): 1105, (4, "global_total"): 1105,
+        (5, "single"): 48193, (5, "local_total"): 3200, (5, "global_component"): 3200, (5, "global_total"): 3200,
+        (2234, "single"): 4474, (2235, "single"): 4474,
+    }
+
+    def test_every_search_cap_is_pinned(self):
+        got = {(d, mode): _max_budget(space_dimension(d, _TRANSFORM[mode])) for d, mode in self.MAX_BUDGETS}
+        assert got == self.MAX_BUDGETS
+
     def test_the_default_and_benchmark_budgets_are_admitted(self):
         # the CLI's default budget at every d, and the budgets of perfbench's eta_search workload
         assert min(map(_max_budget, range(2, 5**5 + 1))) >= 1000
@@ -220,6 +234,22 @@ class TestEstimateEta:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+    def test_the_simplex_is_held_twice(self):
+        # the vertices as a list, their np.array and each reordering's copy held a
+        # single-mode simplex three times: 367 MiB for 122 MiB at d = 2000
+        d = 512
+        n = 2 * d
+        budget = n + 1 + 75  # 75 evaluations past the initial simplex
+        estimate_eta(d, "single", 1)  # first-call allocations
+        tracemalloc.start()
+        try:
+            assert estimate_eta(d, "single", budget, seed=0).evaluations == budget
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * (n + 1) * n * 8
 
 
 def argsort_nelder_mead(fn, x0, max_evals, step=0.1):
@@ -320,7 +350,7 @@ def oracle_search(d, mode, budget, seed=0):
 SEARCH_GRID = (
     [(d, mode, {2: 500, 3: 400, 4: 600}[d]) for d in (2, 3, 4) for mode in MODES]
     + [(5, mode, 300 if mode == "single" else 30) for mode in MODES]
-    + [(7, "single", 800), (64, "single", 800)]
+    + [(7, "single", 800), (64, "single", 800), (257, "single", 600)]  # 257: the FFT route
 )
 
 
@@ -335,6 +365,14 @@ class TestSearchBitIdentity:
         best_sum, evaluations, best_state = oracle_search(d, mode, budget, seed=seed)
         assert (est.best_sum, est.evaluations) == (best_sum, evaluations)
         assert est.best_state.tobytes() == best_state.tobytes()
+
+    @pytest.mark.parametrize("d, mode", [(d, mode) for d in (2, 3, 4, 5) for mode in MODES] + [(257, "single")])
+    def test_the_vector_route_matches_the_oracle(self, d, mode):
+        evaluate = _pure_gini_sum(d, mode)
+        rng = np.random.default_rng(d)
+        for _ in range(100):
+            psi = random_complex_unit(rng, space_dimension(d, _TRANSFORM[mode]))
+            assert evaluate(psi) == oracle_gini_sum(psi, d, mode)
 
     @pytest.mark.parametrize("n, budget", [(4, 500), (9, 800), (16, 1200)])
     @pytest.mark.parametrize("with_nan", [False, True])
