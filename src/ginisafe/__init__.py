@@ -31,10 +31,8 @@ from .errors import (
 from .eta import (
     MODES,
     EtaEstimate,
-    deficit,
     deficit_sweep,
     estimate_eta,
-    gini_sum,
     gini_sum_cap,
 )
 from .markov import (

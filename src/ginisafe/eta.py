@@ -9,20 +9,19 @@ The search therefore walks pure states only: multi-start random amplitudes
 followed by derivative-free simplex descent (the objective has sorting kinks,
 so gradients are off the table).
 
-Every Gini sum here is of amplitude vectors, priced by one evaluator that
-binds the mode's dual transform: :func:`gini_sum` checks one vector and then
-uses it, :func:`estimate_eta` checks ``d``, the mode, the budget and the seed
-once and evaluates each candidate by it, and :func:`deficit_sweep` prices
-blocks of states by it.  A 1-D vector takes the evaluator's own route, with
-the Gini weights bound and its squared moduli sorted in place; a 2-D block
-keeps :func:`probvec.gini_index` and :func:`markov.tensor_to_matrix`, whose
-C-order copy of the block's dual the sweep's bits depend on.  A density's
-deficits are those of :func:`quantum.uncertainty_deficits`.  The simplex keeps
-its vertices in stable-sorted order incrementally instead of re-sorting every
-step, in two arrays of its size made once per descent.  Results
-(``best_sum``, ``evaluations``, the bytes of ``best_state``) are bitwise those
-of a descent that re-sorts with a stable argsort every step over a Gini sum
-built from public pieces (``|psi|**2``, :func:`quantum.apply_dual`,
+Every Gini sum here is of amplitude vectors, and each shape has one route.
+:func:`estimate_eta` checks ``d``, the mode, the budget and the seed once and
+prices each candidate, one 1-D vector, by the evaluator of
+:func:`_pure_gini_sum`, with the Gini weights bound and its squared moduli
+sorted in place.  :func:`deficit_sweep` prices each 2-D block of states, one
+per row, by :func:`probvec.gini_index` and :func:`markov.tensor_to_matrix`,
+whose C-order copy of the block's dual the sweep's bits depend on.  A
+density's deficits are those of :func:`quantum.uncertainty_deficits`.  The
+simplex keeps its vertices in stable-sorted order incrementally instead of
+re-sorting every step, in two arrays of its size made once per descent.
+Results (``best_sum``, ``evaluations``, the bytes of ``best_state``) are
+bitwise those of a descent that re-sorts with a stable argsort every step over
+a Gini sum built from public pieces (``|psi|**2``, :func:`quantum.apply_dual`,
 :func:`probvec.gini_index` and :func:`markov.tensor_to_matrix`), which the
 tests keep as the oracle.
 
@@ -55,13 +54,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import MAX_SAMPLES, make_rng, shard_rng
-from .errors import DimensionTooLargeError, GiniSafeError, ValidationError, _echo_int, admit_array, admit_int
+from .errors import DimensionTooLargeError, GiniSafeError, ValidationError, _echo_int, admit_int
 from .markov import _marginal_bins, tensor_to_matrix
-from .probvec import _additive_cap, _gini_weights, gini_index, validate_prob_vector
+from .probvec import _additive_cap, _gini_weights, gini_index
 from .quantum import (
     GLOBAL,
     LOCAL,
-    PROBABILITY_TOL,
     SINGLE,
     _dual_transform,
     admit_transform_d,
@@ -95,8 +93,9 @@ _SWEEP_BLOCK = 2**14
 #: The cost cap of one search.  An evaluation costs _EVAL_COST + dim units,
 #: and each evaluation after the first simplex's 2 dim + 1 costs dim**2 more
 #: for the simplex step.  A unit is about an amplitude's share of an
-#: evaluation, 25 to 60 ns on a 2-core x86-64 host; the slowest search at the
-#: cap there, d = 2 in ``global_component`` mode, took 2.1 to 2.8 s.
+#: evaluation, 25 to 60 ns on a 2-core x86-64 host; the slowest searches at
+#: the cap there took 1.6 to 2.0 s at d = 2234 in ``single`` mode, where the
+#: simplex's dim**2 binds, and 1.2 to 1.3 s at d = 2 in ``global_component``.
 SEARCH_COST = 4 * 10**7
 _EVAL_COST = 800
 
@@ -106,11 +105,13 @@ def _max_budget(dim: int) -> int:
 
     Its cost stays within SEARCH_COST, and ``budget * dim`` within
     MAX_SAMPLES, the amplitude cap of a deficit sweep, which bounds the
-    vertices the simplex holds.
+    vertices the simplex holds.  The first simplex fits the cost at every
+    admitted dim (2.45e7 units at 3125), so ``simplex + past_simplex`` is
+    never above ``SEARCH_COST // per_eval``, the cost of evaluations alone.
     """
     per_eval, simplex = _EVAL_COST + dim, 2 * dim + 1
     past_simplex = (SEARCH_COST - simplex * per_eval) // (per_eval + dim * dim)
-    return min(SEARCH_COST // per_eval, simplex + past_simplex, MAX_SAMPLES // dim)
+    return min(simplex + past_simplex, MAX_SAMPLES // dim)
 
 
 def _admit_search(d: int, mode: str) -> tuple[int, int]:
@@ -128,18 +129,16 @@ def gini_sum_cap(d: int, mode: str) -> float:
 
 
 def _pure_gini_sum(d: int, mode: str):
-    """The unchecked Gini sum of an amplitude vector, or one per row of a block, for an admitted (d, mode).
+    """The unchecked Gini sum of one amplitude vector, for an admitted (d, mode).
 
-    :func:`gini_sum` calls this after its checks, :func:`estimate_eta` for
-    every evaluation and :func:`deficit_sweep` for every block.  The dual
-    transform is bound once, and so are the vector route's Gini weights and
-    factor, and in ``global_component`` mode the marginal bins.  A 1-D vector
-    takes that route: its squared moduli are fresh arrays, so they are squared
-    and sorted in place and dotted with the bound weights, with no admission,
-    copy or cache lookup per call.  A 2-D block of states, one per row, takes
-    :func:`probvec.gini_index` and :func:`markov.tensor_to_matrix`: the sweep's
-    bits depend on the C-order copy that ``gini_index`` makes of the dual's
-    transposed moduli.  Both routes give the bits of those public pieces.
+    :func:`estimate_eta` calls it for every evaluation.  The dual transform is
+    bound once, and so are the Gini weights and factor, and in
+    ``global_component`` mode the marginal bins.  The vector's squared moduli
+    are fresh arrays, so they are squared and sorted in place and dotted with
+    the bound weights, with no admission, copy or cache lookup per call.  The
+    sum has the bits of the public pieces: ``|psi|**2``,
+    :func:`quantum.apply_dual`, :func:`probvec.gini_index` and
+    :func:`markov.tensor_to_matrix`.
     """
     dual = _dual_transform(d, _TRANSFORM[mode])
     dim = space_dimension(d, _TRANSFORM[mode])
@@ -158,12 +157,7 @@ def _pure_gini_sum(d: int, mode: str):
             p.sort()
             return 1.0 - scale * float(p.dot(weights))
 
-    def evaluate(z: np.ndarray):
-        if z.ndim == 2:
-            p, p_dual = np.abs(z) ** 2, np.abs(dual(z.T).T) ** 2
-            if mode == MODE_GLOBAL_COMPONENT:
-                return (gini_index(tensor_to_matrix(p)) + gini_index(tensor_to_matrix(p_dual))).max(axis=-1)
-            return gini_index(p) + gini_index(p_dual)
+    def evaluate(z: np.ndarray) -> float:
         p, p_dual = np.abs(z), np.abs(dual(z))
         np.square(p, p)
         np.square(p_dual, p_dual)
@@ -171,32 +165,6 @@ def _pure_gini_sum(d: int, mode: str):
         return float(s.max()) if mode == MODE_GLOBAL_COMPONENT else s
 
     return evaluate
-
-
-def gini_sum(state, d: int, mode: str) -> float:
-    """The mode's Gini sum for a pure amplitude vector.
-
-    For ``global_component`` this is the maximum over components of the
-    component Gini plus its global dual.  ``|psi|**2`` must be a probability
-    vector within ``quantum.PROBABILITY_TOL``, the rule of a density's
-    diagonal; the sum is then taken on the vector as given.  Densities are
-    priced by :func:`quantum.uncertainty_deficits`.
-    """
-    state = admit_array(state, "amplitude vector", complex, 1)
-    d, dim = _admit_search(d, mode)
-    if state.shape != (dim,):
-        raise ValidationError(f"amplitude vector has shape {state.shape}, expected {(dim,)}")
-    validate_prob_vector(np.abs(state) ** 2, PROBABILITY_TOL)
-    return _pure_gini_sum(d, mode)(state)
-
-
-def deficit(state, d: int, mode: str) -> float:
-    """The mode's uncertainty deficit of a pure amplitude vector, cap minus Gini sum.
-
-    For ``global_component`` the Gini sum is maximized over components, so
-    this is the smallest per-component deficit.
-    """
-    return gini_sum_cap(d, mode) - gini_sum(state, d, mode)
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,7 +320,7 @@ def estimate_eta(d: int, mode: str, budget: int, seed: int = 0) -> EtaEstimate:
         re, im = psi.real, psi.imag
         norm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's own sum
         if norm < 1e-12:
-            return 1.0  # worse than any attainable -gini_sum
+            return 1.0  # worse than any attainable negated Gini sum
         psi /= norm
         s = evaluate(psi)
         if s > best_sum:
@@ -385,15 +353,16 @@ def deficit_sweep(d: int, mode: str, n: int, seed: int = 0) -> float:
 
     The deficit is strictly positive for every state; a non-positive minimum
     indicates a numerical fault and raises.  ``n * dim <= MAX_SAMPLES``.  After
-    one draw of all real parts, each block of states draws its imaginary parts
-    and takes the search's Gini sums; chunked draws are the numbers of one draw.
+    one draw of all real parts, each block of states, one per row, draws its
+    imaginary parts and is priced by :func:`probvec.gini_index` and
+    :func:`markov.tensor_to_matrix`; chunked draws are the numbers of one draw.
     """
     d, dim = _admit_search(d, mode)
     n = admit_int(n, "sample count", 1)
     if n * dim > MAX_SAMPLES:
         raise DimensionTooLargeError(f"sample count {_echo_int(n)}: states of dimension {dim} exceed {MAX_SAMPLES} amplitudes")
     cap = gini_sum_cap(d, mode)
-    evaluate = _pure_gini_sum(d, mode)
+    dual = _dual_transform(d, _TRANSFORM[mode])
     rng = make_rng(seed)
     real = rng.standard_normal((n, dim))
     deficits = np.empty(n)
@@ -401,7 +370,12 @@ def deficit_sweep(d: int, mode: str, n: int, seed: int = 0) -> float:
     for start in range(0, n, block):
         z = real[start : start + block] + 1j * rng.standard_normal((min(block, n - start), dim))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        deficits[start : start + block] = cap - evaluate(z)
+        p, p_dual = np.abs(z) ** 2, np.abs(dual(z.T).T) ** 2
+        if mode == MODE_GLOBAL_COMPONENT:
+            sums = (gini_index(tensor_to_matrix(p)) + gini_index(tensor_to_matrix(p_dual))).max(axis=-1)
+        else:
+            sums = gini_index(p) + gini_index(p_dual)
+        deficits[start : start + block] = cap - sums
     smallest = float(deficits.min())
     if smallest <= 0.0:
         raise GiniSafeError(f"non-positive uncertainty deficit {smallest}; numerical fault")

@@ -106,9 +106,6 @@ class FunctionMap:
         d = admit_code_d(d)
         return cls(tuple(decode(admit_index(code, "code", d**d), d)))
 
-    def is_permutation(self) -> bool:
-        return len(set(self.images)) == self.d
-
 
 def function_table(d: int) -> np.ndarray:
     """All d**d image tuples as a read-only (d**d, d) array, in code order.

@@ -153,9 +153,13 @@ def majorizes(x, y) -> Majorization:
 
     ``x`` majorizes ``y`` ("x is more sparse") when every Lorenz value of
     ``x`` is <= the corresponding value of ``y`` (within ``MAJORIZATION_TOL``).
+    A non-finite entry of either vector is a ValidationError that names it.
     """
     x = admit_array(x, "'x'", float, 1)
     y = admit_array(y, "'y'", float, 1)
+    for what, v in (("'x'", x), ("'y'", y)):
+        if not np.isfinite(v).all():  # every comparison with NaN is false
+            raise ValidationError(f"{what} contains non-finite entries")
     if x.shape != y.shape:
         raise DimensionMismatchError(f"vectors have different dimensions {x.size} and {y.size}")
     lx = lorenz_values(x)

@@ -34,7 +34,6 @@ from ginisafe.errors import (
 )
 
 SPEC = gs.EnsembleSpec.independent([[0.5, 0.5, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]])
-PSI = np.array([1.0, 0.0], dtype=complex)
 
 # a bad value may allocate no more than this before it is rejected
 ADMISSION_BYTES = 2**16
@@ -84,8 +83,6 @@ SLOTS = [
     Slot("deficit_sweep.n", lambda v: gs.deficit_sweep(2, "single", v), "sample count", 1,
          ensembles.MAX_SAMPLES // 2, (1, 30)),
     Slot("deficit_sweep.seed", lambda v: gs.deficit_sweep(2, "single", 5, seed=v), "seed", 0, None, (0, 4)),
-    Slot("gini_sum.d", lambda v: gs.gini_sum(PSI, v, "single"), "'d'", 2, 5**5, (2,)),
-    Slot("deficit.d", lambda v: gs.deficit(PSI, v, "single"), "'d'", 2, 5**5, (2,)),
     Slot("gini_sum_cap.d", lambda v: gs.gini_sum_cap(v, "single"), "'d'", 2, 5**5, (2, 9)),
     Slot("FunctionMap.images", lambda v: gs.FunctionMap((v, 0)), "image f(0)", 0, 1, (0, 1), True),
     Slot("FunctionMap.from_code.code", lambda v: gs.FunctionMap.from_code(v, 2), "code", 0, 3, (0, 3), True),
@@ -391,13 +388,11 @@ ARRAY_SLOTS = [
               complex, (2,)),
     ArraySlot("dual_state.rho", lambda v: gs.dual_state(v, "local"), "density matrix", complex, (2,)),
     ArraySlot("uncertainty_deficits.rho", gs.uncertainty_deficits, "density matrix", complex, (2,)),
-    ArraySlot("gini_sum.state", lambda v: gs.gini_sum(v, 2, "single"), "amplitude vector", complex, (1,)),
-    ArraySlot("deficit.state", lambda v: gs.deficit(v, 2, "local_total"), "amplitude vector", complex, (1,)),
 ]
 ARRAY_SLOT = {slot.name: slot for slot in ARRAY_SLOTS}
 
 # the parameter names of the public API that take an array
-_ARRAY_PARAMETERS = {"x", "y", "q", "p", "t", "tq", "tp", "raw", "matrix", "tensor", "rho", "psi", "state"}
+_ARRAY_PARAMETERS = {"x", "y", "q", "p", "t", "tq", "tp", "raw", "matrix", "tensor", "rho", "psi"}
 
 
 def _public_signatures():
@@ -487,7 +482,6 @@ BAD_ARRAY_CASES = st.sampled_from(ARRAY_SLOTS).flatmap(lambda s: st.tuples(st.ju
 # numpy's bare ValueError before the rule
 @example(case=(ARRAY_SLOT["state_stats.rho"], [[1, [0]], [0, 0]]))
 @example(case=(ARRAY_SLOT["apply_dual.x"], [1, [0]]))
-@example(case=(ARRAY_SLOT["gini_sum.state"], [1, [0]]))
 @example(case=(ARRAY_SLOT["gini_index.x"], [[1], [1, 2]]))
 @example(case=(ARRAY_SLOT["lorenz_values.x"], "ab"))
 @example(case=(ARRAY_SLOT["product_probabilities.q"], [["a"]]))
@@ -531,9 +525,6 @@ def test_a_bad_array_argument_is_rejected_by_name_before_allocating(case):
         (lambda: admit_array([1j], "'a'", float, 1), "'a' must be a non-empty 1-D array of real numbers, got [1j]"),
         (lambda: admit_array(None, "'a'", complex, 2), "'a' must be a non-empty 2-D array of complex numbers, got None"),
         (lambda: admit_square(np.ones((1, 2)), "'m'", float), "'m' must be square, got shape (1, 2)"),
-        # a density is priced by uncertainty_deficits, not by the pure-state Gini sum
-        (lambda: gs.gini_sum(np.eye(2) / 2, 2, "single"),
-         "amplitude vector must be a non-empty 1-D array of complex numbers, got a float64 array of shape (2, 2)"),
     ],
 )
 def test_array_admission_messages(call, message):

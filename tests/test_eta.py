@@ -13,12 +13,10 @@ from ginisafe import (
     NotNormalizedError,
     ValidationError,
     apply_dual,
-    deficit,
     deficit_sweep,
     estimate_eta,
     function_table,
     gini_index,
-    gini_sum,
     gini_sum_cap,
     make_rng,
     pure_density,
@@ -29,10 +27,12 @@ from ginisafe import (
 )
 from ginisafe.ensembles import MAX_SAMPLES
 from ginisafe.eta import (
+    _EVAL_COST,
     _SWEEP_BLOCK,
     _TRANSFORM,
     MODES,
     REFINE_STEP_TOL,
+    SEARCH_COST,
     _max_budget,
     _nelder_mead,
     _pure_gini_sum,
@@ -46,7 +46,8 @@ def scalar_sweep(d, mode, n, seed):
     rng = make_rng(seed)
     z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    return min(deficit(psi, d, mode) for psi in z)
+    evaluate = _pure_gini_sum(d, mode)
+    return min(gini_sum_cap(d, mode) - evaluate(psi) for psi in z)
 
 
 class TestGiniSum:
@@ -59,14 +60,15 @@ class TestGiniSum:
     def test_basis_state_single(self):
         # certain position vector and flat dual vector
         psi = np.eye(2, dtype=complex)[0]
-        assert gini_sum(psi, 2, "single") == pytest.approx(1 / 3, abs=1e-12)
-        assert deficit(psi, 2, "single") == pytest.approx(1 / 3, abs=1e-12)
+        evaluate = _pure_gini_sum(2, "single")
+        assert evaluate(psi) == pytest.approx(1 / 3, abs=1e-12)
+        assert gini_sum_cap(2, "single") - evaluate(psi) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_basis_state_local_total(self):
         psi = np.zeros(4, dtype=complex)
         psi[0] = 1.0
         # total gini is maximal, locally dual total gini is 0
-        assert gini_sum(psi, 2, "local_total") == pytest.approx(3 / 5, abs=1e-12)
+        assert _pure_gini_sum(2, "local_total")(psi) == pytest.approx(3 / 5, abs=1e-12)
 
     def test_pure_and_density_paths_agree(self):
         # a pure state's deficits from its amplitudes and from its density's diagonals
@@ -80,29 +82,23 @@ class TestGiniSum:
                     ("global_total", deficits.global_total),
                     ("global_component", deficits.global_components.min()),
                 ):
-                    assert gini_sum_cap(d, mode) - gini_sum(psi, d, mode) == pytest.approx(want, abs=1e-11)
+                    assert gini_sum_cap(d, mode) - _pure_gini_sum(d, mode)(psi) == pytest.approx(want, abs=1e-11)
 
     def test_bounded_by_cap(self):
         rng = np.random.default_rng(1)
         for mode in MODES:
-            cap = gini_sum_cap(2, mode)
+            cap, evaluate = gini_sum_cap(2, mode), _pure_gini_sum(2, mode)
             dim = 2 if mode == "single" else 4
             for _ in range(50):
-                assert gini_sum(random_complex_unit(rng, dim), 2, mode) <= cap
+                assert evaluate(random_complex_unit(rng, dim)) <= cap
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_an_unnormalized_vector_is_rejected_as_its_density_is(self, mode):
-        psi = np.zeros(2 if mode == "single" else 4)
-        psi[0] = 2.0  # gini_sum read -4.67 and deficit 5.33 against a cap of 0.667 at d = 2, single
-        for f in (gini_sum, deficit):
-            with pytest.raises(NotNormalizedError):
-                f(psi, 2, mode)
+    def test_the_density_of_an_unnormalized_vector_is_rejected(self):
         with pytest.raises(NotNormalizedError):
             uncertainty_deficits(pure_density(np.eye(4)[0] * 2.0))
 
     def test_mode_validation(self):
         with pytest.raises(ValidationError):
-            gini_sum(np.ones(2) / np.sqrt(2), 2, "sideways")
+            gini_sum_cap(2, "sideways")
         with pytest.raises(DimensionTooLargeError):
             gini_sum_cap(6, "global_total")
 
@@ -113,7 +109,7 @@ class TestEstimateEta:
         psi0 = random_pure_state(2, shard_rng(0, 0))
         est = estimate_eta(2, "single", budget=1, seed=0)
         assert est.evaluations == 1
-        assert est.best_sum == pytest.approx(gini_sum(psi0, 2, "single"), abs=1e-12)
+        assert est.best_sum == pytest.approx(_pure_gini_sum(2, "single")(psi0), abs=1e-12)
         assert est.eta_upper == pytest.approx(gini_sum_cap(2, "single") - est.best_sum, abs=1e-15)
         np.testing.assert_allclose(est.best_state, psi0, atol=1e-12)
 
@@ -142,7 +138,7 @@ class TestEstimateEta:
         # of the qubit objective; one-sided so a sharper optimum still passes
         est = estimate_eta(2, "single", budget=3000, seed=0)
         assert est.best_sum >= np.sqrt(2) / 3 - 1e-6
-        assert gini_sum(est.best_state, 2, "single") == pytest.approx(est.best_sum, abs=1e-12)
+        assert _pure_gini_sum(2, "single")(est.best_state) == pytest.approx(est.best_sum, abs=1e-12)
 
     def test_respects_budget(self):
         est = estimate_eta(2, "global_total", budget=37, seed=0)
@@ -186,8 +182,9 @@ class TestEstimateEta:
         assert est.best_sum == estimate_eta(2, "single", budget=40, seed=1).best_sum
 
     #: A search at the largest admitted budget ends within this many seconds.  On a
-    #: 2-core x86-64 host it took 1.0-1.5 s at d = 2 in single mode, 2.1-2.8 s at d = 2
-    #: in global_component mode (the slowest at the cap) and 0.6 s at d = 5.
+    #: 2-core x86-64 host it took 0.6 s at d = 2 in single mode, 1.2-1.3 s at d = 2 in
+    #: global_component mode (the slowest mode at d <= 5) and 0.4-0.5 s at d = 5; the
+    #: slowest search at any cap, d = 2234 in single mode, took 1.6-2.0 s.
     SEARCH_SECONDS = 10
 
     @pytest.mark.parametrize("d, mode", [(2, "single"), (2, "global_component"), (5, "global_total")])
@@ -212,6 +209,16 @@ class TestEstimateEta:
     def test_every_search_cap_is_pinned(self):
         got = {(d, mode): _max_budget(space_dimension(d, _TRANSFORM[mode])) for d, mode in self.MAX_BUDGETS}
         assert got == self.MAX_BUDGETS
+
+    def test_the_cost_of_evaluations_alone_never_binds(self):
+        # the cap with its third term, SEARCH_COST // per_eval, which no admitted dim reaches
+        def three_terms(dim):
+            per_eval, simplex = _EVAL_COST + dim, 2 * dim + 1
+            past_simplex = (SEARCH_COST - simplex * per_eval) // (per_eval + dim * dim)
+            return min(SEARCH_COST // per_eval, simplex + past_simplex, MAX_SAMPLES // dim)
+
+        dims = range(1, 5**5 + 1)
+        assert [_max_budget(dim) for dim in dims] == [three_terms(dim) for dim in dims]
 
     def test_the_default_and_benchmark_budgets_are_admitted(self):
         # the CLI's default budget at every d, and the budgets of perfbench's eta_search workload

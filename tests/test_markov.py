@@ -109,10 +109,6 @@ class TestFunctionMap:
         with pytest.raises(ValidationError):
             FunctionMap(())
 
-    def test_is_permutation(self):
-        assert FunctionMap((2, 0, 1)).is_permutation()
-        assert not FunctionMap((1, 2, 1)).is_permutation()
-
     def test_enumeration_order(self):
         maps = list(all_function_maps(2))
         assert [m.images for m in maps] == [(0, 0), (1, 0), (0, 1), (1, 1)]

@@ -271,6 +271,17 @@ class TestMajorization:
         with pytest.raises(DimensionMismatchError):
             majorizes([0.5, 0.5], [1 / 3, 1 / 3, 1 / 3])
 
+    @pytest.mark.parametrize("x, y, what", [
+        ([np.nan, 1.0], [0.5, 0.5], "'x'"),  # read INCOMPARABLE: every comparison with NaN is false
+        ([np.nan, 1.0], [np.nan, 1.0], "'x'"),  # a vector read incomparable with itself
+        ([0.5, 0.5], [np.nan, 1.0], "'y'"),
+        ([np.inf, 0.0], [0.5, 0.5], "'x'"),
+        ([0.5, 0.5], [1.0, -np.inf], "'y'"),
+    ])
+    def test_a_non_finite_entry_is_rejected_by_name(self, x, y, what):
+        with pytest.raises(ValidationError, match=f"^{what} contains non-finite entries$"):
+            majorizes(x, y)
+
     def test_preorder_transitive(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
