@@ -92,7 +92,14 @@ class TestGiniSum:
             for _ in range(50):
                 assert evaluate(random_complex_unit(rng, dim)) <= cap
 
-    def test_the_density_of_an_unnormalized_vector_is_rejected(self):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_an_unnormalized_vector_is_rejected_as_its_density_is(self, mode):
+        psi = np.zeros(2 if mode == "single" else 4, dtype=complex)
+        psi[0] = 2.0
+        # the unchecked evaluator reads a sum below 0, a deficit above the cap
+        # (-4.67 against a cap of 0.667 at d = 2, single), so the vector must
+        # be admitted through its density, which rejects it
+        assert _pure_gini_sum(2, mode)(psi) < 0 < gini_sum_cap(2, mode)
         with pytest.raises(NotNormalizedError):
             uncertainty_deficits(pure_density(np.eye(4)[0] * 2.0))
 
