@@ -7,6 +7,9 @@ Every payload text is bytes from the boundary on: an inline flag's text is
 its UTF-8 with lone surrogates kept, which orjson rejects as it would in a
 str, and an --input file is taken as read, with CR and CRLF made LF.
 
+`report` runs the worked examples of `reference.REPORTS`, each with its
+parameters and checks; `cmd_report` reads their flags and writes the envelope.
+
 `main` can run many verbs in one process.  The objects that `_read` last
 admitted are kept, read-only, so a verb that reads the same payload bytes
 under the same admission option as the verb before it decodes and validates
@@ -193,13 +196,17 @@ def _complex_pairs(entries, n: int, what: str) -> np.ndarray:
 def _as_state(payload, repair: bool = False) -> np.ndarray:
     """Parse a density matrix, pure state, or labelled basis ket into a density.
 
-    The size (`dim`, or the number of `images`, which a given `d` must equal)
-    is checked before any dim x dim array is formed.
+    The payload names one form.  The size (`dim`, or the number of `images`,
+    which a given `d` must equal and a given `dim` must make) is checked
+    before any dim x dim array is formed.
     """
     if isinstance(payload, dict) and "state" in payload:
         payload = payload["state"]
     if not isinstance(payload, dict):
         raise ValidationError("state payload must be a JSON object")
+    forms = [f"'{form}'" for form in ("entries", "amplitudes", "images") if form in payload]
+    if len(forms) > 1:
+        raise ValidationError(f"state payload names {', '.join(forms[:-1])} and {forms[-1]}; give one")
     if "entries" in payload:
         dim = quantum.check_state_dim(_json_int(payload.get("dim")))
         rho = _complex_pairs(payload["entries"], dim * dim, "density entries").reshape(dim, dim)
@@ -221,6 +228,8 @@ def _as_state(payload, repair: bool = False) -> np.ndarray:
         d = admit_int(_json_int(payload.get("d", len(images))), "state 'd'", 1)
         if d != len(images):
             raise ValidationError(f"state 'd' = {d} does not match the {len(images)} 'images'")
+        if "dim" in payload and (dim := quantum.check_state_dim(_json_int(payload["dim"]))) != d**d:
+            raise ValidationError(f"state 'dim' = {dim} does not match the {d} 'images', a ket of dim {d**d}")
         images = [admit_index(_json_int(v), f"images[{i}]", len(images)) for i, v in enumerate(images)]
         return quantum.pure_density(quantum.basis_state(markov.FunctionMap(tuple(images))))
     raise ValidationError("state payload needs 'entries', 'amplitudes' or 'images'")
@@ -552,136 +561,13 @@ def cmd_eta(args) -> dict:
     return {**_fields(est), "best_state": best_state, "budget": args.budget}
 
 
-# ---------------------------------------------------------------------------
-# Reports
-# ---------------------------------------------------------------------------
-
-def _check(name: str, computed, expected, tol: float) -> dict:
-    computed = np.asarray(computed, dtype=float)
-    expected = np.asarray(expected, dtype=float)
-    err = float(np.abs(computed - expected).max())
-    return {
-        "name": name,
-        "computed": computed if computed.ndim else float(computed),
-        "expected": expected if expected.ndim else float(expected),
-        "abs_err": err,
-        "pass": bool(err <= tol),
-    }
-
-
-def _report_table1(a: float, b: float) -> tuple[dict, list]:
-    q = reference.demo_matrix(a, b)
-    weights = markov.product_probabilities(q)
-    tensor = reference.demo_correlated_tensor(a, b)
-    coeffs = markov.correlation_coefficients(tensor)
-    rows = reference.demo_table_rows(a, b)
-    checks = []
-    for row in rows:
-        code = row["code"]
-        checks.append(_check(f"product{tuple(row['images'])}", weights[code], row["product_probability"], 1e-12))
-        checks.append(_check(f"joint{tuple(row['images'])}", tensor[code], row["joint_probability"], 1e-12))
-        checks.append(_check(f"correlation{tuple(row['images'])}", coeffs[code], row["correlation"], 1e-12))
-    support = {row["code"] for row in rows}
-    off_support = [w for c, w in enumerate(weights) if c not in support]
-    checks.append(_check("off_support_products", max(off_support), 0.0, 1e-12))
-    return {"a": a, "b": b, "rows": rows}, checks
-
-
-def _two_qubit_states(a2, c2, d2, e2) -> tuple[quantum.StateStats, quantum.StateStats]:
-    """Statistics of the pair and triple states of the two-qubit examples."""
-    if not 0.0 < a2 < 0.5:
-        raise ValidationError("--a2 must lie in (0, 1/2) so |a| < |b|")
-    if abs((c2 + d2 + e2) - 1.0) > 1e-9:
-        raise ValidationError("--c2 + --d2 + --e2 must sum to 1")
-    if not 0.0 < e2 < d2 < c2:
-        raise ValidationError("need 0 < e2 < d2 < c2")
-    pair = quantum.pure_density(reference.pair_state(np.sqrt(a2), np.sqrt(1 - a2)))
-    triple = quantum.pure_density(
-        reference.triple_state(np.sqrt(c2), np.sqrt(d2), np.sqrt(e2))
-    )
-    return quantum.state_stats(pair), quantum.state_stats(triple)
-
-
-def _report_table2(a2: float, c2: float, d2: float, e2: float) -> tuple[dict, list]:
-    pair, triple = _two_qubit_states(a2, c2, d2, e2)
-    rows = reference.two_qubit_table_rows(a2, c2, d2, e2)
-    checks = []
-    for row in rows:
-        code = row["code"]
-        label = tuple(row["images"])
-        for prefix, stats in (("pair", pair), ("triple", triple)):
-            checks.append(_check(f"{prefix}_joint{label}", stats.tensor[code], row[f"{prefix}_joint"], 1e-12))
-            checks.append(_check(f"{prefix}_product{label}", stats.products[code], row[f"{prefix}_product"], 1e-12))
-            checks.append(_check(f"{prefix}_correlation{label}", stats.correlations[code], row[f"{prefix}_correlation"], 1e-12))
-    return {"a2": a2, "c2": c2, "d2": d2, "e2": e2, "rows": rows}, checks
-
-
-def _report_section84(a2: float, c2: float, d2: float, e2: float) -> tuple[dict, list]:
-    pair, triple = _two_qubit_states(a2, c2, d2, e2)
-    want_pair = reference.pair_expected(a2)
-    want_triple = reference.triple_expected(c2, d2, e2)
-    rows = [
-        ("pair_markov", pair.markov, want_pair["markov"]),
-        ("triple_markov", triple.markov, want_triple["markov"]),
-        ("pair_gini_vector", pair.gini_vector, want_pair["gini_vector"]),
-        ("triple_gini_vector", triple.gini_vector, want_triple["gini_vector"]),
-        ("pair_total_gini", pair.total_gini, want_pair["total_gini"]),
-        ("triple_total_gini", triple.total_gini, want_triple["total_gini"]),
-        ("pair_self_overlap", markov.scalar_product(pair.markov, pair.markov), want_pair["self_overlap"]),
-        ("triple_self_overlap", markov.scalar_product(triple.markov, triple.markov), want_triple["self_overlap"]),
-        ("pair_triple_overlap", markov.scalar_product(pair.markov, triple.markov),
-         reference.pair_triple_overlap(a2, c2, d2, e2)),
-    ]
-    checks = [_check(name, computed, expected, 1e-12) for name, computed, expected in rows]
-    return {"a2": a2, "c2": c2, "d2": d2, "e2": e2}, checks
-
-
-def _report_section9() -> tuple[dict, list]:
-    pure = quantum.pure_density(reference.tripartite_pure_state())
-    mixed = reference.tripartite_mixed_state()
-    stats_pure = quantum.tensor_stats(quantum.dual_probabilities(pure, quantum.GLOBAL))
-    stats_mixed = quantum.tensor_stats(quantum.dual_probabilities(mixed, quantum.GLOBAL))
-
-    def reported_check(name, computed, reported):
-        base = _check(name, computed, reported, reference.DISPLAY_TOL)
-        base["pass_strict"] = bool(base["abs_err"] <= reference.STRICT_DISPLAY_TOL)
-        return base
-
-    checks = [
-        reported_check("dual_markov", stats_pure.markov, reference.REPORTED_DUAL_MARKOV),
-        reported_check("dual_gini_vector", stats_pure.gini_vector, reference.REPORTED_DUAL_GINI_VECTOR),
-        reported_check("dual_total_gini", stats_pure.total_gini, reference.REPORTED_DUAL_TOTAL_GINI),
-        _check("full_precision_dual_markov", stats_pure.markov, reference.TRIPARTITE_DUAL_MARKOV, 1e-12),
-        _check("full_precision_dual_gini_vector", stats_pure.gini_vector, reference.TRIPARTITE_DUAL_GINI_VECTOR, 1e-12),
-        _check("full_precision_dual_total_gini", stats_pure.total_gini, reference.TRIPARTITE_DUAL_TOTAL_GINI, 1e-12),
-        _check("mixed_dual_markov_uniform", stats_mixed.markov, np.full((3, 3), 1 / 3), 1e-12),
-        _check("mixed_dual_gini_vector", stats_mixed.gini_vector, np.zeros(3), 1e-12),
-        _check("mixed_dual_total_gini", stats_mixed.total_gini, 0.0, 1e-12),
-    ]
-    fields = {
-        "dual_markov": stats_pure.markov,
-        "dual_gini_vector": stats_pure.gini_vector,
-        "dual_total_gini": stats_pure.total_gini,
-    }
-    return fields, checks
-
-
-_TWO_QUBIT = {"a2": 0.3, "c2": 0.5, "d2": 0.3, "e2": 0.2}
-_REPORTS = {  # each worked example: its handler and the parameters it reads, with their defaults
-    "table1": (_report_table1, {"a": 0.2, "b": 0.45}),
-    "table2": (_report_table2, _TWO_QUBIT),
-    "section84": (_report_section84, _TWO_QUBIT),
-    "section9": (_report_section9, {}),
-}
-
-
 def cmd_report(args) -> dict:
-    """Run one worked example on the parameters it reads; each handler returns its own fields and checks."""
-    handler, defaults = _REPORTS[args.which]
+    """Run one worked example of `reference.REPORTS` on the parameters it reads."""
+    build, defaults = reference.REPORTS[args.which]
     given = {name: value for name in ("a", "b", "a2", "c2", "d2", "e2") if (value := getattr(args, name)) is not None}
     if unread := [f"--{name}" for name in given if name not in defaults]:
         raise _UsageError(f"report {args.which} does not read {', '.join(unread)}")
-    fields, checks = handler(**{**defaults, **given})
+    fields, checks = build(**{**defaults, **given})
     return {
         "which": args.which,
         **fields,
@@ -802,7 +688,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=1000, help="objective evaluation budget")
 
     p = sub("report", cmd_report, help="reproduce the bundled worked examples")
-    p.add_argument("which", choices=tuple(_REPORTS))
+    p.add_argument("which", choices=tuple(reference.REPORTS))
     p.add_argument("--a", type=float, help="table1: parameter a")
     p.add_argument("--b", type=float, help="table1: parameter b")
     p.add_argument("--a2", type=float, help="table2, section84: |a|^2 of the pair state")

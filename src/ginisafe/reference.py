@@ -1,10 +1,12 @@
-"""Built-in worked-example families and their closed-form expected values.
+"""The paper's worked examples: their closed forms, and the reports that check the library against them.
 
-These parametrized objects back the ``report`` subcommands of the CLI and the
-strictest regression tests: a banded 3x3 row Markov matrix with both an
-independent and a correlated expansion, a pair of two-qubit states whose full
-statistics have closed forms, and a tripartite qutrit pair probing the global
-Fourier transform.
+Three parametrized families back the strictest regression tests: a banded
+3x3 row Markov matrix with both an independent and a correlated expansion, a
+pair of two-qubit states whose full statistics have closed forms, and a
+tripartite qutrit pair probing the global Fourier transform.  Beside each
+family's closed forms stands its report builder, which checks the library
+against them; `REPORTS` lists the builders that the CLI's ``report`` verb
+runs, with the parameters each reads.
 
 The tripartite reference constants come in two flavours: full-precision
 values (validated against an independent phase-sum evaluation) and
@@ -19,8 +21,29 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .markov import FunctionMap
-from .quantum import basis_state, pure_density
+from .markov import FunctionMap, correlation_coefficients, product_probabilities, scalar_product
+from .quantum import GLOBAL, basis_state, dual_probabilities, pure_density, state_stats, tensor_stats
+
+
+def _check(name: str, computed, expected, tol: float = 1e-12) -> dict:
+    """A report's check: the library's value against the closed form, passing within `tol`."""
+    computed = np.asarray(computed, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    err = float(np.abs(computed - expected).max())
+    return {
+        "name": name,
+        "computed": computed if computed.ndim else float(computed),
+        "expected": expected if expected.ndim else float(expected),
+        "abs_err": err,
+        "pass": bool(err <= tol),
+    }
+
+
+def _row_checks(row: dict, columns) -> list:
+    """The checks of a table row: for each (name, values, key), ``values[row code]`` against ``row[key]``."""
+    label = tuple(row["images"])
+    return [_check(f"{name}{label}", values[row["code"]], row[key]) for name, values, key in columns]
+
 
 # ---------------------------------------------------------------------------
 # Banded 3x3 demo matrix and its two expansions
@@ -103,6 +126,23 @@ def demo_total_gini(a: float, b: float) -> float:
     return (13 - a - b) / 14.0
 
 
+def _table1(a: float, b: float) -> tuple[dict, list]:
+    """Both expansions of the demo matrix against `demo_table_rows`, and no product weight off its support."""
+    weights = product_probabilities(demo_matrix(a, b))
+    tensor = demo_correlated_tensor(a, b)
+    columns = [
+        ("product", weights, "product_probability"),
+        ("joint", tensor, "joint_probability"),
+        ("correlation", correlation_coefficients(tensor), "correlation"),
+    ]
+    rows = demo_table_rows(a, b)
+    checks = [check for row in rows for check in _row_checks(row, columns)]
+    support = {row["code"] for row in rows}
+    off_support = [w for c, w in enumerate(weights) if c not in support]
+    checks.append(_check("off_support_products", max(off_support), 0.0))
+    return {"a": a, "b": b, "rows": rows}, checks
+
+
 # ---------------------------------------------------------------------------
 # Two-qubit states with closed-form statistics
 # ---------------------------------------------------------------------------
@@ -170,26 +210,52 @@ def pair_triple_overlap(a2: float, c2: float, d2: float, e2: float) -> float:
     return a2 * (a2 * c2 + b2 - b2 * c2) + e2 * d2 * (a2 - b2) ** 2
 
 
-def two_qubit_table_rows(a2: float, c2: float, d2: float, e2: float) -> list[dict]:
-    """Joint/product/correlation columns for both two-qubit states, per map."""
-    pair = pair_expected(a2)
-    triple = triple_expected(c2, d2, e2)
-    rows = []
+def _two_qubit_states(a2: float, c2: float, d2: float, e2: float) -> dict:
+    """Each state's statistics and closed forms, by name, on the domain where the closed forms hold."""
+    if not 0.0 < a2 < 0.5:
+        raise ValidationError("--a2 must lie in (0, 1/2) so |a| < |b|")
+    if abs((c2 + d2 + e2) - 1.0) > 1e-9:
+        raise ValidationError("--c2 + --d2 + --e2 must sum to 1")
+    if not 0.0 < e2 < d2 < c2:
+        raise ValidationError("need 0 < e2 < d2 < c2")
+    pair = pure_density(pair_state(np.sqrt(a2), np.sqrt(1 - a2)))
+    triple = pure_density(triple_state(np.sqrt(c2), np.sqrt(d2), np.sqrt(e2)))
+    return {
+        "pair": (state_stats(pair), pair_expected(a2)),
+        "triple": (state_stats(triple), triple_expected(c2, d2, e2)),
+    }
+
+
+def _table2(a2: float, c2: float, d2: float, e2: float) -> tuple[dict, list]:
+    """Each state's joint, product and correlation columns, one row per map, each row checked as it is made."""
+    columns = [  # (row key and check name, the library's values, the closed forms)
+        (f"{name}_{column}", getattr(stats, field), closed[field])
+        for name, (stats, closed) in _two_qubit_states(a2, c2, d2, e2).items()
+        for column, field in (("joint", "tensor"), ("product", "products"), ("correlation", "correlations"))
+    ]
+    checked = [(key, values, key) for key, values, _ in columns]
+    rows, checks = [], []
     for images in ((0, 0), (0, 1), (1, 0), (1, 1)):
         code = FunctionMap(images).code
-        rows.append(
-            {
-                "images": list(images),
-                "code": code,
-                "pair_joint": pair["tensor"][code],
-                "pair_product": pair["products"][code],
-                "pair_correlation": pair["correlations"][code],
-                "triple_joint": triple["tensor"][code],
-                "triple_product": triple["products"][code],
-                "triple_correlation": triple["correlations"][code],
-            }
-        )
-    return rows
+        rows.append({"images": list(images), "code": code, **{key: closed[code] for key, _, closed in columns}})
+        checks += _row_checks(rows[-1], checked)
+    return {"a2": a2, "c2": c2, "d2": d2, "e2": e2, "rows": rows}, checks
+
+
+def _section84(a2: float, c2: float, d2: float, e2: float) -> tuple[dict, list]:
+    """Each state's Markov matrix, Gini values and self-overlap, and the overlap of the two."""
+    states = _two_qubit_states(a2, c2, d2, e2)
+    checks = [
+        _check(f"{name}_{field}", getattr(stats, field), closed[field])
+        for field in ("markov", "gini_vector", "total_gini")
+        for name, (stats, closed) in states.items()
+    ]
+    markov = {name: stats.markov for name, (stats, _) in states.items()}
+    checks += [_check(f"{name}_self_overlap", scalar_product(m, m), states[name][1]["self_overlap"])
+               for name, m in markov.items()]
+    overlap = scalar_product(markov["pair"], markov["triple"])
+    checks.append(_check("pair_triple_overlap", overlap, pair_triple_overlap(a2, c2, d2, e2)))
+    return {"a2": a2, "c2": c2, "d2": d2, "e2": e2}, checks
 
 
 # ---------------------------------------------------------------------------
@@ -246,3 +312,40 @@ STRICT_DISPLAY_TOL = 5e-4
 
 #: Tolerance that covers the truncation-plus-complement display error.
 DISPLAY_TOL = 1.25e-3
+
+
+def _section9() -> tuple[dict, list]:
+    """The pure state's global dual against the reported and the full-precision values, and the mixed state's."""
+    pure = tensor_stats(dual_probabilities(pure_density(tripartite_pure_state()), GLOBAL))
+    mixed = tensor_stats(dual_probabilities(tripartite_mixed_state(), GLOBAL))
+
+    def reported_check(name, computed, reported):
+        check = _check(name, computed, reported, DISPLAY_TOL)
+        check["pass_strict"] = bool(check["abs_err"] <= STRICT_DISPLAY_TOL)
+        return check
+
+    checks = [
+        reported_check("dual_markov", pure.markov, REPORTED_DUAL_MARKOV),
+        reported_check("dual_gini_vector", pure.gini_vector, REPORTED_DUAL_GINI_VECTOR),
+        reported_check("dual_total_gini", pure.total_gini, REPORTED_DUAL_TOTAL_GINI),
+        _check("full_precision_dual_markov", pure.markov, TRIPARTITE_DUAL_MARKOV),
+        _check("full_precision_dual_gini_vector", pure.gini_vector, TRIPARTITE_DUAL_GINI_VECTOR),
+        _check("full_precision_dual_total_gini", pure.total_gini, TRIPARTITE_DUAL_TOTAL_GINI),
+        _check("mixed_dual_markov_uniform", mixed.markov, np.full((3, 3), 1 / 3)),
+        _check("mixed_dual_gini_vector", mixed.gini_vector, np.zeros(3)),
+        _check("mixed_dual_total_gini", mixed.total_gini, 0.0),
+    ]
+    fields = {"dual_markov": pure.markov, "dual_gini_vector": pure.gini_vector, "dual_total_gini": pure.total_gini}
+    return fields, checks
+
+
+_TWO_QUBIT = {"a2": 0.3, "c2": 0.5, "d2": 0.3, "e2": 0.2}
+
+#: Each report by name: its builder, which returns the report's fields and
+#: checks, and the parameters the builder reads, with their defaults.
+REPORTS = {
+    "table1": (_table1, {"a": 0.2, "b": 0.45}),
+    "table2": (_table2, _TWO_QUBIT),
+    "section84": (_section84, _TWO_QUBIT),
+    "section9": (_section9, {}),
+}

@@ -63,6 +63,15 @@ INVALID_PAYLOADS = [
     ("quantum-stats", "--state", '{"dim":1,"entries":[["1","0"]]}'),
 ]
 
+# State payloads the reader rejects with exit 1: two forms named at once, or a
+# ket whose 'dim' is not an integer or not the one its images make.
+AMBIGUOUS_STATES = [
+    ("quantum-stats", "--state", '{"dim": 4, "amplitudes": [[1,0],[0,0],[0,0],[0,0]], "images": [0, 1]}'),
+    ("quantum-stats", "--state", '{"dim": 1, "entries": [[1,0]], "amplitudes": [[1,0]]}'),
+    ("quantum-stats", "--state", '{"dim": 9, "images": [0, 1]}'),
+    ("quantum-stats", "--state", '{"dim": "x", "images": [0, 1]}'),
+]
+
 
 def _independent(matrix) -> str:
     return json.dumps({"kind": "independent", "matrix": matrix})
@@ -92,8 +101,24 @@ ENSEMBLES = [
     ("collision", "--ensemble", _CORRELATED, "--ensemble", _independent([[0.5, 0.5], [0.5, 0.5]]), "--n", "10"),
 ]
 
+_TWO_QUBIT = ("--a2", "0.2", "--c2", "0.6", "--d2", "0.25", "--e2", "0.15")
+
+# The worked examples off their default parameters, and one rejected
+# parameter set per example.
+REPORTS = [
+    ("report", "table1", "--a", "0.1", "--b", "0.3"),
+    ("report", "table2", *_TWO_QUBIT),
+    ("report", "section84", *_TWO_QUBIT),
+    ("report", "table1", "--a", "0.6", "--b", "0.3"),
+    ("report", "table2", "--a2", "0.7"),
+    ("report", "section84", "--a2", "0.5"),
+    ("report", "section9", "--a", "0.1"),
+]
+
+# A list added later goes at the end, so that every recorded entry keeps its
+# index, which names its test in tests/test_golden.py.
 ARGV = [list(argv) for argv in EVERY_VERB] + [["expand", "--matrix", _D5, "--floor", "0.001"]] + [
-    list(argv) for argv in INVALID_PAYLOADS + ENSEMBLES
+    list(argv) for argv in INVALID_PAYLOADS + ENSEMBLES + REPORTS + AMBIGUOUS_STATES
 ]
 
 

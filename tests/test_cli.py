@@ -428,6 +428,16 @@ CLI_REJECTIONS = [
     ("ensemble-not-an-object", ["simulate"], "--ensemble", ["[[1, 0], [0, 1]]"], 1, ENSEMBLE_KIND),
     ("state-not-an-object", ["quantum-stats"], "--state", ["[1, 0]"], 1, "state payload must be a JSON object"),
     ("state-form", ["quantum-stats"], "--state", ['{"dim": 2}'], 1, f"state payload needs {STATE_FORMS}"),
+    ("state-two-forms", ["quantum-stats"], "--state",
+     ['{"dim": 4, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]], "images": [0, 1]}'], 1,
+     "state payload names 'amplitudes' and 'images'; give one"),
+    ("state-three-forms", ["quantum-stats"], "--state",
+     ['{"state": {"dim": 1, "entries": [[1, 0]], "amplitudes": [[1, 0]], "images": [0]}}'], 1,
+     "state payload names 'entries', 'amplitudes' and 'images'; give one"),
+    ("ket-dim", ["quantum-stats"], "--state", ['{"dim": 9, "images": [0, 1]}'], 1,
+     "state 'dim' = 9 does not match the 2 'images', a ket of dim 4"),
+    ("ket-dim-not-an-integer", ["quantum-stats"], "--state", ['{"dim": "x", "images": [0, 1]}'], 1,
+     "state 'dim' must be an integer in [1, 3125], got 'x'"),
     ("tensor-sizes", ["scalar-product", "--tensors"], "--tensor",
      [json.dumps([1 / 4] * 4), json.dumps([1 / 27] * 27)], 1, "tensor sizes 4 and 27 differ"),
     ("ensemble-dimensions", ["collision"], "--ensemble", [uniform_ensemble(2), uniform_ensemble(3)], 1,
@@ -438,6 +448,10 @@ CLI_REJECTIONS = [
      "--c2 + --d2 + --e2 must sum to 1"),
     ("table2-order", ["report", "table2", "--c2", "0.3", "--d2", "0.5", "--e2", "0.2"], None, [], 1,
      "need 0 < e2 < d2 < c2"),
+    ("table1-order", ["report", "table1", "--a", "0.6", "--b", "0.3"], None, [], 1,
+     "correlated demo tensor requires 0 <= a <= b <= 1"),
+    ("section84-a2", ["report", "section84", "--a2", "0.5"], None, [], 1,
+     "--a2 must lie in (0, 1/2) so |a| < |b|"),
 ]
 # id, call, exception type, message
 CALL_REJECTIONS = [
@@ -1165,6 +1179,13 @@ class TestStateAdmission:
 
     def test_a_ket_d_is_optional(self, capsys):
         assert run_cli(capsys, "quantum-stats", "--state", '{"d": 2, "images": [1, 0]}') == run_cli(
+            capsys, "quantum-stats", "--state", '{"images": [1, 0]}'
+        )
+
+    @pytest.mark.parametrize("state", ['{"dim": 4, "images": [1, 0]}', '{"dim": 4.0, "d": 2, "images": [1, 0]}',
+                                       '{"state": {"dim": 4, "images": [1, 0]}, "mode": "global"}'])
+    def test_a_ket_dim_that_its_images_make_is_read(self, capsys, state):
+        assert run_cli(capsys, "quantum-stats", "--state", state) == run_cli(
             capsys, "quantum-stats", "--state", '{"images": [1, 0]}'
         )
 
