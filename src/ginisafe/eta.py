@@ -9,13 +9,11 @@ The search therefore walks pure states only: multi-start random amplitudes
 followed by derivative-free simplex descent (the objective has sorting kinks,
 so gradients are off the table).
 
-Every Gini sum here is of amplitude vectors, and each shape has one route.
-:func:`estimate_eta` checks ``d``, the mode, the budget and the seed once and
-prices each candidate, one 1-D vector, by the evaluator of
-:func:`_pure_gini_sum`, with the Gini weights bound and its squared moduli
-sorted in place.  :func:`deficit_sweep` prices each 2-D block of states, one
-per row, by :func:`probvec.gini_index` and :func:`markov.tensor_to_matrix`,
-whose C-order copy of the block's dual the sweep's bits depend on.  A
+Every Gini sum here is of amplitude vectors, priced by the evaluator of
+:func:`_pure_gini_sum` through the one Gini kernel of :mod:`probvec` and the
+one marginal kernel of :mod:`markov`.  :func:`estimate_eta` checks ``d``, the
+mode, the budget and the seed once and prices each candidate, one 1-D vector;
+:func:`deficit_sweep` prices each 2-D block of states, one per row.  A
 density's deficits are those of :func:`quantum.uncertainty_deficits`.  The
 simplex keeps its vertices in stable-sorted order incrementally instead of
 re-sorting every step, in two arrays of its size made once per descent.
@@ -55,8 +53,8 @@ import numpy as np
 
 from .ensembles import MAX_SAMPLES, make_rng, shard_rng
 from .errors import DimensionTooLargeError, GiniSafeError, ValidationError, _echo_int, admit_int
-from .markov import _marginal_bins, tensor_to_matrix
-from .probvec import _additive_cap, _gini_weights, gini_index
+from .markov import _marginal_kernel
+from .probvec import _additive_cap, _gini_kernel
 from .quantum import (
     GLOBAL,
     LOCAL,
@@ -129,40 +127,32 @@ def gini_sum_cap(d: int, mode: str) -> float:
 
 
 def _pure_gini_sum(d: int, mode: str):
-    """The unchecked Gini sum of one amplitude vector, for an admitted (d, mode).
+    """The unchecked Gini sum of one amplitude vector, or of each row of a block, for an admitted (d, mode).
 
-    :func:`estimate_eta` calls it for every evaluation.  The dual transform is
-    bound once, and so are the Gini weights and factor, and in
-    ``global_component`` mode the marginal bins.  The vector's squared moduli
-    are fresh arrays, so they are squared and sorted in place and dotted with
-    the bound weights, with no admission, copy or cache lookup per call.  The
-    sum has the bits of the public pieces: ``|psi|**2``,
-    :func:`quantum.apply_dual`, :func:`probvec.gini_index` and
-    :func:`markov.tensor_to_matrix`.
+    :func:`estimate_eta` calls it for every evaluation, :func:`deficit_sweep`
+    for every block.  The dual transform and the kernels of
+    :func:`probvec.gini_index` and, in ``global_component`` mode,
+    :func:`markov.tensor_to_matrix` are bound once.  The squared moduli are
+    fresh arrays, which the Gini kernel sorts in place, with no admission,
+    copy or cache lookup per call.  A block's dual is laid out in C order, as
+    ``gini_index``'s copy lays it out: the bits of its row sums rest on it.
+    The sum has the bits of the public pieces: ``|psi|**2``,
+    :func:`quantum.apply_dual`, ``gini_index`` and ``tensor_to_matrix``.
     """
     dual = _dual_transform(d, _TRANSFORM[mode])
     dim = space_dimension(d, _TRANSFORM[mode])
-    if mode == MODE_GLOBAL_COMPONENT:
-        bins, _ = _marginal_bins(dim)
-        weights, scale = _gini_weights(d)
+    marginal = _marginal_kernel(dim) if mode == MODE_GLOBAL_COMPONENT else None
+    gini = _gini_kernel(dim if marginal is None else d)
 
-        def gini(p: np.ndarray) -> np.ndarray:
-            q = np.bincount(bins, weights=p.repeat(d), minlength=d * d).reshape(d, d)
-            q.sort()
-            return 1.0 - scale * q.dot(weights)
-    else:
-        weights, scale = _gini_weights(dim)
-
-        def gini(p: np.ndarray) -> float:
-            p.sort()
-            return 1.0 - scale * float(p.dot(weights))
-
-    def evaluate(z: np.ndarray) -> float:
-        p, p_dual = np.abs(z), np.abs(dual(z))
+    def evaluate(z: np.ndarray):
+        p = abs(z)
+        p_dual = abs(dual(z)) if z.ndim == 1 else np.abs(dual(z.T).T, order="C")
         np.square(p, p)
         np.square(p_dual, p_dual)
-        s = gini(p) + gini(p_dual)
-        return float(s.max()) if mode == MODE_GLOBAL_COMPONENT else s
+        if marginal is None:
+            return gini(p) + gini(p_dual)
+        s = gini(marginal(p)) + gini(marginal(p_dual))
+        return float(s.max()) if z.ndim == 1 else s.max(axis=-1)
 
     return evaluate
 
@@ -354,15 +344,15 @@ def deficit_sweep(d: int, mode: str, n: int, seed: int = 0) -> float:
     The deficit is strictly positive for every state; a non-positive minimum
     indicates a numerical fault and raises.  ``n * dim <= MAX_SAMPLES``.  After
     one draw of all real parts, each block of states, one per row, draws its
-    imaginary parts and is priced by :func:`probvec.gini_index` and
-    :func:`markov.tensor_to_matrix`; chunked draws are the numbers of one draw.
+    imaginary parts and is priced by the evaluator of :func:`_pure_gini_sum`,
+    as a search prices one state; chunked draws are the numbers of one draw.
     """
     d, dim = _admit_search(d, mode)
     n = admit_int(n, "sample count", 1)
     if n * dim > MAX_SAMPLES:
         raise DimensionTooLargeError(f"sample count {_echo_int(n)}: states of dimension {dim} exceed {MAX_SAMPLES} amplitudes")
     cap = gini_sum_cap(d, mode)
-    dual = _dual_transform(d, _TRANSFORM[mode])
+    evaluate = _pure_gini_sum(d, mode)
     rng = make_rng(seed)
     real = rng.standard_normal((n, dim))
     deficits = np.empty(n)
@@ -370,12 +360,7 @@ def deficit_sweep(d: int, mode: str, n: int, seed: int = 0) -> float:
     for start in range(0, n, block):
         z = real[start : start + block] + 1j * rng.standard_normal((min(block, n - start), dim))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        p, p_dual = np.abs(z) ** 2, np.abs(dual(z.T).T) ** 2
-        if mode == MODE_GLOBAL_COMPONENT:
-            sums = (gini_index(tensor_to_matrix(p)) + gini_index(tensor_to_matrix(p_dual))).max(axis=-1)
-        else:
-            sums = gini_index(p) + gini_index(p_dual)
-        deficits[start : start + block] = cap - sums
+        deficits[start : start + block] = cap - evaluate(z)
     smallest = float(deficits.min())
     if smallest <= 0.0:
         raise GiniSafeError(f"non-positive uncertainty deficit {smallest}; numerical fault")

@@ -195,22 +195,23 @@ def tensor_to_matrix(t) -> np.ndarray:
     does not invert an arbitrary tensor back from its matrix.
     """
     t = admit_array(t, "Markov tensor", float, (1, 2))
-    # one bincount with each t[f] repeated d times: bin b*d*d + i*d + f(i) adds its
-    # weights in code order, so every row has the bits of d bincounts of its own
-    bins, d = _marginal_bins(t.shape[-1])
-    if t.ndim == 2:
-        bins = (bins + d * d * np.arange(len(t))[:, None]).ravel()
-    q = np.bincount(bins, weights=t.repeat(d), minlength=d * d * (t.size // d**d))
-    return q.reshape(t.shape[:-1] + (d, d))
+    return _marginal_kernel(t.shape[-1])(t)
 
 
 @functools.lru_cache(maxsize=None)
-def _marginal_bins(size: int) -> tuple[np.ndarray, int]:
-    """Read-only bins i*d + f(i) of every code f and position i, and d; one admission per length."""
+def _marginal_kernel(size: int):
+    """The marginalization of :func:`tensor_to_matrix` for tensors of `size` weights, unchecked; one admission per length."""
     d = tensor_dimension(size)
     bins = (function_table(d) + d * np.arange(d)).ravel()
-    bins.setflags(write=False)
-    return bins, d
+
+    def marginal(t: np.ndarray) -> np.ndarray:
+        # one bincount with each t[f] repeated d times: bin b*d*d + i*d + f(i) adds its
+        # weights in code order, so every row has the bits of d bincounts of its own;
+        # each row's last bin, i = f(i) = d - 1, occurs, so no minlength is needed
+        b = bins if t.ndim == 1 else (bins + d * d * np.arange(len(t))[:, None]).ravel()
+        return np.bincount(b, weights=t.repeat(d)).reshape(t.shape[:-1] + (d, d))
+
+    return marginal
 
 
 def correlation_coefficients(t) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 Probability vectors are plain 1-D float arrays.  All orderings used here are
 ascending and stable: ties are broken by the original index, so every result
-is deterministic.  :func:`gini_index` is the one Gini kernel, for a single
-vector or for each row of a matrix; :func:`gini_mean_abs_diff` computes the
-same index through the mean absolute difference and is the oracle it is
-tested against.
+is deterministic.  :func:`gini_index` prices a single vector or each row of a
+matrix by :func:`_gini_kernel`, the one Gini kernel, which :mod:`eta` binds
+too; :func:`gini_mean_abs_diff` computes the same index through the mean
+absolute difference and is the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -115,18 +115,24 @@ def gini_index(x):
     the uniform vector, (d - 1)/(d + 1) for a vector with all mass on one entry.
     """
     p = admit_array(x, "probability vector", float, (1, 2, 3)).copy()
-    p.sort()
-    weights, scale = _gini_weights(p.shape[-1])
-    g = 1.0 - scale * p.dot(weights)
-    return float(g) if p.ndim == 1 else g
+    return _gini_kernel(p.shape[-1])(p)
 
 
 @functools.lru_cache(maxsize=16)
-def _gini_weights(d: int) -> tuple[np.ndarray, float]:
-    """The read-only weights d, ..., 1 of :func:`gini_index` and its factor 2/(d + 1)."""
-    weights = np.arange(d, 0, -1, dtype=float)
-    weights.setflags(write=False)
-    return weights, 2.0 / (d + 1)
+def _gini_kernel(n: int):
+    """The unchecked :func:`gini_index` of n-entry vectors.
+
+    It sorts a fresh float array in place and dots it with the weights n, ..., 1.
+    """
+    weights = np.arange(n, 0, -1, dtype=float)
+    scale = 2.0 / (n + 1)
+
+    def kernel(p: np.ndarray):
+        p.sort()
+        g = p.dot(weights)
+        return 1.0 - scale * (float(g) if p.ndim == 1 else g)
+
+    return kernel
 
 
 def _additive_cap(n: int) -> float:

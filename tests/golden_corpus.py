@@ -73,6 +73,24 @@ AMBIGUOUS_STATES = [
 ]
 
 
+def _density(delta: float) -> str:
+    """The dim-4 density diag(0.5 + delta, 0.5, 0, -delta) as a state payload."""
+    diag = [0.5 + delta, 0.5, 0.0, -delta]
+    return json.dumps({"dim": 4, "entries": [[diag[i] if i == j else 0.0, 0.0] for i in range(4) for j in range(4)]})
+
+
+# Densities past the Cholesky certificate: at delta = 9.95e-9 eigh admits the
+# density, at 2e-8 its eigenvalue -2e-8 is below the floor -1e-8 and --repair
+# rejects it too.
+DENSITY_ADMISSIONS = [
+    ("quantum-stats", "--state", _density(9.95e-9)),
+    ("quantum-stats", "--state", _density(9.95e-9), "--repair"),
+    ("deficits", "--state", _density(9.95e-9), "--repair"),
+    ("dual", "--state", _density(9.95e-9), "--mode", "local"),
+    ("quantum-stats", "--state", _density(2e-8), "--repair"),
+]
+
+
 def _independent(matrix) -> str:
     return json.dumps({"kind": "independent", "matrix": matrix})
 
@@ -118,7 +136,7 @@ REPORTS = [
 # A list added later goes at the end, so that every recorded entry keeps its
 # index, which names its test in tests/test_golden.py.
 ARGV = [list(argv) for argv in EVERY_VERB] + [["expand", "--matrix", _D5, "--floor", "0.001"]] + [
-    list(argv) for argv in INVALID_PAYLOADS + ENSEMBLES + REPORTS + AMBIGUOUS_STATES
+    list(argv) for argv in INVALID_PAYLOADS + ENSEMBLES + REPORTS + AMBIGUOUS_STATES + DENSITY_ADMISSIONS
 ]
 
 

@@ -972,17 +972,24 @@ class TestReadMemo:
         assert all(a is b for a, b in zip(cli._read(args, kind, count), objects, strict=True))
 
     @pytest.mark.parametrize("argv, loaded", [
-        (["report", "table1"], False),
-        (["gini", "--vector", "[0.25,0.75]"], True),
-    ], ids=["report", "gini"])
+        (["report", "table1"], (False, False)),
+        (["gini", "--vector", "[0.25,0.75]"], (True, False)),
+        (["deficits", "--state", '{"images":[0,1]}'], (True, False)),
+        (["eta", "--d", "2", "--budget", "5"], (True, True)),
+    ], ids=["report", "gini", "deficits", "eta"])
     def test_hashlib_loads_only_where_a_payload_is_digested(self, argv, loaded):
-        # OpenSSL's _hashlib took 2.6 ms of every start, a verb that reads no payload included
-        probe = "import sys; from ginisafe.cli import main; main(sys.argv[1:]); print('_hashlib' in sys.modules, file=sys.stderr)"
+        # OpenSSL's _hashlib took 2.6 ms of every start, a verb that reads no payload included;
+        # numpy.random, about 12 ms to import on a 2-core x86-64 host, loads _hashlib with it: only a
+        # verb that draws states may import it
+        probe = (
+            "import sys; from ginisafe.cli import main; main(sys.argv[1:]); "
+            "print('_hashlib' in sys.modules, 'numpy.random' in sys.modules, file=sys.stderr)"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", probe, *argv],
             capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
         )
-        assert (proc.returncode, proc.stderr.decode().split()) == (0, [str(loaded)])
+        assert (proc.returncode, proc.stderr.decode().split()) == (0, [str(flag) for flag in loaded])
 
     def test_a_new_read_drops_the_kept_objects_before_decoding(self, tmp_path):
         # a d = 4 read after another peaks as a cold one: the 1 MiB density kept is freed first

@@ -103,6 +103,18 @@ class TestGiniSum:
         with pytest.raises(NotNormalizedError):
             uncertainty_deficits(pure_density(np.eye(4)[0] * 2.0))
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("shape", [(), (5,)])
+    def test_the_argument_is_left_unchanged(self, mode, shape):
+        # the Gini kernel sorts in place, so the evaluator must hand it fresh arrays
+        dim = space_dimension(3, _TRANSFORM[mode])
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal(shape + (dim,)) + 1j * rng.standard_normal(shape + (dim,))
+        z /= np.linalg.norm(z, axis=-1, keepdims=True)
+        before = z.copy()
+        _pure_gini_sum(3, mode)(z)
+        np.testing.assert_array_equal(z, before)
+
     def test_mode_validation(self):
         with pytest.raises(ValidationError):
             gini_sum_cap(2, "sideways")

@@ -23,9 +23,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ginisafe"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
-#: Public names kept though nothing reads them.  ``sample_codes`` is a layer the
-#: benchmark times on its own (ROADMAP aim 1) while the verbs read only the
-#: estimators built on it.
+#: Public names kept though nothing reads them.  ``sample_codes`` is kept for the
+#: layer row that ROADMAP item A2 plans for it; no benchmark code calls it yet,
+#: and the verbs read only the estimators built on it.
 UNREAD_KEPT = {"ensembles.sample_codes"}
 
 

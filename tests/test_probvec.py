@@ -157,6 +157,15 @@ class TestGini:
         for x in (random_prob_vector(rng, d), rng.dirichlet(np.full(d, 0.1))):
             assert abs(gini_mean_abs_diff(x) - pairwise_gini(x)) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(7,), (3, 7), (2, 3, 7)])
+    def test_the_input_is_not_sorted(self, shape):
+        # the kernel sorts in place, so gini_index must hand it a copy
+        x = np.random.default_rng(len(shape)).dirichlet(np.ones(7), size=shape[:-1])
+        before = x.copy()
+        gini_index(x)
+        assert x.dtype == np.float64 and not np.array_equal(x, np.sort(x))
+        np.testing.assert_array_equal(x, before)
+
     @given(prob_vectors())
     @settings(max_examples=300, deadline=None)
     def test_routes_agree_and_bounds(self, x):
