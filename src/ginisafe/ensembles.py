@@ -13,12 +13,14 @@ gives consecutive chunks exactly the numbers, and leaves the generator in
 exactly the state, of one ``rng.random((n, d))`` or ``rng.random(n)``, so the
 chunk size never shows in the codes.  An INDEPENDENT chunk is transposed once
 so that each position's uniforms are contiguous, and the digit of position i
-is the uint8 threshold count ``sum_k [u_i >= t_ik]`` over row i's cumulative
-sums, which is ``searchsorted(t_i, u_i, side="right")`` without the search.
-Its codes are then built by Horner's rule, in place, in a uint16 buffer:
-d**d <= 6**6 < 2**16, so a code takes 2 bytes.  The CORRELATED CDF has up to
-d**d entries and keeps ``searchsorted``.  The stream reuses its chunk-sized
-buffers and holds no n-sized array: :func:`sample_codes` copies it into its
+is the threshold count ``sum_k [u_i >= t_ik]`` over row i's cumulative sums,
+which is ``searchsorted(t_i, u_i, side="right")`` without the search.  The
+digits are counted in uint16 and the codec, :func:`markov.encode`, turns them
+into uint16 codes: d**d <= 6**6 < 2**16, so a code and each of its terms fit
+in 2 bytes (uint8 digits would not take ``digit * d**i``).  The CORRELATED CDF
+has up to d**d entries and keeps ``searchsorted``, whose codes are yielded as
+they come.  The stream reuses the INDEPENDENT chunk's uniforms, threshold tests
+and digits and holds no n-sized array: :func:`sample_codes` copies it into its
 intp array, :func:`empirical_tensor` adds one ``bincount`` per chunk, and
 :func:`collision_probability_mc` keeps the first ensemble's codes as uint16
 (2 bytes per sample) and compares each chunk of the second as it is drawn.
@@ -34,7 +36,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import ECHO, CorrelatedSpecRejectedError, DimensionMismatchError, ValidationError, admit_int
-from .markov import DEFAULT_TOL, code_count, tensor_dimension, validate_markov_tensor, validate_row_markov
+from .markov import DEFAULT_TOL, code_count, encode, tensor_dimension, validate_markov_tensor, validate_row_markov
 
 INDEPENDENT = "independent"
 CORRELATED = "correlated"
@@ -124,36 +126,28 @@ def _thresholds(p: np.ndarray) -> np.ndarray:
 def _code_chunks(spec: EnsembleSpec, n: int, rng: np.random.Generator):
     """The stream of every draw: ``(window, codes)`` for n admitted sequences, chunk by chunk.
 
-    ``codes`` holds the uint16 codes of the draws in ``window``, a slice of
-    range(n).  It is a view of one buffer that the next chunk overwrites.
+    ``codes`` holds the codes of the draws in ``window``, a slice of range(n):
+    :func:`markov.encode`'s uint16 codes (INDEPENDENT) or ``searchsorted``'s
+    intp codes (CORRELATED).
     """
     d, size = spec.d, min(n, _CHUNK)
-    buffer = np.empty(size, dtype=np.uint16)
     windows = (slice(start, min(start + size, n)) for start in range(0, n, size))
     if spec.kind == INDEPENDENT:
         # column k holds every row's k-th threshold; each row's last is +inf
         columns = _thresholds(spec.matrix)[:, :-1].T[:, :, None]
-        # the chunk's uniforms by position, their threshold tests and digits, and its codes
-        buffers = (np.empty((d, size)), np.empty((d, size), dtype=bool),
-                   np.empty((d, size), dtype=np.uint8), buffer)
+        # the chunk's uniforms by position, their threshold tests and digits
+        buffers = (np.empty((d, size)), np.empty((d, size), dtype=bool), np.empty((d, size), dtype=np.uint16))
         for window in windows:
-            u, above, digits, codes = (b[..., :window.stop - window.start] for b in buffers)
-            np.copyto(u, rng.random((codes.size, d)).T)  # row i: position i's uniforms
+            u, above, digits = (b[:, :window.stop - window.start] for b in buffers)
+            np.copyto(u, rng.random((u.shape[1], d)).T)  # row i: position i's uniforms
             digits.fill(0)
             for column in columns:
                 digits += np.greater_equal(u, column, out=above)
-            # Horner's rule from the last position down: sum_i digits[i] * d**i < d**d < 2**16
-            codes[:] = digits[-1]
-            for digit in digits[:-1][::-1]:
-                codes *= d
-                codes += digit
-            yield window, codes
+            yield window, encode(digits, d)
     else:
         cdf = _thresholds(spec.tensor)
         for window in windows:
-            codes = buffer[:window.stop - window.start]
-            codes[:] = np.searchsorted(cdf, rng.random(codes.size), side="right")
-            yield window, codes
+            yield window, np.searchsorted(cdf, rng.random(window.stop - window.start), side="right")
 
 
 def _admit_samples(n) -> int:

@@ -221,7 +221,7 @@ def independent_pairs(draw):
 
 
 CHUNKS = st.sampled_from([1, 2, 3, ensembles._CHUNK])
-D1 = EnsembleSpec.independent([[1.0]])  # no thresholds, one digit: Horner's rule has no step
+D1 = EnsembleSpec.independent([[1.0]])  # no thresholds, one digit: encode sums a single term
 
 
 class TestChunkedSampler:
@@ -261,8 +261,20 @@ class TestChunkedSampler:
         assert rng.random() == oracle_rng.random()
 
     def test_every_code_fits_the_stream_buffer(self):
-        # the stream builds codes in uint16: a larger cap must widen it, not wrap codes
+        # the stream's digits and codes are uint16: a larger cap must widen them, not wrap codes
         assert code_count(MAX_ENUMERATION_D) <= np.iinfo(np.uint16).max + 1
+
+    def test_top_code_keeps_its_uint16_headroom(self):
+        # every position on its last category: the top code 6**6 - 1, whose terms 5 * 6**i are
+        # the largest uint16 digit products, under value-based casting and numpy 2's integer rules
+        q = np.zeros((6, 6))
+        q[:, -1] = 1.0
+        spec, n, top = EnsembleSpec.independent(q), ensembles._CHUNK + 1, 46655
+        np.testing.assert_array_equal(sample_codes(spec, n, make_rng(0)), np.full(n, top))
+        tensor = empirical_tensor(spec, n, make_rng(0))
+        assert tensor[top] == 1.0 and np.count_nonzero(tensor) == 1
+        assert collision_probability_mc(spec, spec, n, make_rng(0)).value == 1.0
+        assert {codes.dtype for _, codes in ensembles._code_chunks(spec, n, make_rng(0))} == {np.dtype(np.uint16)}
 
     def test_memory_holds_codes_and_a_few_chunks(self):
         d, n = 6, 10**6
