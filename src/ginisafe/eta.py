@@ -13,7 +13,9 @@ Every Gini sum here is of amplitude vectors, priced by the evaluator of
 :func:`_pure_gini_sum` through the one Gini kernel of :mod:`probvec` and the
 one marginal kernel of :mod:`markov`.  :func:`estimate_eta` checks ``d``, the
 mode, the budget and the seed once and prices each candidate, one 1-D vector;
-:func:`deficit_sweep` prices each 2-D block of states, one per row.  A
+:func:`deficit_sweep` prices each 2-D block of states, one per row.  Each
+count, the budget and the sweep's state count, is one :func:`errors.admit_int`
+call against its cap, ``_max_budget(dim)`` and ``MAX_SAMPLES // dim``.  A
 density's deficits are those of :func:`quantum.uncertainty_deficits`.  The
 simplex keeps its vertices in stable-sorted order incrementally instead of
 re-sorting every step, in two arrays of its size made once per descent.
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import MAX_SAMPLES, make_rng, shard_rng
-from .errors import DimensionTooLargeError, GiniSafeError, ValidationError, _echo_int, admit_int
+from .errors import GiniSafeError, ValidationError, admit_int
 from .markov import _marginal_kernel
 from .probvec import _additive_cap, _gini_kernel
 from .quantum import (
@@ -294,8 +296,7 @@ def estimate_eta(d: int, mode: str, budget: int, seed: int = 0) -> EtaEstimate:
     the budget is not an error: the partial result carries the evaluation count.
     """
     d, dim = _admit_search(d, mode)
-    budget = admit_int(budget, "budget", 1)
-    admit_int(budget, "budget", 1, _max_budget(dim))
+    budget = admit_int(budget, "budget", 1, _max_budget(dim))
     seed = admit_int(seed, "seed", 0)
     cap = gini_sum_cap(d, mode)
     evaluate = _pure_gini_sum(d, mode)
@@ -342,15 +343,15 @@ def deficit_sweep(d: int, mode: str, n: int, seed: int = 0) -> float:
     """Minimum uncertainty deficit over n seeded Haar-random pure states.
 
     The deficit is strictly positive for every state; a non-positive minimum
-    indicates a numerical fault and raises.  ``n * dim <= MAX_SAMPLES``.  After
-    one draw of all real parts, each block of states, one per row, draws its
-    imaginary parts and is priced by the evaluator of :func:`_pure_gini_sum`,
-    as a search prices one state; chunked draws are the numbers of one draw.
+    indicates a numerical fault and raises.  ``n`` is admitted against
+    ``MAX_SAMPLES // dim``, so ``n * dim <= MAX_SAMPLES``, before anything is
+    drawn.  After one draw of all real parts, each block of states, one per
+    row, draws its imaginary parts and is priced by the evaluator of
+    :func:`_pure_gini_sum`, as a search prices one state; chunked draws are
+    the numbers of one draw.
     """
     d, dim = _admit_search(d, mode)
-    n = admit_int(n, "sample count", 1)
-    if n * dim > MAX_SAMPLES:
-        raise DimensionTooLargeError(f"sample count {_echo_int(n)}: states of dimension {dim} exceed {MAX_SAMPLES} amplitudes")
+    n = admit_int(n, f"sample count of states of dimension {dim}", 1, MAX_SAMPLES // dim)
     cap = gini_sum_cap(d, mode)
     evaluate = _pure_gini_sum(d, mode)
     rng = make_rng(seed)

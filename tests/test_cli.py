@@ -1597,3 +1597,55 @@ class TestOutputFormats:
         ):
             out = run_json(capsys, *argv)
             assert out["seed"] == 9
+
+
+@pytest.fixture(scope="module")
+def cap_payloads(tmp_path_factory):
+    """Payloads at the caps: a d = 4 density file, and 6**6-entry vector, 6 x 6 matrix and 6**6-entry tensor texts."""
+    path = tmp_path_factory.mktemp("caps") / "density.json"
+    path.write_text(mixed_density(4, 1)[1], encoding="utf-8")
+    rng = np.random.default_rng(0)
+    p, m, t = rng.random(6**6), rng.random((6, 6)), rng.random(6**6)
+    return {
+        "state": str(path),
+        "vector": json.dumps((p / p.sum()).tolist()),
+        "matrix": json.dumps((m / m.sum(axis=1, keepdims=True)).tolist()),
+        "tensor": json.dumps((t / t.sum()).tolist()),
+    }
+
+
+class TestMemoryBudgets:
+    """The tracemalloc peak of one warm call at each cap stays within 1.25 times its pinned figure.
+
+    The call before it builds the transforms and kernels, and the read memo is
+    then cleared, so the traced call decodes its payload again.  Its output
+    goes to the test's capture.  The figures were measured with numpy 2.4.6
+    and orjson 3.8.3; the d = 4 density is 1 MiB.
+    """
+
+    #: the argv, the payload it ends with, and the traced peak in MiB
+    BUDGETS = {
+        "quantum-stats": (["quantum-stats", "--input"], "state", 11.0),
+        "deficits": (["deficits", "--input"], "state", 11.0),
+        "dual-local": (["dual", "--mode", "local", "--input"], "state", 18.0),
+        "dual-global": (["dual", "--mode", "global", "--input"], "state", 18.0),
+        "gini": (["gini", "--vector"], "vector", 3.5),
+        "expand": (["expand", "--matrix"], "matrix", 41.6),
+        "correlations": (["correlations", "--tensor"], "tensor", 42.1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUDGETS))
+    def test_the_peak_stays_in_its_budget(self, capsys, cap_payloads, name):
+        argv, payload, mib = self.BUDGETS[name]
+        argv = [*argv, cap_payloads[payload]]
+        assert main(argv) == 0
+        capsys.readouterr()
+        cli._memo = None
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 1.25 * mib * 2**20, peak / 2**20

@@ -192,7 +192,7 @@ class TestEstimateEta:
     @pytest.mark.parametrize("budget", [2.5, 3.0, True, "5", None])
     def test_rejects_a_budget_that_is_no_integer(self, budget):
         # budget=2.5 ran 3 evaluations and budget=True one
-        with pytest.raises(ValidationError, match=r"budget must be an integer >= 1, got"):
+        with pytest.raises(ValidationError, match=r"^budget must be an integer in \[1, 49627\], got"):
             estimate_eta(2, "single", budget=budget)
 
     def test_accepts_a_numpy_integer_budget(self):
@@ -474,7 +474,8 @@ class TestDeficitSweep:
     @pytest.mark.parametrize("n", [0, -3, True, 2.5, 4.0, "10", None])
     def test_rejects_a_count_that_is_no_positive_integer(self, n):
         # n=True and n=2.5 ended in numpy TypeErrors
-        with pytest.raises(ValidationError, match=r"sample count must be an integer >= 1, got"):
+        with pytest.raises(ValidationError, match=r"^sample count of states of dimension 2 (must be an integer in "
+                                                  r"\[1, 5000000\], got|= -?\d+ outside \[1, 5000000\]$)"):
             deficit_sweep(2, "single", n)
 
     @pytest.mark.parametrize("d, mode", [(2, "single"), (5, "global_total"), (5, "local_total")])
@@ -483,12 +484,19 @@ class TestDeficitSweep:
         tracemalloc.start()
         try:
             for n in (MAX_SAMPLES // dim + 1, 10**15):
-                with pytest.raises(DimensionTooLargeError, match=f"states of dimension {dim} exceed"):
+                pattern = rf"^sample count of states of dimension {dim} = {n} outside \[1, {MAX_SAMPLES // dim}\]$"
+                with pytest.raises(DimensionTooLargeError, match=pattern):
                     deficit_sweep(d, mode, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_the_count_cap_is_the_amplitude_cap(self):
+        # 39062 states of dimension 256 hold 9,999,872 amplitudes, and one more state 10,000,128
+        with pytest.raises(DimensionTooLargeError, match=r"= 39063 outside \[1, 39062\]$"):
+            deficit_sweep(4, "global_total", 39063)
+        assert deficit_sweep(4, "global_total", 39062, seed=0) > 0.0
 
     def test_numpy_integer_count(self):
         assert deficit_sweep(3, "single", np.int32(70), seed=2) == deficit_sweep(3, "single", 70, seed=2)
