@@ -33,7 +33,6 @@ from .eta import (
     EtaEstimate,
     deficit_sweep,
     estimate_eta,
-    gini_sum_cap,
 )
 from .markov import (
     FunctionMap,

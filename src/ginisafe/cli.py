@@ -326,7 +326,7 @@ def _read(args, kind: str, count: int) -> tuple:
 # Output
 # ---------------------------------------------------------------------------
 
-# The types `_plain` converts; `_leaves` yields any other leaf as it is.
+# The types `_plain` converts; `_leaves` yields any other finite leaf as it is.
 _NUMPY_VALUES = (np.ndarray, complex, np.complexfloating, np.floating, np.integer, np.bool_)
 
 
@@ -389,7 +389,8 @@ def _fmt_csv_value(v) -> str:
 def _leaves(obj, key: str = ""):
     """The ``(key, leaf)`` pairs of `obj`: ``.name`` steps into a dict, ``[i]`` into a list or tuple.
 
-    An array, a numpy scalar or a complex is first made plain by `_plain`.
+    An array, a numpy scalar or a complex is first made plain by `_plain`.  A
+    NaN or an infinity is rejected by its key when the walk reaches it.
     """
     if isinstance(obj, _NUMPY_VALUES):
         obj = _plain(obj)
@@ -399,6 +400,8 @@ def _leaves(obj, key: str = ""):
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             yield from _leaves(v, f"{key}[{i}]")
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        raise ValidationError(f"output field {key} is not a finite number")
     else:
         yield key, obj
 
@@ -411,17 +414,16 @@ def _csv_rows(obj):
 def _emit(out: dict, args) -> None:
     """Write the output and a final newline to the --out file or stdout.
 
-    JSON output is the bytes of ``orjson.dumps``, which writes NaN and the
-    infinities as ``null``: an output whose bytes hold ``null`` is searched
-    for a non-finite float, and one found is rejected by its key before
-    anything is written.
+    Both formats reject a non-finite float by its key, through `_leaves`,
+    before anything is written.  JSON output is the bytes of ``orjson.dumps``,
+    which writes NaN and the infinities as ``null``: only an output whose
+    bytes hold ``null`` is walked.
     """
     if args.format == "json":
         data = orjson.dumps(out, default=_plain, option=_ORJSON_OPTIONS)
         if b"null" in data:
-            for key, v in _leaves(out):
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise ValidationError(f"output field {key} is not a finite number")
+            for _ in _leaves(out):
+                pass
     else:
         data = "\n".join(["key,value", *_csv_rows(out)]).encode()
     if args.out:

@@ -13,12 +13,15 @@ Every Gini sum here is of amplitude vectors, priced by the evaluator of
 :func:`_pure_gini_sum` through the one Gini kernel of :mod:`probvec` and the
 one marginal kernel of :mod:`markov`.  :func:`estimate_eta` checks ``d``, the
 mode, the budget and the seed once and prices each candidate, one 1-D vector;
-:func:`deficit_sweep` prices each 2-D block of states, one per row.  Each
-count, the budget and the sweep's state count, is one :func:`errors.admit_int`
-call against its cap, ``_max_budget(dim)`` and ``MAX_SAMPLES // dim``.  A
-density's deficits are those of :func:`quantum.uncertainty_deficits`.  The
-simplex keeps its vertices in stable-sorted order incrementally instead of
-re-sorting every step, in two arrays of its size made once per descent.
+:func:`deficit_sweep` prices each 2-D block of states, one per row.  Both
+admit (d, mode) once by :func:`quantum.admit_transform`, for the state
+dimension and the cap, and their evaluator once more, for its transform's
+space.  Each count, the budget and the sweep's state count, is one
+:func:`errors.admit_int` call against its cap, ``_max_budget(dim)`` and
+``MAX_SAMPLES // dim``.  A density's deficits are those of
+:func:`quantum.uncertainty_deficits`.  The simplex keeps its vertices in
+stable-sorted order incrementally instead of re-sorting every step, in two
+arrays of its size made once per descent.
 Results (``best_sum``, ``evaluations``, the bytes of ``best_state``) are
 bitwise those of a descent that re-sorts with a stable argsort every step over
 a Gini sum built from public pieces (``|psi|**2``, :func:`quantum.apply_dual`,
@@ -41,7 +44,7 @@ Modes
 There is no separate locally-dual component mode: the reduced state of one
 component is again a single-qudit state, so that search coincides with
 ``single``.
-Searched states are under the one state cap of :func:`quantum.space_dimension`.
+Searched states are under the one state cap of :func:`quantum.admit_transform`.
 """
 
 from __future__ import annotations
@@ -62,9 +65,8 @@ from .quantum import (
     LOCAL,
     SINGLE,
     _dual_transform,
-    admit_transform_d,
+    admit_transform,
     random_pure_state,
-    space_dimension,
 )
 
 MODE_SINGLE = "single"
@@ -114,18 +116,15 @@ def _max_budget(dim: int) -> int:
     return min(simplex + past_simplex, MAX_SAMPLES // dim)
 
 
-def _admit_search(d: int, mode: str) -> tuple[int, int]:
-    """A search's d, by :func:`quantum.admit_transform_d` for its mode, and its state space's dimension."""
+def _admit_search(d: int, mode: str) -> tuple[int, int, float]:
+    """A search's d and state dimension, by :func:`quantum.admit_transform` for its mode, and its cap.
+
+    The cap is the additive cap 2 (D - 1)/(D + 1) of the mode's Gini sum.
+    """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
-    d = admit_transform_d(d, _TRANSFORM[mode])
-    return d, space_dimension(d, _TRANSFORM[mode])
-
-
-def gini_sum_cap(d: int, mode: str) -> float:
-    """The additive cap 2 (D - 1)/(D + 1) for the mode's Gini sum."""
-    d, dim = _admit_search(d, mode)
-    return _additive_cap(d if mode == MODE_GLOBAL_COMPONENT else dim)
+    d, dim = admit_transform(d, _TRANSFORM[mode])
+    return d, dim, _additive_cap(d if mode == MODE_GLOBAL_COMPONENT else dim)
 
 
 def _pure_gini_sum(d: int, mode: str):
@@ -141,8 +140,8 @@ def _pure_gini_sum(d: int, mode: str):
     The sum has the bits of the public pieces: ``|psi|**2``,
     :func:`quantum.apply_dual`, ``gini_index`` and ``tensor_to_matrix``.
     """
+    d, dim = admit_transform(d, _TRANSFORM[mode])
     dual = _dual_transform(d, _TRANSFORM[mode])
-    dim = space_dimension(d, _TRANSFORM[mode])
     marginal = _marginal_kernel(dim) if mode == MODE_GLOBAL_COMPONENT else None
     gini = _gini_kernel(dim if marginal is None else d)
 
@@ -295,10 +294,9 @@ def estimate_eta(d: int, mode: str, budget: int, seed: int = 0) -> EtaEstimate:
     budget), and ``best_sum`` is nondecreasing in the budget.  Exhausting
     the budget is not an error: the partial result carries the evaluation count.
     """
-    d, dim = _admit_search(d, mode)
+    d, dim, cap = _admit_search(d, mode)
     budget = admit_int(budget, "budget", 1, _max_budget(dim))
     seed = admit_int(seed, "seed", 0)
-    cap = gini_sum_cap(d, mode)
     evaluate = _pure_gini_sum(d, mode)
 
     best_sum = -np.inf
@@ -350,9 +348,8 @@ def deficit_sweep(d: int, mode: str, n: int, seed: int = 0) -> float:
     :func:`_pure_gini_sum`, as a search prices one state; chunked draws are
     the numbers of one draw.
     """
-    d, dim = _admit_search(d, mode)
+    d, dim, cap = _admit_search(d, mode)
     n = admit_int(n, f"sample count of states of dimension {dim}", 1, MAX_SAMPLES // dim)
-    cap = gini_sum_cap(d, mode)
     evaluate = _pure_gini_sum(d, mode)
     rng = make_rng(seed)
     real = rng.standard_normal((n, dim))

@@ -8,7 +8,7 @@ the map i -> j_i in the package's one codec, that of :mod:`ginisafe.markov`.
 
 Every state (density, amplitude vector, dual, searched pure state, basis
 ket) has one cap, dimension 5**5 = 3125 or ``MAX_COMPONENTS`` = 5 components,
-checked by :func:`check_state_dim`, :func:`space_dimension` or a basis ket's
+checked by :func:`check_state_dim`, :func:`admit_transform` or a basis ket's
 d before any d**d is formed.
 
 Two inequivalent Fourier transforms act on that space:
@@ -33,9 +33,10 @@ of two states is :func:`markov.scalar_product` of their ``StateStats.markov``.
 Every dual goes through :func:`apply_dual`, which applies F† without forming
 a d**d x d**d matrix: an FFT for F_G, and d passes of the d x d single-qudit
 F† for F_L.  The single-qudit transform multiplies by F† for d <= 256 and
-is an FFT above that.  A search that applies many duals at one (d, mode) binds the
-same transform once, unchecked, through ``_dual_transform``.  No dense
-F_L or F_G is built here: the tests build them as their oracles.
+is an FFT above that.  A caller that applies several duals at one admitted
+(d, mode), a search or :func:`dual_state`, binds the transform once,
+unchecked, through ``_dual_transform``.  No dense F_L or F_G is built here:
+the tests build them as their oracles.
 
 Dual statistics of a density need only the diagonal of F† rho F, and
 :func:`dual_probabilities` forms it from sums along rho's wrapped diagonals
@@ -109,19 +110,18 @@ def local_dimension(dim: int) -> int:
 # Fourier transforms
 # ---------------------------------------------------------------------------
 
-def admit_transform_d(d: int, mode: str) -> int:
-    """The state cap on a transform's d, by :func:`errors.admit_int`: d <= 3125 for ``"single"``, else d <= 5."""
+def admit_transform(d: int, mode: str) -> tuple[int, int]:
+    """The state cap on a transform's d, by :func:`errors.admit_int`, and the dimension of its space.
+
+    ``"single"`` admits d <= 3125 on a space of dimension d, the other modes d <= 5 on one of d**d.
+    """
     if mode not in (SINGLE, LOCAL, GLOBAL):
         raise ValidationError(f"unknown transform mode {mode!r}")
     if mode == SINGLE:
-        return admit_int(d, "Fourier dimension 'd'", 2, MAX_COMPONENTS**MAX_COMPONENTS)
-    return admit_int(d, f"{mode} transform's 'd'", 2, MAX_COMPONENTS)
-
-
-def space_dimension(d: int, mode: str) -> int:
-    """A transform's space dimension, d for ``"single"`` and d**d else, d admitted by :func:`admit_transform_d`."""
-    d = admit_transform_d(d, mode)
-    return d if mode == SINGLE else d**d
+        d = admit_int(d, "Fourier dimension 'd'", 2, MAX_COMPONENTS**MAX_COMPONENTS)
+        return d, d
+    d = admit_int(d, f"{mode} transform's 'd'", 2, MAX_COMPONENTS)
+    return d, d**d
 
 
 #: The largest d at which single mode multiplies by F†; past it, an FFT is
@@ -179,12 +179,11 @@ def apply_dual(x, d: int, mode: str) -> np.ndarray:
     fft(x)/sqrt(N), and likewise F† x = fft(x)/sqrt(d).  F_L† is d passes of the single-qudit F†
     over the leading base-d digit of the row index, each followed by rotating
     that digit to the least significant place; after d passes every digit is
-    transformed and back in place.  :func:`admit_transform_d` admits d, and no
+    transformed and back in place.  :func:`admit_transform` admits d, and no
     d**d x d**d matrix is formed.
     """
     x = admit_array(x, "'x'", complex, (1, 2))
-    d = admit_transform_d(d, mode)
-    n = space_dimension(d, mode)
+    d, n = admit_transform(d, mode)
     if x.shape[0] != n:
         raise DimensionMismatchError(f"a {mode} transform of size {n} cannot act on shape {x.shape}")
     return _dual_transform(d, mode)(x)
@@ -334,7 +333,7 @@ def _admit_density(rho, mode: str | None = None) -> tuple[np.ndarray, int]:
     """A density by :func:`errors.admit_square` and its d: that of the `mode`'s transform, or d**d = dim for no mode."""
     rho = admit_square(rho, "density matrix", complex)
     d = rho.shape[0] if mode == SINGLE else local_dimension(rho.shape[0])  # raises for non d**d dims
-    return rho, d if mode is None else admit_transform_d(d, mode)
+    return rho, d if mode is None else admit_transform(d, mode)[0]
 
 
 def dual_state(rho, mode: str) -> np.ndarray:
@@ -345,10 +344,11 @@ def dual_state(rho, mode: str) -> np.ndarray:
     Plain statistics of the returned state are the dual statistics of rho.
     """
     rho, d = _admit_density(rho, mode)
+    dual = _dual_transform(d, mode)
     # F† rho F = (F† (F† rho)†)†: both factors apply F† from the left.  The
     # C-order copy lets the local transform reshape its input without a copy.
-    half = np.conjugate(apply_dual(rho, d, mode).T, order="C")
-    return apply_dual(half, d, mode).conj().T
+    half = np.conjugate(dual(rho).T, order="C")
+    return dual(half).conj().T
 
 
 def dual_probabilities(rho, mode: str) -> np.ndarray:

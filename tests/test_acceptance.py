@@ -273,7 +273,7 @@ def test_criterion_09_globally_dual_pure_at_display_precision():
 
 def transform(d: int, mode: str) -> np.ndarray:
     """The matrix F of a transform, read off the layer every verb runs: F = (F† 1)†."""
-    return gs.apply_dual(np.eye(quantum.space_dimension(d, mode)), d, mode).conj().T
+    return gs.apply_dual(np.eye(quantum.admit_transform(d, mode)[1]), d, mode).conj().T
 
 
 def test_criterion_10_fourier_structure():

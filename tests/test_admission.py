@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ginisafe as gs
-from ginisafe import ensembles, markov, quantum
+from ginisafe import ensembles, eta, markov, quantum
 from ginisafe.errors import (
     DimensionTooLargeError,
     IndexOutOfRangeError,
@@ -83,7 +83,6 @@ SLOTS = [
     Slot("deficit_sweep.n", lambda v: gs.deficit_sweep(2, "single", v), "sample count", 1,
          ensembles.MAX_SAMPLES // 2, (1, 30)),
     Slot("deficit_sweep.seed", lambda v: gs.deficit_sweep(2, "single", 5, seed=v), "seed", 0, None, (0, 4)),
-    Slot("gini_sum_cap.d", lambda v: gs.gini_sum_cap(v, "single"), "'d'", 2, 5**5, (2, 9)),
     Slot("FunctionMap.images", lambda v: gs.FunctionMap((v, 0)), "image f(0)", 0, 1, (0, 1), True),
     Slot("FunctionMap.from_code.code", lambda v: gs.FunctionMap.from_code(v, 2), "code", 0, 3, (0, 3), True),
     Slot("FunctionMap.from_code.d", lambda v: gs.FunctionMap.from_code(0, v), "'d'", 1, 6, (1, 3)),
@@ -95,8 +94,8 @@ SLOTS = [
     Slot("apply_dual.d", lambda v: gs.apply_dual(np.ones(4), v, "global"), "'d'", 2, 5, (2,)),
     Slot("local_dimension.dim", gs.local_dimension, "state 'dim'", 1, 5**5, (1, 4, 27)),
     Slot("quantum.check_state_dim.dim", quantum.check_state_dim, "state 'dim'", 1, 5**5, (1, 7)),
-    Slot("quantum.space_dimension.d", lambda v: quantum.space_dimension(v, "local"), "'d'", 2, 5, (2, 4)),
-    Slot("quantum.admit_transform_d.d", lambda v: quantum.admit_transform_d(v, "single"), "'d'", 2, 5**5,
+    Slot("quantum.admit_transform.local.d", lambda v: quantum.admit_transform(v, "local"), "'d'", 2, 5, (2, 4)),
+    Slot("quantum.admit_transform.single.d", lambda v: quantum.admit_transform(v, "single"), "'d'", 2, 5**5,
          (2, 3125)),
     Slot("random_pure_state.dim", lambda v: gs.random_pure_state(v, gs.make_rng(0)), "state 'dim'",
          1, 5**5, (1, 4, 5**5)),
@@ -205,7 +204,6 @@ BAD_CASES = st.sampled_from(SLOTS).flatmap(lambda s: st.tuples(st.just(s), _bad_
 @example(case=(SLOT["markov.code_count.d"], 2.5))
 @example(case=(SLOT["markov.code_count.d"], True))
 @example(case=(SLOT["quantum.check_state_dim.dim"], 2.5))
-@example(case=(SLOT["gini_sum_cap.d"], 2.5))
 @example(case=(SLOT["FunctionMap.images"], True))
 @example(case=(SLOT["FunctionMap.images"], 1.5))
 @example(case=(SLOT["FunctionMap.from_code.code"], True))
@@ -255,6 +253,35 @@ def test_a_state_past_the_state_cap_is_rejected_before_allocating(call, value, w
         tracemalloc.stop()
     assert peak < ADMISSION_BYTES, peak
     assert str(info.value) == what
+
+
+DENSITY = gs.pure_density(np.full(4, 0.5, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "call, admissions",
+    [
+        (lambda: gs.apply_dual(np.ones(4), 2, "local"), 1),
+        (lambda: gs.dual_state(DENSITY, "global"), 1),
+        (lambda: gs.dual_probabilities(DENSITY, "local"), 1),
+        (lambda: gs.uncertainty_deficits(DENSITY), 1),
+        # the search or sweep once, and its evaluator once
+        (lambda: gs.estimate_eta(2, "global_component", 5), 2),
+        (lambda: gs.deficit_sweep(2, "local_total", 5), 2),
+    ],
+    ids=["apply_dual", "dual_state", "dual_probabilities", "uncertainty_deficits", "estimate_eta", "deficit_sweep"],
+)
+def test_the_transform_admissions_of_one_call_are_pinned(monkeypatch, call, admissions):
+    real, admitted = quantum.admit_transform, []
+
+    def counted(d, mode):
+        admitted.append((d, mode))
+        return real(d, mode)
+
+    for module in (quantum, eta):
+        monkeypatch.setattr(module, "admit_transform", counted)
+    call()
+    assert len(admitted) == admissions, admitted
 
 
 def _canonical(result):

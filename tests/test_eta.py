@@ -17,7 +17,6 @@ from ginisafe import (
     estimate_eta,
     function_table,
     gini_index,
-    gini_sum_cap,
     make_rng,
     pure_density,
     random_pure_state,
@@ -33,36 +32,37 @@ from ginisafe.eta import (
     MODES,
     REFINE_STEP_TOL,
     SEARCH_COST,
+    _admit_search,
     _max_budget,
     _nelder_mead,
     _pure_gini_sum,
 )
-from ginisafe.quantum import space_dimension
+from ginisafe.quantum import admit_transform
 
 
 def scalar_sweep(d, mode, n, seed):
     """Smallest per-state deficit over the states deficit_sweep draws."""
-    dim = space_dimension(d, _TRANSFORM[mode])
+    dim = admit_transform(d, _TRANSFORM[mode])[1]
     rng = make_rng(seed)
     z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     evaluate = _pure_gini_sum(d, mode)
-    return min(gini_sum_cap(d, mode) - evaluate(psi) for psi in z)
+    return min(_admit_search(d, mode)[2] - evaluate(psi) for psi in z)
 
 
 class TestGiniSum:
     def test_caps(self):
-        assert gini_sum_cap(2, "single") == pytest.approx(2 / 3)
-        assert gini_sum_cap(2, "local_total") == pytest.approx(2 * 3 / 5)
-        assert gini_sum_cap(3, "global_component") == pytest.approx(1.0)
-        assert gini_sum_cap(3, "global_total") == pytest.approx(2 * 26 / 28)
+        assert _admit_search(2, "single")[2] == pytest.approx(2 / 3)
+        assert _admit_search(2, "local_total")[2] == pytest.approx(2 * 3 / 5)
+        assert _admit_search(3, "global_component")[2] == pytest.approx(1.0)
+        assert _admit_search(3, "global_total")[2] == pytest.approx(2 * 26 / 28)
 
     def test_basis_state_single(self):
         # certain position vector and flat dual vector
         psi = np.eye(2, dtype=complex)[0]
         evaluate = _pure_gini_sum(2, "single")
         assert evaluate(psi) == pytest.approx(1 / 3, abs=1e-12)
-        assert gini_sum_cap(2, "single") - evaluate(psi) == pytest.approx(1 / 3, abs=1e-12)
+        assert _admit_search(2, "single")[2] - evaluate(psi) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_basis_state_local_total(self):
         psi = np.zeros(4, dtype=complex)
@@ -82,12 +82,12 @@ class TestGiniSum:
                     ("global_total", deficits.global_total),
                     ("global_component", deficits.global_components.min()),
                 ):
-                    assert gini_sum_cap(d, mode) - _pure_gini_sum(d, mode)(psi) == pytest.approx(want, abs=1e-11)
+                    assert _admit_search(d, mode)[2] - _pure_gini_sum(d, mode)(psi) == pytest.approx(want, abs=1e-11)
 
     def test_bounded_by_cap(self):
         rng = np.random.default_rng(1)
         for mode in MODES:
-            cap, evaluate = gini_sum_cap(2, mode), _pure_gini_sum(2, mode)
+            cap, evaluate = _admit_search(2, mode)[2], _pure_gini_sum(2, mode)
             dim = 2 if mode == "single" else 4
             for _ in range(50):
                 assert evaluate(random_complex_unit(rng, dim)) <= cap
@@ -99,7 +99,7 @@ class TestGiniSum:
         # the unchecked evaluator reads a sum below 0, a deficit above the cap
         # (-4.67 against a cap of 0.667 at d = 2, single), so the vector must
         # be admitted through its density, which rejects it
-        assert _pure_gini_sum(2, mode)(psi) < 0 < gini_sum_cap(2, mode)
+        assert _pure_gini_sum(2, mode)(psi) < 0 < _admit_search(2, mode)[2]
         with pytest.raises(NotNormalizedError):
             uncertainty_deficits(pure_density(np.eye(4)[0] * 2.0))
 
@@ -107,7 +107,7 @@ class TestGiniSum:
     @pytest.mark.parametrize("shape", [(), (5,)])
     def test_the_argument_is_left_unchanged(self, mode, shape):
         # the Gini kernel sorts in place, so the evaluator must hand it fresh arrays
-        dim = space_dimension(3, _TRANSFORM[mode])
+        dim = admit_transform(3, _TRANSFORM[mode])[1]
         rng = np.random.default_rng(7)
         z = rng.standard_normal(shape + (dim,)) + 1j * rng.standard_normal(shape + (dim,))
         z /= np.linalg.norm(z, axis=-1, keepdims=True)
@@ -117,9 +117,9 @@ class TestGiniSum:
 
     def test_mode_validation(self):
         with pytest.raises(ValidationError):
-            gini_sum_cap(2, "sideways")
+            _admit_search(2, "sideways")[2]
         with pytest.raises(DimensionTooLargeError):
-            gini_sum_cap(6, "global_total")
+            _admit_search(6, "global_total")[2]
 
 
 class TestEstimateEta:
@@ -129,7 +129,7 @@ class TestEstimateEta:
         est = estimate_eta(2, "single", budget=1, seed=0)
         assert est.evaluations == 1
         assert est.best_sum == pytest.approx(_pure_gini_sum(2, "single")(psi0), abs=1e-12)
-        assert est.eta_upper == pytest.approx(gini_sum_cap(2, "single") - est.best_sum, abs=1e-15)
+        assert est.eta_upper == pytest.approx(_admit_search(2, "single")[2] - est.best_sum, abs=1e-15)
         np.testing.assert_allclose(est.best_state, psi0, atol=1e-12)
 
     def test_deterministic(self):
@@ -181,7 +181,7 @@ class TestEstimateEta:
     def test_cap_never_exceeded(self):
         for mode in MODES:
             est = estimate_eta(2, mode, budget=150, seed=5)
-            assert est.best_sum <= gini_sum_cap(2, mode) + 1e-12
+            assert est.best_sum <= _admit_search(2, mode)[2] + 1e-12
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError):
@@ -209,7 +209,7 @@ class TestEstimateEta:
     @pytest.mark.parametrize("d, mode", [(2, "single"), (2, "global_component"), (5, "global_total")])
     def test_the_largest_admitted_budget_ends_in_seconds(self, d, mode):
         # the amplitude cap alone admitted 5,000,000 evaluations at d = 2, about 100 s
-        cap = _max_budget(space_dimension(d, _TRANSFORM[mode]))
+        cap = _max_budget(admit_transform(d, _TRANSFORM[mode])[1])
         with pytest.raises(DimensionTooLargeError, match=rf"^budget = {cap + 1} outside \[1, {cap}\]$"):
             estimate_eta(d, mode, cap + 1)
         start = time.perf_counter()
@@ -226,7 +226,7 @@ class TestEstimateEta:
     }
 
     def test_every_search_cap_is_pinned(self):
-        got = {(d, mode): _max_budget(space_dimension(d, _TRANSFORM[mode])) for d, mode in self.MAX_BUDGETS}
+        got = {(d, mode): _max_budget(admit_transform(d, _TRANSFORM[mode])[1]) for d, mode in self.MAX_BUDGETS}
         assert got == self.MAX_BUDGETS
 
     def test_the_cost_of_evaluations_alone_never_binds(self):
@@ -244,13 +244,13 @@ class TestEstimateEta:
         assert min(map(_max_budget, range(2, 5**5 + 1))) >= 1000
         for d, mode, budget in [(2, "single", 1000), (3, "local_total", 400), (3, "global_total", 400),
                                 (3, "global_component", 400), (4, "global_total", 20)]:
-            assert budget <= _max_budget(space_dimension(d, _TRANSFORM[mode]))
+            assert budget <= _max_budget(admit_transform(d, _TRANSFORM[mode])[1])
 
     @pytest.mark.parametrize("d, mode", [(5, "local_total"), (5, "global_component")])
     def test_admits_the_budget_against_the_amplitude_cap(self, d, mode):
         # the budget was uncapped: a budget of 3201 at d = 5 ran, with a peak of 188 MB,
         # and one of 2**63 never returned
-        dim = space_dimension(d, _TRANSFORM[mode])
+        dim = admit_transform(d, _TRANSFORM[mode])[1]
         tracemalloc.start()
         try:
             for budget in (MAX_SAMPLES // dim + 1, 2**63):
@@ -349,7 +349,7 @@ def oracle_gini_sum(psi, d, mode):
 def oracle_search(d, mode, budget, seed=0):
     """(best_sum, evaluations, best_state) of the search through oracle_gini_sum
     and the argsort descent."""
-    dim = space_dimension(d, _TRANSFORM[mode])
+    dim = admit_transform(d, _TRANSFORM[mode])[1]
     best = {"sum": -np.inf, "state": None, "evaluations": 0}
 
     def objective(z):
@@ -397,7 +397,7 @@ class TestSearchBitIdentity:
         evaluate = _pure_gini_sum(d, mode)
         rng = np.random.default_rng(d)
         for _ in range(100):
-            psi = random_complex_unit(rng, space_dimension(d, _TRANSFORM[mode]))
+            psi = random_complex_unit(rng, admit_transform(d, _TRANSFORM[mode])[1])
             assert evaluate(psi) == oracle_gini_sum(psi, d, mode)
 
     @pytest.mark.parametrize("n, budget", [(4, 500), (9, 800), (16, 1200)])
@@ -480,7 +480,7 @@ class TestDeficitSweep:
 
     @pytest.mark.parametrize("d, mode", [(2, "single"), (5, "global_total"), (5, "local_total")])
     def test_admits_the_amplitude_count_before_drawing(self, d, mode):
-        dim = space_dimension(d, _TRANSFORM[mode])
+        dim = admit_transform(d, _TRANSFORM[mode])[1]
         tracemalloc.start()
         try:
             for n in (MAX_SAMPLES // dim + 1, 10**15):
@@ -515,10 +515,10 @@ class TestDeficitSweep:
 
 def batched_sweep_oracle(d, mode, n, seed):
     """The whole-batch sweep that deficit_sweep replaced, kept verbatim as its oracle."""
-    dim = space_dimension(d, _TRANSFORM[mode])
+    dim = admit_transform(d, _TRANSFORM[mode])[1]
     if n < 1:
         raise ValidationError("sample count must be >= 1")
-    cap = gini_sum_cap(d, mode)
+    cap = _admit_search(d, mode)[2]
     rng = make_rng(seed)
     z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
@@ -546,7 +546,7 @@ def batched_sweep_oracle(d, mode, n, seed):
 def sweep_cases():
     for d in (2, 3, 4, 5):
         for mode in MODES:
-            block = _SWEEP_BLOCK // space_dimension(d, _TRANSFORM[mode])
+            block = _SWEEP_BLOCK // admit_transform(d, _TRANSFORM[mode])[1]
             for n in sorted({1, block - 1, block, block + 1, 1000} - {0}):
                 # the ranked marginals take another summation order than the
                 # oracle's p @ indicator, and at d = 5 the local passes' zgemm
@@ -582,7 +582,7 @@ class TestGiniKernelBits:
     def test_vectors(self, d, mode):
         rng = np.random.default_rng(d)
         for _ in range(100):
-            psi = random_complex_unit(rng, space_dimension(d, _TRANSFORM[mode]))
+            psi = random_complex_unit(rng, admit_transform(d, _TRANSFORM[mode])[1])
             for p in (np.abs(psi) ** 2, np.abs(apply_dual(psi, d, _TRANSFORM[mode])) ** 2):
                 assert gini_index(p) == float(sorted_rows_oracle(p[None, :])[0])
 
@@ -598,7 +598,7 @@ class TestGiniKernelBits:
     @pytest.mark.parametrize("d, mode", [(3, "single"), (3, "global_component"), (4, "global_total")])
     def test_batches(self, d, mode):
         rng = np.random.default_rng(20 + d)
-        dim = space_dimension(d, _TRANSFORM[mode])
+        dim = admit_transform(d, _TRANSFORM[mode])[1]
         z = rng.standard_normal((300, dim)) + 1j * rng.standard_normal((300, dim))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         p = np.abs(apply_dual(z.T, d, _TRANSFORM[mode]).T) ** 2

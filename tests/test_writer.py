@@ -4,7 +4,8 @@ The JSON oracle parses the output with ``json.loads`` and holds it to
 ``_pyify(x)``: the same key order, strings, ints, bools and None, and every
 float with the same bits.  The spelling of a float is orjson's and may differ
 between its releases; its value may not.  The CSV oracle is the rows of
-``_flatten(_pyify(x))``.  Neither shares code with the writers.
+``_flatten(_pyify(x))``.  Both oracles reject a NaN or an infinity by its
+field, each in its writer's order.  Neither shares code with the writers.
 """
 
 import argparse
@@ -142,17 +143,40 @@ def _csv_value(value) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
+def _walk(obj, prefix: str = ""):
+    """The pairs of ``_flatten(_pyify(obj))``, made plain one container at a time, so a walk fails where it stops."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _walk(v, f"{prefix}.{k}" if prefix else str(k))
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            yield from _walk(v, f"{prefix}[{i}]")
+    else:
+        yield from _flatten(_pyify(obj), prefix)
+
+
 def csv_oracle(obj) -> list:
-    """The CSV rows of `obj`, after the header: RFC 4180 cells, floats to 17 significant digits."""
-    return [f"{_cell(key)},{_cell(_csv_value(value))}" for key, value in _flatten(_pyify(obj))]
+    """The CSV rows of `obj`, after the header: RFC 4180 cells, floats to 17 significant digits.
+
+    The first NaN or infinity in walk order is a validation error that names
+    its field; a value the walk cannot make plain before it raises TypeError.
+    """
+    rows = []
+    for key, value in _walk(obj):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"output field {key} is not a finite number")
+        rows.append(f"{_cell(key)},{_cell(_csv_value(value))}")
+    return rows
 
 
 def outcome(encode, obj):
-    """The text, or the TypeError both encoders raise for unencodable values."""
+    """The text, the TypeError both encoders raise for unencodable values, or the text of a validation error."""
     try:
         return encode(obj)
     except TypeError:
         return TypeError
+    except ValidationError as exc:
+        return ValidationError, str(exc)
 
 
 floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
@@ -243,6 +267,9 @@ def test_writer_matches_oracle(obj):
 @example({'a,"b"': ["x\ny", "cr\r", 1e16, 5e-324, -0.0, True, None]})
 @example({"": {"inner": (1, np.float32(0.1))}, None: {3: np.longdouble(1) / 3}})
 @example([np.array(1.0)])
+# the lazy walk raises at whichever it meets first: a non-finite leaf or a 0-d array
+@example([float("nan"), np.array(1.0)])
+@example([np.array(1.0), float("-inf")])
 def test_csv_rows_match_oracle(obj):
     assert outcome(lambda x: list(cli._csv_rows(x)), obj) == outcome(csv_oracle, obj)
 
@@ -290,12 +317,13 @@ def test_a_float_spelling_drift_keeps_the_values(monkeypatch):
     assert_writes(obj)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
 @pytest.mark.parametrize("verb, module, name, field", [
     ("gini", probvec, "gini_index", "gini"),
     ("expand", markov, "product_probabilities", "weights[3]"),
 ])
-def test_a_non_finite_output_is_an_error_not_null(capsys, monkeypatch, tmp_path, verb, module, name, field, out):
+def test_a_non_finite_output_is_an_error_not_null(capsys, monkeypatch, tmp_path, verb, module, name, field, out, fmt):
     real = getattr(module, name)
 
     def spoiled(*args):
@@ -307,9 +335,9 @@ def test_a_non_finite_output_is_an_error_not_null(capsys, monkeypatch, tmp_path,
         return math.nan
 
     monkeypatch.setattr(module, name, spoiled)
-    path = tmp_path / "out.json"
+    path = tmp_path / "out"
     payload = ["--vector", "[0.1,0.5,0.4]"] if verb == "gini" else ["--matrix", "[[0.5,0.5],[0.25,0.75]]"]
-    assert cli.main([verb, *payload, *(["--out", str(path)] if out else [])]) == 1
+    assert cli.main([verb, *payload, "--format", fmt, *(["--out", str(path)] if out else [])]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: output field {field} is not a finite number\n")
     assert not path.exists()
