@@ -94,7 +94,8 @@ SLOTS = [
     Slot("apply_dual.d", lambda v: gs.apply_dual(np.ones(4), v, "global"), "'d'", 2, 5, (2,)),
     Slot("local_dimension.dim", gs.local_dimension, "state 'dim'", 1, 5**5, (1, 4, 27)),
     Slot("quantum.check_state_dim.dim", quantum.check_state_dim, "state 'dim'", 1, 5**5, (1, 7)),
-    Slot("quantum.admit_transform.local.d", lambda v: quantum.admit_transform(v, "local"), "'d'", 2, 5, (2, 4)),
+    # a local transform's d and the dimension d**d of its space, both from admit_transform
+    Slot("quantum.space_dimension.d", lambda v: quantum.admit_transform(v, "local"), "'d'", 2, 5, (2, 4)),
     Slot("quantum.admit_transform.single.d", lambda v: quantum.admit_transform(v, "single"), "'d'", 2, 5**5,
          (2, 3125)),
     Slot("random_pure_state.dim", lambda v: gs.random_pure_state(v, gs.make_rng(0)), "state 'dim'",
