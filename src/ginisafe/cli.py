@@ -29,6 +29,7 @@ import os
 import re
 import struct
 import sys
+import tempfile
 
 import numpy as np
 import orjson
@@ -194,11 +195,13 @@ def _complex_pairs(entries, n: int, what: str) -> np.ndarray:
 
 
 def _as_state(payload, repair: bool = False) -> np.ndarray:
-    """Parse a density matrix, pure state, or labelled basis ket into a density.
+    """Parse a density matrix, or a pure state or labelled basis ket into its amplitude vector.
 
-    The payload names one form.  The size (`dim`, or the number of `images`,
-    which a given `d` must equal and a given `dim` must make) is checked
-    before any dim x dim array is formed.
+    A ket stays a ket: the statistics price it from its amplitudes, never as
+    a dim x dim density (:mod:`ginisafe.quantum`).  The payload names one
+    form.  The size (`dim`, or the number of `images`, which a given `d` must
+    equal and a given `dim` must make) is checked before any dim x dim array
+    is formed.
     """
     if isinstance(payload, dict) and "state" in payload:
         payload = payload["state"]
@@ -218,7 +221,7 @@ def _as_state(payload, repair: bool = False) -> np.ndarray:
             norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-6:
             raise ValidationError(f"amplitudes have norm {norm:.6g}, not 1")
-        return quantum.pure_density(psi / norm)
+        return psi / norm
     if "images" in payload:
         images = payload["images"]
         if not isinstance(images, list) or not 1 <= len(images) <= quantum.MAX_COMPONENTS:
@@ -231,7 +234,7 @@ def _as_state(payload, repair: bool = False) -> np.ndarray:
         if "dim" in payload and (dim := quantum.check_state_dim(_json_int(payload["dim"]))) != d**d:
             raise ValidationError(f"state 'dim' = {dim} does not match the {d} 'images', a ket of dim {d**d}")
         images = [admit_index(_json_int(v), f"images[{i}]", len(images)) for i, v in enumerate(images)]
-        return quantum.pure_density(quantum.basis_state(markov.FunctionMap(tuple(images))))
+        return quantum.basis_state(markov.FunctionMap(tuple(images)))
     raise ValidationError("state payload needs 'entries', 'amplitudes' or 'images'")
 
 
@@ -411,6 +414,33 @@ def _csv_rows(obj):
     return (f"{_csv_cell(key)},{_csv_cell(_fmt_csv_value(v))}" for key, v in _leaves(obj))
 
 
+def _write_out(path: str, data: bytes) -> None:
+    """Write `data` and a final newline to the --out `path`, so that a failed write leaves the old file.
+
+    A regular or new file is written to a temporary file in its directory,
+    which replaces it once whole and is removed if the write fails; it takes
+    the old file's mode, or the one ``open(path, "wb")`` gives a new file.
+    Anything else that exists, such as /dev/null or a FIFO, is written in
+    place.  A symlink is written through, as ``open`` writes it.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "wb") as fh:
+            fh.writelines((data, b"\n"))
+        return
+    os.umask(umask := os.umask(0o022))  # reads the umask, which has no getter
+    mode = os.stat(target).st_mode & 0o7777 if os.path.exists(target) else 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target))
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines((data, b"\n"))
+        os.chmod(tmp, mode)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _emit(out: dict, args) -> None:
     """Write the output and a final newline to the --out file or stdout.
 
@@ -428,10 +458,10 @@ def _emit(out: dict, args) -> None:
         data = "\n".join(["key,value", *_csv_rows(out)]).encode()
     if args.out:
         try:
-            with open(args.out, "wb") as fh:
-                fh.write(data)
-                fh.write(b"\n")
+            _write_out(args.out, data)
         except OSError as exc:
+            if exc.filename is not None:  # the error names the --out path, never the temporary file
+                exc = OSError(exc.errno, exc.strerror, args.out)
             raise _UsageError(f"cannot write --out file {args.out!r}: {exc}") from None
     else:
         # a line end is a UTF-8 boundary, so stdout never holds a second whole copy

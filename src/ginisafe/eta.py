@@ -29,8 +29,10 @@ a Gini sum built from public pieces (``|psi|**2``, :func:`quantum.apply_dual`,
 tests keep as the oracle.
 
 A finite search can only lower-bound the supremum, so ``eta_upper``
-(``cap - best_sum``) is an upper bound on the true coefficient, with
-``best_state`` as the certificate.  Positivity of the coefficient itself is
+(``cap - best_sum``) is an upper bound on the true coefficient up to the
+rounding of ``best_sum``, about 1e-15, with ``best_state`` as the
+certificate: at d = 2 in single mode a search can land 4e-16 above the
+exact supremum sqrt(2)/3.  Positivity of the coefficient itself is
 probed by :func:`deficit_sweep`.
 
 Modes
@@ -163,7 +165,8 @@ class EtaEstimate:
     """Result of a budgeted search for an uncertainty coefficient.
 
     ``best_sum`` is the largest observed Gini sum, so ``eta_upper = cap -
-    best_sum`` upper-bounds the true coefficient; ``best_state`` certifies it.
+    best_sum`` upper-bounds the true coefficient up to rounding, about
+    1e-15; ``best_state`` certifies it.
     """
 
     d: int

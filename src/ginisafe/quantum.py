@@ -38,12 +38,15 @@ is an FFT above that.  A caller that applies several duals at one admitted
 unchecked, through ``_dual_transform``.  No dense F_L or F_G is built here:
 the tests build them as their oracles.
 
-Dual statistics of a density need only the diagonal of F† rho F, and
-:func:`dual_probabilities` forms it from sums along rho's wrapped diagonals
-without the dual state; :func:`dual_state` serves the ``dual`` verb, which
-outputs the state, and is the oracle of the diagonal route.  Every diagonal,
-a state's or a dual's, becomes probabilities one way: validated at
-``PROBABILITY_TOL``, then clipped to [0, 1] and renormalized.
+A state is a density matrix or, for a pure state, a 1-D complex amplitude
+vector psi, which no statistic expands into |psi><psi|.  Dual statistics
+need only the diagonal of F† rho F: for a ket it is |F† psi|**2, and for a
+density :func:`dual_probabilities` forms it from sums along rho's wrapped
+diagonals without the dual state.  :func:`dual_state` serves the ``dual``
+verb, which outputs the state, and is the oracle of the diagonal route.
+Every diagonal, a state's or a dual's, ket or density, becomes
+probabilities through ``_probabilities``: validated at ``PROBABILITY_TOL``,
+then clipped to [0, 1] and renormalized.
 """
 
 from __future__ import annotations
@@ -293,14 +296,14 @@ class StateStats:
 
 
 def state_stats(rho) -> StateStats:
-    """Measurement statistics of a state on the d**d-dimensional space.
+    """Measurement statistics of a density or an amplitude vector on the d**d-dimensional space.
 
     The Markov tensor is the diagonal of rho; the Markov matrix holds its
     marginals, whose row i is the diagonal of the reduced density of
     component i.  Joint statistics are blind to off-diagonal elements of rho
     (only duals under the global transform can see those).
     """
-    return tensor_stats(_diagonal(_admit_density(rho)[0]))
+    return tensor_stats(_probabilities(*_admit_state(rho)))
 
 
 def tensor_stats(tensor: np.ndarray) -> StateStats:
@@ -320,20 +323,40 @@ def tensor_stats(tensor: np.ndarray) -> StateStats:
 
 
 def diagonal_probabilities(rho) -> np.ndarray:
-    """The computational-basis probabilities of a density, validated at PROBABILITY_TOL."""
-    return _diagonal(admit_square(rho, "density matrix", complex))
+    """The computational-basis probabilities of a density or an amplitude vector of dimension 2 to 3125."""
+    return _probabilities(*_admit_state(rho, SINGLE))
 
 
-def _diagonal(rho: np.ndarray) -> np.ndarray:
-    """:func:`diagonal_probabilities` of an admitted density."""
-    return validate_prob_vector(np.real(np.diag(rho)), PROBABILITY_TOL)
+def _admit_state(x, mode: str | None = None) -> tuple[np.ndarray, int]:
+    """A state and its d: that of the `mode`'s transform, or d**d = dim for no mode.
+
+    A 1-D complex ndarray is an amplitude vector, by :func:`errors.admit_array`;
+    anything else, a real vector too, is a density matrix, by :func:`errors.admit_square`.
+    """
+    ket = type(x) is np.ndarray and x.ndim == 1 and x.dtype.kind == "c"
+    x = admit_array(x, "amplitude vector", complex, 1) if ket else admit_square(x, "density matrix", complex)
+    d = x.shape[0] if mode == SINGLE else local_dimension(x.shape[0])  # raises for non d**d dims
+    return x, d if mode is None else admit_transform(d, mode)[0]
 
 
-def _admit_density(rho, mode: str | None = None) -> tuple[np.ndarray, int]:
-    """A density by :func:`errors.admit_square` and its d: that of the `mode`'s transform, or d**d = dim for no mode."""
-    rho = admit_square(rho, "density matrix", complex)
-    d = rho.shape[0] if mode == SINGLE else local_dimension(rho.shape[0])  # raises for non d**d dims
-    return rho, d if mode is None else admit_transform(d, mode)[0]
+def _probabilities(x: np.ndarray, d: int, mode: str | None = None) -> np.ndarray:
+    """The diagonal of a state admitted with its d by :func:`_admit_state`, or of its `mode` dual, as probabilities.
+
+    A ket's diagonal is |psi|**2 and its dual's |F† psi|**2; a density's dual
+    diagonal is :func:`dual_probabilities`' wrapped-diagonal or digit-pair route.
+    """
+    if x.ndim == 1 and mode is None:
+        p = (x * x.conj()).real  # the bits of the diagonal of |psi><psi|
+    elif x.ndim == 1:
+        y = _dual_transform(d, mode)(x)
+        p = y.real**2 + y.imag**2
+    elif mode is None:
+        p = np.real(np.diag(x))
+    elif mode == LOCAL:
+        p = _local_diagonal(x, d)
+    else:
+        p = np.fft.ifft(_wrapped_diagonal_sums(x)).real
+    return validate_prob_vector(p, PROBABILITY_TOL)
 
 
 def dual_state(rho, mode: str) -> np.ndarray:
@@ -342,8 +365,11 @@ def dual_state(rho, mode: str) -> np.ndarray:
     ``mode`` is one of ``"single"`` (single-qudit F, dimension 2 to 3125),
     ``"local"`` (F_L on a d**d space) or ``"global"`` (F_G on a d**d space).
     Plain statistics of the returned state are the dual statistics of rho.
+    An amplitude vector psi is taken as the density |psi><psi|.
     """
-    rho, d = _admit_density(rho, mode)
+    rho, d = _admit_state(rho, mode)
+    if rho.ndim == 1:
+        rho = np.outer(rho, rho.conj())
     dual = _dual_transform(d, mode)
     # F† rho F = (F† (F† rho)†)†: both factors apply F† from the left.  The
     # C-order copy lets the local transform reshape its input without a copy.
@@ -354,7 +380,8 @@ def dual_state(rho, mode: str) -> np.ndarray:
 def dual_probabilities(rho, mode: str) -> np.ndarray:
     """The diagonal of F† rho F as probabilities, without forming the dual state.
 
-    With omega = exp(2 pi i / N), (F_G† rho F_G)_mm = (1/N) sum_s c_s omega^(s m)
+    For an amplitude vector psi it is |F† psi|**2.  For a density, with
+    omega = exp(2 pi i / N), (F_G† rho F_G)_mm = (1/N) sum_s c_s omega^(s m)
     where c_s = sum_j rho[j, (j + s) mod N] sums rho along a wrapped
     diagonal: one pass over rho, then an inverse FFT (single mode is the same
     with N = d).  For F_L the offsets add digitwise mod d, and each digit
@@ -362,16 +389,7 @@ def dual_probabilities(rho, mode: str) -> np.ndarray:
     The diagonal is validated as :func:`diagonal_probabilities` validates
     it; it matches the diagonal of :func:`dual_state` to rounding.
     """
-    return _dual_probabilities(*_admit_density(rho, mode), mode)
-
-
-def _dual_probabilities(rho: np.ndarray, d: int, mode: str) -> np.ndarray:
-    """:func:`dual_probabilities` of a density admitted with its d by :func:`_admit_density`."""
-    if mode == LOCAL:
-        p = _local_diagonal(rho, d)
-    else:
-        p = np.fft.ifft(_wrapped_diagonal_sums(rho)).real
-    return validate_prob_vector(p, PROBABILITY_TOL)
+    return _probabilities(*_admit_state(rho, mode), mode)
 
 
 def _wrapped_diagonal_sums(rho: np.ndarray) -> np.ndarray:
@@ -438,14 +456,15 @@ def uncertainty_deficits(rho) -> UncertaintyDeficits:
     """Compute the four Gini uncertainty deficits of a multipartite state.
 
     Each deficit needs only diagonals: that of rho and those of its two duals
-    (:func:`dual_probabilities`).  No dual state and no product tensor is formed.
+    (:func:`dual_probabilities`).  No dual state and no product tensor is
+    formed, and an amplitude vector is never expanded into a density.
     """
-    rho, d = _admit_density(rho, LOCAL)  # the d of the global transform too
+    x, d = _admit_state(rho, LOCAL)  # the d of the global transform too
     cap_comp, cap_total = _additive_cap(d), _additive_cap(d**d)
-    p = _diagonal(rho)
+    p = _probabilities(x, d)
     plain_components, plain_total = local_gini_vector(tensor_to_matrix(p)), total_gini(p)
-    loc = _dual_probabilities(rho, d, LOCAL)
-    glo = _dual_probabilities(rho, d, GLOBAL)
+    loc = _probabilities(x, d, LOCAL)
+    glo = _probabilities(x, d, GLOBAL)
     return UncertaintyDeficits(
         local_components=cap_comp - (plain_components + local_gini_vector(tensor_to_matrix(loc))),
         local_total=cap_total - (plain_total + total_gini(loc)),

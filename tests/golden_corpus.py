@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -91,6 +92,22 @@ DENSITY_ADMISSIONS = [
 ]
 
 
+def _ket(d: int) -> str:
+    """A d**d-dimensional ket with no zero amplitude, from small integers: its text is the same on every platform."""
+    pairs = [((7 * k) % 11 - 5, (5 * k) % 13 - 6 or 1) for k in range(d**d)]
+    norm = math.sqrt(sum(re * re + im * im for re, im in pairs))
+    return json.dumps({"dim": d**d, "amplitudes": [[re / norm, im / norm] for re, im in pairs]})
+
+
+# A d = 3 ket through every state verb.  The kets above are qubit pairs, where
+# the ket and the density routes give the same bits; at d = 3 they do not.
+KETS = [
+    ("quantum-stats", "--state", _ket(3)),
+    ("deficits", "--state", _ket(3)),
+    ("dual", "--state", _ket(3), "--mode", "local"),
+]
+
+
 def _independent(matrix) -> str:
     return json.dumps({"kind": "independent", "matrix": matrix})
 
@@ -136,7 +153,7 @@ REPORTS = [
 # A list added later goes at the end, so that every recorded entry keeps its
 # index, which names its test in tests/test_golden.py.
 ARGV = [list(argv) for argv in EVERY_VERB] + [["expand", "--matrix", _D5, "--floor", "0.001"]] + [
-    list(argv) for argv in INVALID_PAYLOADS + ENSEMBLES + REPORTS + AMBIGUOUS_STATES + DENSITY_ADMISSIONS
+    list(argv) for argv in INVALID_PAYLOADS + ENSEMBLES + REPORTS + AMBIGUOUS_STATES + DENSITY_ADMISSIONS + KETS
 ]
 
 

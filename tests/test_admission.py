@@ -606,6 +606,75 @@ def test_the_rule_converts_as_asarray_does(value, dtype):
 
 
 # ---------------------------------------------------------------------------
+# Amplitude vectors: the second form of every state argument
+# ---------------------------------------------------------------------------
+
+# Every state function with a 1-D complex ndarray, a ket, in its state's place.
+KET_SLOTS = {
+    "state_stats.rho": gs.state_stats,
+    "diagonal_probabilities.rho": gs.diagonal_probabilities,
+    "dual_probabilities.rho": lambda v: gs.dual_probabilities(v, "local"),
+    "dual_state.rho": lambda v: gs.dual_state(v, "global"),
+    "uncertainty_deficits.rho": gs.uncertainty_deficits,
+}
+
+_PAST_THE_CAP = {name: "state 'dim' = 3126 outside [1, 3125]" for name in KET_SLOTS}
+_PAST_THE_CAP["diagonal_probabilities.rho"] = "Fourier dimension 'd' = 3126 outside [2, 3125]"  # any single-mode d
+
+# A bad ket by name, with the error each slot gives it; None leaves that slot out.
+BAD_KETS = {
+    "empty": (np.zeros(0, dtype=complex),
+              dict.fromkeys(KET_SLOTS, "amplitude vector must be a non-empty 1-D array of complex numbers, "
+                                       "got a complex128 array of shape (0,)")),
+    # its |psi><psi| would be 156 MB
+    "past the cap": (np.zeros(5**5 + 1, dtype=complex), _PAST_THE_CAP),
+    # a 7-dimensional ket is a state of one qudit, but of no d**d space
+    "not d**d": (np.full(7, 7**-0.5, dtype=complex),
+                 {**dict.fromkeys(KET_SLOTS, "array of length 7 is not d**d for any d"),
+                  "diagonal_probabilities.rho": None}),
+    # only a complex vector is a ket: a real one is a density matrix of the wrong ndim
+    "real": (np.full(4, 0.5), dict.fromkeys(KET_SLOTS, "density matrix must be a non-empty 2-D array of complex "
+                                                        "numbers, got a float64 array of shape (4,)")),
+}
+
+
+BAD_KET_CASES = [(slot, ket) for ket in sorted(BAD_KETS) for slot in sorted(KET_SLOTS) if BAD_KETS[ket][1][slot]]
+
+
+@pytest.mark.parametrize("slot, ket", BAD_KET_CASES, ids=[f"{slot}-{ket}" for slot, ket in BAD_KET_CASES])
+def test_a_bad_ket_is_rejected_by_name_before_allocating(slot, ket):
+    value, messages = BAD_KETS[ket]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as info:
+            KET_SLOTS[slot](value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ADMISSION_BYTES, peak
+    assert str(info.value) == messages[slot]
+    if ket == "past the cap":
+        assert type(info.value) is DimensionTooLargeError
+
+
+@pytest.mark.parametrize("slot", sorted(KET_SLOTS))
+def test_a_ket_is_admitted_once_as_an_amplitude_vector(monkeypatch, slot):
+    calls = []
+
+    def counting(rule):
+        def admit(*args):
+            calls.append(args[1])
+            return rule(*args)
+
+        return admit
+
+    monkeypatch.setattr(quantum, "admit_array", counting(admit_array))
+    monkeypatch.setattr(quantum, "admit_square", counting(admit_square))
+    KET_SLOTS[slot](np.full(4, 0.5, dtype=complex))
+    assert calls.count("amplitude vector") == 1 and "density matrix" not in calls, calls
+
+
+# ---------------------------------------------------------------------------
 # Tolerances
 # ---------------------------------------------------------------------------
 

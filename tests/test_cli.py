@@ -5,8 +5,11 @@ import functools
 import gc
 import json
 import os
+import resource
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +19,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import golden_corpus
+from conftest import random_complex_unit
 from ginisafe import DimensionMismatchError, ValidationError, cli, ensembles, eta, markov, probvec, quantum
 from ginisafe.cli import main
 
@@ -1599,15 +1604,89 @@ class TestOutputFormats:
             assert out["seed"] == 9
 
 
+class TestOutFile:
+    """--out writes a regular file whole or not at all; anything else in place, as ``open`` does."""
+
+    def test_a_failed_write_leaves_the_old_file(self, tmp_path):
+        # RLIMIT_FSIZE acts on the child alone: the d = 5 expansion's 559 kB stop at 4096 bytes with EFBIG
+        target = tmp_path / "out.json"
+        target.write_bytes(b"old contents\n")
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "ginisafe.cli", "expand", "--matrix", golden_corpus._D5, "--out", str(target)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+            preexec_fn=limit_file_size,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"usage error: cannot write --out file {str(target)!r}: [Errno 27] ")
+        assert target.read_bytes() == b"old contents\n"
+        assert os.listdir(tmp_path) == ["out.json"]  # no temporary file is left
+
+    def test_an_error_names_the_out_path(self, capsys, tmp_path):
+        path = str(tmp_path / "no" / "x.json")
+        code, out, err = run_cli(capsys, "validate", "--vector", "[1]", "--out", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: cannot write --out file {path!r}: "
+                              f"[Errno 2] No such file or directory: {path!r}\n")
+
+    def test_a_regular_file_gets_the_bytes_of_stdout(self, capsys, tmp_path):
+        argv = ["expand", "--matrix", golden_corpus._D5]
+        _, out, _ = run_cli(capsys, *argv)
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        old.write_bytes(b"x" * 10**6)  # longer than the output
+        old.chmod(0o640)
+        for path in (new, old):
+            assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
+            assert path.read_text() == out
+        made = tmp_path / "made-by-open"
+        open(made, "wb").close()
+        assert new.stat().st_mode == made.stat().st_mode  # 0o666 & ~umask, not mkstemp's 0o600
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["made-by-open", "new.json", "old.json"]
+
+    def test_a_symlink_is_written_through(self, capsys, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        _, out, _ = run_cli(capsys, "gini", "--vector", "[0.5,0.5]")
+        assert run_cli(capsys, "gini", "--vector", "[0.5,0.5]", "--out", str(link))[0] == 0
+        assert link.is_symlink() and target.read_text() == out
+
+    def test_a_fifo_is_written_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        read = []
+        # a daemon, so a writer that never opens the FIFO fails the test without hanging the run
+        reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+        reader.start()
+        _, out, _ = run_cli(capsys, "gini", "--vector", "[0.5,0.5]")
+        code = run_cli(capsys, "gini", "--vector", "[0.5,0.5]", "--out", str(fifo))[0]
+        reader.join(timeout=60)
+        assert code == 0 and not reader.is_alive() and read == [out]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_dev_null_is_written_in_place(self, capsys):
+        assert run_cli(capsys, "gini", "--vector", "[0.5,0.5]", "--out", os.devnull) == (0, "", "")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
 @pytest.fixture(scope="module")
 def cap_payloads(tmp_path_factory):
-    """Payloads at the caps: a d = 4 density file, and 6**6-entry vector, 6 x 6 matrix and 6**6-entry tensor texts."""
+    """Payloads at the caps: a d = 4 density file, a d = 5 ket file, and 6**6-entry vector, 6 x 6 matrix and
+    6**6-entry tensor texts."""
     path = tmp_path_factory.mktemp("caps") / "density.json"
     path.write_text(mixed_density(4, 1)[1], encoding="utf-8")
     rng = np.random.default_rng(0)
     p, m, t = rng.random(6**6), rng.random((6, 6)), rng.random(6**6)
+    psi = random_complex_unit(rng, 5**5)
+    ket = path.with_name("ket.json")
+    ket.write_text(json.dumps({"dim": 5**5, "amplitudes": np.column_stack((psi.real, psi.imag)).tolist()}))
     return {
         "state": str(path),
+        "ket": str(ket),
         "vector": json.dumps((p / p.sum()).tolist()),
         "matrix": json.dumps((m / m.sum(axis=1, keepdims=True)).tolist()),
         "tensor": json.dumps((t / t.sum()).tolist()),
@@ -1620,7 +1699,7 @@ class TestMemoryBudgets:
     The call before it builds the transforms and kernels, and the read memo is
     then cleared, so the traced call decodes its payload again.  Its output
     goes to the test's capture.  The figures were measured with numpy 2.4.6
-    and orjson 3.8.3; the d = 4 density is 1 MiB.
+    and orjson 3.8.3; the d = 4 density is 1 MiB, the d = 5 ket 49 KiB.
     """
 
     #: the argv, the payload it ends with, and the traced peak in MiB
@@ -1629,6 +1708,9 @@ class TestMemoryBudgets:
         "deficits": (["deficits", "--input"], "state", 11.0),
         "dual-local": (["dual", "--mode", "local", "--input"], "state", 18.0),
         "dual-global": (["dual", "--mode", "global", "--input"], "state", 18.0),
+        # a d = 5 ket, which the density route expanded into a 149 MiB |psi><psi|
+        "ket-quantum-stats": (["quantum-stats", "--input"], "ket", 0.75),
+        "ket-deficits": (["deficits", "--input"], "ket", 0.57),
         "gini": (["gini", "--vector"], "vector", 3.5),
         "expand": (["expand", "--matrix"], "matrix", 41.6),
         "correlations": (["correlations", "--tensor"], "tensor", 42.1),

@@ -1,5 +1,6 @@
 """Tests for the uncertainty-coefficient search and deficit sweeps."""
 
+import math
 import time
 import tracemalloc
 
@@ -158,6 +159,13 @@ class TestEstimateEta:
         est = estimate_eta(2, "single", budget=3000, seed=0)
         assert est.best_sum >= np.sqrt(2) / 3 - 1e-6
         assert _pure_gini_sum(2, "single")(est.best_state) == pytest.approx(est.best_sum, abs=1e-12)
+
+    def test_eta_upper_is_an_upper_bound_up_to_rounding(self):
+        # the qubit supremum is sqrt(2)/3 exactly; this search lands 3.9e-16 above it,
+        # so its eta_upper is 4.4e-16 below the true (2 - sqrt(2))/3
+        est = estimate_eta(2, "single", 5000, seed=0)
+        assert est.best_sum <= math.sqrt(2) / 3 + 1e-15
+        assert est.eta_upper >= (2 - math.sqrt(2)) / 3 - 1e-15
 
     def test_respects_budget(self):
         est = estimate_eta(2, "global_total", budget=37, seed=0)

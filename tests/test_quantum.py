@@ -1,5 +1,6 @@
 """Tests for Fourier transforms, partial traces and state statistics."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -680,6 +681,84 @@ class TestUncertaintyDeficits:
                 assert deficits.local_total > 0
                 assert np.all(deficits.global_components > 0)
                 assert deficits.global_total > 0
+
+
+def ket_cases():
+    """A random and a basis ket at each d = 2..5, as (id, amplitude vector)."""
+    for d in range(2, MAX_COMPONENTS + 1):
+        rng = np.random.default_rng(40 + d)
+        yield f"random-d{d}", random_complex_unit(rng, d**d)
+        yield f"basis-d{d}", basis_state(FunctionMap(tuple(int(j) for j in rng.integers(0, d, d))))
+
+
+KETS = dict(ket_cases())
+
+
+def array_digest(a):
+    """The sha256 of an array's bytes, its dtype and its shape: equal digests are equal bits."""
+    return hashlib.sha256(np.ascontiguousarray(a)).hexdigest(), a.dtype.str, a.shape
+
+
+class TestKetRoute:
+    """A ket is priced from its amplitudes; its density |psi><psi| is the oracle."""
+
+    @pytest.mark.parametrize("name", KETS)
+    def test_state_stats_keeps_the_bits_of_the_density(self, name):
+        psi = KETS[name]
+        got, want = state_stats(psi), state_stats(pure_density(psi))
+        assert got.d == want.d
+        for field in ("markov", "tensor", "products", "correlations", "gini_vector", "total_gini"):
+            assert array_digest(np.asarray(getattr(got, field))) == array_digest(np.asarray(getattr(want, field)))
+
+    @pytest.mark.parametrize("mode", ["single", "local", "global"])
+    @pytest.mark.parametrize("name", KETS)
+    def test_dual_state_keeps_the_bits_of_the_density(self, name, mode):
+        # single mode reads the d**d-dimensional ket as one qudit: d = 256 multiplies by F†, d = 3125 is an FFT
+        psi = KETS[name]
+        got = array_digest(dual_state(psi, mode))  # a digest, so two d = 5 duals are never held at once
+        assert got == array_digest(dual_state(pure_density(psi), mode))
+
+    @pytest.mark.parametrize("name", KETS)
+    def test_dual_probabilities_match_the_density_route(self, name):
+        psi = KETS[name]
+        for mode in ("single", "local", "global"):
+            got, want = dual_probabilities(psi, mode), dual_probabilities(pure_density(psi), mode)
+            assert got.shape == want.shape and np.abs(got - want).max() <= 1e-15, mode
+
+    @pytest.mark.parametrize("name", KETS)
+    def test_deficits_match_the_density_route(self, name):
+        psi = KETS[name]
+        got, want = uncertainty_deficits(psi), uncertainty_deficits(pure_density(psi))
+        for field in ("local_components", "local_total", "global_components", "global_total"):
+            assert np.abs(getattr(got, field) - getattr(want, field)).max() <= 1e-15, field
+
+    def test_diagonal_probabilities_keep_the_bits_of_the_density(self):
+        psi = KETS["random-d3"]
+        assert array_digest(quantum.diagonal_probabilities(psi)) == array_digest(
+            quantum.diagonal_probabilities(pure_density(psi))
+        )
+
+    def test_a_ket_allocates_no_density(self):
+        # a d = 5 density is 156 MB; the ket route holds a few vectors of 3125 entries
+        psi = KETS["random-d5"]
+        for call in (state_stats, uncertainty_deficits, lambda v: dual_probabilities(v, "local")):
+            call(psi)  # builds the transforms and kernels
+            tracemalloc.start()
+            try:
+                call(psi)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * psi.nbytes, peak
+
+    def test_an_unnormalized_ket_is_rejected_as_its_density_is(self):
+        psi = 2 * KETS["random-d2"]
+        for call in (state_stats, uncertainty_deficits, lambda v: dual_probabilities(v, "global")):
+            with pytest.raises(ValidationError) as ket:
+                call(psi)
+            with pytest.raises(ValidationError) as density:
+                call(pure_density(psi))
+            assert type(ket.value) is type(density.value)
 
 
 class TestDensityValidation:
