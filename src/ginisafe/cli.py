@@ -417,28 +417,52 @@ def _csv_rows(obj):
 def _write_out(path: str, data: bytes) -> None:
     """Write `data` and a final newline to the --out `path`, so that a failed write leaves the old file.
 
-    A regular or new file is written to a temporary file in its directory,
-    which replaces it once whole and is removed if the write fails; it takes
-    the old file's mode, or the one ``open(path, "wb")`` gives a new file.
-    Anything else that exists, such as /dev/null or a FIFO, is written in
-    place.  A symlink is written through, as ``open`` writes it.
+    A new file is made as ``open`` makes it and removed if the write fails.
+    An existing regular file is replaced by a whole temporary file where
+    :func:`_replacement` makes one.  Anything else, such as /dev/null or a
+    FIFO, is written in place as ``open(path, "wb")`` writes it.  A symlink
+    is written through.
     """
     target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, "wb") as fh:
-            fh.writelines((data, b"\n"))
-        return
-    os.umask(umask := os.umask(0o022))  # reads the umask, which has no getter
-    mode = os.stat(target).st_mode & 0o7777 if os.path.exists(target) else 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target))
+    new = not os.path.exists(target)
+    tmp = None if new or not os.path.isfile(target) else _replacement(target)
+    fh = open(tmp or target, "xb" if new else "wb")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.writelines((data, b"\n"))
-        os.chmod(tmp, mode)
-        os.replace(tmp, target)
+        if tmp:
+            os.replace(tmp, target)
     except BaseException:
-        os.unlink(tmp)
+        if tmp or new:
+            os.unlink(tmp or target)
         raise
+
+
+def _replacement(target: str) -> str | None:
+    """A temporary file beside the regular file `target` that can replace it unseen, or None.
+
+    A `target` that cannot be written is refused, as ``open(target, "wb")``
+    refuses it.  The temporary file takes its mode, owner and group.  There
+    is none where `target` has other hard links, its directory takes no new
+    file, or its owner or group cannot be kept.
+    """
+    open(target, "ab").close()  # the write permission check, with nothing truncated or made
+    old = os.stat(target)
+    if old.st_nlink != 1:
+        return None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target))
+    except PermissionError:
+        return None
+    try:
+        os.fchown(fd, old.st_uid, old.st_gid)
+        os.fchmod(fd, old.st_mode & 0o7777)
+    except PermissionError:
+        os.unlink(tmp)
+        tmp = None
+    finally:
+        os.close(fd)
+    return tmp
 
 
 def _emit(out: dict, args) -> None:

@@ -323,23 +323,27 @@ def tensor_stats(tensor: np.ndarray) -> StateStats:
 
 
 def diagonal_probabilities(rho) -> np.ndarray:
-    """The computational-basis probabilities of a density or an amplitude vector of dimension 2 to 3125."""
-    return _probabilities(*_admit_state(rho, SINGLE))
+    """The computational-basis probabilities of a density or an amplitude vector of any dimension."""
+    return _probabilities(*_admit_state(rho, any_dim=True))
 
 
-def _admit_state(x, mode: str | None = None) -> tuple[np.ndarray, int]:
+def _admit_state(x, mode: str | None = None, *, any_dim: bool = False) -> tuple[np.ndarray, int | None]:
     """A state and its d: that of the `mode`'s transform, or d**d = dim for no mode.
 
-    A 1-D complex ndarray is an amplitude vector, by :func:`errors.admit_array`;
-    anything else, a real vector too, is a density matrix, by :func:`errors.admit_square`.
+    With `any_dim` the dim is neither checked nor capped and d is None: a
+    plain diagonal needs no transform.  A 1-D complex ndarray is an amplitude
+    vector, by :func:`errors.admit_array`; anything else, a real vector too,
+    is a density matrix, by :func:`errors.admit_square`.
     """
     ket = type(x) is np.ndarray and x.ndim == 1 and x.dtype.kind == "c"
     x = admit_array(x, "amplitude vector", complex, 1) if ket else admit_square(x, "density matrix", complex)
+    if any_dim:
+        return x, None
     d = x.shape[0] if mode == SINGLE else local_dimension(x.shape[0])  # raises for non d**d dims
     return x, d if mode is None else admit_transform(d, mode)[0]
 
 
-def _probabilities(x: np.ndarray, d: int, mode: str | None = None) -> np.ndarray:
+def _probabilities(x: np.ndarray, d: int | None, mode: str | None = None) -> np.ndarray:
     """The diagonal of a state admitted with its d by :func:`_admit_state`, or of its `mode` dual, as probabilities.
 
     A ket's diagonal is |psi|**2 and its dual's |F† psi|**2; a density's dual

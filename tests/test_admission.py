@@ -618,8 +618,8 @@ KET_SLOTS = {
     "uncertainty_deficits.rho": gs.uncertainty_deficits,
 }
 
-_PAST_THE_CAP = {name: "state 'dim' = 3126 outside [1, 3125]" for name in KET_SLOTS}
-_PAST_THE_CAP["diagonal_probabilities.rho"] = "Fourier dimension 'd' = 3126 outside [2, 3125]"  # any single-mode d
+# a plain diagonal has no cap: diagonal_probabilities prices any ket
+_PAST_THE_CAP = {**dict.fromkeys(KET_SLOTS, "state 'dim' = 3126 outside [1, 3125]"), "diagonal_probabilities.rho": None}
 
 # A bad ket by name, with the error each slot gives it; None leaves that slot out.
 BAD_KETS = {

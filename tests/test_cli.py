@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
 import argparse
+import ctypes
 import functools
 import gc
 import json
@@ -1604,26 +1605,95 @@ class TestOutputFormats:
             assert out["seed"] == 9
 
 
+def run_child(argv, preexec_fn):
+    """Run the CLI on `argv` in a child process that calls `preexec_fn` first."""
+    return subprocess.run(
+        [sys.executable, "-m", "ginisafe.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+        preexec_fn=preexec_fn,
+    )
+
+
+def limit_file_size():
+    """In a child: make a write past 4096 bytes fail with EFBIG."""
+    resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+
+def meet_file_modes():
+    """In a child: let root meet file modes as any user does, by dropping CAP_DAC_OVERRIDE and CAP_DAC_READ_SEARCH.
+
+    They leave the bounding set, so the exec that follows does not restore
+    them.  Any other user has neither, and runs unchanged.
+    """
+    if os.geteuid() != 0:
+        return
+    libc = ctypes.CDLL(None, use_errno=True)
+    for capability in (1, 2):
+        if libc.prctl(24, capability, 0, 0, 0) != 0:  # PR_CAPBSET_DROP
+            raise OSError(ctypes.get_errno(), "PR_CAPBSET_DROP failed")
+
+
 class TestOutFile:
-    """--out writes a regular file whole or not at all; anything else in place, as ``open`` does."""
+    """--out writes a regular file whole or not at all, where replacing it does not show; anything else in place."""
 
     def test_a_failed_write_leaves_the_old_file(self, tmp_path):
         # RLIMIT_FSIZE acts on the child alone: the d = 5 expansion's 559 kB stop at 4096 bytes with EFBIG
         target = tmp_path / "out.json"
         target.write_bytes(b"old contents\n")
-
-        def limit_file_size():
-            resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "ginisafe.cli", "expand", "--matrix", golden_corpus._D5, "--out", str(target)],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
-            preexec_fn=limit_file_size,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith(f"usage error: cannot write --out file {str(target)!r}: [Errno 27] ")
+        for path in (target, tmp_path / "new.json"):
+            proc = run_child(["expand", "--matrix", golden_corpus._D5, "--out", str(path)], limit_file_size)
+            assert proc.returncode == 2
+            assert proc.stderr.startswith(f"usage error: cannot write --out file {str(path)!r}: [Errno 27] ")
         assert target.read_bytes() == b"old contents\n"
-        assert os.listdir(tmp_path) == ["out.json"]  # no temporary file is left
+        assert os.listdir(tmp_path) == ["out.json"]  # no temporary or partial file is left
+
+    def test_a_read_only_file_is_refused(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_bytes(b"old contents\n")
+        target.chmod(0o444)
+        proc = run_child(["gini", "--vector", "[0.5,0.5]", "--out", str(target)], meet_file_modes)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"usage error: cannot write --out file {str(target)!r}: "
+                                      f"[Errno 13] Permission denied: {str(target)!r}\n")
+        assert target.read_bytes() == b"old contents\n"
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_a_file_in_a_read_only_directory_is_written_in_place(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, "gini", "--vector", "[0.5,0.5]")
+        shared = tmp_path / "shared"
+        shared.mkdir()
+        target = shared / "out.json"
+        target.write_bytes(b"x" * 1000)  # longer than the output
+        inode = target.stat().st_ino
+        shared.chmod(0o555)
+        try:
+            proc = run_child(["gini", "--vector", "[0.5,0.5]", "--out", str(target)], meet_file_modes)
+        finally:
+            shared.chmod(0o755)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert target.read_text() == out and target.stat().st_ino == inode
+        assert os.listdir(shared) == ["out.json"]
+
+    def test_a_hard_linked_file_is_written_in_place(self, capsys, tmp_path):
+        target, link = tmp_path / "out.json", tmp_path / "link.json"
+        target.write_text("old\n")
+        os.link(target, link)
+        _, out, _ = run_cli(capsys, "gini", "--vector", "[0.5,0.5]")
+        assert run_cli(capsys, "gini", "--vector", "[0.5,0.5]", "--out", str(target))[0] == 0
+        assert target.read_text() == link.read_text() == out
+        assert target.stat().st_ino == link.stat().st_ino
+
+    @pytest.mark.skipif(os.geteuid() != 0, reason="giving a file to another owner needs root")
+    def test_a_replaced_file_keeps_its_owner_group_and_mode(self, capsys, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("old\n")
+        os.chown(target, 65534, 65534)
+        target.chmod(0o604)
+        _, out, _ = run_cli(capsys, "gini", "--vector", "[0.5,0.5]")
+        assert run_cli(capsys, "gini", "--vector", "[0.5,0.5]", "--out", str(target))[0] == 0
+        got = target.stat()
+        assert target.read_text() == out
+        assert (got.st_uid, got.st_gid, stat.S_IMODE(got.st_mode)) == (65534, 65534, 0o604)
 
     def test_an_error_names_the_out_path(self, capsys, tmp_path):
         path = str(tmp_path / "no" / "x.json")

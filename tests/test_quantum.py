@@ -738,6 +738,11 @@ class TestKetRoute:
             quantum.diagonal_probabilities(pure_density(psi))
         )
 
+    def test_diagonal_probabilities_take_any_dimension(self):
+        # a plain diagonal needs no transform, so neither d**d nor the cap applies
+        assert quantum.diagonal_probabilities(np.array([[1.0]])).tolist() == [1.0]
+        assert quantum.diagonal_probabilities(np.full(5**5 + 1, (5**5 + 1) ** -0.5, dtype=complex)).shape == (3126,)
+
     def test_a_ket_allocates_no_density(self):
         # a d = 5 density is 156 MB; the ket route holds a few vectors of 3125 entries
         psi = KETS["random-d5"]
