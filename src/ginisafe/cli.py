@@ -372,6 +372,7 @@ def _line_slices(data: bytes):
 
 
 _CSV_QUOTED = re.compile(r'[,"\r\n]')
+_find_null = re.compile(rb"null").search  # faster than ``b"null" in data`` on a large output
 
 
 def _csv_cell(text: str) -> str:
@@ -471,11 +472,12 @@ def _emit(out: dict, args) -> None:
     Both formats reject a non-finite float by its key, through `_leaves`,
     before anything is written.  JSON output is the bytes of ``orjson.dumps``,
     which writes NaN and the infinities as ``null``: only an output whose
-    bytes hold ``null`` is walked.
+    bytes hold ``null``, found by one precompiled search, is walked.  `main`
+    calls it with the cyclic collector paused; it makes no reference cycles.
     """
     if args.format == "json":
         data = orjson.dumps(out, default=_plain, option=_ORJSON_OPTIONS)
-        if b"null" in data:
+        if _find_null(data):
             for _ in _leaves(out):
                 pass
     else:
@@ -507,14 +509,21 @@ def _fields(record, omit: str = "") -> dict:
 # and the seed first.
 
 def _terms(values: np.ndarray, d: int, name: str, floor: float) -> list:
-    """The codes whose |value| reaches `floor`, with their images."""
+    """The codes whose |value| reaches `floor`, with their images.
+
+    A term's images are its row of `_image_rows`, shared by every call and
+    never changed, as ``markov.function_table`` is read-only.
+    """
     with np.errstate(invalid="ignore"):  # a NaN is dropped, as abs(nan) >= floor is false
         codes = np.flatnonzero(np.abs(values) >= floor)
-    images = markov.function_table(d)[codes].tolist()
-    return [
-        {"code": code, "images": im, name: v}
-        for code, im, v in zip(codes.tolist(), images, values[codes].tolist())
-    ]
+    rows = _image_rows(d)
+    return [{"code": code, "images": rows[code], name: v} for code, v in zip(codes.tolist(), values[codes].tolist())]
+
+
+@functools.lru_cache(maxsize=None)
+def _image_rows(d: int) -> tuple:
+    """Row ``c`` of ``markov.function_table(d)`` as a tuple of ints, for every code c: made once per d."""
+    return tuple(map(tuple, markov.function_table(d).tolist()))
 
 
 def cmd_validate(args, x) -> dict:
@@ -640,9 +649,11 @@ def cmd_report(args) -> dict:
 def _collector_paused():
     """Pause the cyclic collector, then restore the caller's state.
 
-    A verb's handler makes no reference cycles, so reference counting frees
-    all it allocates: a payload tree (65,536 pair lists for a d = 4 density)
-    is decoded, converted and freed before any collection could walk it.
+    `main` computes and writes a verb's result inside it.  Neither the
+    handler nor `_emit` makes reference cycles, so reference counting frees
+    all they allocate: a payload tree (65,536 pair lists for a d = 4
+    density), the lists `_plain` makes of an output array and the output
+    itself are freed before any collection could walk them.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -770,7 +781,8 @@ def main(argv=None) -> int:
             raise _UsageError(f"--floor must be a finite number, got {args.floor!r}")
         with _collector_paused():
             out = args.handler(args)
-        _emit(out, args)
+            _emit(out, args)
+            del out  # freed before the collector resumes
         sys.stdout.flush()
     except BrokenPipeError:  # the reader of stdout went away
         # the interpreter flushes stdout again at exit; send what is left to devnull

@@ -308,7 +308,11 @@ def estimate_eta(d: int, mode: str, budget: int, seed: int = 0) -> EtaEstimate:
 
     def objective(z: np.ndarray) -> float:
         nonlocal best_sum, best_state
-        psi = z[:dim] + 1j * z[dim:]
+        # built in place: numpy forms 1j * x as (0*x - 1*0) + (0*0 + 1*x)j, so the
+        # sum z[:dim] + 1j * z[dim:] has these parts unless a coordinate is exactly
+        # -0.0, which a search reaches only from an exactly-zero Gaussian draw
+        psi = np.empty(dim, complex)
+        psi.real, psi.imag = z[:dim], z[dim:]
         re, im = psi.real, psi.imag
         norm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's own sum
         if norm < 1e-12:

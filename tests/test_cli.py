@@ -12,6 +12,8 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -734,6 +736,44 @@ class TestCollectorPause:
         assert seen == [False]
         assert gc.isenabled() is collector
 
+    def test_writes_with_the_collector_paused(self, capsys, monkeypatch, collector):
+        seen = []
+        emit = cli._emit
+
+        def recording(out, args):
+            seen.append(gc.isenabled())
+            return emit(out, args)
+
+        monkeypatch.setattr(cli, "_emit", recording)
+        code, out, _ = run_cli(capsys, "validate", "--vector", "[0.5,0.5]")
+        assert code == 0 and out
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_the_output_is_freed_before_the_collector_resumes(self, capsys, monkeypatch):
+        arrays, freed = [], []
+        plain = cli._plain
+
+        def recording(obj):
+            arrays.append(weakref.ref(obj))
+            return plain(obj)
+
+        def enable():
+            freed.append([ref() is None for ref in arrays])
+            gc.enable()
+
+        monkeypatch.setattr(cli, "_plain", recording)
+        monkeypatch.setattr(cli, "gc", types.SimpleNamespace(isenabled=lambda: True, disable=gc.disable,
+                                                             enable=enable))
+        assert run_cli(capsys, "lorenz", "--vector", "[0.25,0.75]")[0] == 0
+        assert freed == [[True, True]]  # the Lorenz values and the ordering
+
+    def test_restores_the_callers_state_on_a_non_finite_output(self, capsys, monkeypatch, collector):
+        monkeypatch.setattr(probvec, "gini_index", lambda x: float("nan"))
+        code, out, err = run_cli(capsys, "gini", "--vector", "[0.5,0.5]")
+        assert (code, out, err) == (1, "", "error: output field gini is not a finite number\n")
+        assert gc.isenabled() is collector
+
 
 class TestInputFile:
     """--input is read as bytes and decoded only when not ASCII: results are those of a text-mode read."""
@@ -1334,13 +1374,22 @@ def library_terms(values, d, name, keep):
             for code, v in enumerate(values.tolist()) if keep(v)]
 
 
+@pytest.mark.parametrize("d", [1, 3, 5, 6])
 @pytest.mark.parametrize("floor", [0.0, 0.25, 1.0])
-def test_terms_keep_the_codes_reaching_the_floor(floor):
-    values = np.random.default_rng(5).uniform(-1.5, 1.5, 27)
-    values[[0, 3, 4, 9, 26]] = [np.nan, np.inf, -np.inf, 0.25, -0.25]
-    got = cli._terms(values, 3, "coefficient", floor)
-    assert got == library_terms(values, 3, "coefficient", lambda v: abs(v) >= floor)
+def test_terms_keep_the_codes_reaching_the_floor(floor, d):
+    values = np.random.default_rng(5).uniform(-1.5, 1.5, d**d)
+    if d == 1:
+        values[0] = 1.0  # it reaches every floor, so that every case keeps a term
+    else:
+        values[[0, 3, 4, 9, 26]] = [np.nan, np.inf, -np.inf, 0.25, -0.25]
+    got = cli._terms(values, d, "coefficient", floor)
+    # images are tuples shared by every call: compared as lists, and never changed by a caller
+    assert [{**term, "images": list(term["images"])} for term in got] == library_terms(
+        values, d, "coefficient", lambda v: abs(v) >= floor)
     assert [type(v) for term in got for v in (term["code"], term["coefficient"])] == [int, float] * len(got)
+    assert {type(i) for term in got for i in term["images"]} == {int}
+    with pytest.raises(TypeError):
+        got[0]["images"][0] = 1
 
 
 @functools.lru_cache(maxsize=None)
